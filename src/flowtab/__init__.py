@@ -9,13 +9,8 @@ baseline in which every flow receives an entry at its first packet.
 from .algorithms import (
     AlgorithmSpec,
     DegenerateError,
-    FlowOutcome,
     MetricsReport,
     PathProfile,
-    aggregate,
-    eval_first,
-    eval_sampling,
-    eval_threshold,
     p_eff_avg,
     p_eff_paths,
     p_total,
@@ -32,15 +27,10 @@ from .analytic import (
     invert_for_coverage,
 )
 from .generator import (
-    FlowRecord,
     GenerationStats,
     GeneratorConfig,
-    PacketizeError,
     generate_arrays,
-    generate_population,
-    packetize,
     read_flow_csv,
-    sample_flow,
     write_flow_csv,
 )
 from .model import (

@@ -1,35 +1,31 @@
-"""Per-flow evaluation of the first / threshold / sampling algorithms.
+"""Population-wide evaluation of the first / threshold / sampling algorithms.
 
-Each evaluator returns a FlowOutcome relative to the reactive baseline
-(every flow gets an entry at its first packet).  Occupancy uses the
-equal-flow-duration model by default: a flow's entry occupies the table
-for the fraction of the flow's packets from the triggering packet
-onward.  ``aggregate`` folds outcomes into the three report metrics.
+``evaluate_batch`` computes every flow's outcome relative to the reactive
+baseline (every flow gets an entry at its first packet): whether an entry
+was created, the bytes it covered, and the fraction of the flow's packets
+from the triggering packet onward, which is the entry's occupancy under
+the equal-flow-duration model.  ``aggregate_batch`` folds the outcomes
+into the three report metrics.  Packet sizes follow the even-split layout
+of ``PacketLayout``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .generator import FlowRecord, packetize
 from .model import DEFAULT_MAX_PACKET
 
 __all__ = [
     "DegenerateError",
     "AlgorithmSpec",
-    "FlowOutcome",
+    "PacketLayout",
     "PathProfile",
     "MetricsReport",
-    "eval_first",
-    "eval_threshold",
-    "eval_sampling",
     "p_total",
     "p_eff_paths",
     "p_eff_avg",
-    "aggregate",
     "evaluate_batch",
     "aggregate_batch",
 ]
@@ -80,21 +76,6 @@ class AlgorithmSpec:
 
 
 @dataclass(frozen=True)
-class FlowOutcome:
-    entry_created: bool
-    covered_bytes: int
-    occupancy_fraction: float
-    flow_bytes: int
-    flow_packets: int
-
-    def __post_init__(self) -> None:
-        if not self.entry_created and (self.covered_bytes or self.occupancy_fraction):
-            raise ValueError("uncreated entry cannot cover traffic or occupy the table")
-        if self.covered_bytes > self.flow_bytes or self.occupancy_fraction > 1.0:
-            raise ValueError("outcome exceeds the flow it belongs to")
-
-
-@dataclass(frozen=True)
 class PathProfile:
     """Per-path routing probabilities with per-switch sampling probabilities."""
 
@@ -116,62 +97,6 @@ class MetricsReport:
     occupancy_reduction: float
     flow_count: int
     entries_created: int
-
-
-def eval_first(flow: FlowRecord, spec: AlgorithmSpec) -> FlowOutcome:
-    """Oracle classification at the first packet: entry iff the flow's final
-    length/size strictly exceeds the threshold; covered from packet one."""
-    if spec.kind != "first":
-        raise ValueError("spec.kind must be 'first'")
-    value = flow.length if spec.axis == "length" else flow.size
-    if value > spec.threshold:
-        return FlowOutcome(True, flow.size, 1.0, flow.size, flow.length)
-    return FlowOutcome(False, 0, 0.0, flow.size, flow.length)
-
-
-def eval_threshold(flow: FlowRecord, spec: AlgorithmSpec,
-                   max_packet_size: int = DEFAULT_MAX_PACKET) -> FlowOutcome:
-    """Per-flow counter: the entry is created at the first packet whose
-    arrival pushes the counter (packets or cumulative bytes) above the
-    threshold; that packet and all later ones are covered."""
-    if spec.kind != "threshold":
-        raise ValueError("spec.kind must be 'threshold'")
-    sizes = packetize(flow, max_packet_size)
-    counter = 0.0
-    for i, pkt in enumerate(sizes):
-        counter += 1 if spec.axis == "length" else pkt
-        if counter > spec.threshold:
-            covered = sum(sizes[i:])
-            occupancy = (flow.length - i) / flow.length
-            return FlowOutcome(True, covered, occupancy, flow.size, flow.length)
-    return FlowOutcome(False, 0, 0.0, flow.size, flow.length)
-
-
-def eval_sampling(flow: FlowRecord, spec: AlgorithmSpec, rng: np.random.Generator,
-                  max_packet_size: int = DEFAULT_MAX_PACKET,
-                  s_max: int | None = None) -> FlowOutcome:
-    """Random per-packet sampling until the first success creates the entry.
-
-    Uniform mode samples every packet with probability p; size-scaled mode
-    with p * packet_size / s_max.  Deterministic given the RNG state.
-    """
-    if spec.kind != "sampling":
-        raise ValueError("spec.kind must be 'sampling'")
-    p = spec.probability
-    s_max = s_max if s_max is not None else max_packet_size
-    sizes = packetize(flow, max_packet_size)
-    for i, pkt in enumerate(sizes):
-        if spec.sampling_mode == "size-scaled":
-            if pkt > s_max:
-                raise ValueError(f"packet of {pkt} bytes exceeds s_max={s_max}")
-            p_i = p * pkt / s_max
-        else:
-            p_i = p
-        if rng.random() < p_i:
-            covered = sum(sizes[i:])
-            occupancy = (flow.length - i) / flow.length
-            return FlowOutcome(True, covered, occupancy, flow.size, flow.length)
-    return FlowOutcome(False, 0, 0.0, flow.size, flow.length)
 
 
 def p_total(p: float, n: float) -> float:
@@ -206,53 +131,65 @@ def p_eff_avg(p: float, l_avg: float) -> float:
     return p_total(p, l_avg)
 
 
-def aggregate(outcomes: Iterable[FlowOutcome], duration_model: str = "equal") -> MetricsReport:
-    """Fold per-flow outcomes into coverage and reduction factors.
+# -- batch evaluation ------------------------------------------------------------
 
-    Raises DegenerateError when no entry was created (coverage 0, both
-    reductions unbounded).
+
+class PacketLayout:
+    """Even-split packet sizes of a population of flows, in closed form.
+
+    A flow of n packets and s bytes sends ``lead`` leading packets of
+    base = s // n bytes, then n - lead trailing packets of ``tail`` bytes
+    that carry the remainder rem = s - n * base:
+
+    - rem = 0: every packet carries base bytes (lead = n, no trailing run);
+    - base + rem <= max_packet_size: the last packet carries the remainder
+      (lead = n - 1, tail = base + rem);
+    - otherwise the remainder is spread, one extra byte on each of the last
+      rem packets (lead = n - rem, tail = base + 1).
+
+    ``max_packet_size`` also sets the odds of size-scaled sampling.  A
+    layout depends only on the population, so build it once and pass it to
+    every evaluate_batch call over that population.
     """
-    if duration_model not in DURATION_MODELS:
-        raise ValueError(f"unknown duration_model {duration_model!r}")
-    n = 0
-    entries = 0
-    covered = 0
-    total_bytes = 0
-    occ = 0.0
-    total_packets = 0
-    occ_packets = 0.0
-    for o in outcomes:
-        n += 1
-        total_bytes += o.flow_bytes
-        total_packets += o.flow_packets
-        if o.entry_created:
-            entries += 1
-            covered += o.covered_bytes
-            occ += o.occupancy_fraction
-            occ_packets += o.occupancy_fraction * o.flow_packets
-    if n == 0:
-        raise ValueError("aggregate requires a non-empty outcome stream")
-    if entries == 0:
-        raise DegenerateError("no flow created an entry; reductions are infinite")
-    coverage = 100.0 * covered / total_bytes
-    ops = n / entries
-    if duration_model == "equal":
-        occ_reduction = n / occ
-    else:
-        occ_reduction = total_packets / occ_packets
-    return MetricsReport(coverage, ops, occ_reduction, n, entries)
+
+    def __init__(self, lengths: np.ndarray, sizes: np.ndarray,
+                 max_packet_size: int = DEFAULT_MAX_PACKET):
+        bad = np.flatnonzero((lengths < 1) | (sizes < lengths) | (sizes > lengths * max_packet_size))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"flow {i} of {lengths[i]} packets and {sizes[i]} bytes does not split "
+                f"into packets of 1..{max_packet_size} bytes"
+            )
+        self.max_packet_size = max_packet_size
+        self.base = sizes // lengths
+        rem = sizes - self.base * lengths
+        spread = self.base + rem > max_packet_size
+        self.lead = np.where(spread, lengths - rem, lengths - (rem > 0))
+        self.tail = np.where(spread, self.base + 1, self.base + rem)
+
+    def bytes_before(self, k: np.ndarray) -> np.ndarray:
+        """Bytes in the first k packets of each flow."""
+        return k * self.base + np.maximum(k - self.lead, 0) * (self.tail - self.base)
+
+    def packet_over(self, threshold: float) -> np.ndarray:
+        """Index, from 1, of the packet that takes each flow's byte count
+        above the threshold, as floats; meaningful for flows of more bytes
+        than the threshold."""
+        t = np.floor(threshold)  # byte counts are integers
+        lead_bytes = self.lead * self.base
+        return np.where(t < lead_bytes, np.floor(t / self.base),
+                        self.lead + np.floor((t - lead_bytes) / self.tail)) + 1
 
 
-# -- vectorized batch evaluation ----------------------------------------------
-#
-# The sweep engine evaluates populations as numpy arrays.  Packet layout
-# follows even-split packetization: base = size // length bytes per packet
-# with the remainder on the last packet, so prefix byte sums and per-packet
-# sampling probabilities have closed forms.  The sampling evaluator draws
-# the index of the first sampled packet directly from its exact law
-# (geometric over the leading equal-size packets, with the differing last
-# packet handled separately), which is distribution-identical to the
-# per-packet Bernoulli loop in eval_sampling.
+def _entries(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
+             trigger: np.ndarray):
+    """Outcomes of entries created at packet ``trigger`` (from 1; 0 for no
+    entry): the triggering packet and every later one are covered."""
+    created = trigger > 0
+    covered = np.where(created, sizes - layout.bytes_before(trigger - 1), 0)
+    occ = np.where(created, (lengths + 1 - trigger) / lengths, 0.0)
+    return created, covered, occ
 
 
 def _first_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec):
@@ -260,77 +197,73 @@ def _first_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec):
     created = value > spec.threshold
     covered = np.where(created, sizes, 0)
     occ = created.astype(float)
-    return created, covered.astype(np.int64), occ
+    return created, covered, occ
 
 
-def _threshold_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec):
+def _threshold_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
+                     layout: PacketLayout):
     T = spec.threshold
-    base = sizes // lengths
     if spec.axis == "length":
-        created = lengths > T
-        trigger = np.full_like(lengths, int(math.floor(T)) + 1)
+        trigger = np.where(lengths > T, np.floor(T) + 1, 0)
     else:
-        created = sizes > T
-        trigger = np.minimum(np.floor(T / base).astype(np.int64) + 1, lengths)
-    trigger = np.where(created, trigger, 0)
-    covered = np.where(created, sizes - (trigger - 1) * base, 0)
-    occ = np.where(created, (lengths - trigger + 1) / lengths, 0.0)
-    return created, covered.astype(np.int64), occ
+        trigger = np.where(sizes > T, layout.packet_over(T), 0)
+    return _entries(lengths, sizes, layout, trigger.astype(np.int64))
 
 
 def _sampling_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                    rng: np.random.Generator, s_max: int):
+                    rng: np.random.Generator, layout: PacketLayout):
+    # The first sampled packet is drawn from its exact law by inversion: with
+    # u uniform, packet k is the first success when the log-survival of the
+    # packets before it is >= log u and that of packets 1..k is < log u.
+    # This matches a per-packet Bernoulli loop in distribution.
     p = spec.probability
-    base = sizes // lengths
-    rem = sizes - base * lengths
-    u = np.maximum(rng.random(len(lengths)), 2.0 ** -53)
-    if spec.sampling_mode == "uniform":
-        if p == 1.0:
-            trigger = np.ones_like(lengths)
+    log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if spec.sampling_mode == "uniform":
+            trigger = np.floor(log_u / np.log1p(-p)) + 1
+            trigger = np.where(trigger <= lengths, trigger, 0)
         else:
-            # first success of a Bernoulli(p) sequence, truncated to the flow
-            k = np.floor(np.log(u) / math.log1p(-p)).astype(np.int64) + 1
-            trigger = np.where(k <= lengths, k, 0)
-    else:
-        p_lead = p * base / s_max
-        last = np.minimum(base + rem, s_max)  # even-split spreads an oversized remainder
-        p_last = p * last / s_max
-        log_q = np.log1p(-np.minimum(p_lead, 1.0))
-        n_lead = lengths - 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.floor(np.log(u) / log_q).astype(np.int64) + 1
-        k = np.where(p_lead >= 1.0, 1, k)
-        surv_lead = np.exp(n_lead * log_q)  # P(no success among leading packets)
-        in_lead = k <= n_lead
-        # conditional on surviving the leading packets, u / surv_lead is
-        # again uniform and decides the differing last packet
-        u_last = np.where(surv_lead > 0, u / np.maximum(surv_lead, 1e-300), 1.0)
-        last_hit = (~in_lead) & (u_last >= 1.0 - p_last)
-        trigger = np.where(in_lead, k, np.where(last_hit, lengths, 0))
-    created = trigger > 0
-    tr = np.where(created, trigger, 1)
-    covered = np.where(created, sizes - (tr - 1) * base, 0)
-    occ = np.where(created, (lengths - tr + 1) / lengths, 0.0)
-    return created, covered.astype(np.int64), occ
+            # a run of leading packets sampled alike, then a run of trailing ones
+            scale = p / layout.max_packet_size
+            log_q_lead = np.log1p(-scale * layout.base)
+            log_q_tail = np.log1p(-scale * layout.tail)
+            k_lead = np.floor(log_u / log_q_lead) + 1
+            k_tail = layout.lead + np.floor((log_u - layout.lead * log_q_lead) / log_q_tail) + 1
+            trigger = np.where(k_lead <= layout.lead, k_lead,
+                               np.where(k_tail <= lengths, k_tail, 0))
+    return _entries(lengths, sizes, layout, trigger.astype(np.int64))
 
 
 def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
                    rng: np.random.Generator | None = None,
-                   s_max: int = DEFAULT_MAX_PACKET):
-    """Vectorized per-flow outcomes: (created, covered_bytes, occupancy_fraction)."""
+                   layout: PacketLayout | None = None):
+    """Per-flow outcomes over a population, as arrays: (created,
+    covered_bytes, occupancy_fraction).
+
+    ``layout`` is the population's PacketLayout; without one, a layout
+    with the default max_packet_size is built for this call.  Sampling
+    draws from ``rng``.
+    """
     if spec.kind == "first":
         return _first_batch(lengths, sizes, spec)
+    if layout is None:
+        layout = PacketLayout(lengths, sizes)
     if spec.kind == "threshold":
-        return _threshold_batch(lengths, sizes, spec)
+        return _threshold_batch(lengths, sizes, spec, layout)
     if rng is None:
         raise ValueError("sampling evaluation requires an RNG")
-    return _sampling_batch(lengths, sizes, spec, rng, s_max)
+    return _sampling_batch(lengths, sizes, spec, rng, layout)
 
 
 def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, created: np.ndarray,
                     covered: np.ndarray, occ: np.ndarray,
                     duration_model: str = "equal") -> MetricsReport:
-    """aggregate() over array-shaped outcomes."""
+    """Fold the outcomes of evaluate_batch into coverage and reduction
+    factors.
+
+    Raises DegenerateError when no entry was created (coverage 0, both
+    reductions unbounded).
+    """
     if duration_model not in DURATION_MODELS:
         raise ValueError(f"unknown duration_model {duration_model!r}")
     n = len(lengths)

@@ -321,16 +321,6 @@ def _coverage_only(model: TrafficModel, kind: str, axis: str, param: float) -> f
     return 100.0 * cov
 
 
-def _full_report(model: TrafficModel, kind: str, axis: str, param: float) -> AnalyticReport:
-    if kind == "first":
-        return analytic_first(model, axis, param)
-    if kind == "threshold":
-        return analytic_threshold(model, axis, param)
-    if axis == "size":
-        return analytic_sampling_size(model, param)
-    return analytic_sampling_length(model, param)
-
-
 def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
                         target_pct: float) -> tuple[float, AnalyticReport]:
     """Find the threshold/probability achieving the target traffic coverage.
@@ -350,9 +340,14 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     def cov(param: float) -> float:
         return _coverage_only(model, kind, axis, param)
 
+    def report(param: float) -> AnalyticReport:
+        if kind == "sampling":
+            return analytic_for_spec(model, AlgorithmSpec(kind, axis, probability=param))
+        return analytic_for_spec(model, AlgorithmSpec(kind, axis, threshold=param))
+
     if kind in ("first", "threshold"):
         if target_pct == 100.0:
-            return 0.0, _full_report(model, kind, axis, 0.0)
+            return 0.0, report(0.0)
         # strict predicate so that on flat coverage regions (integer length
         # axis) the bracket settles on the smallest equivalent parameter
         lo, hi = 0.0, max(float(model.axis(axis).flows.domain_min), 1.0)
@@ -375,7 +370,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
                 f"coverage {target_pct:g}% unreachable; sampling tops out at {top:.6g}%"
             )
         if cov(lo) >= target_pct:
-            return lo, _full_report(model, kind, axis, lo)
+            return lo, report(lo)
         for _ in range(80):
             if hi / lo <= 1.0 + 1e-9:
                 break
@@ -385,4 +380,4 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
             else:
                 lo = mid
         param = min((lo, hi), key=lambda q: abs(cov(q) - target_pct))
-    return param, _full_report(model, kind, axis, param)
+    return param, report(param)

@@ -26,6 +26,15 @@ EXIT_CONSISTENCY = 3
 
 DEFAULT_COVERAGES = tuple(float(c) for c in range(1, 100)) + (99.9,)
 
+# --formats name -> (emit_table format, output file suffix)
+_TABLE_FORMATS = {
+    "csv": ("csv", ".csv"),
+    "md": ("markdown", ".md"),
+    "markdown": ("markdown", ".md"),
+    "plot": ("plotdata", ".plot.csv"),
+    "plotdata": ("plotdata", ".plot.csv"),
+}
+
 
 def _float_list(text: str) -> tuple[float, ...]:
     """Comma list with scientific notation, or 'geom:first:ratio:count'."""
@@ -143,14 +152,13 @@ def _cmd_simulate(args) -> int:
         population_csv=args.flows_csv,
     )
     result = run_sweep(spec)
-    suffix = {"csv": ".csv", "md": ".md", "markdown": ".md", "plot": ".plot.csv", "plotdata": ".plot.csv"}
-    fmt_name = {"csv": "csv", "md": "markdown", "markdown": "markdown", "plot": "plotdata", "plotdata": "plotdata"}
     for fmt in args.formats:
-        if fmt not in suffix:
+        if fmt not in _TABLE_FORMATS:
             raise ValueError(f"unknown output format {fmt!r}")
-        path = args.out + suffix[fmt]
+        table, suffix = _TABLE_FORMATS[fmt]
+        path = args.out + suffix
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(emit_table(result, fmt_name[fmt]))
+            fh.write(emit_table(result, table))
         print(f"wrote {path}")
     return EXIT_OK
 

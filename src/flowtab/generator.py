@@ -12,21 +12,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .model import DEFAULT_MAX_PACKET, TrafficModel
+from .model import TrafficModel
 
 __all__ = [
-    "PacketizeError",
-    "FlowRecord",
     "GeneratorConfig",
     "GenerationStats",
-    "packetize",
-    "sample_flow",
     "generate_arrays",
-    "generate_population",
     "write_flow_csv",
     "read_flow_csv",
 ]
@@ -34,29 +28,7 @@ __all__ = [
 SHARD_SIZE = 65536
 MIN_UNIFORM = 2.0 ** -53  # rng.random() may return 0.0 exactly; quantile(0) is the domain floor
 
-PACKETIZATIONS = ("even-split", "last-remainder")
 COUPLINGS = ("comonotone", "independent")
-
-
-class PacketizeError(ValueError):
-    """Flow cannot be split into packets within [1, max_packet_size]."""
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One synthetic flow."""
-
-    length: int
-    size: int
-    packetization: str = "even-split"
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("flow length must be >= 1 packet")
-        if self.size < self.length:
-            raise ValueError("flow size must allow >= 1 byte per packet")
-        if self.packetization not in PACKETIZATIONS:
-            raise ValueError(f"unknown packetization {self.packetization!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +37,6 @@ class GeneratorConfig:
     flow_count: int
     joint_coupling: str = "comonotone"
     min_packet: int = 64
-    packetization: str = "even-split"
 
     def __post_init__(self) -> None:
         if self.flow_count < 1:
@@ -74,8 +45,6 @@ class GeneratorConfig:
             raise ValueError(f"unknown joint_coupling {self.joint_coupling!r}")
         if self.min_packet < 1:
             raise ValueError("min_packet must be >= 1 byte")
-        if self.packetization not in PACKETIZATIONS:
-            raise ValueError(f"unknown packetization {self.packetization!r}")
 
 
 @dataclass
@@ -96,41 +65,6 @@ class GenerationStats:
         return self.clamped_high / self.flow_count if self.flow_count else 0.0
 
 
-def packetize(flow: FlowRecord, max_packet_size: int = DEFAULT_MAX_PACKET) -> list[int]:
-    """Split a flow into exactly ``flow.length`` packet sizes summing to
-    ``flow.size``, each within [1, max_packet_size].
-
-    even-split: floor(size/length) per packet with the remainder on the last
-    packet (spread one byte per trailing packet if the last would otherwise
-    exceed max_packet_size).  last-remainder: leading packets filled to
-    max_packet_size, the remainder in the final packet.
-    """
-    n, s = flow.length, flow.size
-    if s < n or s > n * max_packet_size:
-        raise PacketizeError(
-            f"size {s} not packetizable into {n} packets of 1..{max_packet_size} bytes"
-        )
-    if flow.packetization == "even-split":
-        base, rem = divmod(s, n)
-        sizes = [base] * n
-        if rem:
-            if base + rem <= max_packet_size:
-                sizes[-1] += rem
-            else:
-                for i in range(rem):
-                    sizes[-1 - i] += 1
-        return sizes
-    # last-remainder: front-load, always leaving >= 1 byte per remaining packet
-    sizes = []
-    remaining = s
-    for i in range(n - 1):
-        pkt = min(max_packet_size, remaining - (n - 1 - i))
-        sizes.append(pkt)
-        remaining -= pkt
-    sizes.append(remaining)
-    return sizes
-
-
 def _clamp_sizes(lengths: np.ndarray, sizes: np.ndarray, min_packet: int, max_packet: int,
                  stats: GenerationStats | None = None) -> np.ndarray:
     lo = lengths * min_packet
@@ -141,19 +75,6 @@ def _clamp_sizes(lengths: np.ndarray, sizes: np.ndarray, min_packet: int, max_pa
         stats.clamped_low += int(np.count_nonzero(sizes < lo))
         stats.clamped_high += int(np.count_nonzero(sizes > hi))
     return clamped
-
-
-def sample_flow(model: TrafficModel, rng: np.random.Generator, *,
-                joint_coupling: str = "comonotone", min_packet: int = 64,
-                packetization: str = "even-split") -> FlowRecord:
-    """Draw one flow from the model; deterministic given the RNG state."""
-    u = max(rng.random(), MIN_UNIFORM)
-    length = int(model.length_axis.flows.quantile(u))
-    u2 = u if joint_coupling == "comonotone" else max(rng.random(), MIN_UNIFORM)
-    raw = model.size_axis.flows.quantile(u2)
-    size = int(np.ceil(raw))
-    size = int(min(max(size, length * min_packet), length * model.max_packet_size))
-    return FlowRecord(length=length, size=size, packetization=packetization)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -196,19 +117,6 @@ def generate_arrays(model: TrafficModel, config: GeneratorConfig,
     return lengths, sizes
 
 
-def generate_population(model: TrafficModel, config: GeneratorConfig) -> Iterator[FlowRecord]:
-    """Stream the population shard by shard as FlowRecord objects."""
-    pos = 0
-    shard = 0
-    while pos < config.flow_count:
-        count = min(SHARD_SIZE, config.flow_count - pos)
-        lengths, sizes = _generate_shard(model, config, shard, count, None)
-        for l, s in zip(lengths.tolist(), sizes.tolist()):
-            yield FlowRecord(length=l, size=s, packetization=config.packetization)
-        pos += count
-        shard += 1
-
-
 def write_flow_csv(path: str, lengths: np.ndarray, sizes: np.ndarray) -> None:
     """Dump a population as ``length_packets,size_bytes`` rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -218,8 +126,11 @@ def write_flow_csv(path: str, lengths: np.ndarray, sizes: np.ndarray) -> None:
             writer.writerow([l, s])
 
 
-def read_flow_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ingest a flow dump produced by write_flow_csv (or a compatible tool)."""
+def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ingest a flow dump produced by write_flow_csv (or a compatible tool).
+
+    Every flow must split into packets of 1..max_packet_size bytes.
+    """
     lengths: list[int] = []
     sizes: list[int] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -231,8 +142,11 @@ def read_flow_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             if not row:
                 continue
             l, s = int(row[0]), int(row[1])
-            if l < 1 or s < l:
-                raise ValueError(f"{path}: invalid flow row {row}")
+            if l < 1 or s < l or s > l * max_packet_size:
+                raise ValueError(
+                    f"{path}: row {reader.line_num}: flow of {l} packets and {s} bytes "
+                    f"does not split into packets of 1..{max_packet_size} bytes"
+                )
             lengths.append(l)
             sizes.append(s)
     if not lengths:

@@ -3,7 +3,9 @@
 A sweep evaluates the first/threshold algorithms over a threshold series
 and the sampling algorithm over a probability series, for every seed,
 over one generated population per seed (the population depends only on
-(seed, flow_count), so it is shared across all cells of that seed).
+(seed, flow_count), so it is shared across all cells of that seed), or
+over one ingested population shared by every seed.  Each population's
+packet layout is built once and shared by all of its cells.
 Cells are merged into per-parameter means and standard deviations, with
 the analytic value alongside.  Output is byte-identical for identical
 specs regardless of the worker count.
@@ -19,7 +21,13 @@ from typing import Sequence
 import multiprocessing
 import numpy as np
 
-from .algorithms import AlgorithmSpec, DegenerateError, aggregate_batch, evaluate_batch
+from .algorithms import (
+    AlgorithmSpec,
+    DegenerateError,
+    PacketLayout,
+    aggregate_batch,
+    evaluate_batch,
+)
 from .analytic import AnalyticReport, analytic_for_spec
 from .generator import GeneratorConfig, generate_arrays, read_flow_csv
 from .model import TrafficModel
@@ -127,9 +135,9 @@ def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _metrics_tuple(lengths, sizes, spec, seed, duration_model, s_max) -> tuple[float, float, float]:
+def _metrics_tuple(lengths, sizes, layout, spec, seed, duration_model) -> tuple[float, float, float]:
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    created, covered, occ = evaluate_batch(lengths, sizes, spec, rng=rng, s_max=s_max)
+    created, covered, occ = evaluate_batch(lengths, sizes, spec, rng=rng, layout=layout)
     try:
         rep = aggregate_batch(lengths, sizes, created, covered, occ, duration_model)
     except DegenerateError:
@@ -137,22 +145,41 @@ def _metrics_tuple(lengths, sizes, spec, seed, duration_model, s_max) -> tuple[f
     return (rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction)
 
 
-def _run_seed(spec: SweepSpec, seed: int) -> list[tuple[float, float, float]]:
-    if spec.population_csv is not None:
-        lengths, sizes = read_flow_csv(spec.population_csv)
-    else:
+def _population(model: TrafficModel, lengths: np.ndarray, sizes: np.ndarray):
+    return lengths, sizes, PacketLayout(lengths, sizes, model.max_packet_size)
+
+
+def _run_seed(spec: SweepSpec, seed: int, population) -> list[tuple[float, float, float]]:
+    """Evaluate every cell for one seed, over the given (lengths, sizes,
+    layout) population or else over the one generated for the seed."""
+    if population is None:
         config = GeneratorConfig(
             seed=seed,
             flow_count=spec.flow_count,
             joint_coupling=spec.joint_coupling,
             min_packet=spec.min_packet,
         )
-        lengths, sizes = generate_arrays(spec.model, config)
-    s_max = spec.model.max_packet_size
+        population = _population(spec.model, *generate_arrays(spec.model, config))
     return [
-        _metrics_tuple(lengths, sizes, cell, seed, spec.duration_model, s_max)
+        _metrics_tuple(*population, cell, seed, spec.duration_model)
         for cell in spec.cells()
     ]
+
+
+# the ingested population of a pool worker, inherited from run_sweep
+_inherited = None
+
+
+def _inherit(population) -> None:
+    """Pool initializer.  Under fork the worker receives ``population``
+    without pickling and shares its pages with the parent, so each worker
+    holds no copy of its own."""
+    global _inherited
+    _inherited = population
+
+
+def _run_inherited(spec: SweepSpec, seed: int) -> list[tuple[float, float, float]]:
+    return _run_seed(spec, seed, _inherited)
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -167,12 +194,22 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full sweep; deterministic for a given spec (seeds explicit)."""
     cells = spec.cells()
-    if spec.jobs > 1 and len(spec.seeds) > 1:
+    population = None
+    flow_count = spec.flow_count
+    if spec.population_csv is not None:
+        # an ingested population is the same for every seed: read it once
+        population = _population(
+            spec.model, *read_flow_csv(spec.population_csv, spec.model.max_packet_size)
+        )
+        flow_count = len(population[0])
+    n = len(spec.seeds)
+    if spec.jobs > 1 and n > 1:
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=spec.jobs, mp_context=ctx) as pool:
-            per_seed = list(pool.map(_run_seed, [spec] * len(spec.seeds), spec.seeds))
+        with ProcessPoolExecutor(max_workers=spec.jobs, mp_context=ctx,
+                                 initializer=_inherit, initargs=(population,)) as pool:
+            per_seed = list(pool.map(_run_inherited, [spec] * n, spec.seeds))
     else:
-        per_seed = [_run_seed(spec, seed) for seed in spec.seeds]
+        per_seed = [_run_seed(spec, seed, population) for seed in spec.seeds]
 
     out = []
     for i, cell in enumerate(cells):
@@ -199,7 +236,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         axis=spec.axis,
         algorithms=tuple(spec.algorithms),
         seeds=tuple(spec.seeds),
-        flow_count=spec.flow_count,
+        flow_count=flow_count,
         cells=tuple(out),
     )
 

@@ -1,0 +1,166 @@
+"""Per-flow reference evaluation of the first / threshold / sampling algorithms.
+
+The library evaluates whole populations at once (``flowtab.algorithms.
+evaluate_batch``).  This module walks one flow at a time, packet by packet,
+exactly as the algorithms are defined, and is the oracle the batch path is
+tested against.  Each evaluator returns a FlowOutcome relative to the
+reactive baseline (every flow gets an entry at its first packet).
+Occupancy uses the equal-flow-duration model by default: a flow's entry
+occupies the table for the fraction of the flow's packets from the
+triggering packet onward.  ``aggregate`` folds outcomes into the three
+report metrics.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from flowtab.algorithms import DURATION_MODELS, AlgorithmSpec, DegenerateError, MetricsReport
+from flowtab.model import DEFAULT_MAX_PACKET
+
+
+class PacketizeError(ValueError):
+    """Flow cannot be split into packets within [1, max_packet_size]."""
+
+
+@dataclass(frozen=True)
+class FlowRecord:
+    """One flow."""
+
+    length: int
+    size: int
+
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise ValueError("flow length must be >= 1 packet")
+        if self.size < self.length:
+            raise ValueError("flow size must allow >= 1 byte per packet")
+
+
+def packetize(flow: FlowRecord, max_packet_size: int = DEFAULT_MAX_PACKET) -> list[int]:
+    """Split a flow into exactly ``flow.length`` packet sizes summing to
+    ``flow.size``, each within [1, max_packet_size], by even split:
+    floor(size/length) per packet with the remainder on the last packet
+    (spread one byte per trailing packet if the last would otherwise
+    exceed max_packet_size)."""
+    n, s = flow.length, flow.size
+    if s < n or s > n * max_packet_size:
+        raise PacketizeError(
+            f"size {s} not packetizable into {n} packets of 1..{max_packet_size} bytes"
+        )
+    base, rem = divmod(s, n)
+    sizes = [base] * n
+    if rem:
+        if base + rem <= max_packet_size:
+            sizes[-1] += rem
+        else:
+            for i in range(rem):
+                sizes[-1 - i] += 1
+    return sizes
+
+
+@dataclass(frozen=True)
+class FlowOutcome:
+    entry_created: bool
+    covered_bytes: int
+    occupancy_fraction: float
+    flow_bytes: int
+    flow_packets: int
+
+    def __post_init__(self) -> None:
+        if not self.entry_created and (self.covered_bytes or self.occupancy_fraction):
+            raise ValueError("uncreated entry cannot cover traffic or occupy the table")
+        if self.covered_bytes > self.flow_bytes or self.occupancy_fraction > 1.0:
+            raise ValueError("outcome exceeds the flow it belongs to")
+
+
+def eval_first(flow: FlowRecord, spec: AlgorithmSpec) -> FlowOutcome:
+    """Oracle classification at the first packet: entry iff the flow's final
+    length/size strictly exceeds the threshold; covered from packet one."""
+    if spec.kind != "first":
+        raise ValueError("spec.kind must be 'first'")
+    value = flow.length if spec.axis == "length" else flow.size
+    if value > spec.threshold:
+        return FlowOutcome(True, flow.size, 1.0, flow.size, flow.length)
+    return FlowOutcome(False, 0, 0.0, flow.size, flow.length)
+
+
+def eval_threshold(flow: FlowRecord, spec: AlgorithmSpec,
+                   max_packet_size: int = DEFAULT_MAX_PACKET) -> FlowOutcome:
+    """Per-flow counter: the entry is created at the first packet whose
+    arrival pushes the counter (packets or cumulative bytes) above the
+    threshold; that packet and all later ones are covered."""
+    if spec.kind != "threshold":
+        raise ValueError("spec.kind must be 'threshold'")
+    sizes = packetize(flow, max_packet_size)
+    counter = 0.0
+    for i, pkt in enumerate(sizes):
+        counter += 1 if spec.axis == "length" else pkt
+        if counter > spec.threshold:
+            covered = sum(sizes[i:])
+            occupancy = (flow.length - i) / flow.length
+            return FlowOutcome(True, covered, occupancy, flow.size, flow.length)
+    return FlowOutcome(False, 0, 0.0, flow.size, flow.length)
+
+
+def eval_sampling(flow: FlowRecord, spec: AlgorithmSpec, rng: np.random.Generator,
+                  max_packet_size: int = DEFAULT_MAX_PACKET) -> FlowOutcome:
+    """Random per-packet sampling until the first success creates the entry.
+
+    Uniform mode samples every packet with probability p; size-scaled mode
+    with p * packet_size / max_packet_size.  Deterministic given the RNG
+    state.
+    """
+    if spec.kind != "sampling":
+        raise ValueError("spec.kind must be 'sampling'")
+    p = spec.probability
+    sizes = packetize(flow, max_packet_size)
+    for i, pkt in enumerate(sizes):
+        if spec.sampling_mode == "size-scaled":
+            p_i = p * pkt / max_packet_size
+        else:
+            p_i = p
+        if rng.random() < p_i:
+            covered = sum(sizes[i:])
+            occupancy = (flow.length - i) / flow.length
+            return FlowOutcome(True, covered, occupancy, flow.size, flow.length)
+    return FlowOutcome(False, 0, 0.0, flow.size, flow.length)
+
+
+def aggregate(outcomes: Iterable[FlowOutcome], duration_model: str = "equal") -> MetricsReport:
+    """Fold per-flow outcomes into coverage and reduction factors.
+
+    Raises DegenerateError when no entry was created (coverage 0, both
+    reductions unbounded).
+    """
+    if duration_model not in DURATION_MODELS:
+        raise ValueError(f"unknown duration_model {duration_model!r}")
+    n = 0
+    entries = 0
+    covered = 0
+    total_bytes = 0
+    occ = 0.0
+    total_packets = 0
+    occ_packets = 0.0
+    for o in outcomes:
+        n += 1
+        total_bytes += o.flow_bytes
+        total_packets += o.flow_packets
+        if o.entry_created:
+            entries += 1
+            covered += o.covered_bytes
+            occ += o.occupancy_fraction
+            occ_packets += o.occupancy_fraction * o.flow_packets
+    if n == 0:
+        raise ValueError("aggregate requires a non-empty outcome stream")
+    if entries == 0:
+        raise DegenerateError("no flow created an entry; reductions are infinite")
+    coverage = 100.0 * covered / total_bytes
+    ops = n / entries
+    if duration_model == "equal":
+        occ_reduction = n / occ
+    else:
+        occ_reduction = total_packets / occ_packets
+    return MetricsReport(coverage, ops, occ_reduction, n, entries)

@@ -53,9 +53,9 @@ class criterion:
         return False
 
 
-def simulate(lengths, sizes, spec, seed, duration_model="equal", s_max=1518):
+def simulate(lengths, sizes, spec, seed, duration_model="equal"):
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    created, covered, occ = evaluate_batch(lengths, sizes, spec, rng=rng, s_max=s_max)
+    created, covered, occ = evaluate_batch(lengths, sizes, spec, rng=rng)
     rep = aggregate_batch(lengths, sizes, created, covered, occ, duration_model)
     return np.array([rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction])
 

@@ -7,24 +7,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from flowtab.algorithms import (
     AlgorithmSpec,
     DegenerateError,
-    FlowOutcome,
     MetricsReport,
+    PacketLayout,
     PathProfile,
-    aggregate,
     aggregate_batch,
-    eval_first,
-    eval_sampling,
-    eval_threshold,
     evaluate_batch,
     p_eff_avg,
     p_eff_paths,
     p_total,
 )
-from flowtab.generator import FlowRecord
+from oracle import (
+    FlowOutcome,
+    FlowRecord,
+    PacketizeError,
+    aggregate,
+    eval_first,
+    eval_sampling,
+    eval_threshold,
+    packetize,
+)
 
 
 def outcomes(lengths, sizes, spec, rng=None):
@@ -100,19 +106,25 @@ def test_sampling_creation_frequency_matches_p_total():
 
 
 def test_size_scaled_full_packet_always_sampled():
-    # leading packet of exactly s_max has scaled probability 1
+    # a packet of exactly max_packet_size has scaled probability 1
     spec = AlgorithmSpec("sampling", "size", probability=1.0)
-    flow = FlowRecord(2, 2277, "last-remainder")  # packets [1518, 759]
-    rng = np.random.default_rng(2)
-    out = eval_sampling(flow, spec, rng)
-    assert out.entry_created and out.covered_bytes == 2277
+    flow = FlowRecord(2, 3036)  # packets [1518, 1518]
+    out = eval_sampling(flow, spec, np.random.default_rng(2))
+    assert out.entry_created and out.covered_bytes == 3036
     assert out.occupancy_fraction == 1.0
+    created, covered, occ = evaluate_batch(np.array([2]), np.array([3036]), spec,
+                                           rng=np.random.default_rng(2))
+    assert created[0] and covered[0] == 3036 and occ[0] == 1.0
 
 
 def test_size_scaled_rejects_oversized_packet():
     spec = AlgorithmSpec("sampling", "size", probability=0.5)
-    with pytest.raises(ValueError, match="s_max"):
-        eval_sampling(FlowRecord(1, 900), spec, np.random.default_rng(0), s_max=512)
+    with pytest.raises(PacketizeError, match="1..512 bytes"):
+        eval_sampling(FlowRecord(1, 900), spec, np.random.default_rng(0), max_packet_size=512)
+    with pytest.raises(ValueError, match="1..512 bytes"):
+        PacketLayout(np.array([1]), np.array([900]), max_packet_size=512)
+    with pytest.raises(ValueError, match="1..1518 bytes"):
+        evaluate_batch(np.array([1]), np.array([1519]), spec, rng=np.random.default_rng(0))
 
 
 def test_spec_validation():
@@ -202,6 +214,9 @@ def test_aggregate_degenerate(toy_population):
     lengths, sizes = toy_population
     with pytest.raises(DegenerateError):
         outcomes(lengths, sizes, AlgorithmSpec("first", "length", threshold=100))
+    for axis in ("length", "size"):  # beyond the int64 range
+        with pytest.raises(DegenerateError):
+            outcomes(lengths, sizes, AlgorithmSpec("threshold", axis, threshold=1e20))
     with pytest.raises(ValueError):
         aggregate([])
 
@@ -280,6 +295,81 @@ def test_batch_sampling_matches_scalar_law():
         occ_b = occ.sum() / created.sum()
         occ_s = np.mean([o.occupancy_fraction for o in scalar if o.entry_created])
         assert occ_b == pytest.approx(occ_s, abs=0.01)
+
+
+@st.composite
+def edge_flows(draw):
+    """A flow aimed at an edge of the even-split layout."""
+    case = draw(st.sampled_from(["spread", "low", "high", "single", "any"]))
+    if case == "single":
+        return FlowRecord(1, draw(st.integers(1, 1518)))
+    n = draw(st.integers(3 if case == "spread" else 2, 60))
+    if case == "spread":  # base + rem > 1518: one extra byte on each of the last rem packets
+        rem = draw(st.integers(2, n - 1))
+        base = draw(st.integers(1519 - rem, 1517))
+        return FlowRecord(n, n * base + rem)
+    if case == "low":
+        return FlowRecord(n, 64 * n)
+    if case == "high":
+        return FlowRecord(n, 1518 * n)
+    return FlowRecord(n, draw(st.integers(n, 1518 * n)))
+
+
+@st.composite
+def flows_and_thresholds(draw):
+    """Flows, plus a packet and a byte threshold whose trigger lands in the
+    trailing run (the packets after the leading equal ones) of one flow."""
+    flows = draw(st.lists(edge_flows(), min_size=1, max_size=12))
+    flow = draw(st.sampled_from(flows))
+    sizes = packetize(flow)
+    trailing = [i for i in range(flow.length) if sizes[i] != sizes[0]] or [flow.length - 1]
+    j = draw(st.sampled_from(trailing))  # 0-based index of the triggering packet
+    if draw(st.booleans()):
+        packets = j
+        octets = sum(sizes[:j]) + draw(st.integers(0, sizes[j] - 1))
+    else:
+        packets = draw(st.integers(0, 64))
+        octets = draw(st.integers(0, 100_000))
+    return flows, packets, octets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flows_and_thresholds())
+def test_batch_equals_oracle_on_layout_edges(case):
+    flows, packets, octets = case
+    lengths = np.array([f.length for f in flows], dtype=np.int64)
+    sizes = np.array([f.size for f in flows], dtype=np.int64)
+    layout = PacketLayout(lengths, sizes)
+    for kind, evaluator in (("first", eval_first), ("threshold", eval_threshold)):
+        for axis, T in (("length", packets), ("size", octets)):
+            spec = AlgorithmSpec(kind, axis, threshold=float(T))
+            created, covered, occ = evaluate_batch(lengths, sizes, spec, layout=layout)
+            for i, flow in enumerate(flows):
+                out = evaluator(flow, spec)
+                assert (bool(created[i]), int(covered[i]), float(occ[i])) == \
+                    (out.entry_created, out.covered_bytes, out.occupancy_fraction), (flow, spec)
+
+
+@pytest.mark.parametrize("length,size", [(5, 7588), (3, 4553), (40, 60717)])
+def test_batch_sampling_matches_oracle_on_spread_flows(length, size):
+    # the covered-bytes law of a spread flow: same support as the oracle's
+    # and frequencies that a two-sample chi-square test cannot tell apart
+    n = 6000
+    flow = FlowRecord(length, size)
+    lengths = np.full(n, length, dtype=np.int64)
+    sizes = np.full(n, size, dtype=np.int64)
+    for spec in (
+        AlgorithmSpec("sampling", "length", probability=1.0 / length),
+        AlgorithmSpec("sampling", "size", probability=1.5 / length),
+    ):
+        _, covered, _ = evaluate_batch(lengths, sizes, spec, rng=np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        oracle = [eval_sampling(flow, spec, rng).covered_bytes for _ in range(n)]
+        assert set(np.unique(covered)) <= set(oracle), spec
+        values = np.unique(np.concatenate([covered, oracle]))
+        table = np.array([[np.count_nonzero(covered == v) for v in values],
+                          [oracle.count(v) for v in values]])
+        assert chi2_contingency(table).pvalue > 1e-3, spec
 
 
 # -- structural invariants -----------------------------------------------------------

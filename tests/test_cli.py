@@ -142,6 +142,18 @@ def test_simulate_from_ingested_flows(capsys, tmp_path):
     assert first_cov == pytest.approx(100 * 10 / 11, abs=1.5)
 
 
+def test_simulate_rejects_unpacketizable_flow(capsys, tmp_path):
+    pop = tmp_path / "pop.csv"
+    pop.write_text("length_packets,size_bytes\n10,1000\n2,3037\n")
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows-csv", str(pop),
+                    "--thresholds", "1", "--probabilities", "0.5",
+                    "--out", str(tmp_path / "ingested"))
+    assert code == 2
+    error = json.loads(out)["errors"][0]
+    assert error["type"] == "ValueError" and "row 3" in error["message"]
+    assert not (tmp_path / "ingested.csv").exists()
+
+
 def test_model_dir_env_resolution(capsys, monkeypatch):
     monkeypatch.setenv("FLOWTAB_MODEL_DIR", str(MODELS))
     code, out = run(capsys, "validate", "toy_twopoint.json")

@@ -6,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtab.generator import (
+    MIN_UNIFORM,
     SHARD_SIZE,
-    FlowRecord,
     GenerationStats,
     GeneratorConfig,
-    PacketizeError,
+    _shard_rng,
     generate_arrays,
-    generate_population,
-    packetize,
     read_flow_csv,
-    sample_flow,
     write_flow_csv,
 )
+from oracle import FlowRecord, PacketizeError, packetize
 
 
 # -- packetize -------------------------------------------------------------
@@ -33,11 +31,6 @@ from flowtab.generator import (
 )
 def test_packetize_even_split(length, size, expected):
     assert packetize(FlowRecord(length, size)) == expected
-
-
-def test_packetize_last_remainder_front_loads():
-    assert packetize(FlowRecord(5, 3000, "last-remainder")) == [1518, 1479, 1, 1, 1]
-    assert packetize(FlowRecord(2, 2277, "last-remainder")) == [1518, 759]
 
 
 def test_packetize_spreads_oversized_remainder():
@@ -58,11 +51,10 @@ def test_packetize_bounds():
 @given(
     length=st.integers(min_value=1, max_value=2000),
     per_packet=st.floats(min_value=1.0, max_value=1518.0),
-    policy=st.sampled_from(["even-split", "last-remainder"]),
 )
-def test_packetize_conserves_bytes(length, per_packet, policy):
+def test_packetize_conserves_bytes(length, per_packet):
     size = min(max(int(length * per_packet), length), length * 1518)
-    sizes = packetize(FlowRecord(length, size, policy))
+    sizes = packetize(FlowRecord(length, size))
     assert len(sizes) == length
     assert sum(sizes) == size
     assert min(sizes) >= 1 and max(sizes) <= 1518
@@ -72,11 +64,9 @@ def test_packetize_conserves_bytes(length, per_packet, policy):
 
 
 def test_sample_flow_toy(toy_model):
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        f = sample_flow(toy_model, rng)
-        assert f.length in (1, 10)
-        assert f.size == 100 * f.length
+    lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=3, flow_count=200))
+    assert set(lengths.tolist()) == {1, 10}
+    assert np.array_equal(sizes, 100 * lengths)
 
 
 def test_sample_flow_point_mass_model():
@@ -100,10 +90,8 @@ def test_sample_flow_point_mass_model():
         },
     }
     model = parse_model(json.dumps(doc))
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        f = sample_flow(model, rng)
-        assert (f.length, f.size) == (1, 64)
+    lengths, sizes = generate_arrays(model, GeneratorConfig(seed=11, flow_count=50))
+    assert np.all(lengths == 1) and np.all(sizes == 64)
 
 
 def test_generate_deterministic(toy_model):
@@ -113,13 +101,20 @@ def test_generate_deterministic(toy_model):
     assert np.array_equal(a1, a2) and np.array_equal(s1, s2)
 
 
-def test_generate_population_matches_arrays(toy_model):
+def test_generate_population_matches_arrays(heavytail_model):
+    # flow by flow, from the shard's own stream: one uniform drives both
+    # quantiles, then the size is clamped to [64, 1518] bytes per packet
     cfg = GeneratorConfig(seed=9, flow_count=SHARD_SIZE + 77)
-    lengths, sizes = generate_arrays(toy_model, cfg)
-    records = list(generate_population(toy_model, cfg))
-    assert len(records) == cfg.flow_count
-    assert np.array_equal(lengths, np.array([r.length for r in records]))
-    assert np.array_equal(sizes, np.array([r.size for r in records]))
+    lengths, sizes = generate_arrays(heavytail_model, cfg)
+    for shard, count in ((0, SHARD_SIZE), (1, 77)):
+        rng = _shard_rng(cfg.seed, shard)
+        for i in range(shard * SHARD_SIZE, shard * SHARD_SIZE + count, 97):
+            u = max(rng.random(), MIN_UNIFORM)
+            length = int(heavytail_model.length_axis.flows.quantile(u))
+            size = int(np.ceil(heavytail_model.size_axis.flows.quantile(u)))
+            size = min(max(size, 64 * length), 1518 * length)
+            assert (lengths[i], sizes[i]) == (length, size), i
+            rng.random(96)  # skip to the next checked flow
 
 
 def test_generate_prefix_stability(toy_model):
@@ -198,9 +193,13 @@ def test_flow_csv_round_trip(tmp_path, toy_model):
     lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=5, flow_count=500))
     path = tmp_path / "flows.csv"
     write_flow_csv(str(path), lengths, sizes)
-    back_l, back_s = read_flow_csv(str(path))
+    back_l, back_s = read_flow_csv(str(path), 1518)
     assert np.array_equal(lengths, back_l) and np.array_equal(sizes, back_s)
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
     with pytest.raises(ValueError):
-        read_flow_csv(str(bad))
+        read_flow_csv(str(bad), 1518)
+    # a row that cannot split into packets of at most max_packet_size bytes
+    bad.write_text("length_packets,size_bytes\n1,100\n2,3037\n")
+    with pytest.raises(ValueError, match="row 3: flow of 2 packets and 3037 bytes"):
+        read_flow_csv(str(bad), 1518)

@@ -118,6 +118,15 @@ def test_sweep_over_ingested_csv(tmp_path, toy_model):
     assert direct.cell("threshold", 1.0).mean == ingested.cell("threshold", 1.0).mean
 
 
+def test_ingested_flow_count(tmp_path, toy_model):
+    lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=2, flow_count=3000))
+    path = tmp_path / "pop.csv"
+    write_flow_csv(str(path), lengths, sizes)
+    for jobs in (1, 2):
+        result = run_sweep(toy_spec(toy_model, seeds=(1, 2), jobs=jobs, population_csv=str(path)))
+        assert result.flow_count == 3000
+
+
 def test_sweep_requires_parameters(toy_model):
     with pytest.raises(ValueError):
         SweepSpec(model=toy_model, algorithms=("bogus",))
