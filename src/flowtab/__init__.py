@@ -18,11 +18,7 @@ from .algorithms import (
 from .analytic import (
     AnalyticReport,
     UnreachableError,
-    analytic_first,
     analytic_for_spec,
-    analytic_sampling_length,
-    analytic_sampling_size,
-    analytic_threshold,
     expected_covered_fraction,
     invert_for_coverage,
 )

@@ -32,7 +32,6 @@ __all__ = [
 
 ALGORITHM_KINDS = ("first", "threshold", "sampling")
 AXES = ("length", "size")
-SAMPLING_MODES = ("uniform", "size-scaled")
 DURATION_MODELS = ("equal", "proportional")
 
 
@@ -46,15 +45,14 @@ class AlgorithmSpec:
 
     ``threshold`` is packets (length axis) or bytes (size axis) and applies
     to the first/threshold kinds; ``probability`` applies to sampling.
-    ``sampling_mode`` defaults to uniform on the length axis and
-    size-scaled on the size axis.
+    The axis sets the sampling odds: every packet with probability p on
+    the length axis, p * packet bytes / max_packet_size on the size axis.
     """
 
     kind: str
     axis: str = "length"
     threshold: float | None = None
     probability: float | None = None
-    sampling_mode: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ALGORITHM_KINDS:
@@ -67,12 +65,6 @@ class AlgorithmSpec:
         else:
             if self.probability is None or not (0.0 < self.probability <= 1.0):
                 raise ValueError("sampling requires probability in (0, 1]")
-            mode = self.sampling_mode or ("size-scaled" if self.axis == "size" else "uniform")
-            if mode not in SAMPLING_MODES:
-                raise ValueError(f"unknown sampling_mode {mode!r}")
-            if mode == "size-scaled" and self.axis != "size":
-                raise ValueError("size-scaled sampling requires axis='size'")
-            object.__setattr__(self, "sampling_mode", mode)
 
 
 @dataclass(frozen=True)
@@ -219,7 +211,7 @@ def _sampling_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     p = spec.probability
     log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.sampling_mode == "uniform":
+        if spec.axis == "length":
             trigger = np.floor(log_u / np.log1p(-p)) + 1
             trigger = np.where(trigger <= lengths, trigger, 0)
         else:

@@ -23,16 +23,13 @@ from .model import SUPPORT_CAP, Mixture, TrafficModel
 __all__ = [
     "UnreachableError",
     "AnalyticReport",
-    "analytic_first",
-    "analytic_threshold",
-    "analytic_sampling_length",
-    "analytic_sampling_size",
     "analytic_for_spec",
     "invert_for_coverage",
     "expected_covered_fraction",
 ]
 
 EXACT_SPAN = 65536
+PROBE_SPAN = 8192
 FLAG_LEVEL = 1e-6
 P_BRACKET = (1e-12, 1.0)
 
@@ -81,13 +78,13 @@ def _integrate_log(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -
     return v64, abs(v64 - v32)
 
 
-def _discrete_tail_sum(mix: Mixture, g, gstep, start: float, gmax: float = 1.0,
+def _discrete_tail_sum(mix: Mixture, g, gstep, start: float,
                        exact_span: int = EXACT_SPAN) -> tuple[float, float]:
     """Sum pmass(k) * g(k) over integers k > start, with a truncation bound.
 
     g and gstep (the forward difference g(x+1) - g(x)) must be vectorized;
     |sf(x) * gstep(x)| is assumed monotone decreasing beyond the exact block,
-    which holds for the bounded monotone weight functions used here.
+    which holds for the monotone weight functions used here, all bounded by 1.
     """
     start_i = math.floor(start)
     hi_exact = min(start_i + exact_span, SUPPORT_CAP)
@@ -98,7 +95,7 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float, gmax: float = 1.0,
     tail_sf = float(sf_edges[-1])
     if hi_exact >= SUPPORT_CAP or tail_sf == 0.0:
         residual = float(mix.sf(SUPPORT_CAP)) if hi_exact >= SUPPORT_CAP else 0.0
-        return value, 2.0 * residual * gmax
+        return value, 2.0 * residual
 
     x0 = float(hi_exact)
 
@@ -110,12 +107,12 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float, gmax: float = 1.0,
     g0 = float(g(np.array([x0 + 1.0]))[0])
     value += tail_sf * g0 + integral + 0.5 * h0
     residual = float(mix.sf(SUPPORT_CAP))
-    bound = 0.5 * abs(h0) + int_err + 2.0 * residual * gmax
+    bound = 0.5 * abs(h0) + int_err + 2.0 * residual
     return value, bound
 
 
-def _continuous_tail_integral(mix: Mixture, g, lower: float, gmax: float = 1.0) -> tuple[float, float]:
-    """Integral of g against the mixture law over (lower, cap]."""
+def _continuous_tail_integral(mix: Mixture, g, lower: float) -> tuple[float, float]:
+    """Integral of g (bounded by 1) against the mixture law over (lower, cap]."""
     lo = max(float(lower), mix.floor)
     value = 0.0
     bound = 0.0
@@ -123,8 +120,6 @@ def _continuous_tail_integral(mix: Mixture, g, lower: float, gmax: float = 1.0) 
         a, b = pc.support()
         a = max(float(a), lo)
         b = min(float(b), float(SUPPORT_CAP))
-        if b <= a:
-            continue
         scale = pc.weight / pc.keep
 
         def fn(x: np.ndarray, comp=pc) -> np.ndarray:
@@ -134,53 +129,106 @@ def _continuous_tail_integral(mix: Mixture, g, lower: float, gmax: float = 1.0) 
         value += scale * v
         bound += scale * e
     residual = float(mix.sf(SUPPORT_CAP))
-    return value, bound + residual * gmax
+    return value, bound + residual
 
 
-# -- per-algorithm reports -------------------------------------------------------
+# -- weight table -----------------------------------------------------------------
+#
+# A flow of magnitude x (packets on the length axis, bytes on the size axis)
+# gains an entry with probability created(x), and the entry covers an
+# expected covered(x) share of the flow's bytes and of its packets.  Coverage
+# is the octets-weighted expectation of covered; the operations and occupancy
+# reductions invert the flows-weighted expectations of created and covered.
+# A weight is a (g, gstep) pair over the flows above the spec's start point,
+# gstep being the forward difference g(x+1) - g(x) that the Abel-summed tail
+# of the integer length axis needs.  A weight of None is the indicator of
+# x > start, whose expectation is the closed form sf(start).
 
 
-def analytic_first(model: TrafficModel, axis: str, threshold: float) -> AnalyticReport:
-    """Oracle first-packet classification: coverage is the octet share of
-    flows above the threshold; both reductions equal 1/P(flow above it)."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    ax = model.axis(axis)
-    surviving = ax.flows.sf(threshold)
-    if surviving <= 0.0:
-        raise DegenerateError(f"no flow exceeds threshold {threshold:g} on the {axis} axis")
-    coverage = 100.0 * ax.octets.sf(threshold)
-    reduction = 1.0 / surviving
-    return AnalyticReport(coverage, reduction, reduction, 0.0)
+def _threshold(model: TrafficModel, spec: AlgorithmSpec):
+    """first and threshold create an entry for every flow above the
+    threshold T.  The first-packet oracle covers such a flow whole; the
+    counter, assuming bytes spread evenly over a flow's packets, covers
+    (and occupies the table for) a 1 - T/x share of it."""
+    t = float(spec.threshold)
+    if spec.kind == "first":
+        return t, None, None
 
-
-def analytic_threshold(model: TrafficModel, axis: str, threshold: float) -> AnalyticReport:
-    """Counter-based detection, assuming bytes spread evenly over a flow's
-    packets: a flow of magnitude x above the threshold T is covered (and
-    occupies the table) for a 1 - T/x share of itself."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    ax = model.axis(axis)
-    t = float(threshold)
-
-    def g(x: np.ndarray) -> np.ndarray:
+    def covered(x: np.ndarray) -> np.ndarray:
         return 1.0 - t / x
 
-    surviving = ax.flows.sf(t)
-    if surviving <= 0.0:
-        raise DegenerateError(f"no flow exceeds threshold {t:g} on the {axis} axis")
-    if ax.flows.discrete:
-        def gstep(x: np.ndarray) -> np.ndarray:
-            return t / (x * (x + 1.0))
+    def covered_step(x: np.ndarray) -> np.ndarray:
+        return t / (x * (x + 1.0))
 
-        cov, cov_err = _discrete_tail_sum(ax.octets, g, gstep, t)
-        occ_den, occ_err = _discrete_tail_sum(ax.flows, g, gstep, t)
-    else:
-        cov, cov_err = _continuous_tail_integral(ax.octets, g, t)
-        occ_den, occ_err = _continuous_tail_integral(ax.flows, g, t)
-    return AnalyticReport(
-        100.0 * cov, 1.0 / surviving, 1.0 / occ_den, cov_err + occ_err
-    )
+    return t, None, (covered, covered_step)
+
+
+def _uniform_sampling(model: TrafficModel, spec: AlgorithmSpec):
+    """Per-packet sampling with probability p, decided by flow length: an
+    n-packet flow gains an entry with probability 1 - q^n, q = 1 - p.  At
+    p = 1 every flow gets an entry at its first packet."""
+    p = spec.probability
+    start = model.length_axis.flows.floor
+    if p == 1.0:
+        return start, None, None
+    lq = math.log1p(-p)
+    q = 1.0 - p
+
+    def created(x: np.ndarray) -> np.ndarray:
+        return -np.expm1(x * lq)
+
+    def created_step(x: np.ndarray) -> np.ndarray:
+        return p * np.exp(x * lq)
+
+    def covered(x: np.ndarray) -> np.ndarray:
+        return expected_covered_fraction(p, x)
+
+    def covered_step(x: np.ndarray) -> np.ndarray:
+        return (q / p) * (created(x) / x - created(x + 1.0) / (x + 1.0))
+
+    return start, (created, created_step), (covered, covered_step)
+
+
+def _size_scaled_sampling(model: TrafficModel, spec: AlgorithmSpec):
+    """Size-scaled sampling in the continuous-byte approximation: with
+    per-byte rate lam = p / max_packet_size, a flow of s bytes gains an
+    entry with probability 1 - exp(-lam s) and covers an expected
+    1 - (1 - exp(-lam s)) / (lam s) of itself.  The per-packet Bernoulli
+    process is the exact reference; this closed form is its small-packet
+    limit.  The size axis is continuous, so the weights carry no step."""
+    lam = spec.probability / model.max_packet_size
+
+    def created(s: np.ndarray) -> np.ndarray:
+        return -np.expm1(-lam * s)
+
+    def covered(s: np.ndarray) -> np.ndarray:
+        x = lam * s
+        return 1.0 + np.expm1(-x) / x
+
+    return 0.0, (created, None), (covered, None)
+
+
+# (kind, axis) -> builder of the spec's (start, created, covered)
+_WEIGHTS = {
+    ("first", "length"): _threshold,
+    ("first", "size"): _threshold,
+    ("threshold", "length"): _threshold,
+    ("threshold", "size"): _threshold,
+    ("sampling", "length"): _uniform_sampling,
+    ("sampling", "size"): _size_scaled_sampling,
+}
+
+
+def _expect(mix: Mixture, weight, start: float,
+            exact_span: int = EXACT_SPAN) -> tuple[float, float]:
+    """Expectation of a weight over the flows of the mixture above start,
+    with its truncation bound."""
+    if weight is None:
+        return mix.sf(start), 0.0
+    g, gstep = weight
+    if mix.discrete:
+        return _discrete_tail_sum(mix, g, gstep, start, exact_span=exact_span)
+    return _continuous_tail_integral(mix, g, start)
 
 
 def expected_covered_fraction(p: float, length) -> np.ndarray | float:
@@ -203,122 +251,25 @@ def expected_covered_fraction(p: float, length) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def analytic_sampling_length(model: TrafficModel, p: float) -> AnalyticReport:
-    """Uniform per-packet sampling, decided by flow length."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    if p == 1.0:
-        return AnalyticReport(100.0, 1.0, 1.0, 0.0)
-    ax = model.length_axis
-    lq = math.log1p(-p)
-    q = 1.0 - p
-
-    def created(x: np.ndarray) -> np.ndarray:
-        return -np.expm1(x * lq)
-
-    def created_step(x: np.ndarray) -> np.ndarray:
-        return p * np.exp(x * lq)
-
-    def covered(x: np.ndarray) -> np.ndarray:
-        return 1.0 - q * created(x) / (p * x)
-
-    def covered_step(x: np.ndarray) -> np.ndarray:
-        return (q / p) * (created(x) / x - created(x + 1.0) / (x + 1.0))
-
-    start = ax.flows.domain_min - 1.0
-    cov, cov_err = _discrete_tail_sum(ax.octets, covered, covered_step, start)
-    ops_den, ops_err = _discrete_tail_sum(ax.flows, created, created_step, start)
-    occ_den, occ_err = _discrete_tail_sum(ax.flows, covered, covered_step, start)
-    return AnalyticReport(
-        100.0 * cov, 1.0 / ops_den, 1.0 / occ_den, cov_err + ops_err + occ_err
-    )
-
-
-def analytic_sampling_size(model: TrafficModel, p: float) -> AnalyticReport:
-    """Size-scaled sampling in the continuous-byte approximation: with
-    per-byte rate lam = p / max_packet_size, a flow of s bytes gains an
-    entry with probability 1 - exp(-lam s) and covers an expected
-    1 - (1 - exp(-lam s)) / (lam s) of itself.  The per-packet Bernoulli
-    process is the exact reference; this closed form is its small-packet
-    limit."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    ax = model.size_axis
-    lam = p / model.max_packet_size
-
-    def created(s: np.ndarray) -> np.ndarray:
-        return -np.expm1(-lam * s)
-
-    def covered(s: np.ndarray) -> np.ndarray:
-        x = lam * s
-        return 1.0 + np.expm1(-x) / x
-
-    cov, cov_err = _continuous_tail_integral(ax.octets, covered, 0.0)
-    ops_den, ops_err = _continuous_tail_integral(ax.flows, created, 0.0)
-    occ_den, occ_err = _continuous_tail_integral(ax.flows, covered, 0.0)
-    return AnalyticReport(
-        100.0 * cov, 1.0 / ops_den, 1.0 / occ_den, cov_err + ops_err + occ_err
-    )
-
-
 def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:
-    """Dispatch an AlgorithmSpec to the matching analytic evaluation."""
-    if spec.kind == "first":
-        return analytic_first(model, spec.axis, spec.threshold)
-    if spec.kind == "threshold":
-        return analytic_threshold(model, spec.axis, spec.threshold)
-    if spec.sampling_mode == "size-scaled":
-        return analytic_sampling_size(model, spec.probability)
-    return analytic_sampling_length(model, spec.probability)
+    """Coverage and both reductions of one algorithm over a model, from the
+    spec's (kind, axis) weights.
+
+    Raises DegenerateError when no flow gains an entry.
+    """
+    ax = model.axis(spec.axis)
+    start, created, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
+    entries, entries_err = _expect(ax.flows, created, start)
+    if entries <= 0.0:
+        raise DegenerateError(f"no flow gains an entry under {spec}")
+    cov, cov_err = _expect(ax.octets, covered, start)
+    occupied, occ_err = _expect(ax.flows, covered, start)
+    return AnalyticReport(
+        100.0 * cov, 1.0 / entries, 1.0 / occupied, cov_err + entries_err + occ_err
+    )
 
 
 # -- coverage inversion ---------------------------------------------------------
-
-
-def _coverage_only(model: TrafficModel, kind: str, axis: str, param: float) -> float:
-    """Coverage alone, at reduced tail precision: plenty for bracketing the
-    monotone curve, an order of magnitude cheaper than a full report."""
-    ax = model.axis(axis)
-    if kind == "first":
-        return 100.0 * ax.octets.sf(param)
-    if kind == "threshold":
-        t = float(param)
-
-        def g(x: np.ndarray) -> np.ndarray:
-            return 1.0 - t / x
-
-        if ax.flows.discrete:
-            cov, _ = _discrete_tail_sum(ax.octets, g, lambda x: t / (x * (x + 1.0)), t,
-                                        exact_span=8192)
-        else:
-            cov, _ = _continuous_tail_integral(ax.octets, g, t)
-        return 100.0 * cov
-    p = float(param)
-    if axis == "size":
-        lam = p / model.max_packet_size
-
-        def covered_bytes(s: np.ndarray) -> np.ndarray:
-            x = lam * s
-            return 1.0 + np.expm1(-x) / x
-
-        cov, _ = _continuous_tail_integral(ax.octets, covered_bytes, 0.0)
-        return 100.0 * cov
-    if p == 1.0:
-        return 100.0
-    q = 1.0 - p
-    lq = math.log1p(-p)
-
-    def covered(x: np.ndarray) -> np.ndarray:
-        return 1.0 + q * np.expm1(x * lq) / (p * x)
-
-    def covered_step(x: np.ndarray) -> np.ndarray:
-        e0 = -np.expm1(x * lq)
-        e1 = -np.expm1((x + 1.0) * lq)
-        return (q / p) * (e0 / x - e1 / (x + 1.0))
-
-    cov, _ = _discrete_tail_sum(ax.octets, covered, covered_step,
-                                ax.octets.domain_min - 1.0, exact_span=8192)
-    return 100.0 * cov
 
 
 def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
@@ -330,24 +281,28 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     On the integer length axis coverage is a step function; the end of the
     final bracket whose coverage is closest to the target is returned.
     """
-    if kind not in ("first", "threshold", "sampling"):
-        raise ValueError(f"unknown algorithm kind {kind!r}")
     if target_pct > 100.0:
         raise UnreachableError(f"coverage {target_pct:g}% exceeds 100%")
     if target_pct <= 0.0:
         raise ValueError("target coverage must lie in (0, 100]")
 
-    def cov(param: float) -> float:
-        return _coverage_only(model, kind, axis, param)
+    octets = model.axis(axis).octets
 
-    def report(param: float) -> AnalyticReport:
+    def spec(param: float) -> AlgorithmSpec:
         if kind == "sampling":
-            return analytic_for_spec(model, AlgorithmSpec(kind, axis, probability=param))
-        return analytic_for_spec(model, AlgorithmSpec(kind, axis, threshold=param))
+            return AlgorithmSpec(kind, axis, probability=param)
+        return AlgorithmSpec(kind, axis, threshold=param)
+
+    def cov(param: float) -> float:
+        # coverage alone with a reduced exact block: plenty for bracketing
+        # the monotone curve, an order of magnitude cheaper than a report
+        probe = spec(param)
+        start, _, covered = _WEIGHTS[kind, axis](model, probe)
+        return 100.0 * _expect(octets, covered, start, exact_span=PROBE_SPAN)[0]
 
     if kind in ("first", "threshold"):
         if target_pct == 100.0:
-            return 0.0, report(0.0)
+            return 0.0, analytic_for_spec(model, spec(0.0))
         # strict predicate so that on flat coverage regions (integer length
         # axis) the bracket settles on the smallest equivalent parameter
         lo, hi = 0.0, max(float(model.axis(axis).flows.domain_min), 1.0)
@@ -370,7 +325,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
                 f"coverage {target_pct:g}% unreachable; sampling tops out at {top:.6g}%"
             )
         if cov(lo) >= target_pct:
-            return lo, report(lo)
+            return lo, analytic_for_spec(model, spec(lo))
         for _ in range(80):
             if hi / lo <= 1.0 + 1e-9:
                 break
@@ -380,4 +335,4 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
             else:
                 lo = mid
         param = min((lo, hi), key=lambda q: abs(cov(q) - target_pct))
-    return param, report(param)
+    return param, analytic_for_spec(model, spec(param))

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .algorithms import PathProfile, p_eff_avg, p_eff_paths
+from .algorithms import ALGORITHM_KINDS, PathProfile, p_eff_avg, p_eff_paths
 from .analytic import UnreachableError, invert_for_coverage
 from .generator import GeneratorConfig, generate_arrays, write_flow_csv
 from .model import DominanceError, SchemaError, WeightError, load_model
@@ -164,12 +164,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    bad = [kind for kind in args.algorithms if kind not in ALGORITHM_KINDS]
+    if bad:
+        raise ValueError(f"unknown algorithm(s) {bad}")
     model = load_model(args.model)
     rows = []
     for target in args.coverages:
         baseline = None
         per_kind = {}
-        for kind in ("first", "threshold", "sampling"):
+        for kind in ALGORITHM_KINDS:
             if kind not in args.algorithms and kind != "first":
                 continue
             try:

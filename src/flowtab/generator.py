@@ -141,7 +141,14 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
         for row in reader:
             if not row:
                 continue
-            l, s = int(row[0]), int(row[1])
+            try:
+                if len(row) != 2:
+                    raise ValueError
+                l, s = int(row[0]), int(row[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {reader.line_num}: expected two integer fields, got {row}"
+                ) from None
             if l < 1 or s < l or s > l * max_packet_size:
                 raise ValueError(
                     f"{path}: row {reader.line_num}: flow of {l} packets and {s} bytes "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 __all__ = [
     "ModelError",
@@ -34,7 +34,6 @@ __all__ = [
 
 WEIGHT_TOLERANCE = 1e-9
 SUPPORT_FLOOR_TOLERANCE = 1e-9
-TAIL_EPSILON = 1e-9
 SUPPORT_CAP = 2 ** 40
 DEFAULT_MAX_PACKET = 1518
 DEFAULT_SIZE_DOMAIN_MIN = 64
@@ -63,6 +62,16 @@ class WeightError(ModelError):
 
 class DominanceError(ModelError):
     """flows/packets/octets CDF ordering violated on the validation grid."""
+
+
+def _gpd_sf(z, shape: float):
+    """Generalized-Pareto survival function at the standardized excess z >= 0."""
+    if shape == 0.0:
+        return np.exp(-z)
+    base = np.maximum(1.0 + shape * z, 0.0)
+    with np.errstate(divide="ignore"):
+        out = base ** (-1.0 / shape)
+    return np.where(base > 0.0, out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -96,15 +105,6 @@ class MixtureComponent:
         if self.kind == "generalized-pareto" and not (p["scale"] > 0):
             raise SchemaError("generalized-pareto component requires scale > 0")
 
-    def frozen_dist(self):
-        """scipy frozen distribution for this component (untruncated)."""
-        p = self.params
-        if self.kind == "uniform":
-            return stats.uniform(loc=p["low"], scale=p["high"] - p["low"])
-        if self.kind == "lognormal":
-            return stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"]))
-        return stats.genpareto(c=p["shape"], loc=p["location"], scale=p["scale"])
-
     def mean_is_finite(self) -> bool:
         return not (self.kind == "generalized-pareto" and self.params["shape"] >= 1.0)
 
@@ -125,30 +125,31 @@ class MixtureComponent:
             full = math.exp(mu + 0.5 * s * s)
             if a <= 0:
                 return full
-            return full * stats.norm.sf((math.log(a) - mu - s * s) / s)
+            return full * special.ndtr(-(math.log(a) - mu - s * s) / s)
         xi, loc, sc = p["shape"], p["location"], p["scale"]
         if a <= loc:
             return loc + sc / (1.0 - xi)
-        sf = self.frozen_dist().sf(a)
+        sf = float(_gpd_sf((a - loc) / sc, xi))
         if sf <= 0.0:
             return 0.0
         # conditional excess beyond a is generalized-Pareto(xi, sc + xi*(a - loc))
-        return float(sf) * (a + (sc + xi * (a - loc)) / (1.0 - xi))
+        return sf * (a + (sc + xi * (a - loc)) / (1.0 - xi))
 
 
 class _Prepared:
     """Component with direct vectorized distribution math and its
     lower-truncation constant.
 
-    The cdf/sf/ppf/pdf implementations avoid scipy's frozen-distribution
-    dispatch, which dominates runtime in the vectorized quantile bisection;
-    they are cross-checked against scipy in the test suite.
+    The cdf/sf/ppf/pdf implementations are direct numpy and scipy.special
+    math, cheap enough for the vectorized quantile bisection; they are
+    cross-checked against scipy.stats in the test suite.
     """
 
-    __slots__ = ("component", "weight", "below_floor", "keep", "_p")
+    __slots__ = ("component", "kind", "weight", "below_floor", "keep", "_p")
 
     def __init__(self, component: MixtureComponent, floor: float, discrete: bool):
         self.component = component
+        self.kind = component.kind
         self.weight = component.weight
         self._p = dict(component.params)
         c = float(self.cdf(np.asarray([floor]))[0])
@@ -164,10 +165,6 @@ class _Prepared:
             )
         self.below_floor = c
         self.keep = 1.0 - c
-
-    @property
-    def kind(self) -> str:
-        return self.component.kind
 
     def support(self) -> tuple[float, float]:
         p = self._p
@@ -198,14 +195,7 @@ class _Prepared:
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = (np.log(np.maximum(x, 0.0)) - p["mu"]) / p["sigma"]
             return np.where(x > 0.0, special.ndtr(-np.nan_to_num(z, nan=-np.inf)), 1.0)
-        shape, loc, scale = p["shape"], p["location"], p["scale"]
-        z = np.maximum((x - loc) / scale, 0.0)
-        if shape == 0.0:
-            return np.exp(-z)
-        base = np.maximum(1.0 + shape * z, 0.0)
-        with np.errstate(divide="ignore"):
-            out = base ** (-1.0 / shape)
-        return np.where(base > 0.0, out, 0.0)
+        return _gpd_sf(np.maximum((x - p["location"]) / p["scale"], 0.0), p["shape"])
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         p = self._p
@@ -232,7 +222,6 @@ class _Prepared:
             return np.where(x > 0.0, out, 0.0)
         shape, loc, scale = p["shape"], p["location"], p["scale"]
         z = (x - loc) / scale
-        base = 1.0 + shape * z if shape != 0.0 else None
         if shape == 0.0:
             out = np.exp(-np.maximum(z, 0.0)) / scale
             return np.where(z >= 0.0, out, 0.0)
@@ -292,29 +281,22 @@ class Mixture:
             out += pc.weight * (pc.sf(x) / pc.keep)
         return np.clip(out, 0.0, 1.0)
 
-    def _effective(self, x: np.ndarray) -> np.ndarray:
-        """Map evaluation points onto the continuous mixture (floor for discrete)."""
-        x = np.asarray(x, dtype=float)
-        pts = np.floor(x) if self.discrete else x
-        return np.maximum(pts, self.floor)
+    def _evaluate(self, raw, x, below_min: float):
+        """raw at x mapped onto the continuous mixture (floored for discrete),
+        with below_min for points under domain_min."""
+        xx = np.atleast_1d(np.asarray(x, dtype=float))
+        pts = np.floor(xx) if self.discrete else xx
+        out = raw(np.maximum(pts, self.floor))
+        out[xx < self.domain_min] = below_min
+        return float(out[0]) if np.isscalar(x) else out
 
     def cdf(self, x):
         """P(X <= x); 0 below domain_min, non-decreasing, -> 1 at infinity."""
-        scalar = np.isscalar(x)
-        pts = self._effective(np.atleast_1d(np.asarray(x, dtype=float)))
-        out = self._raw_cdf(pts)
-        below = np.atleast_1d(np.asarray(x, dtype=float)) < self.domain_min
-        out[below] = 0.0
-        return float(out[0]) if scalar else out
+        return self._evaluate(self._raw_cdf, x, 0.0)
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail accuracy."""
-        scalar = np.isscalar(x)
-        pts = self._effective(np.atleast_1d(np.asarray(x, dtype=float)))
-        out = self._raw_sf(pts)
-        below = np.atleast_1d(np.asarray(x, dtype=float)) < self.domain_min
-        out[below] = 1.0
-        return float(out[0]) if scalar else out
+        return self._evaluate(self._raw_sf, x, 1.0)
 
     def pmass(self, k):
         """Probability mass of the integer cell k: cdf(k) - cdf(k - 1)."""
@@ -403,14 +385,6 @@ class Mixture:
         # integer cells exceed the underlying continuous value by less than 1
         return head + tail + 0.5 * tail_mass
 
-    def support_upper(self, eps: float = TAIL_EPSILON) -> float:
-        """Adaptive upper truncation point: smallest power-of-two x with sf(x) <= eps,
-        capped at SUPPORT_CAP (a hit of the cap is visible as sf(cap) > eps)."""
-        x = max(float(self.domain_min), 1.0)
-        while self.sf(x) > eps and x < SUPPORT_CAP:
-            x *= 2.0
-        return min(x, SUPPORT_CAP)
-
 
 @dataclass(frozen=True)
 class AxisModel:
@@ -425,22 +399,12 @@ class AxisModel:
         if self.axis not in ("length", "size"):
             raise SchemaError(f"unknown axis {self.axis!r}")
 
-    def weighting(self, name: str) -> Mixture:
-        try:
-            return {"flows": self.flows, "packets": self.packets, "octets": self.octets}[name]
-        except KeyError:
-            raise ValueError(f"unknown weighting {name!r}") from None
-
-    def validation_grid(self, points: int = 257) -> np.ndarray:
-        lo = float(self.flows.domain_min)
-        grid = np.geomspace(lo, SUPPORT_CAP, points)
+    def check_dominance(self, tolerance: float = 1e-9) -> None:
+        """flows.CDF >= packets.CDF >= octets.CDF pointwise on a 257-point
+        geometric grid from domain_min to the support cap."""
+        grid = np.geomspace(float(self.flows.domain_min), SUPPORT_CAP, 257)
         if self.flows.discrete:
             grid = np.unique(np.floor(grid))
-        return grid
-
-    def check_dominance(self, tolerance: float = 1e-9) -> None:
-        """flows.CDF >= packets.CDF >= octets.CDF pointwise on the grid."""
-        grid = self.validation_grid()
         f = self.flows.cdf(grid)
         p = self.packets.cdf(grid)
         o = self.octets.cdf(grid)

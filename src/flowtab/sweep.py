@@ -22,6 +22,7 @@ import multiprocessing
 import numpy as np
 
 from .algorithms import (
+    ALGORITHM_KINDS,
     AlgorithmSpec,
     DegenerateError,
     PacketLayout,
@@ -42,7 +43,8 @@ __all__ = [
     "default_probabilities",
 ]
 
-_SAMPLING_TAG = {"uniform": 2, "size-scaled": 3}
+# spawn-key tag of sampling cells per axis: changing it changes every sampled result
+_SAMPLING_TAG = {"length": 2, "size": 3}
 
 
 def default_thresholds(axis: str) -> tuple[float, ...]:
@@ -76,7 +78,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("sweep requires at least one seed")
-        bad = [a for a in self.algorithms if a not in ("first", "threshold", "sampling")]
+        bad = [a for a in self.algorithms if a not in ALGORITHM_KINDS]
         if bad:
             raise ValueError(f"unknown algorithm(s) {bad}")
         needs_thresholds = any(a in self.algorithms for a in ("first", "threshold"))
@@ -128,9 +130,9 @@ class SweepResult:
 
 
 def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
-    # value-derived spawn key: identical (seed, mode, p) cells draw identically
+    # value-derived spawn key: identical (seed, axis, p) cells draw identically
     bits = int(np.float64(spec.probability).view(np.uint64))
-    key = (_SAMPLING_TAG[spec.sampling_mode], bits >> 32, bits & 0xFFFFFFFF)
+    key = (_SAMPLING_TAG[spec.axis], bits >> 32, bits & 0xFFFFFFFF)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(ss))
 

@@ -109,8 +109,8 @@ def eval_sampling(flow: FlowRecord, spec: AlgorithmSpec, rng: np.random.Generato
                   max_packet_size: int = DEFAULT_MAX_PACKET) -> FlowOutcome:
     """Random per-packet sampling until the first success creates the entry.
 
-    Uniform mode samples every packet with probability p; size-scaled mode
-    with p * packet_size / max_packet_size.  Deterministic given the RNG
+    On the length axis every packet is sampled with probability p; on the
+    size axis with p * packet_size / max_packet_size.  Deterministic given the RNG
     state.
     """
     if spec.kind != "sampling":
@@ -118,7 +118,7 @@ def eval_sampling(flow: FlowRecord, spec: AlgorithmSpec, rng: np.random.Generato
     p = spec.probability
     sizes = packetize(flow, max_packet_size)
     for i, pkt in enumerate(sizes):
-        if spec.sampling_mode == "size-scaled":
+        if spec.axis == "size":
             p_i = p * pkt / max_packet_size
         else:
             p_i = p

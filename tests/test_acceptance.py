@@ -19,10 +19,7 @@ import pytest
 from flowtab.algorithms import AlgorithmSpec, aggregate_batch, evaluate_batch, p_total
 from flowtab.analytic import (
     UnreachableError,
-    analytic_first,
     analytic_for_spec,
-    analytic_sampling_length,
-    analytic_threshold,
     expected_covered_fraction,
     invert_for_coverage,
 )
@@ -92,7 +89,7 @@ def test_a2_sampling_p_one_exact(toy_model, heavytail_model):
             lengths, sizes = generate_arrays(model, GeneratorConfig(seed=3, flow_count=10 ** 5))
             sim = simulate(lengths, sizes, spec, seed=3)
             assert tuple(sim) == (100.0, 1.0, 1.0)
-            ana = analytic_sampling_length(model, 1.0)
+            ana = analytic_for_spec(model, spec)
             assert (ana.coverage_pct, ana.operations_reduction, ana.occupancy_reduction) == \
                 (100.0, 1.0, 1.0)
 
@@ -115,8 +112,8 @@ def test_a3_toy_oracle(toy_model):
             "first": (100 * 10 / 11, 2.0, 2.0),
             "threshold": (100 * 9 / 11, 2.0, 1 / (0.5 * 0.9)),
         }
-        ana_first = analytic_first(toy_model, "length", 1)
-        ana_thr = analytic_threshold(toy_model, "length", 1)
+        ana_first = analytic_for_spec(toy_model, AlgorithmSpec("first", "length", threshold=1))
+        ana_thr = analytic_for_spec(toy_model, AlgorithmSpec("threshold", "length", threshold=1))
         for rep, want in ((ana_first, oracle["first"]), (ana_thr, oracle["threshold"])):
             assert rep.coverage_pct == pytest.approx(want[0], abs=1e-9)
             assert rep.operations_reduction == pytest.approx(want[1], abs=1e-9)

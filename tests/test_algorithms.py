@@ -132,9 +132,6 @@ def test_spec_validation():
         AlgorithmSpec("first", "length")  # missing threshold
     with pytest.raises(ValueError):
         AlgorithmSpec("sampling", "length", probability=0.0)
-    with pytest.raises(ValueError):
-        AlgorithmSpec("sampling", "length", probability=0.5, sampling_mode="size-scaled")
-    assert AlgorithmSpec("sampling", "size", probability=0.5).sampling_mode == "size-scaled"
 
 
 # -- probability helpers -----------------------------------------------------------

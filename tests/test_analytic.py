@@ -10,22 +10,30 @@ from flowtab.analytic import (
     UnreachableError,
     _continuous_tail_integral,
     _discrete_tail_sum,
-    analytic_first,
     analytic_for_spec,
-    analytic_sampling_length,
-    analytic_sampling_size,
-    analytic_threshold,
     expected_covered_fraction,
     invert_for_coverage,
 )
 from flowtab.model import Mixture, MixtureComponent
 
 
+def first(model, axis, t):
+    return analytic_for_spec(model, AlgorithmSpec("first", axis, threshold=t))
+
+
+def threshold(model, axis, t):
+    return analytic_for_spec(model, AlgorithmSpec("threshold", axis, threshold=t))
+
+
+def sampling(model, axis, p):
+    return analytic_for_spec(model, AlgorithmSpec("sampling", axis, probability=p))
+
+
 # -- hand-derived values on the two-point model ----------------------------------
 
 
 def test_first_toy_exact(toy_model):
-    rep = analytic_first(toy_model, "length", 1)
+    rep = first(toy_model, "length", 1)
     assert rep.coverage_pct == pytest.approx(100 * 10 / 11, abs=1e-9)
     assert rep.operations_reduction == pytest.approx(2.0, abs=1e-9)
     assert rep.occupancy_reduction == pytest.approx(2.0, abs=1e-9)
@@ -35,19 +43,19 @@ def test_first_toy_exact(toy_model):
 def test_first_reductions_always_equal(heavytail_model):
     for axis, ts in (("length", (1, 7, 800, 65536)), ("size", (64, 999, 2 ** 22))):
         for t in ts:
-            rep = analytic_first(heavytail_model, axis, t)
+            rep = first(heavytail_model, axis, t)
             assert rep.operations_reduction == rep.occupancy_reduction
 
 
 def test_first_baseline_and_degenerate(toy_model):
-    rep = analytic_first(toy_model, "length", 0)
+    rep = first(toy_model, "length", 0)
     assert (rep.coverage_pct, rep.operations_reduction) == (100.0, 1.0)
     with pytest.raises(DegenerateError):
-        analytic_first(toy_model, "length", 11)
+        first(toy_model, "length", 11)
 
 
 def test_threshold_toy_exact(toy_model):
-    rep = analytic_threshold(toy_model, "length", 1)
+    rep = threshold(toy_model, "length", 1)
     assert rep.coverage_pct == pytest.approx(100 * 9 / 11, abs=1e-9)
     assert rep.operations_reduction == pytest.approx(2.0, abs=1e-9)
     assert rep.occupancy_reduction == pytest.approx(1 / (0.5 * 0.9), abs=1e-9)
@@ -55,22 +63,22 @@ def test_threshold_toy_exact(toy_model):
 
 
 def test_threshold_zero_equals_first(toy_model):
-    a = analytic_first(toy_model, "length", 0)
-    b = analytic_threshold(toy_model, "length", 0)
+    a = first(toy_model, "length", 0)
+    b = threshold(toy_model, "length", 0)
     assert b.coverage_pct == pytest.approx(a.coverage_pct, abs=1e-9)
     assert b.occupancy_reduction == pytest.approx(a.occupancy_reduction, abs=1e-9)
 
 
 def test_sampling_toy_exact(toy_model):
-    rep = analytic_sampling_length(toy_model, 1.0)
+    rep = sampling(toy_model, "length", 1.0)
     assert (rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction) == (100.0, 1.0, 1.0)
-    rep = analytic_sampling_length(toy_model, 0.5)
+    rep = sampling(toy_model, "length", 0.5)
     want_ops = 1 / (0.5 * 0.5 + 0.5 * (1 - 0.5 ** 10))
     assert rep.operations_reduction == pytest.approx(want_ops, rel=1e-12)
     with pytest.raises(ValueError):
-        analytic_sampling_length(toy_model, 0.0)
+        sampling(toy_model, "length", 0.0)
     with pytest.raises(ValueError):
-        analytic_sampling_size(toy_model, 1.5)
+        sampling(toy_model, "size", 1.5)
 
 
 # -- covered-fraction closed form ---------------------------------------------------
@@ -173,7 +181,7 @@ def test_truncation_flagging_at_the_support_cap():
 def test_sampling_size_limits(heavytail_model):
     lam = 1.0 / heavytail_model.max_packet_size
     s = np.array([1e9])
-    rep = analytic_sampling_size(heavytail_model, 1.0)
+    rep = sampling(heavytail_model, "size", 1.0)
     assert rep.coverage_pct < 100.0  # the continuous approximation never reaches 1 exactly
     # small-rate expansion: creation probability -> lam * s
     small = 1e-9 * np.array([1.0, 10.0, 100.0])
@@ -182,10 +190,19 @@ def test_sampling_size_limits(heavytail_model):
 
 
 def test_analytic_for_spec_dispatch(toy_model):
-    assert analytic_for_spec(toy_model, AlgorithmSpec("first", "length", threshold=1)) == \
-        analytic_first(toy_model, "length", 1)
-    assert analytic_for_spec(toy_model, AlgorithmSpec("sampling", "size", probability=0.5)) == \
-        analytic_sampling_size(toy_model, 0.5)
+    # the axis selects the sampling law: uniform per packet by length,
+    # size-scaled by bytes
+    from scipy import integrate
+
+    rep = sampling(toy_model, "length", 0.5)
+    assert rep.operations_reduction == pytest.approx(1 / (0.5 * 0.5 + 0.5 * (1 - 0.5 ** 10)),
+                                                     rel=1e-12)
+    lam = 0.5 / toy_model.max_packet_size
+    created = [integrate.quad(lambda s: -math.expm1(-lam * s), lo, lo + 1.0)[0]
+               for lo in (99.0, 999.0)]
+    rep = sampling(toy_model, "size", 0.5)
+    assert rep.operations_reduction == pytest.approx(1 / (0.5 * created[0] + 0.5 * created[1]),
+                                                     rel=1e-12)
 
 
 # -- inversion -----------------------------------------------------------------------
@@ -205,6 +222,8 @@ def test_invert_boundaries(toy_model):
         invert_for_coverage(toy_model, "first", "length", 100.5)
     with pytest.raises(ValueError):
         invert_for_coverage(toy_model, "first", "length", 0.0)
+    with pytest.raises(ValueError, match="unknown algorithm kind"):
+        invert_for_coverage(toy_model, "firts", "length", 50.0)
 
 
 def test_invert_achieves_target_on_smooth_model(heavytail_model):
@@ -216,27 +235,27 @@ def test_invert_achieves_target_on_smooth_model(heavytail_model):
 
 
 def test_invert_unreachable_sampling_size(heavytail_model):
-    top = analytic_sampling_size(heavytail_model, 1.0).coverage_pct
+    top = sampling(heavytail_model, "size", 1.0).coverage_pct
     with pytest.raises(UnreachableError):
         invert_for_coverage(heavytail_model, "sampling", "size", (top + 100) / 2)
 
 
 def test_coverage_monotone_in_parameters(heavytail_model):
-    covs = [analytic_threshold(heavytail_model, "length", t).coverage_pct
+    covs = [threshold(heavytail_model, "length", t).coverage_pct
             for t in (1, 4, 16, 64, 256)]
     assert all(a > b for a, b in zip(covs, covs[1:]))
-    covs = [analytic_sampling_length(heavytail_model, p).coverage_pct
+    covs = [sampling(heavytail_model, "length", p).coverage_pct
             for p in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
     assert all(a < b for a, b in zip(covs, covs[1:]))
 
 
 def test_reports_unflagged_on_shipped_model(heavytail_model):
     reports = [
-        analytic_first(heavytail_model, "length", 1024),
-        analytic_threshold(heavytail_model, "length", 1024),
-        analytic_threshold(heavytail_model, "size", 2 ** 20),
-        analytic_sampling_length(heavytail_model, 1e-3),
-        analytic_sampling_size(heavytail_model, 1e-3),
+        first(heavytail_model, "length", 1024),
+        threshold(heavytail_model, "length", 1024),
+        threshold(heavytail_model, "size", 2 ** 20),
+        sampling(heavytail_model, "length", 1e-3),
+        sampling(heavytail_model, "size", 1e-3),
     ]
     for rep in reports:
         assert not rep.flagged

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,8 @@ from flowtab.cli import main
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 TOY = str(MODELS / "toy_twopoint.json")
+HEAVY = str(MODELS / "example_heavytail.json")
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -106,6 +111,33 @@ def test_analyze_relative_to_first(capsys, tmp_path):
     assert float(cols[6]) == 1.0 and float(cols[7]) == 1.0  # relative-to-first columns
 
 
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_analyze_matches_golden(capsys, tmp_path, axis):
+    code, _ = run(capsys, "analyze", "--model", HEAVY, "--axis", axis,
+                  "--coverages", "1,10,25,50,75,90,95,99,99.5,99.9",
+                  "--out", str(tmp_path / "a"))
+    assert code == 0
+    golden = GOLDEN / f"analyze_heavytail_{axis}.analytic.csv"
+    assert (tmp_path / "a.analytic.csv").read_bytes() == golden.read_bytes()
+
+
+def test_analyze_rejects_unknown_algorithm(capsys, tmp_path):
+    code, out = run(capsys, "analyze", "--model", TOY, "--algorithms", "firts,threshold",
+                    "--coverages", "50", "--out", str(tmp_path / "a"))
+    assert code == 2
+    error = json.loads(out)["errors"][0]
+    assert error["type"] == "ValueError" and "firts" in error["message"]
+    assert not (tmp_path / "a.analytic.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    probe = "import sys, flowtab.cli; print('scipy.stats' in sys.modules)"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_peff_flags_and_profile(capsys, tmp_path):
     code, out = run(capsys, "peff", "--p", "0.1", "--l-avg", "3")
     assert code == 0
@@ -152,6 +184,12 @@ def test_simulate_rejects_unpacketizable_flow(capsys, tmp_path):
     error = json.loads(out)["errors"][0]
     assert error["type"] == "ValueError" and "row 3" in error["message"]
     assert not (tmp_path / "ingested.csv").exists()
+    pop.write_text("length_packets,size_bytes\n10,1000\n3\n")
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows-csv", str(pop),
+                    "--thresholds", "1", "--probabilities", "0.5",
+                    "--out", str(tmp_path / "ingested"))
+    assert code == 2
+    assert "row 3: expected two integer fields" in json.loads(out)["errors"][0]["message"]
 
 
 def test_model_dir_env_resolution(capsys, monkeypatch):

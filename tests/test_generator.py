@@ -203,3 +203,8 @@ def test_flow_csv_round_trip(tmp_path, toy_model):
     bad.write_text("length_packets,size_bytes\n1,100\n2,3037\n")
     with pytest.raises(ValueError, match="row 3: flow of 2 packets and 3037 bytes"):
         read_flow_csv(str(bad), 1518)
+    # rows of other than two integer fields
+    for row in ("3", "1,100,7", "1,1e2"):
+        bad.write_text(f"length_packets,size_bytes\n1,100\n{row}\n")
+        with pytest.raises(ValueError, match="row 3: expected two integer fields"):
+            read_flow_csv(str(bad), 1518)
