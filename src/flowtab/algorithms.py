@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_MAX_PACKET
-
 __all__ = [
     "DegenerateError",
     "AlgorithmSpec",
@@ -144,8 +142,7 @@ class PacketLayout:
     every evaluate_batch call over that population.
     """
 
-    def __init__(self, lengths: np.ndarray, sizes: np.ndarray,
-                 max_packet_size: int = DEFAULT_MAX_PACKET):
+    def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
         bad = np.flatnonzero((lengths < 1) | (sizes < lengths) | (sizes > lengths * max_packet_size))
         if len(bad):
             i = bad[0]
@@ -227,19 +224,15 @@ def _sampling_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
 
 
 def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                   rng: np.random.Generator | None = None,
-                   layout: PacketLayout | None = None):
+                   layout: PacketLayout, rng: np.random.Generator | None = None):
     """Per-flow outcomes over a population, as arrays: (created,
     covered_bytes, occupancy_fraction).
 
-    ``layout`` is the population's PacketLayout; without one, a layout
-    with the default max_packet_size is built for this call.  Sampling
-    draws from ``rng``.
+    ``layout`` is the population's PacketLayout, which carries the model's
+    max_packet_size.  Sampling draws from ``rng``.
     """
     if spec.kind == "first":
         return _first_batch(lengths, sizes, spec)
-    if layout is None:
-        layout = PacketLayout(lengths, sizes)
     if spec.kind == "threshold":
         return _threshold_batch(lengths, sizes, spec, layout)
     if rng is None:

@@ -2,9 +2,11 @@
 
 Metrics are expectations against the model's flow- and octet-weighted
 mixtures.  Length-axis expectations are sums over the integer support:
-an exact block after the evaluation point, then an Abel-summed remainder
-whose summand S(x) * (g(x+1) - g(x)) decays monotonically and is
-sandwiched between integrals, giving a computable truncation bound.
+exact over the mixture's survival table (domain_min .. domain_min + 2^16),
+then an Abel-summed remainder beyond it whose summand
+S(x) * (g(x+1) - g(x)) decays monotonically and is sandwiched between
+integrals, giving a computable truncation bound.  Reports and the coverage
+probes of the inversion sum the same terms.
 Size-axis expectations are integrals evaluated per mixture component by
 Gauss-Legendre quadrature on the log axis.  Every report carries the
 truncation bound; reports above 1e-6 are flagged.
@@ -28,8 +30,6 @@ __all__ = [
     "expected_covered_fraction",
 ]
 
-EXACT_SPAN = 65536
-PROBE_SPAN = 8192
 FLAG_LEVEL = 1e-6
 P_BRACKET = (1e-12, 1.0)
 
@@ -78,21 +78,22 @@ def _integrate_log(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -
     return v64, abs(v64 - v32)
 
 
-def _discrete_tail_sum(mix: Mixture, g, gstep, start: float,
-                       exact_span: int = EXACT_SPAN) -> tuple[float, float]:
+def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, float]:
     """Sum pmass(k) * g(k) over integers k > start, with a truncation bound.
 
-    g and gstep (the forward difference g(x+1) - g(x)) must be vectorized;
-    |sf(x) * gstep(x)| is assumed monotone decreasing beyond the exact block,
-    which holds for the monotone weight functions used here, all bounded by 1.
+    The terms up to the end of the mixture's survival table are summed
+    exactly from it.  g and gstep (the forward difference g(x+1) - g(x))
+    must be vectorized; |sf(x) * gstep(x)| is assumed monotone decreasing
+    beyond the table, which holds for the monotone weight functions used
+    here, all bounded by 1.
     """
-    start_i = math.floor(start)
-    hi_exact = min(start_i + exact_span, SUPPORT_CAP)
-    edges = np.arange(start_i, hi_exact + 1, dtype=float)
-    sf_edges = mix.sf(edges)
+    lo = int(mix.floor)
+    start_i = max(math.floor(start), lo)
+    sf_edges = mix._sf_table[start_i - lo:]  # empty when start lies beyond the table
+    hi_exact = start_i + max(len(sf_edges) - 1, 0)
     pm = np.maximum(sf_edges[:-1] - sf_edges[1:], 0.0)
-    value = float(np.dot(pm, g(edges[1:])))
-    tail_sf = float(sf_edges[-1])
+    value = float(np.dot(pm, g(np.arange(start_i + 1, hi_exact + 1, dtype=float))))
+    tail_sf = float(sf_edges[-1]) if len(sf_edges) else mix.sf(float(hi_exact))
     if hi_exact >= SUPPORT_CAP or tail_sf == 0.0:
         residual = float(mix.sf(SUPPORT_CAP)) if hi_exact >= SUPPORT_CAP else 0.0
         return value, 2.0 * residual
@@ -219,15 +220,14 @@ _WEIGHTS = {
 }
 
 
-def _expect(mix: Mixture, weight, start: float,
-            exact_span: int = EXACT_SPAN) -> tuple[float, float]:
+def _expect(mix: Mixture, weight, start: float) -> tuple[float, float]:
     """Expectation of a weight over the flows of the mixture above start,
     with its truncation bound."""
     if weight is None:
         return mix.sf(start), 0.0
     g, gstep = weight
     if mix.discrete:
-        return _discrete_tail_sum(mix, g, gstep, start, exact_span=exact_span)
+        return _discrete_tail_sum(mix, g, gstep, start)
     return _continuous_tail_integral(mix, g, start)
 
 
@@ -294,11 +294,10 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
         return AlgorithmSpec(kind, axis, threshold=param)
 
     def cov(param: float) -> float:
-        # coverage alone with a reduced exact block: plenty for bracketing
-        # the monotone curve, an order of magnitude cheaper than a report
+        # coverage alone, summed exactly as the report sums it
         probe = spec(param)
         start, _, covered = _WEIGHTS[kind, axis](model, probe)
-        return 100.0 * _expect(octets, covered, start, exact_span=PROBE_SPAN)[0]
+        return 100.0 * _expect(octets, covered, start)[0]
 
     if kind in ("first", "threshold"):
         if target_pct == 100.0:

@@ -5,10 +5,12 @@ flow size in bytes), three weightings of the same quantity: the share of
 flows, of packets, and of octets attributable to flows up to a given
 length/size.  Each weighting is a mixture of uniform, lognormal and
 generalized-Pareto components.  The length axis is integer valued and is
-discretized by CDF differences; the size axis is continuous bytes.
+discretized by survival-function differences; the size axis is continuous
+bytes.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -38,6 +40,8 @@ SUPPORT_CAP = 2 ** 40
 DEFAULT_MAX_PACKET = 1518
 DEFAULT_SIZE_DOMAIN_MIN = 64
 QUANTILE_ITERATIONS = 64
+# integers above domain_min in each discrete mixture's survival table
+TABLE_SPAN = 2 ** 16
 
 MODEL_DIR_ENV = "FLOWTAB_MODEL_DIR"
 
@@ -140,9 +144,11 @@ class _Prepared:
     """Component with direct vectorized distribution math and its
     lower-truncation constant.
 
-    The cdf/sf/ppf/pdf implementations are direct numpy and scipy.special
+    The sf/ppf/pdf implementations are direct numpy and scipy.special
     math, cheap enough for the vectorized quantile bisection; they are
-    cross-checked against scipy.stats in the test suite.
+    cross-checked against scipy.stats in the test suite.  The survival
+    function is the component's one distribution function: every CDF
+    value is 1 - sf.
     """
 
     __slots__ = ("component", "kind", "weight", "below_floor", "keep", "_p")
@@ -152,7 +158,7 @@ class _Prepared:
         self.kind = component.kind
         self.weight = component.weight
         self._p = dict(component.params)
-        c = float(self.cdf(np.asarray([floor]))[0])
+        c = 1.0 - float(self.sf(np.asarray([floor]))[0])
         if discrete and c > SUPPORT_FLOOR_TOLERANCE:
             raise SchemaError(
                 f"{component.kind} component carries probability {c:.3g} below the "
@@ -177,20 +183,10 @@ class _Prepared:
             return loc, loc - scale / shape
         return loc, math.inf
 
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        p = self._p
-        if self.kind == "uniform":
-            return np.clip((x - p["low"]) / (p["high"] - p["low"]), 0.0, 1.0)
-        if self.kind == "lognormal":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = (np.log(np.maximum(x, 0.0)) - p["mu"]) / p["sigma"]
-            return np.where(x > 0.0, special.ndtr(np.nan_to_num(z, nan=-np.inf)), 0.0)
-        return 1.0 - self.sf(x)
-
     def sf(self, x: np.ndarray) -> np.ndarray:
         p = self._p
         if self.kind == "uniform":
-            return 1.0 - self.cdf(x)
+            return np.clip((p["high"] - x) / (p["high"] - p["low"]), 0.0, 1.0)
         if self.kind == "lognormal":
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = (np.log(np.maximum(x, 0.0)) - p["mu"]) / p["sigma"]
@@ -236,10 +232,13 @@ class Mixture:
     """Weighted mixture of components over one axis weighting.
 
     ``discrete`` mixtures (length axis) are integer valued: the continuous
-    mixture is discretized via CDF differences, with any component mass in
-    (domain_min - 1, domain_min] folded into the atom at ``domain_min``.
-    Continuous mixtures (size axis) are lower-truncated at ``domain_min``
-    and renormalized component-wise.
+    mixture is discretized via survival-function differences, with any
+    component mass in (domain_min - 1, domain_min] folded into the atom at
+    ``domain_min``.  Their head is read from one table of sf at the integers
+    floor .. domain_min + TABLE_SPAN, built on first use and shared by the
+    quantile, the mean and the analytic tail sums.  Continuous mixtures
+    (size axis) are lower-truncated at ``domain_min`` and renormalized
+    component-wise.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -267,13 +266,7 @@ class Mixture:
         """Lower edge of the support: domain_min - 1 (discrete) or domain_min."""
         return self.domain_min - 1.0 if self.discrete else float(self.domain_min)
 
-    # -- CDF / survival ----------------------------------------------------
-
-    def _raw_cdf(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x, dtype=float)
-        for pc in self._prepared:
-            out += pc.weight * ((pc.cdf(x) - pc.below_floor) / pc.keep)
-        return np.clip(out, 0.0, 1.0)
+    # -- survival / CDF ----------------------------------------------------
 
     def _raw_sf(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x, dtype=float)
@@ -281,22 +274,23 @@ class Mixture:
             out += pc.weight * (pc.sf(x) / pc.keep)
         return np.clip(out, 0.0, 1.0)
 
-    def _evaluate(self, raw, x, below_min: float):
-        """raw at x mapped onto the continuous mixture (floored for discrete),
-        with below_min for points under domain_min."""
+    @functools.cached_property
+    def _sf_table(self) -> np.ndarray:
+        """sf at the integers floor .. domain_min + TABLE_SPAN (discrete only)."""
+        return self.sf(np.arange(self.floor, self.domain_min + TABLE_SPAN + 1))
+
+    def sf(self, x):
+        """P(X > x), evaluated via component survival functions for tail
+        accuracy; 1 below domain_min."""
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         pts = np.floor(xx) if self.discrete else xx
-        out = raw(np.maximum(pts, self.floor))
-        out[xx < self.domain_min] = below_min
+        out = self._raw_sf(np.maximum(pts, self.floor))
+        out[xx < self.domain_min] = 1.0
         return float(out[0]) if np.isscalar(x) else out
 
     def cdf(self, x):
-        """P(X <= x); 0 below domain_min, non-decreasing, -> 1 at infinity."""
-        return self._evaluate(self._raw_cdf, x, 0.0)
-
-    def sf(self, x):
-        """P(X > x), evaluated via component survival functions for tail accuracy."""
-        return self._evaluate(self._raw_sf, x, 1.0)
+        """P(X <= x) = 1 - sf(x); 0 below domain_min, -> 1 at infinity."""
+        return 1.0 - self.sf(x)
 
     def pmass(self, k):
         """Probability mass of the integer cell k: cdf(k) - cdf(k - 1)."""
@@ -322,12 +316,30 @@ class Mixture:
         hi = np.maximum(hi, lo)
         return lo, hi
 
+    def _bisect(self, u: np.ndarray) -> np.ndarray:
+        """Smallest x with 1 - sf(x) >= u, by geometric bisection to relative
+        tolerance below 1e-12 (rounded up to an integer when discrete)."""
+        lo, hi = self._component_ppf(u)
+        # supports are positive so log-space is safe
+        lo = np.maximum(lo, 1e-12)
+        hi = np.maximum(hi, lo * (1.0 + 1e-9))
+        for _ in range(QUANTILE_ITERATIONS):
+            mid = np.sqrt(lo * hi)
+            above = 1.0 - self._raw_sf(mid) >= u
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        if not self.discrete:
+            return np.maximum(hi, self.domain_min)
+        k = np.maximum(np.ceil(hi - 1e-9), self.domain_min)
+        step_down = (k - 1 >= self.domain_min) & (1.0 - self._raw_sf(k - 1.0) >= u)
+        return np.where(step_down, k - 1.0, k)
+
     def quantile(self, u):
         """Smallest x with cdf(x) >= u, for u in [0, 1).
 
-        Discrete mixtures return integers; continuous mixtures resolve the
-        mixture CDF by bisection to relative tolerance below 1e-12.
-        By convention quantile(0) == domain_min.
+        Discrete mixtures return integers, looked up in the survival table
+        (bisection only for u beyond its end); continuous mixtures resolve
+        the mixture CDF by bisection.  By convention quantile(0) == domain_min.
         """
         scalar = np.isscalar(u)
         uu = np.atleast_1d(np.asarray(u, dtype=float))
@@ -335,27 +347,14 @@ class Mixture:
             raise ValueError("quantile requires u in [0, 1)")
         out = np.full_like(uu, float(self.domain_min))
         live = uu > 0.0
+        if self.discrete:
+            cdf = 1.0 - self._sf_table
+            k = np.searchsorted(cdf, uu, "left")
+            inside = live & (k < len(cdf))
+            out[inside] = self.floor + k[inside]
+            live &= ~inside
         if np.any(live):
-            ul = uu[live]
-            lo, hi = self._component_ppf(ul)
-            # geometric bisection; supports are positive so log-space is safe
-            lo = np.maximum(lo, 1e-12)
-            hi = np.maximum(hi, lo * (1.0 + 1e-9))
-            for _ in range(QUANTILE_ITERATIONS):
-                mid = np.sqrt(lo * hi)
-                above = self._raw_cdf(mid) >= ul
-                hi = np.where(above, mid, hi)
-                lo = np.where(above, lo, mid)
-            q = hi
-            if self.discrete:
-                k = np.ceil(q - 1e-9)
-                k = np.maximum(k, self.domain_min)
-                step_down = (k - 1 >= self.domain_min) & (self._raw_cdf(k - 1.0) >= ul)
-                k = np.where(step_down, k - 1.0, k)
-                q = k
-            else:
-                q = np.maximum(q, self.domain_min)
-            out[live] = q
+            out[live] = self._bisect(uu[live])
         return float(out[0]) if scalar else out
 
     # -- moments ---------------------------------------------------------------
@@ -364,8 +363,8 @@ class Mixture:
         """Mixture mean; ``None`` when a component's mean diverges.
 
         For discrete mixtures this is the mean of the discretized (integer)
-        distribution, computed by exact summation over the head of the
-        support plus closed-form partial expectations for the tail.
+        distribution, computed by exact summation over the survival table
+        plus closed-form partial expectations for the tail.
         """
         if any(not c.mean_is_finite() for c in self.components):
             return None
@@ -374,14 +373,14 @@ class Mixture:
             for pc in self._prepared:
                 acc += pc.weight * pc.component.partial_expectation(self.floor) / pc.keep
             return acc
-        head_end = int(self.domain_min) + 2 ** 16
-        ks = np.arange(self.domain_min - 1, head_end + 1, dtype=float)
-        sf = self.sf(ks)
+        sf = self._sf_table
+        head_end = self.domain_min + TABLE_SPAN
+        ks = np.arange(self.floor, head_end + 1)
         head = float(np.dot(ks[1:], sf[:-1] - sf[1:]))
         tail_mass = float(sf[-1])
         tail = 0.0
         for pc in self._prepared:
-            tail += pc.weight * pc.component.partial_expectation(float(head_end)) / pc.keep
+            tail += pc.weight * pc.component.partial_expectation(head_end) / pc.keep
         # integer cells exceed the underlying continuous value by less than 1
         return head + tail + 0.5 * tail_mass
 

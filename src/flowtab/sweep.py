@@ -56,8 +56,7 @@ def default_thresholds(axis: str) -> tuple[float, ...]:
 
 def default_probabilities(axis: str) -> tuple[float, ...]:
     """Halving series 1, 0.5, ... matching the length of the threshold series."""
-    count = 22 if axis == "length" else 25
-    return tuple(0.5 ** k for k in range(count))
+    return tuple(0.5 ** k for k in range(len(default_thresholds(axis))))
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
 
 def _metrics_tuple(lengths, sizes, layout, spec, seed, duration_model) -> tuple[float, float, float]:
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    created, covered, occ = evaluate_batch(lengths, sizes, spec, rng=rng, layout=layout)
+    created, covered, occ = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
     try:
         rep = aggregate_batch(lengths, sizes, created, covered, occ, duration_model)
     except DegenerateError:

@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from flowtab.algorithms import AlgorithmSpec, aggregate_batch, evaluate_batch, p_total
+from flowtab.algorithms import AlgorithmSpec, PacketLayout, aggregate_batch, evaluate_batch, p_total
 from flowtab.analytic import (
     UnreachableError,
     analytic_for_spec,
@@ -50,9 +50,10 @@ class criterion:
         return False
 
 
-def simulate(lengths, sizes, spec, seed, duration_model="equal"):
+def simulate(model, lengths, sizes, spec, seed, duration_model="equal"):
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    created, covered, occ = evaluate_batch(lengths, sizes, spec, rng=rng)
+    layout = PacketLayout(lengths, sizes, model.max_packet_size)
+    created, covered, occ = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
     rep = aggregate_batch(lengths, sizes, created, covered, occ, duration_model)
     return np.array([rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction])
 
@@ -87,7 +88,7 @@ def test_a2_sampling_p_one_exact(toy_model, heavytail_model):
         spec = AlgorithmSpec("sampling", "length", probability=1.0)
         for model in (toy_model, heavytail_model):
             lengths, sizes = generate_arrays(model, GeneratorConfig(seed=3, flow_count=10 ** 5))
-            sim = simulate(lengths, sizes, spec, seed=3)
+            sim = simulate(model, lengths, sizes, spec, seed=3)
             assert tuple(sim) == (100.0, 1.0, 1.0)
             ana = analytic_for_spec(model, spec)
             assert (ana.coverage_pct, ana.operations_reduction, ana.occupancy_reduction) == \
@@ -120,9 +121,10 @@ def test_a3_toy_oracle(toy_model):
             assert rep.occupancy_reduction == pytest.approx(want[2], abs=1e-9)
 
         lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=11, flow_count=10 ** 6))
+        layout = PacketLayout(lengths, sizes, toy_model.max_packet_size)
         for kind, want in oracle.items():
             spec = AlgorithmSpec(kind, "length", threshold=1)
-            created, covered, occ = evaluate_batch(lengths, sizes, spec)
+            created, covered, occ = evaluate_batch(lengths, sizes, spec, layout)
             sim = aggregate_batch(lengths, sizes, created, covered, occ)
             n = len(lengths)
             cov_se = 100 * _ratio_se(covered.astype(float), sizes.astype(float))
@@ -165,7 +167,7 @@ def test_a4_analytic_matches_simulation(heavytail_model, ht_population):
         for axis, grid, rel_tol in _a4_grids(heavytail_model):
             for spec in grid:
                 sims = np.array([
-                    simulate(l, s, spec, seed)
+                    simulate(heavytail_model, l, s, spec, seed)
                     for (l, s), seed in zip(populations, seeds)
                 ])
                 mean = sims.mean(axis=0)

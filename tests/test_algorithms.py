@@ -21,6 +21,7 @@ from flowtab.algorithms import (
     p_eff_paths,
     p_total,
 )
+from flowtab.model import DEFAULT_MAX_PACKET
 from oracle import (
     FlowOutcome,
     FlowRecord,
@@ -33,8 +34,15 @@ from oracle import (
 )
 
 
+def batch(lengths, sizes, spec, rng=None):
+    """evaluate_batch with the population's layout at the default 1518-byte
+    max_packet_size of the oracle and the shipped models."""
+    layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
+    return evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+
+
 def outcomes(lengths, sizes, spec, rng=None):
-    return aggregate_batch(lengths, sizes, *evaluate_batch(lengths, sizes, spec, rng=rng))
+    return aggregate_batch(lengths, sizes, *batch(lengths, sizes, spec, rng))
 
 
 # -- eval_first ---------------------------------------------------------------
@@ -112,9 +120,15 @@ def test_size_scaled_full_packet_always_sampled():
     out = eval_sampling(flow, spec, np.random.default_rng(2))
     assert out.entry_created and out.covered_bytes == 3036
     assert out.occupancy_fraction == 1.0
-    created, covered, occ = evaluate_batch(np.array([2]), np.array([3036]), spec,
-                                           rng=np.random.default_rng(2))
+    created, covered, occ = batch(np.array([2]), np.array([3036]), spec,
+                                  np.random.default_rng(2))
     assert created[0] and covered[0] == 3036 and occ[0] == 1.0
+    # the odds scale by the layout's max_packet_size: a 9000-byte jumbo
+    # packet is full, so it is sampled at p = 1
+    jumbo = (np.full(1000, 2), np.full(1000, 18000))
+    created, covered, _ = evaluate_batch(*jumbo, spec, PacketLayout(*jumbo, 9000),
+                                         rng=np.random.default_rng(2))
+    assert created.all() and (covered == 18000).all()
 
 
 def test_size_scaled_rejects_oversized_packet():
@@ -124,7 +138,7 @@ def test_size_scaled_rejects_oversized_packet():
     with pytest.raises(ValueError, match="1..512 bytes"):
         PacketLayout(np.array([1]), np.array([900]), max_packet_size=512)
     with pytest.raises(ValueError, match="1..1518 bytes"):
-        evaluate_batch(np.array([1]), np.array([1519]), spec, rng=np.random.default_rng(0))
+        batch(np.array([1]), np.array([1519]), spec, np.random.default_rng(0))
 
 
 def test_spec_validation():
@@ -234,7 +248,7 @@ def test_aggregate_scalar_stream_matches_batch(toy_population):
 def test_aggregate_proportional_duration(toy_population):
     lengths, sizes = toy_population
     spec = AlgorithmSpec("first", "length", threshold=1)
-    created, covered, occ = evaluate_batch(lengths, sizes, spec)
+    created, covered, occ = batch(lengths, sizes, spec)
     rep = aggregate_batch(lengths, sizes, created, covered, occ, "proportional")
     # long flows occupy for their whole (length-proportional) lifetime
     assert rep.occupancy_reduction == pytest.approx(5500 / 5000, rel=1e-12)
@@ -263,7 +277,7 @@ def random_flows(n=300, seed=8):
 )
 def test_batch_matches_scalar_evaluators(spec):
     lengths, sizes = random_flows()
-    created, covered, occ = evaluate_batch(lengths, sizes, spec)
+    created, covered, occ = batch(lengths, sizes, spec)
     evaluator = eval_first if spec.kind == "first" else eval_threshold
     for i in range(len(lengths)):
         out = evaluator(FlowRecord(int(lengths[i]), int(sizes[i])), spec)
@@ -281,7 +295,7 @@ def test_batch_sampling_matches_scalar_law():
         AlgorithmSpec("sampling", "length", probability=0.2),
         AlgorithmSpec("sampling", "size", probability=0.4),
     ):
-        created, _, occ = evaluate_batch(lengths, sizes, spec, rng=np.random.default_rng(3))
+        created, _, occ = batch(lengths, sizes, spec, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         flow = FlowRecord(6, 1800)
         scalar = [eval_sampling(flow, spec, rng) for _ in range(40_000)]
@@ -336,11 +350,11 @@ def test_batch_equals_oracle_on_layout_edges(case):
     flows, packets, octets = case
     lengths = np.array([f.length for f in flows], dtype=np.int64)
     sizes = np.array([f.size for f in flows], dtype=np.int64)
-    layout = PacketLayout(lengths, sizes)
+    layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
     for kind, evaluator in (("first", eval_first), ("threshold", eval_threshold)):
         for axis, T in (("length", packets), ("size", octets)):
             spec = AlgorithmSpec(kind, axis, threshold=float(T))
-            created, covered, occ = evaluate_batch(lengths, sizes, spec, layout=layout)
+            created, covered, occ = evaluate_batch(lengths, sizes, spec, layout)
             for i, flow in enumerate(flows):
                 out = evaluator(flow, spec)
                 assert (bool(created[i]), int(covered[i]), float(occ[i])) == \
@@ -359,7 +373,7 @@ def test_batch_sampling_matches_oracle_on_spread_flows(length, size):
         AlgorithmSpec("sampling", "length", probability=1.0 / length),
         AlgorithmSpec("sampling", "size", probability=1.5 / length),
     ):
-        _, covered, _ = evaluate_batch(lengths, sizes, spec, rng=np.random.default_rng(6))
+        _, covered, _ = batch(lengths, sizes, spec, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         oracle = [eval_sampling(flow, spec, rng).covered_bytes for _ in range(n)]
         assert set(np.unique(covered)) <= set(oracle), spec

@@ -179,14 +179,15 @@ def test_truncation_flagging_at_the_support_cap():
 
 
 def test_sampling_size_limits(heavytail_model):
-    lam = 1.0 / heavytail_model.max_packet_size
-    s = np.array([1e9])
     rep = sampling(heavytail_model, "size", 1.0)
     assert rep.coverage_pct < 100.0  # the continuous approximation never reaches 1 exactly
-    # small-rate expansion: creation probability -> lam * s
-    small = 1e-9 * np.array([1.0, 10.0, 100.0])
-    created = -np.expm1(-small)
-    assert np.allclose(created, small, rtol=1e-6)
+    # small-rate limit: a flow of s bytes gains an entry with probability
+    # ~ (p / max_packet_size) * s, so the entry share is that rate times the mean size
+    p = 1e-8
+    rep = sampling(heavytail_model, "size", p)
+    rate = p / heavytail_model.max_packet_size
+    mean_size = heavytail_model.size_axis.flows.mean()
+    assert 1.0 / rep.operations_reduction == pytest.approx(rate * mean_size, rel=1e-4)
 
 
 def test_analytic_for_spec_dispatch(toy_model):

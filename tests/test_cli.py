@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import pathlib
@@ -119,6 +120,20 @@ def test_analyze_matches_golden(capsys, tmp_path, axis):
     assert code == 0
     golden = GOLDEN / f"analyze_heavytail_{axis}.analytic.csv"
     assert (tmp_path / "a.analytic.csv").read_bytes() == golden.read_bytes()
+
+
+def test_analyze_length_prints_target_coverage(capsys, tmp_path):
+    # the probe that picks the parameter and the report that prints its
+    # coverage sum the same terms, so the printed coverage is the target
+    code, _ = run(capsys, "analyze", "--model", HEAVY, "--axis", "length",
+                  "--algorithms", "threshold,sampling", "--coverages", "10,25,50",
+                  "--out", str(tmp_path / "a"))
+    assert code == 0
+    with open(tmp_path / "a.analytic.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    for row in rows:
+        assert float(row["coverage"]) == float(row["target_coverage"]), row
 
 
 def test_analyze_rejects_unknown_algorithm(capsys, tmp_path):

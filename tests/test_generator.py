@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,33 @@ def test_generate_population_matches_arrays(heavytail_model):
             size = min(max(size, 64 * length), 1518 * length)
             assert (lengths[i], sizes[i]) == (length, size), i
             rng.random(96)  # skip to the next checked flow
+
+
+# sha256 of lengths.tobytes() + sizes.tobytes() at seed 1 and 2^20 flows,
+# pinned while length quantiles were still bisected: the survival-table
+# lookup must draw the same populations
+POPULATION_SHA256 = {
+    "toy": "a81d82076f6e9dc96c3e5d34078a3df1127d9fd863ff0e10628dc907d9082d71",
+    "heavytail": "e943e13b914dfdaa2ebc49f064289b60fc10bb338908ad3c9f26ce17ee2e6132",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POPULATION_SHA256))
+def test_generate_digest_and_length_quantile_definition(name, toy_model, heavytail_model):
+    model = toy_model if name == "toy" else heavytail_model
+    cfg = GeneratorConfig(seed=1, flow_count=2 ** 20)
+    lengths, sizes = generate_arrays(model, cfg)
+    digest = hashlib.sha256(lengths.tobytes() + sizes.tobytes()).hexdigest()
+    assert digest == POPULATION_SHA256[name]
+    # every length is the smallest integer k with cdf(k) >= u
+    u = np.concatenate([
+        np.maximum(_shard_rng(cfg.seed, shard).random(SHARD_SIZE), MIN_UNIFORM)
+        for shard in range(cfg.flow_count // SHARD_SIZE)
+    ])
+    flows = model.length_axis.flows
+    k = lengths.astype(float)
+    assert np.all(flows.cdf(k) >= u)
+    assert np.all((flows.cdf(k - 1.0) < u) | (k == flows.domain_min))
 
 
 def test_generate_prefix_stability(toy_model):

@@ -277,3 +277,18 @@ def test_partial_expectation_closed_forms_match_quadrature():
         for a in (0.0, 4.0, 25.0):
             want = dist.expect(lambda x: x, lb=a)
             assert comp.partial_expectation(a) == pytest.approx(want, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("comp,dist,domain_min", [
+    (MixtureComponent("uniform", 1.0, {"low": 2.0, "high": 9.0}), stats.uniform(2.0, 7.0), 2.0),
+    (MixtureComponent("lognormal", 1.0, {"mu": 1.5, "sigma": 0.8}),
+     stats.lognorm(0.8, scale=math.exp(1.5)), 1e-9),
+    (MixtureComponent("generalized-pareto", 1.0, {"shape": 0.3, "location": 5.0, "scale": 7.0}),
+     stats.genpareto(0.3, 5.0, 7.0), 5.0),
+])
+def test_component_sf_is_the_one_distribution_function(comp, dist, domain_min):
+    # each component has only a survival function; the CDF is 1 - sf
+    mix = Mixture(components=(comp,), domain_min=domain_min, discrete=False)
+    xs = np.array([2.5, 5.5, 8.9, 30.0, 400.0])
+    assert np.allclose(mix.sf(xs), dist.sf(xs), rtol=1e-12, atol=1e-300)
+    assert np.allclose(mix.cdf(xs), dist.cdf(xs), rtol=0.0, atol=1e-15)
