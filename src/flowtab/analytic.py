@@ -279,7 +279,8 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     Bisects the monotone coverage curve to relative tolerance 1e-6 and
     returns the parameter together with the achieved analytic metrics.
     On the integer length axis coverage is a step function; the end of the
-    final bracket whose coverage is closest to the target is returned.
+    final bracket whose coverage is closest to the target is returned, never
+    an end past every flow, whose coverage is 0.
     """
     if target_pct > 100.0:
         raise UnreachableError(f"coverage {target_pct:g}% exceeds 100%")
@@ -315,7 +316,9 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
                 lo = mid
             else:
                 hi = mid
-        param = min((hi, lo), key=lambda t: abs(cov(t) - target_pct))
+        # lo covers more than the target; hi may lie where no flow gains an entry
+        top = cov(hi)
+        param = hi if 0.0 < top and abs(top - target_pct) <= cov(lo) - target_pct else lo
     else:
         lo, hi = P_BRACKET
         top = cov(hi)

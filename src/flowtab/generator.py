@@ -1,12 +1,13 @@
 """Deterministic, seedable generation of synthetic flow populations.
 
 Flows are drawn by inverse transform from the model's flow-weighted
-mixtures.  A single uniform variate drives both the length and the size
-quantile by default (comonotone coupling), which gives perfect rank
-correlation between flow length and flow size; ``independent`` coupling
-is available for sensitivity studies.  The population is produced in
-fixed-size shards, each with its own seed-derived RNG stream, so serial
-and parallel runs yield bit-identical output.
+mixtures, whose quantiles are integers on both axes.  A single uniform
+variate drives both the length and the size quantile by default
+(comonotone coupling), which gives perfect rank correlation between flow
+length and flow size; ``independent`` coupling is available for
+sensitivity studies.  The population is produced in fixed-size shards,
+each with its own seed-derived RNG stream, so serial and parallel runs
+yield bit-identical output.
 """
 from __future__ import annotations
 
@@ -67,14 +68,19 @@ class GenerationStats:
 
 def _clamp_sizes(lengths: np.ndarray, sizes: np.ndarray, min_packet: int, max_packet: int,
                  stats: GenerationStats | None = None) -> np.ndarray:
-    lo = lengths * min_packet
-    hi = lengths * max_packet
+    # in float, so that a size draw past the int64 range lands on the high
+    # clamp; a length whose envelope does not fit int64 is refused
+    lo = lengths * float(min_packet)
+    hi = lengths * float(max_packet)
+    if np.any(hi >= 2.0 ** 63):
+        raise ValueError(f"length draw {lengths[hi >= 2.0 ** 63][0]:.6g} packets: flows of up "
+                         f"to {max_packet} B per packet overflow int64 byte counts")
     clamped = np.clip(sizes, lo, hi)
     if stats is not None:
         stats.flow_count += len(sizes)
         stats.clamped_low += int(np.count_nonzero(sizes < lo))
         stats.clamped_high += int(np.count_nonzero(sizes > hi))
-    return clamped
+    return clamped.astype(np.int64)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -86,14 +92,14 @@ def _generate_shard(model: TrafficModel, config: GeneratorConfig, shard_index: i
                     count: int, stats: GenerationStats | None) -> tuple[np.ndarray, np.ndarray]:
     rng = _shard_rng(config.seed, shard_index)
     u = np.maximum(rng.random(count), MIN_UNIFORM)
-    lengths = model.length_axis.flows.quantile(u).astype(np.int64)
+    lengths = model.length_axis.flows.quantile(u)
     if config.joint_coupling == "comonotone":
         u2 = u
     else:
         u2 = np.maximum(rng.random(count), MIN_UNIFORM)
-    sizes = np.ceil(model.size_axis.flows.quantile(u2)).astype(np.int64)
+    sizes = model.size_axis.flows.quantile(u2)
     sizes = _clamp_sizes(lengths, sizes, config.min_packet, model.max_packet_size, stats)
-    return lengths, sizes.astype(np.int64)
+    return lengths.astype(np.int64), sizes
 
 
 def generate_arrays(model: TrafficModel, config: GeneratorConfig,

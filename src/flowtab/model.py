@@ -6,7 +6,7 @@ flows, of packets, and of octets attributable to flows up to a given
 length/size.  Each weighting is a mixture of uniform, lognormal and
 generalized-Pareto components.  The length axis is integer valued and is
 discretized by survival-function differences; the size axis is continuous
-bytes.
+bytes.  Flows are drawn whole, so quantiles on both axes are integers.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ SUPPORT_CAP = 2 ** 40
 DEFAULT_MAX_PACKET = 1518
 DEFAULT_SIZE_DOMAIN_MIN = 64
 QUANTILE_ITERATIONS = 64
-# integers above domain_min in each discrete mixture's survival table
+# integers above domain_min in each mixture's survival table
 TABLE_SPAN = 2 ** 16
 
 MODEL_DIR_ENV = "FLOWTAB_MODEL_DIR"
@@ -145,7 +145,7 @@ class _Prepared:
     lower-truncation constant.
 
     The sf/ppf/pdf implementations are direct numpy and scipy.special
-    math, cheap enough for the vectorized quantile bisection; they are
+    math, cheap enough for the vectorized tables and bisections; they are
     cross-checked against scipy.stats in the test suite.  The survival
     function is the component's one distribution function: every CDF
     value is 1 - sf.
@@ -234,11 +234,13 @@ class Mixture:
     ``discrete`` mixtures (length axis) are integer valued: the continuous
     mixture is discretized via survival-function differences, with any
     component mass in (domain_min - 1, domain_min] folded into the atom at
-    ``domain_min``.  Their head is read from one table of sf at the integers
-    floor .. domain_min + TABLE_SPAN, built on first use and shared by the
-    quantile, the mean and the analytic tail sums.  Continuous mixtures
-    (size axis) are lower-truncated at ``domain_min`` and renormalized
-    component-wise.
+    ``domain_min``.  Continuous mixtures (size axis) are lower-truncated at
+    ``domain_min`` and renormalized component-wise.
+
+    Every mixture holds one table of sf at the integers from ``floor`` up to
+    domain_min + TABLE_SPAN, built on first use.  The integer quantile reads
+    it on both axes; on the length axis the mean and the analytic tail sums
+    read it too.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -276,8 +278,9 @@ class Mixture:
 
     @functools.cached_property
     def _sf_table(self) -> np.ndarray:
-        """sf at the integers floor .. domain_min + TABLE_SPAN (discrete only)."""
-        return self.sf(np.arange(self.floor, self.domain_min + TABLE_SPAN + 1))
+        """sf at the integers ceil(floor) .. ceil(domain_min) + TABLE_SPAN."""
+        end = math.ceil(self.domain_min) + TABLE_SPAN
+        return self.sf(np.arange(math.ceil(self.floor), end + 1, dtype=float))
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
@@ -304,55 +307,39 @@ class Mixture:
 
     # -- quantiles -----------------------------------------------------------
 
-    def _component_ppf(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.full_like(u, np.inf)
-        hi = np.full_like(u, -np.inf)
-        for pc in self._prepared:
-            v = pc.below_floor + u * pc.keep
-            q = pc.ppf(v)
-            lo = np.minimum(lo, q)
-            hi = np.maximum(hi, q)
-        lo = np.maximum(lo, self.floor)
-        hi = np.maximum(hi, lo)
-        return lo, hi
-
     def _bisect(self, u: np.ndarray) -> np.ndarray:
-        """Smallest x with 1 - sf(x) >= u, by geometric bisection to relative
-        tolerance below 1e-12 (rounded up to an integer when discrete)."""
-        lo, hi = self._component_ppf(u)
-        # supports are positive so log-space is safe
-        lo = np.maximum(lo, 1e-12)
-        hi = np.maximum(hi, lo * (1.0 + 1e-9))
+        """Smallest integer x with 1 - sf(x) >= u, for u beyond the survival
+        table: geometric bisection between the table's end (cdf < u) and the
+        largest component quantile (cdf >= u), then rounded up."""
+        lo = np.full_like(u, math.ceil(self.domain_min) + TABLE_SPAN)
+        hi = lo
+        for pc in self._prepared:
+            hi = np.maximum(hi, pc.ppf(pc.below_floor + u * pc.keep))
         for _ in range(QUANTILE_ITERATIONS):
             mid = np.sqrt(lo * hi)
             above = 1.0 - self._raw_sf(mid) >= u
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
-        if not self.discrete:
-            return np.maximum(hi, self.domain_min)
-        k = np.maximum(np.ceil(hi - 1e-9), self.domain_min)
-        step_down = (k - 1 >= self.domain_min) & (1.0 - self._raw_sf(k - 1.0) >= u)
-        return np.where(step_down, k - 1.0, k)
+        k = np.ceil(hi)
+        return np.where(1.0 - self._raw_sf(k - 1.0) >= u, k - 1.0, k)
 
     def quantile(self, u):
-        """Smallest x with cdf(x) >= u, for u in [0, 1).
+        """Smallest integer x >= domain_min with cdf(x) >= u, for u in [0, 1).
 
-        Discrete mixtures return integers, looked up in the survival table
-        (bisection only for u beyond its end); continuous mixtures resolve
-        the mixture CDF by bisection.  By convention quantile(0) == domain_min.
+        u is looked up in the survival table and bisected only beyond its
+        end.  By convention quantile(0) == domain_min.
         """
         scalar = np.isscalar(u)
         uu = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any((uu < 0.0) | (uu >= 1.0)):
             raise ValueError("quantile requires u in [0, 1)")
         out = np.full_like(uu, float(self.domain_min))
+        cdf = 1.0 - self._sf_table
+        k = np.searchsorted(cdf, uu, "left")
         live = uu > 0.0
-        if self.discrete:
-            cdf = 1.0 - self._sf_table
-            k = np.searchsorted(cdf, uu, "left")
-            inside = live & (k < len(cdf))
-            out[inside] = self.floor + k[inside]
-            live &= ~inside
+        inside = live & (k < len(cdf))
+        out[inside] = math.ceil(self.floor) + k[inside]
+        live &= ~inside
         if np.any(live):
             out[live] = self._bisect(uu[live])
         return float(out[0]) if scalar else out

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from flowtab.cli import main
+from flowtab.cli import DEFAULT_COVERAGES, main
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 TOY = str(MODELS / "toy_twopoint.json")
@@ -134,6 +134,24 @@ def test_analyze_length_prints_target_coverage(capsys, tmp_path):
     assert len(rows) == 6
     for row in rows:
         assert float(row["coverage"]) == float(row["target_coverage"]), row
+
+
+@pytest.mark.parametrize("flags", [
+    ("--coverages", "5,50"),
+    ("--coverages", "5,50", "--algorithms", "threshold,sampling"),
+    (),
+])
+def test_analyze_toy_length_step_curve(capsys, tmp_path, flags):
+    # first's toy length-axis coverage steps from 90.9% to 0 at T = 10, where
+    # no flow gains an entry; a target inside the step is answered below it
+    code, _ = run(capsys, "analyze", "--model", TOY, "--axis", "length", *flags,
+                  "--out", str(tmp_path / "a"))
+    assert code == 0
+    with open(tmp_path / "a.analytic.csv", newline="") as fh:
+        rows = [(r["algorithm"], float(r["target_coverage"])) for r in csv.DictReader(fh)]
+    targets = (5.0, 50.0) if flags else DEFAULT_COVERAGES
+    kinds = flags[3].split(",") if len(flags) > 2 else ["first", "threshold", "sampling"]
+    assert rows == [(kind, target) for target in targets for kind in kinds]
 
 
 def test_analyze_rejects_unknown_algorithm(capsys, tmp_path):

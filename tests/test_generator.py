@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from flowtab.generator import (
     read_flow_csv,
     write_flow_csv,
 )
+from flowtab.cli import main
+from flowtab.model import parse_model
 from oracle import FlowRecord, PacketizeError, packetize
 
 
@@ -113,15 +117,16 @@ def test_generate_population_matches_arrays(heavytail_model):
         for i in range(shard * SHARD_SIZE, shard * SHARD_SIZE + count, 97):
             u = max(rng.random(), MIN_UNIFORM)
             length = int(heavytail_model.length_axis.flows.quantile(u))
-            size = int(np.ceil(heavytail_model.size_axis.flows.quantile(u)))
+            size = int(heavytail_model.size_axis.flows.quantile(u))
             size = min(max(size, 64 * length), 1518 * length)
             assert (lengths[i], sizes[i]) == (length, size), i
             rng.random(96)  # skip to the next checked flow
 
 
 # sha256 of lengths.tobytes() + sizes.tobytes() at seed 1 and 2^20 flows,
-# pinned while length quantiles were still bisected: the survival-table
-# lookup must draw the same populations
+# pinned while quantiles were still bisected on both axes (and on the size
+# axis rounded up from a float): the survival-table lookup must draw the
+# same populations
 POPULATION_SHA256 = {
     "toy": "a81d82076f6e9dc96c3e5d34078a3df1127d9fd863ff0e10628dc907d9082d71",
     "heavytail": "e943e13b914dfdaa2ebc49f064289b60fc10bb338908ad3c9f26ce17ee2e6132",
@@ -144,6 +149,55 @@ def test_generate_digest_and_length_quantile_definition(name, toy_model, heavyta
     k = lengths.astype(float)
     assert np.all(flows.cdf(k) >= u)
     assert np.all((flows.cdf(k - 1.0) < u) | (k == flows.domain_min))
+    # every size is the smallest integer s with cdf(s) >= u, unless clamped:
+    # a low clamp only raises the draw and a high clamp only lowers it
+    flows = model.size_axis.flows
+    s = sizes.astype(float)
+    assert np.all((flows.cdf(s) >= u) | (s == k * model.max_packet_size))
+    assert np.all((flows.cdf(s - 1.0) < u) | (s == flows.domain_min)
+                  | (s == k * cfg.min_packet))
+
+
+def shape5_document(toy_document, axis, location, scale):
+    # generalized-Pareto of shape 5 on every weighting of one axis; its mean
+    # diverges, so the declared averages carry the model
+    doc = json.loads(json.dumps(toy_document))
+    for mix in doc["axes"][axis].values():
+        mix["components"] = [{"kind": "generalized-pareto", "weight": 1.0,
+                              "params": {"shape": 5.0, "location": location, "scale": scale}}]
+    return doc
+
+
+def test_size_draws_past_int64_clamp_high(toy_document):
+    # about 3 in 10^4 size draws exceed 2^63 bytes; they land on the high clamp
+    model = parse_model(json.dumps(shape5_document(toy_document, "size", 64.0, 64.0)))
+    cfg = GeneratorConfig(seed=3, flow_count=SHARD_SIZE)
+    stats = GenerationStats()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lengths, sizes = generate_arrays(model, cfg, stats)
+    u = np.maximum(_shard_rng(cfg.seed, 0).random(SHARD_SIZE), MIN_UNIFORM)
+    draws = model.size_axis.flows.quantile(u)
+    assert np.count_nonzero(draws >= 2.0 ** 63) >= 5
+    assert stats.clamped_high == np.count_nonzero(draws > 1518.0 * lengths)
+    assert stats.clamped_low == np.count_nonzero(draws < 64.0 * lengths)
+    assert np.all((64 * lengths <= sizes) & (sizes <= 1518 * lengths))
+    assert np.array_equal(sizes[draws >= 2.0 ** 63], 1518 * lengths[draws >= 2.0 ** 63])
+
+
+def test_length_draw_past_int64_is_rejected(toy_document, tmp_path, capsys):
+    doc = shape5_document(toy_document, "length", 0.5, 1.0)
+    with pytest.raises(ValueError, match=r"length draw [0-9.e+]+ packets"):
+        generate_arrays(parse_model(json.dumps(doc)),
+                        GeneratorConfig(seed=3, flow_count=SHARD_SIZE))
+    path = tmp_path / "shape5.json"
+    path.write_text(json.dumps(doc))
+    code = main(["generate", "--model", str(path), "--flows", str(SHARD_SIZE),
+                 "--seed", "3", "--out", str(tmp_path / "flows.csv")])
+    error = json.loads(capsys.readouterr().out)["errors"][0]
+    assert code == 2 and error["type"] == "ValueError"
+    assert error["message"].startswith("length draw ")
+    assert not (tmp_path / "flows.csv").exists()
 
 
 def test_generate_prefix_stability(toy_model):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -13,6 +14,7 @@ from flowtab.model import (
     DominanceError,
     Mixture,
     MixtureComponent,
+    TABLE_SPAN,
     SchemaError,
     WeightError,
     parse_model,
@@ -182,21 +184,28 @@ def test_quantile_toy(toy_model):
         flows.quantile(1.0)
 
 
+def assert_integer_quantile(mix, u):
+    # q is the smallest integer >= domain_min with cdf(q) >= u, checked exactly
+    q = mix.quantile(u)
+    assert np.all(q == np.floor(q))
+    assert np.all(mix.cdf(q) >= u)
+    assert np.all((mix.cdf(q - 1.0) < u) | (q == mix.domain_min))
+
+
 def test_quantile_cdf_round_trip(heavytail_model):
     rng = np.random.default_rng(5)
-    u = rng.random(512)
-    for mix in (heavytail_model.length_axis.flows, heavytail_model.size_axis.octets):
-        q = mix.quantile(u)
+    for axis, weighting in itertools.product(("length", "size"), ("flows", "packets", "octets")):
+        mix = getattr(heavytail_model.axis(axis), weighting)
+        u = rng.random(512)
         assert np.all(np.diff(mix.quantile(np.sort(u))) >= 0.0)
-        assert np.all(mix.cdf(q) >= u - 1e-9)
-        if mix.discrete:
-            assert np.all(q == np.floor(q))
-            below = np.maximum(q - 1.0, mix.domain_min - 1.0)
-            giving_less = mix.cdf(below) < u - 1e-12
-            assert np.all(giving_less | (q == mix.domain_min))
-        else:
-            # cdf(quantile(u)) hugs u from above at the bisection tolerance
-            assert np.all(mix.cdf(q) - u < 1e-9)
+        assert_integer_quantile(mix, u)
+        # u past the end of the survival table is bisected
+        edge = mix.cdf(mix.domain_min + TABLE_SPAN)
+        beyond = np.concatenate([edge + (1.0 - edge) * rng.random(2048),
+                                 1.0 - 2.0 ** -np.arange(20.0, 54.0)])
+        beyond = beyond[(beyond > edge) & (beyond < 1.0)]
+        assert len(beyond) > 2000
+        assert_integer_quantile(mix, beyond)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,17 +214,19 @@ def test_quantile_postconditions_lognormal(u):
     mix = lognormal_mixture(mu=1.0, sigma=2.0)
     q = mix.quantile(u)
     assert q >= mix.domain_min
-    assert mix.cdf(q) >= u - 1e-12
+    assert mix.cdf(q) >= u
 
 
 def test_quantile_of_cdf_round_trip(heavytail_model):
-    size = heavytail_model.size_axis.flows
-    xs = np.geomspace(70.0, 1e8, 40)
-    back = size.quantile(size.cdf(xs))
-    assert np.allclose(back, xs, rtol=1e-9)
-    length = heavytail_model.length_axis.flows
-    ks = np.arange(1.0, 101.0)
-    assert np.array_equal(length.quantile(length.cdf(ks)), ks)
+    # quantile(cdf(k)) == k on every integer k whose cdf step shows in float
+    # (cdf(k - 1) < cdf(k)), inside the survival table and past it
+    for mix, top in ((heavytail_model.size_axis.flows, 1e8),
+                     (heavytail_model.length_axis.flows, 1e7)):
+        ks = np.unique(np.concatenate([np.arange(1.0, 101.0),
+                                       np.round(np.geomspace(101.0, top, 60))]))
+        ks = ks[(mix.cdf(ks - 1.0) < mix.cdf(ks)) | (ks == mix.domain_min)]
+        assert np.count_nonzero(ks > mix.domain_min + TABLE_SPAN) >= 5
+        assert np.array_equal(mix.quantile(mix.cdf(ks)), ks)
 
 
 # -- mean ----------------------------------------------------------------------
