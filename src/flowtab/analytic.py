@@ -10,12 +10,24 @@ probes of the inversion sum the same terms.
 Size-axis expectations are integrals evaluated per mixture component by
 Gauss-Legendre quadrature on the log axis.  Every report carries the
 truncation bound; reports above 1e-6 are flagged.
+
+What these sums read of a mixture is built once, on the mixture's first
+probe, into its tail table, which lives as long as the mixture does.  On the
+length axis that is the clipped pmass over the survival table (summed only
+up to its last nonzero mass) with its integers, sf at the table's end, one
+past it and at the support cap, and sf at the quadrature nodes of the
+remainder.  On the size axis it is each component's clipped support and its
+pdf at the quadrature nodes from the mixture's floor, plus sf at the cap.  A
+probe then evaluates only its weight at those points.  A start past the
+survival table (length) or above the floor (size) builds fresh nodes, and
+both go through the one quadrature sum.
 """
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,82 +67,177 @@ class AnalyticReport:
 
 # -- quadrature ----------------------------------------------------------------
 
+# per rule (64 then 32 points): nodes x shaped (octaves, points), the rule's
+# weights, and each octave's half-width on the log axis
+_Rules = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
-def _integrate_log(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """Integrate fn over [a, b] (0 < a < b) with per-octave Gauss-Legendre
-    nodes on the log axis; the error estimate is the 64- vs 32-node gap."""
+
+def _log_nodes(a: float, b: float) -> _Rules:
+    """Per-octave Gauss-Legendre nodes on the log axis over [a, b] (0 < a),
+    for the 64- and the 32-point rule; none when b <= a."""
     if b <= a:
-        return 0.0, 0.0
+        return ()
     ta, tb = math.log(a), math.log(b)
     pieces = max(1, math.ceil((tb - ta) / math.log(2.0)))
     edges = np.linspace(ta, tb, pieces + 1)
+    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    return tuple((np.exp(mid + half * nodes[None, :]), weights, half)
+                 for nodes, weights in (_GL64, _GL32))
 
-    def rule(nodes: np.ndarray, weights: np.ndarray) -> float:
-        mid = 0.5 * (edges[:-1, None] + edges[1:, None])
-        half = 0.5 * (edges[1:, None] - edges[:-1, None])
-        t = mid + half * nodes[None, :]
-        x = np.exp(t)
-        vals = fn(x.ravel()).reshape(x.shape) * x
-        return float(np.sum(vals * weights[None, :] * half))
 
-    v64 = rule(*_GL64)
-    v32 = rule(*_GL32)
+def _log_sum(rules: _Rules, values) -> tuple[float, float]:
+    """Integral of fn from its values at each rule's nodes; the error
+    estimate is the 64- vs 32-node gap.  Keep the product order
+    ((fn(x) * x) * w) * half: the golden outputs pin its rounding."""
+    if not rules:
+        return 0.0, 0.0
+    v64, v32 = (float(np.sum(f * x * w[None, :] * half))
+                for (x, w, half), f in zip(rules, values))
     return v64, abs(v64 - v32)
+
+
+# -- per-mixture tail tables ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Remainder:
+    """What the Abel-summed remainder of a discrete mixture beyond the
+    integer x0 reads of the mixture: sf(x0), sf(x0 + 1), and sf at the
+    quadrature nodes over [x0 + 1, SUPPORT_CAP]."""
+
+    x1: np.ndarray  # [x0 + 1]
+    sf0: float
+    sf1: np.ndarray
+    rules: _Rules
+    sf_nodes: tuple[np.ndarray, ...]
+
+
+def _remainder(mix: Mixture, x0: int, sf0: float) -> _Remainder | None:
+    """The remainder beyond x0; None when none is left, because x0 reaches
+    the support cap or sf(x0) == 0."""
+    if x0 >= SUPPORT_CAP or sf0 == 0.0:
+        return None
+    x1 = np.array([x0 + 1.0])
+    rules = _log_nodes(x0 + 1.0, float(SUPPORT_CAP))
+    return _Remainder(x1, sf0, mix.sf(x1), rules, tuple(mix.sf(x) for x, _, _ in rules))
+
+
+@dataclass(frozen=True)
+class _DiscreteTable:
+    """Length axis: the clipped pmass of the survival table's integers
+    lo + 1 .. end, zero from index cut on, and the remainder beyond end."""
+
+    lo: int
+    end: int
+    pmass: np.ndarray
+    ks: np.ndarray
+    cut: int
+    rem: _Remainder | None
+    sf_cap: float
+
+
+def _components(mix: Mixture, lo: float):
+    """Size axis: per component, its scale, the quadrature nodes over its
+    support clipped to [lo, SUPPORT_CAP], and its pdf at them."""
+    parts = []
+    for pc in mix._prepared:
+        a, b = pc.support()
+        rules = _log_nodes(max(float(a), lo), min(float(b), float(SUPPORT_CAP)))
+        parts.append((pc.weight / pc.keep, rules, tuple(pc.pdf(x) for x, _, _ in rules)))
+    return tuple(parts)
+
+
+@dataclass(frozen=True)
+class _ContinuousTable:
+    """Size axis: each component's nodes and pdf from the mixture's floor."""
+
+    parts: tuple
+    sf_cap: float
+
+
+# The head sum stops after the last nonzero mass, at a whole number of
+# _BLOCK terms from its start.  BLAS dot kernels take 16 or 32 terms a step,
+# so the nonzero terms then meet in the same lanes as over the whole table,
+# and the sum is bit-identical to that over the whole table.
+_BLOCK = 64
+
+# keyed by the mixture object itself, so a table lives exactly as long as
+# its mixture; an id() key could be reused by a later mixture
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _tail_table(mix: Mixture) -> _DiscreteTable | _ContinuousTable:
+    """The mixture's tail table, built on its first probe."""
+    tab = _TABLES.get(mix)
+    if tab is not None:
+        return tab
+    sf_cap = float(mix.sf(SUPPORT_CAP))
+    if mix.discrete:
+        sf = mix._sf_table
+        lo = int(mix.floor)
+        end = lo + len(sf) - 1
+        pm = np.maximum(sf[:-1] - sf[1:], 0.0)
+        nonzero = np.flatnonzero(pm)
+        cut = int(nonzero[-1]) + 1 if len(nonzero) else 0
+        tab = _DiscreteTable(lo, end, pm, np.arange(lo + 1, end + 1, dtype=float), cut,
+                             _remainder(mix, end, float(sf[-1])), sf_cap)
+    else:
+        tab = _ContinuousTable(_components(mix, mix.floor), sf_cap)
+    _TABLES[mix] = tab
+    return tab
+
+
+# -- tail sums ------------------------------------------------------------------
 
 
 def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, float]:
     """Sum pmass(k) * g(k) over integers k > start, with a truncation bound.
 
     The terms up to the end of the mixture's survival table are summed
-    exactly from it.  g and gstep (the forward difference g(x+1) - g(x))
-    must be vectorized; |sf(x) * gstep(x)| is assumed monotone decreasing
-    beyond the table, which holds for the monotone weight functions used
-    here, all bounded by 1.
+    exactly from its tail table.  g and gstep (the forward difference
+    g(x+1) - g(x)) must be vectorized; |sf(x) * gstep(x)| is assumed
+    monotone decreasing beyond the table, which holds for the monotone
+    weight functions used here, all bounded by 1.
     """
-    lo = int(mix.floor)
-    start_i = max(math.floor(start), lo)
-    sf_edges = mix._sf_table[start_i - lo:]  # empty when start lies beyond the table
-    hi_exact = start_i + max(len(sf_edges) - 1, 0)
-    pm = np.maximum(sf_edges[:-1] - sf_edges[1:], 0.0)
-    value = float(np.dot(pm, g(np.arange(start_i + 1, hi_exact + 1, dtype=float))))
-    tail_sf = float(sf_edges[-1]) if len(sf_edges) else mix.sf(float(hi_exact))
-    if hi_exact >= SUPPORT_CAP or tail_sf == 0.0:
-        residual = float(mix.sf(SUPPORT_CAP)) if hi_exact >= SUPPORT_CAP else 0.0
-        return value, 2.0 * residual
+    tab = _tail_table(mix)
+    start_i = max(math.floor(start), tab.lo)
+    if start_i <= tab.end:
+        i = start_i - tab.lo
+        live = max(tab.cut - i, 0)
+        stop = min(len(tab.pmass), i + -(-live // _BLOCK) * _BLOCK)
+        value = float(np.dot(tab.pmass[i:stop], g(tab.ks[i:stop])))
+        x0, rem = tab.end, tab.rem
+    else:  # start lies beyond the table: its remainder starts at start
+        value = 0.0
+        x0 = start_i
+        rem = _remainder(mix, x0, mix.sf(float(x0)))
+    if rem is None:
+        return value, 2.0 * (tab.sf_cap if x0 >= SUPPORT_CAP else 0.0)
 
-    x0 = float(hi_exact)
-
-    def h(x: np.ndarray) -> np.ndarray:
-        return mix.sf(x) * gstep(x)
-
-    integral, int_err = _integrate_log(h, x0 + 1.0, float(SUPPORT_CAP))
-    h0 = float(h(np.array([x0 + 1.0]))[0])
-    g0 = float(g(np.array([x0 + 1.0]))[0])
-    value += tail_sf * g0 + integral + 0.5 * h0
-    residual = float(mix.sf(SUPPORT_CAP))
-    bound = 0.5 * abs(h0) + int_err + 2.0 * residual
+    integral, int_err = _log_sum(
+        rem.rules, [s * gstep(x) for (x, _, _), s in zip(rem.rules, rem.sf_nodes)]
+    )
+    h0 = float((rem.sf1 * gstep(rem.x1))[0])
+    g0 = float(g(rem.x1)[0])
+    value += rem.sf0 * g0 + integral + 0.5 * h0
+    bound = 0.5 * abs(h0) + int_err + 2.0 * tab.sf_cap
     return value, bound
 
 
 def _continuous_tail_integral(mix: Mixture, g, lower: float) -> tuple[float, float]:
-    """Integral of g (bounded by 1) against the mixture law over (lower, cap]."""
+    """Integral of g (bounded by 1) against the mixture law over (lower, cap].
+    From the floor it reads the tail table's nodes; above it, fresh ones."""
+    tab = _tail_table(mix)
     lo = max(float(lower), mix.floor)
+    parts = tab.parts if lo == mix.floor else _components(mix, lo)
     value = 0.0
     bound = 0.0
-    for pc in mix._prepared:
-        a, b = pc.support()
-        a = max(float(a), lo)
-        b = min(float(b), float(SUPPORT_CAP))
-        scale = pc.weight / pc.keep
-
-        def fn(x: np.ndarray, comp=pc) -> np.ndarray:
-            return comp.pdf(x) * g(x)
-
-        v, e = _integrate_log(fn, a, b)
+    for scale, rules, pdf in parts:
+        v, e = _log_sum(rules, [p * g(x) for (x, _, _), p in zip(rules, pdf)])
         value += scale * v
         bound += scale * e
-    residual = float(mix.sf(SUPPORT_CAP))
-    return value, bound + residual
+    return value, bound + tab.sf_cap
 
 
 # -- weight table -----------------------------------------------------------------
@@ -182,7 +289,7 @@ def _uniform_sampling(model: TrafficModel, spec: AlgorithmSpec):
         return p * np.exp(x * lq)
 
     def covered(x: np.ndarray) -> np.ndarray:
-        return expected_covered_fraction(p, x)
+        return _covered_fraction(p, x)
 
     def covered_step(x: np.ndarray) -> np.ndarray:
         return (q / p) * (created(x) / x - created(x + 1.0) / (x + 1.0))
@@ -243,12 +350,15 @@ def expected_covered_fraction(p: float, length) -> np.ndarray | float:
     n = np.atleast_1d(np.asarray(length, dtype=float))
     if np.any(n < 1):
         raise ValueError("length must be >= 1")
-    if p == 1.0:
-        out = np.ones_like(n)
-    else:
-        created = -np.expm1(n * math.log1p(-p))
-        out = 1.0 - (1.0 - p) * created / (p * n)
+    out = np.ones_like(n) if p == 1.0 else _covered_fraction(p, n)
     return float(out[0]) if scalar else out
+
+
+def _covered_fraction(p: float, n: np.ndarray) -> np.ndarray:
+    """expected_covered_fraction without its argument checks, for
+    0 < p < 1 and float lengths n >= 1."""
+    created = -np.expm1(n * math.log1p(-p))
+    return 1.0 - (1.0 - p) * created / (p * n)
 
 
 def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:
@@ -284,7 +394,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     """
     if target_pct > 100.0:
         raise UnreachableError(f"coverage {target_pct:g}% exceeds 100%")
-    if target_pct <= 0.0:
+    if not target_pct > 0.0:  # NaN included
         raise ValueError("target coverage must lie in (0, 100]")
 
     octets = model.axis(axis).octets
@@ -294,8 +404,10 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
             return AlgorithmSpec(kind, axis, probability=param)
         return AlgorithmSpec(kind, axis, threshold=param)
 
+    @functools.cache
     def cov(param: float) -> float:
-        # coverage alone, summed exactly as the report sums it
+        # coverage alone, summed exactly as the report sums it; memoized,
+        # since the final choice re-reads probes the bisection made
         probe = spec(param)
         start, _, covered = _WEIGHTS[kind, axis](model, probe)
         return 100.0 * _expect(octets, covered, start)[0]

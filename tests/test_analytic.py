@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from flowtab.algorithms import AlgorithmSpec, DegenerateError
 from flowtab.analytic import (
+    _TABLES,
     UnreachableError,
     _continuous_tail_integral,
     _discrete_tail_sum,
@@ -15,6 +17,7 @@ from flowtab.analytic import (
     invert_for_coverage,
 )
 from flowtab.model import Mixture, MixtureComponent
+from flowtab.sweep import SweepSpec
 
 
 def first(model, axis, t):
@@ -165,6 +168,46 @@ def test_continuous_tail_integral_against_quad(heavytail_model):
     assert bound < 1e-6
 
 
+def test_tail_tables_live_and_die_with_their_mixture():
+    # each mixture's tail table is found by the mixture itself: a table keyed
+    # by id() would be handed to a later mixture that reuses a dropped one's id
+    ones = lambda x: np.ones_like(x)
+    zeros = lambda x: np.zeros_like(x)
+    held = len(_TABLES)
+    for i in range(200):
+        mix = Mixture(
+            components=(MixtureComponent("lognormal", 1.0, {"mu": 0.02 * i, "sigma": 1.0}),),
+            domain_min=1, discrete=True,
+        )
+        value, _ = _discrete_tail_sum(mix, ones, zeros, 3.0)
+        assert value == pytest.approx(mix.sf(3.0), abs=1e-12), i
+        del mix
+    assert len(_TABLES) <= held + 1
+
+
+def test_reports_digest_over_default_cells(toy_model, heavytail_model):
+    # every report field of every default sweep cell, bit for bit, on both
+    # shipped models and both axes (digest of the reports before the
+    # per-mixture tail tables existed)
+    digest = hashlib.sha256()
+    for name, model in (("toy_twopoint.json", toy_model),
+                        ("example_heavytail.json", heavytail_model)):
+        for axis in ("length", "size"):
+            for spec in SweepSpec(model=model, axis=axis).cells():
+                param = spec.probability if spec.kind == "sampling" else spec.threshold
+                try:
+                    rep = analytic_for_spec(model, spec)
+                    fields = [float(v).hex() for v in (rep.coverage_pct, rep.operations_reduction,
+                                                       rep.occupancy_reduction, rep.truncation_error)]
+                except DegenerateError:
+                    fields = ["degenerate"]
+                line = ",".join([name, axis, spec.kind, float(param).hex(), *fields])
+                digest.update((line + "\n").encode())
+    assert digest.hexdigest() == (
+        "3b83407d138624627ba7da9b001fe24c2eda2d423f57eefe440ff7057bc9c7bc"
+    )
+
+
 def test_truncation_flagging_at_the_support_cap():
     heavy = Mixture(
         components=(MixtureComponent("generalized-pareto", 1.0,
@@ -221,8 +264,9 @@ def test_invert_boundaries(toy_model):
     assert p == 1.0
     with pytest.raises(UnreachableError):
         invert_for_coverage(toy_model, "first", "length", 100.5)
-    with pytest.raises(ValueError):
-        invert_for_coverage(toy_model, "first", "length", 0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            invert_for_coverage(toy_model, "first", "length", bad)
     with pytest.raises(ValueError, match="unknown algorithm kind"):
         invert_for_coverage(toy_model, "firts", "length", 50.0)
 

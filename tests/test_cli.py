@@ -122,6 +122,25 @@ def test_analyze_matches_golden(capsys, tmp_path, axis):
     assert (tmp_path / "a.analytic.csv").read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_analyze_toy_default_targets_match_golden(capsys, tmp_path, axis):
+    # the toy length axis has mass at 1 and 10 packets only, so its tail
+    # sums stop after the last nonzero mass of the survival table
+    code, _ = run(capsys, "analyze", "--model", TOY, "--axis", axis,
+                  "--out", str(tmp_path / "a"))
+    assert code == 0
+    golden = GOLDEN / f"analyze_toy_{axis}.analytic.csv"
+    assert (tmp_path / "a.analytic.csv").read_bytes() == golden.read_bytes()
+
+
+def test_analyze_nan_target_exits_2(capsys, tmp_path):
+    code, out = run(capsys, "analyze", "--model", TOY, "--coverages", "50,nan",
+                    "--out", str(tmp_path / "a"))
+    assert code == 2
+    assert json.loads(out)["errors"][0]["type"] == "ValueError"
+    assert not (tmp_path / "a.analytic.csv").exists()
+
+
 def test_analyze_length_prints_target_coverage(capsys, tmp_path):
     # the probe that picks the parameter and the report that prints its
     # coverage sum the same terms, so the printed coverage is the target
