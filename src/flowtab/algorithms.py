@@ -161,14 +161,15 @@ class PacketLayout:
         """Bytes in the first k packets of each flow."""
         return k * self.base + np.maximum(k - self.lead, 0) * (self.tail - self.base)
 
-    def packet_over(self, threshold: float) -> np.ndarray:
-        """Index, from 1, of the packet that takes each flow's byte count
-        above the threshold, as floats; meaningful for flows of more bytes
-        than the threshold."""
+    def packet_over(self, threshold: float, flows: np.ndarray) -> np.ndarray:
+        """Index, from 1, of the packet that takes the byte count of each of
+        the ``flows`` (indices into the population) above the threshold, as
+        floats; meaningful for flows of more bytes than the threshold."""
         t = np.floor(threshold)  # byte counts are integers
-        lead_bytes = self.lead * self.base
-        return np.where(t < lead_bytes, np.floor(t / self.base),
-                        self.lead + np.floor((t - lead_bytes) / self.tail)) + 1
+        lead, base, tail = self.lead[flows], self.base[flows], self.tail[flows]
+        lead_bytes = lead * base
+        return np.where(t < lead_bytes, np.floor(t / base),
+                        lead + np.floor((t - lead_bytes) / tail)) + 1
 
 
 def _entries(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
@@ -193,10 +194,13 @@ def _threshold_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec
                      layout: PacketLayout):
     T = spec.threshold
     if spec.axis == "length":
-        trigger = np.where(lengths > T, np.floor(T) + 1, 0)
+        trigger = np.where(lengths > T, np.floor(T) + 1, 0).astype(np.int64)
     else:
-        trigger = np.where(sizes > T, layout.packet_over(T), 0)
-    return _entries(lengths, sizes, layout, trigger.astype(np.int64))
+        # most flows stay at or below a threshold: place the packet only for the rest
+        over = np.flatnonzero(sizes > T)
+        trigger = np.zeros(len(sizes), dtype=np.int64)
+        trigger[over] = layout.packet_over(T, over)
+    return _entries(lengths, sizes, layout, trigger)
 
 
 def _sampling_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,

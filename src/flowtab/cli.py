@@ -41,17 +41,25 @@ def _float_list(text: str) -> tuple[float, ...]:
     text = text.strip()
     if text.startswith("geom:"):
         _, first, ratio, count = text.split(":")
-        first, ratio, count = float(first), float(ratio), int(float(count))
+        first, ratio, count = float(first), float(ratio), _count(count)
         return tuple(first * ratio ** k for k in range(count))
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(float(tok)) for tok in text.split(",") if tok.strip())
+    return tuple(_count(tok) for tok in text.split(",") if tok.strip())
 
 
 def _count(text: str) -> int:
-    return int(float(text))
+    """An integer, also in scientific notation such as 1e6; a fraction, an
+    infinity or a NaN is a ValueError, which argparse reports with exit 2."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
 
 
 def _algorithms(text: str) -> tuple[str, ...]:
@@ -267,22 +275,22 @@ def main(argv: list[str] | None = None) -> int:
     # a config file provides defaults; explicit flags win by coming later
     if "--config" in argv:
         idx = argv.index("--config")
+        defaults = {}
         try:
             with open(argv[idx + 1], "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError, IndexError) as exc:
+            for key, value in config.items():
+                norm = key.replace("-", "_")
+                if isinstance(value, str) and norm in ("thresholds", "probabilities", "coverages"):
+                    value = _float_list(value)
+                if isinstance(value, str) and norm == "seeds":
+                    value = _int_list(value)
+                if isinstance(value, list):
+                    value = tuple(value)
+                defaults[norm] = value
+        except (OSError, ValueError, IndexError) as exc:  # JSONDecodeError is a ValueError
             print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))
             return EXIT_VALIDATION
-        defaults = {}
-        for key, value in config.items():
-            norm = key.replace("-", "_")
-            if isinstance(value, str) and norm in ("thresholds", "probabilities", "coverages"):
-                value = _float_list(value)
-            if isinstance(value, str) and norm == "seeds":
-                value = _int_list(value)
-            if isinstance(value, list):
-                value = tuple(value)
-            defaults[norm] = value
         _apply_config_defaults(parser, defaults)
     args = parser.parse_args(argv)
     try:

@@ -12,6 +12,7 @@ yield bit-identical output.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,17 +133,42 @@ def write_flow_csv(path: str, lengths: np.ndarray, sizes: np.ndarray) -> None:
             writer.writerow([l, s])
 
 
+_HEADER = ["length_packets", "size_bytes"]
+
+
 def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Ingest a flow dump produced by write_flow_csv (or a compatible tool).
 
-    Every flow must split into packets of 1..max_packet_size bytes.
+    Every flow must split into packets of 1..max_packet_size bytes, and its
+    largest byte count, length * max_packet_size, must fit int64.  The rows
+    parse in bulk; a file the bulk parse does not take whole goes through
+    the row loop, which names its first bad row.
     """
+    rows = None
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        if next(csv.reader(fh), None) == _HEADER:
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns on a file without rows, which the row loop names
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+            except (ValueError, Warning):
+                pass
+    if rows is not None and rows.shape[1] == 2:
+        lengths, sizes = rows.T.copy()
+        fits = lengths <= (2 ** 63 - 1) // max_packet_size  # masks the overflowing products
+        if np.all(fits & (lengths >= 1) & (sizes >= lengths) & (sizes <= lengths * max_packet_size)):
+            return lengths, sizes
+    return _read_rows(path, max_packet_size)
+
+
+def _read_rows(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:
     lengths: list[int] = []
     sizes: list[int] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["length_packets", "size_bytes"]:
+        if header != _HEADER:
             raise ValueError(f"{path}: expected header length_packets,size_bytes")
         for row in reader:
             if not row:
@@ -155,6 +181,11 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
                 raise ValueError(
                     f"{path}: row {reader.line_num}: expected two integer fields, got {row}"
                 ) from None
+            if l * max_packet_size >= 2 ** 63:
+                raise ValueError(
+                    f"{path}: row {reader.line_num}: flow of {l} packets: flows of up to "
+                    f"{max_packet_size} B per packet overflow int64 byte counts"
+                )
             if l < 1 or s < l or s > l * max_packet_size:
                 raise ValueError(
                     f"{path}: row {reader.line_num}: flow of {l} packets and {s} bytes "

@@ -6,9 +6,14 @@ over one generated population per seed (the population depends only on
 (seed, flow_count), so it is shared across all cells of that seed), or
 over one ingested population shared by every seed.  Each population's
 packet layout is built once and shared by all of its cells.
-Cells are merged into per-parameter means and standard deviations, with
-the analytic value alongside.  Output is byte-identical for identical
-specs regardless of the worker count.
+
+Over an ingested population only sampling draws on the seed, so each
+first and threshold cell runs once and its result is every seed's, and
+each sampling cell runs once per seed; each of those evaluations is one
+task for the worker pool.  A generated population keeps the seed as the
+task.  Cells are merged into per-parameter means and standard
+deviations, with the analytic value alongside.  Output is byte-identical
+for identical specs regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -77,6 +82,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("sweep requires at least one seed")
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         bad = [a for a in self.algorithms if a not in ALGORITHM_KINDS]
         if bad:
             raise ValueError(f"unknown algorithm(s) {bad}")
@@ -150,9 +157,49 @@ def _population(model: TrafficModel, lengths: np.ndarray, sizes: np.ndarray):
     return lengths, sizes, PacketLayout(lengths, sizes, model.max_packet_size)
 
 
-def _run_seed(spec: SweepSpec, seed: int, population) -> list[tuple[float, float, float]]:
-    """Evaluate every cell for one seed, over the given (lengths, sizes,
-    layout) population or else over the one generated for the seed."""
+# cell kinds, dearest evaluation first
+_DEAREST_FIRST = ("sampling", "threshold", "first")
+
+
+def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], ingested: bool):
+    """Units of work as ((seed, cell indices), rows): a task evaluates its
+    cells for one seed, and its metrics fill those rows of ``per_seed``.
+    Over an ingested population each task is one evaluation (see the
+    module docstring), dearest kind first, so that the pool's dynamic
+    dispatch ends on the cheap ones."""
+    if not ingested:
+        every_cell = tuple(range(len(cells)))
+        return [((seed, every_cell), (j,)) for j, seed in enumerate(spec.seeds)]
+    every_row = tuple(range(len(spec.seeds)))
+    tasks = []
+    for i, cell in sorted(enumerate(cells), key=lambda ic: _DEAREST_FIRST.index(ic[1].kind)):
+        if cell.kind == "sampling":
+            tasks.extend(((seed, (i,)), (j,)) for j, seed in enumerate(spec.seeds))
+        else:
+            tasks.append(((spec.seeds[0], (i,)), every_row))
+    return tasks
+
+
+# the spec and ingested population (or None) of a pool worker, inherited from run_sweep
+_inherited = None
+
+
+def _inherit(spec: SweepSpec, population) -> None:
+    """Pool initializer.  Under fork the worker receives its arguments
+    without pickling and shares the population's pages with the parent,
+    so each worker holds no copy of its own."""
+    global _inherited
+    _inherited = (spec, population)
+
+
+def _run_task(task, spec: SweepSpec | None = None,
+              population=None) -> list[tuple[float, float, float]]:
+    """Evaluate a task's cells for its seed, over the given (lengths, sizes,
+    layout) population or else over the one generated for the seed.  A
+    pool worker passes only the task and runs on what it inherited."""
+    if spec is None:
+        spec, population = _inherited
+    seed, indices = task
     if population is None:
         config = GeneratorConfig(
             seed=seed,
@@ -161,26 +208,8 @@ def _run_seed(spec: SweepSpec, seed: int, population) -> list[tuple[float, float
             min_packet=spec.min_packet,
         )
         population = _population(spec.model, *generate_arrays(spec.model, config))
-    return [
-        _metrics_tuple(*population, cell, seed, spec.duration_model)
-        for cell in spec.cells()
-    ]
-
-
-# the ingested population of a pool worker, inherited from run_sweep
-_inherited = None
-
-
-def _inherit(population) -> None:
-    """Pool initializer.  Under fork the worker receives ``population``
-    without pickling and shares its pages with the parent, so each worker
-    holds no copy of its own."""
-    global _inherited
-    _inherited = population
-
-
-def _run_inherited(spec: SweepSpec, seed: int) -> list[tuple[float, float, float]]:
-    return _run_seed(spec, seed, _inherited)
+    cells = spec.cells()
+    return [_metrics_tuple(*population, cells[i], seed, spec.duration_model) for i in indices]
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -203,14 +232,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             spec.model, *read_flow_csv(spec.population_csv, spec.model.max_packet_size)
         )
         flow_count = len(population[0])
-    n = len(spec.seeds)
-    if spec.jobs > 1 and n > 1:
+    tasks = _tasks(spec, cells, population is not None)
+    # a fork pool starts all its workers at once: start no more than there are tasks
+    workers = min(spec.jobs, len(tasks))
+    if workers > 1:
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=spec.jobs, mp_context=ctx,
-                                 initializer=_inherit, initargs=(population,)) as pool:
-            per_seed = list(pool.map(_run_inherited, [spec] * n, spec.seeds))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                 initializer=_inherit, initargs=(spec, population)) as pool:
+            outcomes = list(pool.map(_run_task, [task for task, _ in tasks]))
     else:
-        per_seed = [_run_seed(spec, seed, population) for seed in spec.seeds]
+        outcomes = [_run_task(task, spec, population) for task, _ in tasks]
+    per_seed = [[None] * len(cells) for _ in spec.seeds]
+    for ((_, indices), rows), metrics in zip(tasks, outcomes):
+        for i, m in zip(indices, metrics):
+            for j in rows:
+                per_seed[j][i] = m
 
     out = []
     for i, cell in enumerate(cells):

@@ -244,6 +244,53 @@ def test_simulate_rejects_unpacketizable_flow(capsys, tmp_path):
     assert "row 3: expected two integer fields" in json.loads(out)["errors"][0]["message"]
 
 
+def test_simulate_rejects_int64_overflowing_flow(capsys, tmp_path):
+    pop = tmp_path / "pop.csv"
+    for row in ("99999999999999999999,99999999999999999999", "6076006101006101,6076006101006101"):
+        pop.write_text(f"length_packets,size_bytes\n10,1000\n{row}\n")
+        code, out = run(capsys, "simulate", "--model", TOY, "--flows-csv", str(pop),
+                        "--thresholds", "1", "--probabilities", "0.5",
+                        "--out", str(tmp_path / "ingested"))
+        assert code == 2
+        assert "row 3: flow of " in json.loads(out)["errors"][0]["message"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", "2.5"), ("--jobs", "inf"), ("--jobs", "nan"), ("--seeds", "1.5"),
+    ("--seeds", "1,2.5"), ("--flows", "1e3.5"), ("--flows", "2500.5"),
+])
+def test_count_flags_reject_non_integers(capsys, tmp_path, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--model", TOY, "--thresholds", "1", "--probabilities", "0.5",
+              "--flows", "1000", flag, value, "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_2(capsys, tmp_path, jobs):
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows", "1e3", "--jobs", jobs,
+                    "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "jobs must be an integer >= 1" in json.loads(out)["errors"][0]["message"]
+
+
+def test_config_counts_must_be_integers(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2.5}))
+    code, out = run(capsys, "--config", str(cfg), "simulate", "--model", TOY,
+                    "--flows", "1e3", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "jobs must be an integer >= 1" in json.loads(out)["errors"][0]["message"]
+    cfg.write_text(json.dumps({"seeds": "1,2.5"}))
+    code, out = run(capsys, "--config", str(cfg), "simulate", "--model", TOY,
+                    "--flows", "1e3", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert json.loads(out)["errors"][0] == {"type": "ConfigError",
+                                            "message": "'2.5' is not an integer"}
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_model_dir_env_resolution(capsys, monkeypatch):
     monkeypatch.setenv("FLOWTAB_MODEL_DIR", str(MODELS))
     code, out = run(capsys, "validate", "toy_twopoint.json")

@@ -14,6 +14,7 @@ from flowtab.generator import (
     SHARD_SIZE,
     GenerationStats,
     GeneratorConfig,
+    _read_rows,
     _shard_rng,
     generate_arrays,
     read_flow_csv,
@@ -291,3 +292,50 @@ def test_flow_csv_round_trip(tmp_path, toy_model):
         bad.write_text(f"length_packets,size_bytes\n1,100\n{row}\n")
         with pytest.raises(ValueError, match="row 3: expected two integer fields"):
             read_flow_csv(str(bad), 1518)
+
+
+HEADER = "length_packets,size_bytes\n"
+
+
+@pytest.mark.parametrize("body, bulk", [
+    ("1,100\r\n10,1000\r\n", True),       # CRLF
+    ("1,100\n\n10,1000\n\n", True),        # blank lines
+    ('"1","100"\n10,1000\n', False),       # quoted fields
+    (" 1, 100\n10 ,1000 \n", True),         # surrounding spaces
+    ("+1,+100\n10,1000\n", True),           # explicit sign
+    ("1_000,100_000\n10,1000\n", False),   # digit separators
+])
+def test_bulk_reader_matches_row_loop(tmp_path, monkeypatch, body, bulk):
+    path = tmp_path / "flows.csv"
+    path.write_bytes((HEADER + body).encode())
+    expected = _read_rows(str(path), 1518)
+    if bulk:  # the bulk parse takes these files whole, without the row loop
+        monkeypatch.setattr("flowtab.generator._read_rows", None)
+    lengths, sizes = read_flow_csv(str(path), 1518)
+    assert lengths.dtype == sizes.dtype == np.int64
+    assert lengths.flags.c_contiguous and sizes.flags.c_contiguous
+    assert np.array_equal(lengths, expected[0]) and np.array_equal(sizes, expected[1])
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEADER + "1,100\n3,300 # x\n", "row 3: expected two integer fields, got ['3', '300 # x']"),
+    (HEADER + "1,100\n3\n", "row 3: expected two integer fields, got ['3']"),
+    (HEADER + "1,100\n1,100,7\n", "row 3: expected two integer fields, got ['1', '100', '7']"),
+    (HEADER + "1,100\n2,3037\n",
+     "row 3: flow of 2 packets and 3037 bytes does not split into packets of 1..1518 bytes"),
+    (HEADER, "no flows"),
+    ("\ufeff" + HEADER + "1,100\n", "expected header length_packets,size_bytes"),
+    # length * max_packet_size must fit int64, as generate_arrays requires
+    (HEADER + "1,100\n99999999999999999999,99999999999999999999\n",
+     "row 3: flow of 99999999999999999999 packets: flows of up to 1518 B per packet "
+     "overflow int64 byte counts"),
+    (HEADER + "1,100\n6076006101006101,6076006101006101\n",
+     "row 3: flow of 6076006101006101 packets: flows of up to 1518 B per packet "
+     "overflow int64 byte counts"),
+])
+def test_read_flow_csv_rejects_with_row_message(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_flow_csv(str(path), 1518)
+    assert str(excinfo.value) == f"{path}: {message}"

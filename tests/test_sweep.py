@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import flowtab.sweep
 from flowtab.generator import GeneratorConfig, generate_arrays, write_flow_csv
 from flowtab.sweep import (
     SweepSpec,
@@ -127,11 +128,98 @@ def test_ingested_flow_count(tmp_path, toy_model):
         assert result.flow_count == 3000
 
 
+def _toy_csv(tmp_path, toy_model, seed=2, count=3000) -> str:
+    lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=seed, flow_count=count))
+    path = tmp_path / "pop.csv"
+    write_flow_csv(str(path), lengths, sizes)
+    return str(path)
+
+
+@pytest.mark.parametrize("axis, thresholds", [("length", (0.0, 1.0, 2.0, 4.0)),
+                                              ("size", (0.0, 100.0, 150.0, 999.0))])
+def test_ingested_sweep_jobs_invariant(tmp_path, toy_model, axis, thresholds):
+    path = _toy_csv(tmp_path, toy_model)
+    results = [run_sweep(toy_spec(toy_model, axis=axis, thresholds=thresholds, jobs=jobs,
+                                  population_csv=path))
+               for jobs in (1, 2, 3)]
+    for res in results[1:]:
+        assert [c.per_seed for c in res.cells] == [c.per_seed for c in results[0].cells]
+        for fmt in ("csv", "markdown", "plotdata"):
+            assert emit_table(res, fmt) == emit_table(results[0], fmt)
+    # sampling rows differ between seeds; the others are the one evaluation's
+    sampled = results[0].cell("sampling", 0.5).per_seed
+    assert len(set(sampled)) == 3
+    assert len(set(results[0].cell("threshold", thresholds[1]).per_seed)) == 1
+
+
+def _count_evaluations(monkeypatch) -> list[str]:
+    calls = []
+    evaluate = flowtab.sweep.evaluate_batch
+
+    def counted(lengths, sizes, spec, layout, rng=None):
+        calls.append(spec.kind)
+        return evaluate(lengths, sizes, spec, layout, rng=rng)
+
+    monkeypatch.setattr(flowtab.sweep, "evaluate_batch", counted)
+    return calls
+
+
+def test_ingested_sweep_runs_seed_invariant_cells_once(monkeypatch, tmp_path, toy_model):
+    path = _toy_csv(tmp_path, toy_model)
+    calls = _count_evaluations(monkeypatch)
+    spec = toy_spec(toy_model, population_csv=path)
+    run_sweep(spec)
+    assert len(calls) == 2 * len(spec.thresholds) + len(spec.seeds) * len(spec.probabilities)
+    # a generated population is drawn per seed, so every cell runs for every seed
+    calls.clear()
+    spec = toy_spec(toy_model, flow_count=2000)
+    run_sweep(spec)
+    assert len(calls) == len(spec.seeds) * (2 * len(spec.thresholds) + len(spec.probabilities))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so that no worker is started."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, toy_model):
+    monkeypatch.setattr(flowtab.sweep, "_inherited", None)  # restored after the test
+    monkeypatch.setattr(flowtab.sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    serial = run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000))
+    pooled = run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000, jobs=8))
+    assert _RecordingPool.max_workers == [2]  # one task per generated seed
+    assert emit_table(pooled, "csv") == emit_table(serial, "csv")
+    run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=4))
+    assert _RecordingPool.max_workers == [2]  # one task: no pool
+    spec = toy_spec(toy_model, seeds=(1,), jobs=5, population_csv=_toy_csv(tmp_path, toy_model))
+    run_sweep(spec)
+    assert _RecordingPool.max_workers == [2, 5]  # 12 single-cell tasks
+
+
 def test_sweep_requires_parameters(toy_model):
     with pytest.raises(ValueError):
         SweepSpec(model=toy_model, algorithms=("bogus",))
     with pytest.raises(ValueError):
         SweepSpec(model=toy_model, seeds=())
+    for jobs in (0, -1, 2.5, 2.0):
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            SweepSpec(model=toy_model, jobs=jobs)
     # omitted series fall back to the reference defaults
     spec = SweepSpec(model=toy_model, algorithms=("sampling",))
     assert spec.probabilities == default_probabilities("length")
