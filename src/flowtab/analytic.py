@@ -1,26 +1,22 @@
 """Closed-form / numerical evaluation of the three algorithms over a model.
 
 Metrics are expectations against the model's flow- and octet-weighted
-mixtures.  Length-axis expectations are sums over the integer support:
-exact over the mixture's survival table (domain_min .. domain_min + 2^16),
-then an Abel-summed remainder beyond it whose summand
-S(x) * (g(x+1) - g(x)) decays monotonically and is sandwiched between
-integrals, giving a computable truncation bound.  Reports and the coverage
-probes of the inversion sum the same terms.
-Size-axis expectations are integrals evaluated per mixture component by
-Gauss-Legendre quadrature on the log axis.  Every report carries the
-truncation bound; reports above 1e-6 are flagged.
+mixtures.  Flows are whole packets and whole bytes, so on both axes an
+expectation is a sum over the integer law pmass(k) = sf(k - 1) - sf(k) that
+the generator draws: exact over the mixture's survival table
+(ceil(domain_min) .. ceil(domain_min) + 2^16), then an Abel-summed remainder
+beyond it whose summand S(x) * (g(x+1) - g(x)) decays monotonically and is
+sandwiched between integrals, giving a computable truncation bound.  Reports
+and the coverage probes of the inversion sum the same terms.  Every report
+carries the truncation bound; reports above 1e-6 are flagged.
 
 What these sums read of a mixture is built once, on the mixture's first
-probe, into its tail table, which lives as long as the mixture does.  On the
-length axis that is the clipped pmass over the survival table (summed only
-up to its last nonzero mass) with its integers, sf at the table's end, one
-past it and at the support cap, and sf at the quadrature nodes of the
-remainder.  On the size axis it is each component's clipped support and its
-pdf at the quadrature nodes from the mixture's floor, plus sf at the cap.  A
-probe then evaluates only its weight at those points.  A start past the
-survival table (length) or above the floor (size) builds fresh nodes, and
-both go through the one quadrature sum.
+probe, into its tail table, which lives as long as the mixture does: the
+clipped pmass over the survival table (summed only up to its last nonzero
+mass) with its integers, sf at the table's end, one past it and at the
+support cap, and sf at the quadrature nodes of the remainder.  A probe then
+evaluates only its weight at those points.  A start past the survival table
+builds fresh nodes, and both go through the one quadrature sum.
 """
 from __future__ import annotations
 
@@ -125,8 +121,8 @@ def _remainder(mix: Mixture, x0: int, sf0: float) -> _Remainder | None:
 
 @dataclass(frozen=True)
 class _DiscreteTable:
-    """Length axis: the clipped pmass of the survival table's integers
-    lo + 1 .. end, zero from index cut on, and the remainder beyond end."""
+    """The clipped pmass of the survival table's integers lo + 1 .. end,
+    zero from index cut on, and the remainder beyond end."""
 
     lo: int
     end: int
@@ -134,25 +130,6 @@ class _DiscreteTable:
     ks: np.ndarray
     cut: int
     rem: _Remainder | None
-    sf_cap: float
-
-
-def _components(mix: Mixture, lo: float):
-    """Size axis: per component, its scale, the quadrature nodes over its
-    support clipped to [lo, SUPPORT_CAP], and its pdf at them."""
-    parts = []
-    for pc in mix._prepared:
-        a, b = pc.support()
-        rules = _log_nodes(max(float(a), lo), min(float(b), float(SUPPORT_CAP)))
-        parts.append((pc.weight / pc.keep, rules, tuple(pc.pdf(x) for x, _, _ in rules)))
-    return tuple(parts)
-
-
-@dataclass(frozen=True)
-class _ContinuousTable:
-    """Size axis: each component's nodes and pdf from the mixture's floor."""
-
-    parts: tuple
     sf_cap: float
 
 
@@ -167,23 +144,21 @@ _BLOCK = 64
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _tail_table(mix: Mixture) -> _DiscreteTable | _ContinuousTable:
-    """The mixture's tail table, built on its first probe."""
+def _tail_table(mix: Mixture) -> _DiscreteTable:
+    """The mixture's tail table, built on its first probe.  The survival
+    table starts at ceil(domain_min) - 1, where sf is 1, so its first
+    difference is the atom at ceil(domain_min)."""
     tab = _TABLES.get(mix)
     if tab is not None:
         return tab
-    sf_cap = float(mix.sf(SUPPORT_CAP))
-    if mix.discrete:
-        sf = mix._sf_table
-        lo = int(mix.floor)
-        end = lo + len(sf) - 1
-        pm = np.maximum(sf[:-1] - sf[1:], 0.0)
-        nonzero = np.flatnonzero(pm)
-        cut = int(nonzero[-1]) + 1 if len(nonzero) else 0
-        tab = _DiscreteTable(lo, end, pm, np.arange(lo + 1, end + 1, dtype=float), cut,
-                             _remainder(mix, end, float(sf[-1])), sf_cap)
-    else:
-        tab = _ContinuousTable(_components(mix, mix.floor), sf_cap)
+    sf = mix._sf_table
+    lo = math.ceil(mix.domain_min) - 1
+    end = lo + len(sf) - 1
+    pm = np.maximum(sf[:-1] - sf[1:], 0.0)
+    nonzero = np.flatnonzero(pm)
+    cut = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    tab = _DiscreteTable(lo, end, pm, np.arange(lo + 1, end + 1, dtype=float), cut,
+                         _remainder(mix, end, float(sf[-1])), float(mix.sf(SUPPORT_CAP)))
     _TABLES[mix] = tab
     return tab
 
@@ -225,21 +200,6 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
     return value, bound
 
 
-def _continuous_tail_integral(mix: Mixture, g, lower: float) -> tuple[float, float]:
-    """Integral of g (bounded by 1) against the mixture law over (lower, cap].
-    From the floor it reads the tail table's nodes; above it, fresh ones."""
-    tab = _tail_table(mix)
-    lo = max(float(lower), mix.floor)
-    parts = tab.parts if lo == mix.floor else _components(mix, lo)
-    value = 0.0
-    bound = 0.0
-    for scale, rules, pdf in parts:
-        v, e = _log_sum(rules, [p * g(x) for (x, _, _), p in zip(rules, pdf)])
-        value += scale * v
-        bound += scale * e
-    return value, bound + tab.sf_cap
-
-
 # -- weight table -----------------------------------------------------------------
 #
 # A flow of magnitude x (packets on the length axis, bytes on the size axis)
@@ -249,7 +209,7 @@ def _continuous_tail_integral(mix: Mixture, g, lower: float) -> tuple[float, flo
 # reductions invert the flows-weighted expectations of created and covered.
 # A weight is a (g, gstep) pair over the flows above the spec's start point,
 # gstep being the forward difference g(x+1) - g(x) that the Abel-summed tail
-# of the integer length axis needs.  A weight of None is the indicator of
+# of the integer sums needs.  A weight of None is the indicator of
 # x > start, whose expectation is the closed form sf(start).
 
 
@@ -303,17 +263,25 @@ def _size_scaled_sampling(model: TrafficModel, spec: AlgorithmSpec):
     entry with probability 1 - exp(-lam s) and covers an expected
     1 - (1 - exp(-lam s)) / (lam s) of itself.  The per-packet Bernoulli
     process is the exact reference; this closed form is its small-packet
-    limit.  The size axis is continuous, so the weights carry no step."""
+    limit.  Sizes are whole bytes, so the weights carry their forward
+    differences over one byte."""
     lam = spec.probability / model.max_packet_size
+    step = -math.expm1(-lam)
 
     def created(s: np.ndarray) -> np.ndarray:
         return -np.expm1(-lam * s)
+
+    def created_step(s: np.ndarray) -> np.ndarray:
+        return step * np.exp(-lam * s)
 
     def covered(s: np.ndarray) -> np.ndarray:
         x = lam * s
         return 1.0 + np.expm1(-x) / x
 
-    return 0.0, (created, None), (covered, None)
+    def covered_step(s: np.ndarray) -> np.ndarray:
+        return (created(s) / s - created(s + 1.0) / (s + 1.0)) / lam
+
+    return 0.0, (created, created_step), (covered, covered_step)
 
 
 # (kind, axis) -> builder of the spec's (start, created, covered)
@@ -332,10 +300,7 @@ def _expect(mix: Mixture, weight, start: float) -> tuple[float, float]:
     with its truncation bound."""
     if weight is None:
         return mix.sf(start), 0.0
-    g, gstep = weight
-    if mix.discrete:
-        return _discrete_tail_sum(mix, g, gstep, start)
-    return _continuous_tail_integral(mix, g, start)
+    return _discrete_tail_sum(mix, *weight, start)
 
 
 def expected_covered_fraction(p: float, length) -> np.ndarray | float:
@@ -386,11 +351,13 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
                         target_pct: float) -> tuple[float, AnalyticReport]:
     """Find the threshold/probability achieving the target traffic coverage.
 
-    Bisects the monotone coverage curve to relative tolerance 1e-6 and
-    returns the parameter together with the achieved analytic metrics.
-    On the integer length axis coverage is a step function; the end of the
+    Returns the parameter together with the achieved analytic metrics.  A
+    threshold is bisected on the monotone coverage curve to relative
+    tolerance 1e-6; on the integer length axis coverage is a step function
+    of it.  A probability is found by the Illinois false-position rule
+    (Dowell & Jarratt 1971) on log p, to 1e-9 in log p.  The end of the
     final bracket whose coverage is closest to the target is returned, never
-    an end past every flow, whose coverage is 0.
+    a threshold past every flow, whose coverage is 0.
     """
     if target_pct > 100.0:
         raise UnreachableError(f"coverage {target_pct:g}% exceeds 100%")
@@ -407,7 +374,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     @functools.cache
     def cov(param: float) -> float:
         # coverage alone, summed exactly as the report sums it; memoized,
-        # since the final choice re-reads probes the bisection made
+        # since the final choice re-reads probes the search made
         probe = spec(param)
         start, _, covered = _WEIGHTS[kind, axis](model, probe)
         return 100.0 * _expect(octets, covered, start)[0]
@@ -440,13 +407,23 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
             )
         if cov(lo) >= target_pct:
             return lo, analytic_for_spec(model, spec(lo))
+        # false position on log p between f(lo) < 0 <= f(hi), f = cov - target;
+        # an end kept twice in a row has its f halved (the Illinois rule)
+        f_lo, f_hi = cov(lo) - target_pct, top - target_pct
+        kept = None  # the end the last probe left in place
         for _ in range(80):
-            if hi / lo <= 1.0 + 1e-9:
+            a, b = math.log(lo), math.log(hi)
+            if b - a <= 1e-9 or f_hi <= 0.0:
                 break
-            mid = math.sqrt(lo * hi)
-            if cov(mid) >= target_pct:
-                hi = mid
+            mid = math.exp(b - f_hi * (b - a) / (f_hi - f_lo))
+            f_mid = cov(mid) - target_pct
+            if f_mid >= 0.0:
+                if kept == "lo":
+                    f_lo *= 0.5
+                hi, f_hi, kept = mid, f_mid, "lo"
             else:
-                lo = mid
+                if kept == "hi":
+                    f_hi *= 0.5
+                lo, f_lo, kept = mid, f_mid, "hi"
         param = min((lo, hi), key=lambda q: abs(cov(q) - target_pct))
     return param, analytic_for_spec(model, spec(param))

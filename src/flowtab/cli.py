@@ -255,17 +255,24 @@ _COMMANDS = {
 }
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    """Seed every (sub)parser with config values; a config-supplied value
-    also satisfies an otherwise required flag."""
+def _parsers(parser: argparse.ArgumentParser):
+    """The parser and every subcommand parser under it."""
     stack = [parser]
     while stack:
         p = stack.pop()
-        p.set_defaults(**defaults)
+        yield p
         for action in p._actions:
             if isinstance(action, argparse._SubParsersAction):
                 stack.extend(action.choices.values())
-            elif action.dest in defaults:
+
+
+def _apply_config_defaults(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """Seed every (sub)parser with config values; a config-supplied value
+    also satisfies an otherwise required flag."""
+    for p in _parsers(parser):
+        p.set_defaults(**defaults)
+        for action in p._actions:
+            if action.dest in defaults and not isinstance(action, argparse._SubParsersAction):
                 action.required = False
 
 
@@ -276,17 +283,18 @@ def main(argv: list[str] | None = None) -> int:
     if "--config" in argv:
         idx = argv.index("--config")
         defaults = {}
+        # dest -> the argparse type of the flag with that dest
+        types = {action.dest: action.type for p in _parsers(parser)
+                 for action in p._actions if action.type is not None}
         try:
             with open(argv[idx + 1], "r", encoding="utf-8") as fh:
                 config = json.load(fh)
             for key, value in config.items():
                 norm = key.replace("-", "_")
-                if isinstance(value, str) and norm in ("thresholds", "probabilities", "coverages"):
-                    value = _float_list(value)
-                if isinstance(value, str) and norm == "seeds":
-                    value = _int_list(value)
-                if isinstance(value, list):
-                    value = tuple(value)
+                if norm in types:
+                    # converted as the command line would carry it
+                    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                    value = types[norm](text)
                 defaults[norm] = value
         except (OSError, ValueError, IndexError) as exc:  # JSONDecodeError is a ValueError
             print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))

@@ -4,9 +4,11 @@ A traffic model carries, for each decision axis (flow length in packets,
 flow size in bytes), three weightings of the same quantity: the share of
 flows, of packets, and of octets attributable to flows up to a given
 length/size.  Each weighting is a mixture of uniform, lognormal and
-generalized-Pareto components.  The length axis is integer valued and is
-discretized by survival-function differences; the size axis is continuous
-bytes.  Flows are drawn whole, so quantiles on both axes are integers.
+generalized-Pareto components.  Flows are drawn whole on both axes, from
+the integer law pmass(k) = sf(k - 1) - sf(k) of the mixture's survival
+function, and the analytic sums read that same law.  On the length axis sf
+is itself a step function; on the size axis it is the continuous byte law,
+and the integer law takes its differences at whole bytes.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 WEIGHT_TOLERANCE = 1e-9
+DOMINANCE_TOLERANCE = 1e-9
 SUPPORT_FLOOR_TOLERANCE = 1e-9
 SUPPORT_CAP = 2 ** 40
 DEFAULT_MAX_PACKET = 1518
@@ -144,8 +147,8 @@ class _Prepared:
     """Component with direct vectorized distribution math and its
     lower-truncation constant.
 
-    The sf/ppf/pdf implementations are direct numpy and scipy.special
-    math, cheap enough for the vectorized tables and bisections; they are
+    The sf/ppf implementations are direct numpy and scipy.special math,
+    cheap enough for the vectorized tables and bisections; they are
     cross-checked against scipy.stats in the test suite.  The survival
     function is the component's one distribution function: every CDF
     value is 1 - sf.
@@ -172,25 +175,14 @@ class _Prepared:
         self.below_floor = c
         self.keep = 1.0 - c
 
-    def support(self) -> tuple[float, float]:
-        p = self._p
-        if self.kind == "uniform":
-            return p["low"], p["high"]
-        if self.kind == "lognormal":
-            return 0.0, math.inf
-        shape, loc, scale = p["shape"], p["location"], p["scale"]
-        if shape < 0:
-            return loc, loc - scale / shape
-        return loc, math.inf
-
     def sf(self, x: np.ndarray) -> np.ndarray:
         p = self._p
         if self.kind == "uniform":
             return np.clip((p["high"] - x) / (p["high"] - p["low"]), 0.0, 1.0)
         if self.kind == "lognormal":
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore"):
                 z = (np.log(np.maximum(x, 0.0)) - p["mu"]) / p["sigma"]
-            return np.where(x > 0.0, special.ndtr(-np.nan_to_num(z, nan=-np.inf)), 1.0)
+            return np.where(x > 0.0, special.ndtr(-z), 1.0)
         return _gpd_sf(np.maximum((x - p["location"]) / p["scale"], 0.0), p["shape"])
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
@@ -205,27 +197,6 @@ class _Prepared:
             return loc - scale * np.log1p(-u)
         return loc + scale * np.expm1(-shape * np.log1p(-u)) / shape
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        p = self._p
-        if self.kind == "uniform":
-            inside = (x >= p["low"]) & (x <= p["high"])
-            return np.where(inside, 1.0 / (p["high"] - p["low"]), 0.0)
-        if self.kind == "lognormal":
-            sigma = p["sigma"]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = (np.log(np.maximum(x, 1e-300)) - p["mu"]) / sigma
-                out = np.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2.0 * math.pi))
-            return np.where(x > 0.0, out, 0.0)
-        shape, loc, scale = p["shape"], p["location"], p["scale"]
-        z = (x - loc) / scale
-        if shape == 0.0:
-            out = np.exp(-np.maximum(z, 0.0)) / scale
-            return np.where(z >= 0.0, out, 0.0)
-        base = np.maximum(1.0 + shape * z, 0.0)
-        with np.errstate(divide="ignore"):
-            out = base ** (-1.0 / shape - 1.0) / scale
-        return np.where((z >= 0.0) & (base > 0.0), out, 0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class Mixture:
@@ -235,12 +206,13 @@ class Mixture:
     mixture is discretized via survival-function differences, with any
     component mass in (domain_min - 1, domain_min] folded into the atom at
     ``domain_min``.  Continuous mixtures (size axis) are lower-truncated at
-    ``domain_min`` and renormalized component-wise.
+    ``domain_min`` and renormalized component-wise; their flows are still
+    whole bytes, so both axes follow the integer law sf(k - 1) - sf(k).
 
-    Every mixture holds one table of sf at the integers from ``floor`` up to
-    domain_min + TABLE_SPAN, built on first use.  The integer quantile reads
-    it on both axes; on the length axis the mean and the analytic tail sums
-    read it too.
+    Every mixture holds one table of sf at the integers from
+    ceil(domain_min) - 1, the last where sf is 1, up to ceil(domain_min) +
+    TABLE_SPAN, built on first use.  The integer quantile and the analytic
+    tail sums read it on both axes, and the mean on the length axis.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -278,9 +250,9 @@ class Mixture:
 
     @functools.cached_property
     def _sf_table(self) -> np.ndarray:
-        """sf at the integers ceil(floor) .. ceil(domain_min) + TABLE_SPAN."""
-        end = math.ceil(self.domain_min) + TABLE_SPAN
-        return self.sf(np.arange(math.ceil(self.floor), end + 1, dtype=float))
+        """sf at the integers ceil(domain_min) - 1 .. ceil(domain_min) + TABLE_SPAN."""
+        first = math.ceil(self.domain_min)
+        return self.sf(np.arange(first - 1, first + TABLE_SPAN + 1, dtype=float))
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
@@ -338,7 +310,7 @@ class Mixture:
         k = np.searchsorted(cdf, uu, "left")
         live = uu > 0.0
         inside = live & (k < len(cdf))
-        out[inside] = math.ceil(self.floor) + k[inside]
+        out[inside] = math.ceil(self.domain_min) - 1 + k[inside]
         live &= ~inside
         if np.any(live):
             out[live] = self._bisect(uu[live])
@@ -385,7 +357,7 @@ class AxisModel:
         if self.axis not in ("length", "size"):
             raise SchemaError(f"unknown axis {self.axis!r}")
 
-    def check_dominance(self, tolerance: float = 1e-9) -> None:
+    def check_dominance(self) -> None:
         """flows.CDF >= packets.CDF >= octets.CDF pointwise on a 257-point
         geometric grid from domain_min to the support cap."""
         grid = np.geomspace(float(self.flows.domain_min), SUPPORT_CAP, 257)
@@ -395,7 +367,7 @@ class AxisModel:
         p = self.packets.cdf(grid)
         o = self.octets.cdf(grid)
         for upper, lower, pair in ((f, p, "flows >= packets"), (p, o, "packets >= octets")):
-            bad = upper + tolerance < lower
+            bad = upper + DOMINANCE_TOLERANCE < lower
             if np.any(bad):
                 x = grid[np.argmax(bad)]
                 raise DominanceError(

@@ -9,13 +9,14 @@ import pytest
 from flowtab.algorithms import AlgorithmSpec, DegenerateError
 from flowtab.analytic import (
     _TABLES,
+    _WEIGHTS,
     UnreachableError,
-    _continuous_tail_integral,
     _discrete_tail_sum,
     analytic_for_spec,
     expected_covered_fraction,
     invert_for_coverage,
 )
+from flowtab.cli import DEFAULT_COVERAGES
 from flowtab.model import Mixture, MixtureComponent
 from flowtab.sweep import SweepSpec
 
@@ -149,23 +150,61 @@ def test_discrete_tail_sum_heavy_pareto_oracle():
     assert abs(value - brute) <= bound + 2 * float(mix.sf(200_000_000.0))
 
 
-def test_continuous_tail_integral_against_quad(heavytail_model):
-    from scipy import integrate
+def size_mixture(domain_min, *components):
+    return Mixture(components=tuple(MixtureComponent(kind, w, params)
+                                    for kind, w, params in components),
+                   domain_min=domain_min, discrete=False)
 
-    mix = heavytail_model.size_axis.flows
-    t = 50_000.0
-    g = lambda s: 1.0 - t / s
-    value, bound = _continuous_tail_integral(mix, g, t)
-    truth = 0.0
-    for pc in mix._prepared:
-        a = t
-        while a < 2 ** 40:
-            b = min(a * 2, 2 ** 40)
-            v, _ = integrate.quad(lambda s, d=pc: d.pdf(s) * g(s), a, b, limit=200)
-            truth += pc.weight / pc.keep * v
-            a = b
-    assert value == pytest.approx(truth, rel=1e-10)
-    assert bound < 1e-6
+
+# size mixtures whose whole integer law a brute-force sum reaches: the toy
+# model's, one with a generalized-Pareto tail truncated at 1e6 + 64 bytes
+# (past the survival table, so its remainder is summed too), and one whose
+# domain_min is not an integer, so its first atom, at 65, carries the mass
+# of (64.5, 65]
+SIZE_LAWS = {
+    "toy-flows": (lambda toy: toy.size_axis.flows, 1000),
+    "toy-octets": (lambda toy: toy.size_axis.octets, 1000),
+    "truncated-heavy-tail": (lambda toy: size_mixture(
+        64, ("lognormal", 0.7, {"mu": 5.0, "sigma": 1.1}),
+        ("generalized-pareto", 0.3, {"shape": -0.2, "location": 64.0, "scale": 2e5})),
+        1_000_064),
+    "lognormal-64.5": (lambda toy: size_mixture(
+        64.5, ("lognormal", 1.0, {"mu": 4.0, "sigma": 1.0})), 1_000_000),  # sf ~ 5e-23
+}
+
+
+@pytest.mark.parametrize("law", sorted(SIZE_LAWS))
+def test_size_tail_sum_matches_brute_force(toy_model, law):
+    # the size axis sums the integer law the generator draws, with the
+    # weights' own forward differences
+    make, stop = SIZE_LAWS[law]
+    mix = make(toy_model)
+    lo = math.ceil(mix.domain_min) - 1
+    ones = lambda x: np.ones_like(x)
+    total, bound = _discrete_tail_sum(mix, ones, lambda x: np.zeros_like(x), 0.0)
+    assert total == pytest.approx(1.0, abs=max(bound, 1e-12))
+    specs = [AlgorithmSpec("threshold", "size", threshold=t) for t in (0.0, 120.5, 999.0, 70_000.0)]
+    specs += [AlgorithmSpec("sampling", "size", probability=p) for p in (1e-4, 0.05, 1.0)]
+    for spec in specs:
+        start, created, covered = _WEIGHTS[spec.kind, "size"](toy_model, spec)
+        for weight in filter(None, (created, covered)):
+            value, bound = _discrete_tail_sum(mix, *weight, start)
+            brute = chunked_brute_sum(mix, weight[0], max(math.floor(start), lo), stop)
+            assert abs(value - brute) <= max(bound, 1e-12), (spec, value, brute, bound)
+
+
+@pytest.mark.parametrize("kind, axis", sorted(k for k in _WEIGHTS if k[0] != "first"))
+def test_weight_steps_are_forward_differences(heavytail_model, kind, axis):
+    # the Abel-summed remainder reads each weight's step g(x + 1) - g(x)
+    xs = np.array([1.0, 2.0, 7.0, 64.0, 999.0, 4096.0, 65_537.0])
+    params = (0.0, 3.0, 500.0) if kind == "threshold" else (1e-5, 0.05, 0.7)
+    for param in params:
+        spec = (AlgorithmSpec(kind, axis, threshold=param) if kind == "threshold"
+                else AlgorithmSpec(kind, axis, probability=param))
+        start, *weights = _WEIGHTS[kind, axis](heavytail_model, spec)
+        x = xs[xs > start]
+        for g, gstep in filter(None, weights):
+            assert np.allclose(gstep(x), g(x + 1.0) - g(x), rtol=1e-7, atol=1e-15), (spec, g)
 
 
 def test_tail_tables_live_and_die_with_their_mixture():
@@ -187,8 +226,7 @@ def test_tail_tables_live_and_die_with_their_mixture():
 
 def test_reports_digest_over_default_cells(toy_model, heavytail_model):
     # every report field of every default sweep cell, bit for bit, on both
-    # shipped models and both axes (digest of the reports before the
-    # per-mixture tail tables existed)
+    # shipped models and both axes
     digest = hashlib.sha256()
     for name, model in (("toy_twopoint.json", toy_model),
                         ("example_heavytail.json", heavytail_model)):
@@ -204,7 +242,7 @@ def test_reports_digest_over_default_cells(toy_model, heavytail_model):
                 line = ",".join([name, axis, spec.kind, float(param).hex(), *fields])
                 digest.update((line + "\n").encode())
     assert digest.hexdigest() == (
-        "3b83407d138624627ba7da9b001fe24c2eda2d423f57eefe440ff7057bc9c7bc"
+        "20a3ed137f61070cc2488b4e6990b86d8a491f20238129c0c2b39fb4ff8b2df5"
     )
 
 
@@ -214,7 +252,8 @@ def test_truncation_flagging_at_the_support_cap():
                                      {"shape": 0.99, "location": 0.0, "scale": 1e7}),),
         domain_min=1, discrete=False,
     )
-    value, bound = _continuous_tail_integral(heavy, lambda s: np.ones_like(s), 1.0)
+    value, bound = _discrete_tail_sum(heavy, lambda s: np.ones_like(s),
+                                      lambda s: np.zeros_like(s), 1.0)
     assert bound > 1e-6  # byte mass beyond the 2^40 cap is reported, not hidden
 
 
@@ -235,18 +274,15 @@ def test_sampling_size_limits(heavytail_model):
 
 def test_analytic_for_spec_dispatch(toy_model):
     # the axis selects the sampling law: uniform per packet by length,
-    # size-scaled by bytes
-    from scipy import integrate
-
+    # size-scaled by bytes over the integer size law
     rep = sampling(toy_model, "length", 0.5)
     assert rep.operations_reduction == pytest.approx(1 / (0.5 * 0.5 + 0.5 * (1 - 0.5 ** 10)),
                                                      rel=1e-12)
     lam = 0.5 / toy_model.max_packet_size
-    created = [integrate.quad(lambda s: -math.expm1(-lam * s), lo, lo + 1.0)[0]
-               for lo in (99.0, 999.0)]
+    flows = toy_model.size_axis.flows
+    entries = chunked_brute_sum(flows, lambda s: -np.expm1(-lam * s), 63, 1000)
     rep = sampling(toy_model, "size", 0.5)
-    assert rep.operations_reduction == pytest.approx(1 / (0.5 * created[0] + 0.5 * created[1]),
-                                                     rel=1e-12)
+    assert rep.operations_reduction == pytest.approx(1 / entries, rel=1e-12)
 
 
 # -- inversion -----------------------------------------------------------------------
@@ -277,6 +313,40 @@ def test_invert_achieves_target_on_smooth_model(heavytail_model):
             param, rep = invert_for_coverage(heavytail_model, kind, axis, 75.0)
             assert rep.coverage_pct == pytest.approx(75.0, abs=0.01)
             assert param > 0
+
+
+def test_sampling_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
+    # the Illinois rule never takes more coverage probes than the geometric
+    # bisection over the same bracket and stop did (37), and far fewer on
+    # average; the report on the chosen parameter is not a probe
+    import flowtab.analytic as analytic
+
+    expect, report = analytic._expect, analytic.analytic_for_spec
+    probes, reporting = [], [False]
+
+    def counted(*args):
+        probes[-1] += not reporting[0]
+        return expect(*args)
+
+    def uncounted(*args):
+        reporting[0] = True
+        try:
+            return report(*args)
+        finally:
+            reporting[0] = False
+
+    monkeypatch.setattr(analytic, "_expect", counted)
+    monkeypatch.setattr(analytic, "analytic_for_spec", uncounted)
+    for model in (toy_model, heavytail_model):
+        for axis in ("length", "size"):
+            for target in DEFAULT_COVERAGES:
+                probes.append(0)
+                try:
+                    analytic.invert_for_coverage(model, "sampling", axis, target)
+                except UnreachableError:
+                    probes.pop()
+    assert len(probes) == 321 and max(probes) <= 37
+    assert sum(probes) / len(probes) < 20
 
 
 def test_invert_unreachable_sampling_size(heavytail_model):

@@ -276,19 +276,37 @@ def test_jobs_below_one_exits_2(capsys, tmp_path, jobs):
 
 
 def test_config_counts_must_be_integers(capsys, tmp_path):
+    # a config value goes through its flag's type, as the command line's
+    # string would
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"jobs": 2.5}))
-    code, out = run(capsys, "--config", str(cfg), "simulate", "--model", TOY,
-                    "--flows", "1e3", "--out", str(tmp_path / "x"))
-    assert code == 2
-    assert "jobs must be an integer >= 1" in json.loads(out)["errors"][0]["message"]
-    cfg.write_text(json.dumps({"seeds": "1,2.5"}))
-    code, out = run(capsys, "--config", str(cfg), "simulate", "--model", TOY,
-                    "--flows", "1e3", "--out", str(tmp_path / "x"))
-    assert code == 2
-    assert json.loads(out)["errors"][0] == {"type": "ConfigError",
-                                            "message": "'2.5' is not an integer"}
-    assert not (tmp_path / "x.csv").exists()
+    for config, message in (({"jobs": 2.5}, "'2.5' is not an integer"),
+                            ({"seeds": "1,2.5"}, "'2.5' is not an integer"),
+                            ({"seeds": [1.5, 2]}, "'1.5' is not an integer"),
+                            ({"flows": 2500.5}, "'2500.5' is not an integer"),
+                            ({"min_packet": 64.5}, "'64.5' is not an integer")):
+        cfg.write_text(json.dumps(config))
+        for command in (["simulate", "--flows", "1e3"],
+                        ["generate", "--flows", "1e3", "--seed", "1"]):
+            code, out = run(capsys, "--config", str(cfg), *command, "--model", TOY,
+                            "--out", str(tmp_path / "x"))
+            assert code == 2
+            assert json.loads(out)["errors"][0] == {"type": "ConfigError", "message": message}
+    assert not (tmp_path / "x").exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_config_values_convert_like_flags(capsys, tmp_path):
+    config = {"flows": 1000.0, "seeds": [1, 2], "thresholds": [1, 2.5],
+              "probabilities": "geom:0.5:0.5:2", "min-packet": "64", "algorithms": "first"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _ = run(capsys, "--config", str(cfg), "simulate", "--model", TOY,
+                  "--out", str(tmp_path / "cfg"))
+    assert code == 0
+    code, _ = run(capsys, "simulate", "--model", TOY, "--flows", "1000", "--seeds", "1,2",
+                  "--thresholds", "1,2.5", "--probabilities", "geom:0.5:0.5:2",
+                  "--min-packet", "64", "--algorithms", "first", "--out", str(tmp_path / "flags"))
+    assert code == 0
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
 
 def test_model_dir_env_resolution(capsys, monkeypatch):

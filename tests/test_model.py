@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,3 +304,12 @@ def test_component_sf_is_the_one_distribution_function(comp, dist, domain_min):
     xs = np.array([2.5, 5.5, 8.9, 30.0, 400.0])
     assert np.allclose(mix.sf(xs), dist.sf(xs), rtol=1e-12, atol=1e-300)
     assert np.allclose(mix.cdf(xs), dist.cdf(xs), rtol=0.0, atol=1e-15)
+    # the edges exactly, and NaN as it always read, all without a
+    # floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = np.array([-1.0, 0.0, np.inf])
+        assert np.array_equal(mix.sf(edges), dist.sf(edges))
+        assert np.array_equal(mix._prepared[0].sf(edges), dist.sf(edges))
+        sf_nan = {"uniform": math.nan, "lognormal": 1.0, "generalized-pareto": 0.0}[comp.kind]
+        np.testing.assert_array_equal(mix._prepared[0].sf(np.array([np.nan])), [sf_nan])
