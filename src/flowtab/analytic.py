@@ -6,14 +6,16 @@ expectation is a sum over the integer law pmass(k) = sf(k - 1) - sf(k) that
 the generator draws: exact over the mixture's survival table
 (ceil(domain_min) .. ceil(domain_min) + 2^16), then an Abel-summed remainder
 beyond it whose summand S(x) * (g(x+1) - g(x)) decays monotonically and is
-sandwiched between integrals, giving a computable truncation bound.  Reports
-and the coverage probes of the inversion sum the same terms.  Every report
-carries the truncation bound; reports above 1e-6 are flagged.
+sandwiched between integrals, giving a computable truncation bound; an
+indicator weight is the closed form sf(floor(T)).  Reports and the coverage
+probes of the inversion sum the same terms, except that first, a step in T,
+is inverted through the integer quantile.  Every report carries the
+truncation bound; reports above 1e-6 are flagged.
 
 What these sums read of a mixture is built once, on the mixture's first
 probe, into its tail table, which lives as long as the mixture does: the
-clipped pmass over the survival table (summed only up to its last nonzero
-mass) with its integers, sf at the table's end, one past it and at the
+clipped pmass over the survival table, up to its last nonzero mass, with
+its integers, sf at the table's end, one past it and at the
 support cap, and sf at the quadrature nodes of the remainder.  A probe then
 evaluates only its weight at those points.  A start past the survival table
 builds fresh nodes, and both go through the one quadrature sum.
@@ -99,8 +101,9 @@ def _log_sum(rules: _Rules, values) -> tuple[float, float]:
 @dataclass(frozen=True)
 class _Remainder:
     """What the Abel-summed remainder of a discrete mixture beyond the
-    integer x0 reads of the mixture: sf(x0), sf(x0 + 1), and sf at the
-    quadrature nodes over [x0 + 1, SUPPORT_CAP]."""
+    integer x0 reads of the mixture: sf(x0), sf(x0 + 1), and at the
+    quadrature nodes over [x0 + 1, SUPPORT_CAP] the smooth interpolant of
+    sf, which on the length axis meets the step function at the integers."""
 
     x1: np.ndarray  # [x0 + 1]
     sf0: float
@@ -116,28 +119,21 @@ def _remainder(mix: Mixture, x0: int, sf0: float) -> _Remainder | None:
         return None
     x1 = np.array([x0 + 1.0])
     rules = _log_nodes(x0 + 1.0, float(SUPPORT_CAP))
-    return _Remainder(x1, sf0, mix.sf(x1), rules, tuple(mix.sf(x) for x, _, _ in rules))
+    return _Remainder(x1, sf0, mix.sf(x1), rules, tuple(mix._raw_sf(x) for x, _, _ in rules))
 
 
 @dataclass(frozen=True)
 class _DiscreteTable:
-    """The clipped pmass of the survival table's integers lo + 1 .. end,
-    zero from index cut on, and the remainder beyond end."""
+    """The clipped pmass of the survival table's integers lo + 1 .. end, up
+    to the last nonzero one, and the remainder beyond end."""
 
     lo: int
     end: int
     pmass: np.ndarray
     ks: np.ndarray
-    cut: int
     rem: _Remainder | None
     sf_cap: float
 
-
-# The head sum stops after the last nonzero mass, at a whole number of
-# _BLOCK terms from its start.  BLAS dot kernels take 16 or 32 terms a step,
-# so the nonzero terms then meet in the same lanes as over the whole table,
-# and the sum is bit-identical to that over the whole table.
-_BLOCK = 64
 
 # keyed by the mixture object itself, so a table lives exactly as long as
 # its mixture; an id() key could be reused by a later mixture
@@ -154,10 +150,8 @@ def _tail_table(mix: Mixture) -> _DiscreteTable:
     sf = mix._sf_table
     lo = math.ceil(mix.domain_min) - 1
     end = lo + len(sf) - 1
-    pm = np.maximum(sf[:-1] - sf[1:], 0.0)
-    nonzero = np.flatnonzero(pm)
-    cut = int(nonzero[-1]) + 1 if len(nonzero) else 0
-    tab = _DiscreteTable(lo, end, pm, np.arange(lo + 1, end + 1, dtype=float), cut,
+    pm = np.trim_zeros(np.maximum(sf[:-1] - sf[1:], 0.0), "b")
+    tab = _DiscreteTable(lo, end, pm, np.arange(lo + 1, lo + 1 + len(pm), dtype=float),
                          _remainder(mix, end, float(sf[-1])), float(mix.sf(SUPPORT_CAP)))
     _TABLES[mix] = tab
     return tab
@@ -178,10 +172,9 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
     tab = _tail_table(mix)
     start_i = max(math.floor(start), tab.lo)
     if start_i <= tab.end:
+        # np.sum, not a BLAS dot, whose rounding follows its thread count
         i = start_i - tab.lo
-        live = max(tab.cut - i, 0)
-        stop = min(len(tab.pmass), i + -(-live // _BLOCK) * _BLOCK)
-        value = float(np.dot(tab.pmass[i:stop], g(tab.ks[i:stop])))
+        value = float(np.sum(tab.pmass[i:] * g(tab.ks[i:])))
         x0, rem = tab.end, tab.rem
     else:  # start lies beyond the table: its remainder starts at start
         value = 0.0
@@ -210,7 +203,7 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
 # A weight is a (g, gstep) pair over the flows above the spec's start point,
 # gstep being the forward difference g(x+1) - g(x) that the Abel-summed tail
 # of the integer sums needs.  A weight of None is the indicator of
-# x > start, whose expectation is the closed form sf(start).
+# x > start, whose expectation under the integer law is sf(floor(start)).
 
 
 def _threshold(model: TrafficModel, spec: AlgorithmSpec):
@@ -299,7 +292,7 @@ def _expect(mix: Mixture, weight, start: float) -> tuple[float, float]:
     """Expectation of a weight over the flows of the mixture above start,
     with its truncation bound."""
     if weight is None:
-        return mix.sf(start), 0.0
+        return mix.sf(math.floor(start)), 0.0
     return _discrete_tail_sum(mix, *weight, start)
 
 
@@ -351,13 +344,16 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
                         target_pct: float) -> tuple[float, AnalyticReport]:
     """Find the threshold/probability achieving the target traffic coverage.
 
-    Returns the parameter together with the achieved analytic metrics.  A
-    threshold is bisected on the monotone coverage curve to relative
-    tolerance 1e-6; on the integer length axis coverage is a step function
-    of it.  A probability is found by the Illinois false-position rule
-    (Dowell & Jarratt 1971) on log p, to 1e-9 in log p.  The end of the
-    final bracket whose coverage is closest to the target is returned, never
-    a threshold past every flow, whose coverage is 0.
+    Returns the parameter together with the achieved analytic metrics.
+    first covers 100 * sf(floor(T)) %, a step function, so its threshold is
+    read off the octets' integer quantile, clamped to the generator's largest
+    draw 1 - 2^-53: the first integer k covering at most the target, or
+    k - 1, whichever is nearer.  threshold and sampling coverage are smooth,
+    and the Illinois false-position rule (Dowell & Jarratt 1971) finds them
+    on the log of the parameter, to 1e-9 in it, within 80 steps: threshold
+    between k and a halving of k, sampling over p in P_BRACKET.  The end of
+    the final bracket whose coverage is closest to the target is returned,
+    never a threshold past every flow, whose coverage is 0.
     """
     if target_pct > 100.0:
         raise UnreachableError(f"coverage {target_pct:g}% exceeds 100%")
@@ -375,55 +371,58 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     def cov(param: float) -> float:
         # coverage alone, summed exactly as the report sums it; memoized,
         # since the final choice re-reads probes the search made
-        probe = spec(param)
+        probe = spec(param)  # first, so that an unknown kind raises its ValueError
         start, _, covered = _WEIGHTS[kind, axis](model, probe)
         return 100.0 * _expect(octets, covered, start)[0]
+
+    def nearest(*params: float) -> float:
+        return min((q for q in params if cov(q) > 0.0), key=lambda q: abs(cov(q) - target_pct))
 
     if kind in ("first", "threshold"):
         if target_pct == 100.0:
             return 0.0, analytic_for_spec(model, spec(0.0))
-        # strict predicate so that on flat coverage regions (integer length
-        # axis) the bracket settles on the smallest equivalent parameter
-        lo, hi = 0.0, max(float(model.axis(axis).flows.domain_min), 1.0)
+        k = octets.quantile(min(1.0 - target_pct / 100.0, 1.0 - 2.0 ** -53))
+        if kind == "first":
+            param = nearest(k - 1.0, k)
+            return param, analytic_for_spec(model, spec(param))
+        # threshold covers a 1 - T/x share of first's flows: at k at most the
+        # target, unless clamped.  Just under 100% rounding may leave no
+        # threshold covering more, so the halving stops at 1/SUPPORT_CAP.
+        sign, hi = -1.0, k
         while cov(hi) > target_pct and hi < SUPPORT_CAP:
-            lo, hi = hi, hi * 2.0
-        for _ in range(80):
-            if hi - lo <= 1e-6 * max(hi, 1.0):
-                break
-            mid = 0.5 * (lo + hi)
-            if cov(mid) > target_pct:
-                lo = mid
-            else:
-                hi = mid
-        # lo covers more than the target; hi may lie where no flow gains an entry
-        top = cov(hi)
-        param = hi if 0.0 < top and abs(top - target_pct) <= cov(lo) - target_pct else lo
+            hi = min(2.0 * hi, float(SUPPORT_CAP))
+        lo = hi / 2.0
+        while cov(lo) <= target_pct and lo > 1.0 / SUPPORT_CAP:
+            lo, hi = lo / 2.0, lo
     else:
-        lo, hi = P_BRACKET
+        sign, (lo, hi) = 1.0, P_BRACKET
         top = cov(hi)
         if target_pct > top + 1e-9:
             raise UnreachableError(
                 f"coverage {target_pct:g}% unreachable; sampling tops out at {top:.6g}%"
             )
-        if cov(lo) >= target_pct:
-            return lo, analytic_for_spec(model, spec(lo))
-        # false position on log p between f(lo) < 0 <= f(hi), f = cov - target;
-        # an end kept twice in a row has its f halved (the Illinois rule)
-        f_lo, f_hi = cov(lo) - target_pct, top - target_pct
-        kept = None  # the end the last probe left in place
-        for _ in range(80):
-            a, b = math.log(lo), math.log(hi)
-            if b - a <= 1e-9 or f_hi <= 0.0:
-                break
-            mid = math.exp(b - f_hi * (b - a) / (f_hi - f_lo))
-            f_mid = cov(mid) - target_pct
-            if f_mid >= 0.0:
-                if kept == "lo":
-                    f_lo *= 0.5
-                hi, f_hi, kept = mid, f_mid, "lo"
-            else:
-                if kept == "hi":
-                    f_hi *= 0.5
-                lo, f_lo, kept = mid, f_mid, "hi"
-        param = min((lo, hi), key=lambda q: abs(cov(q) - target_pct))
+
+    def f(param: float) -> float:
+        return sign * (cov(param) - target_pct)
+
+    # false position on the log parameter while f(lo) < 0 < f(hi); an end
+    # kept twice in a row has its f halved (the Illinois rule)
+    f_lo, f_hi = f(lo), f(hi)
+    kept = None  # the end the last probe left in place
+    for _ in range(80):
+        a, b = math.log(lo), math.log(hi)
+        if b - a <= 1e-9 or not f_lo < 0.0 < f_hi:
+            break
+        # past every flow coverage has no slope for the secant: bisect there
+        mid = math.exp(0.5 * (a + b) if cov(hi) == 0.0 else b - f_hi * (b - a) / (f_hi - f_lo))
+        f_mid = f(mid)
+        if f_mid >= 0.0:
+            if kept == "lo":
+                f_lo *= 0.5
+            hi, f_hi, kept = mid, f_mid, "lo"
+        else:
+            if kept == "hi":
+                f_hi *= 0.5
+            lo, f_lo, kept = mid, f_mid, "hi"
+    param = nearest(lo, hi)
     return param, analytic_for_spec(model, spec(param))

@@ -18,7 +18,7 @@ from flowtab.analytic import (
 )
 from flowtab.cli import DEFAULT_COVERAGES
 from flowtab.model import Mixture, MixtureComponent
-from flowtab.sweep import SweepSpec
+from flowtab.sweep import SweepSpec, run_sweep
 
 
 def first(model, axis, t):
@@ -49,6 +49,17 @@ def test_first_reductions_always_equal(heavytail_model):
         for t in ts:
             rep = first(heavytail_model, axis, t)
             assert rep.operations_reduction == rep.occupancy_reduction
+
+
+def test_first_size_reads_the_integer_law(toy_model):
+    # toy flows are 100 or 1000 whole bytes, so a 999.99-byte threshold keeps
+    # every 1000-byte flow: first covers 100 * sf(999) %, as simulated
+    res = run_sweep(SweepSpec(model=toy_model, axis="size", algorithms=("first",),
+                              thresholds=(999.99,), flow_count=20_000))
+    cell = res.cell("first", 999.99)
+    assert cell.analytic.coverage_pct == 100.0 * toy_model.size_axis.octets.sf(999.0)
+    assert cell.analytic.coverage_pct == pytest.approx(100 * 10 / 11, abs=1e-9)
+    assert cell.mean[0] == pytest.approx(cell.analytic.coverage_pct, rel=0.02)  # A4's floor
 
 
 def test_first_baseline_and_degenerate(toy_model):
@@ -120,19 +131,29 @@ def chunked_brute_sum(mix, g, start, stop):
     return total
 
 
-@pytest.mark.parametrize("threshold", [1, 3, 700])
-def test_discrete_tail_sum_lognormal_oracle(threshold):
+# (mu, sigma, threshold, brute-force stop, relative error allowed)
+@pytest.mark.parametrize("mu, sigma, threshold, stop, rel", [
+    (1.0, 1.4, 1, 4_000_000, None),  # sf(4e6) ~ 1e-20
+    (1.0, 1.4, 3, 4_000_000, None),
+    (1.0, 1.4, 700, 4_000_000, None),
+    # the remainder past the survival table carries a share of the sum: its
+    # quadrature must read the smooth interpolant of the step function sf
+    (5.0, 1.2, 70_000, 3_000_000, 1e-8),  # sf(3e6) ~ 7e-17
+])
+def test_discrete_tail_sum_lognormal_oracle(mu, sigma, threshold, stop, rel):
     mix = Mixture(
-        components=(MixtureComponent("lognormal", 1.0, {"mu": 1.0, "sigma": 1.4}),),
+        components=(MixtureComponent("lognormal", 1.0, {"mu": mu, "sigma": sigma}),),
         domain_min=1, discrete=True,
     )
     t = float(threshold)
     g = lambda x: 1.0 - t / x
     gstep = lambda x: t / (x * (x + 1.0))
     value, bound = _discrete_tail_sum(mix, g, gstep, t)
-    brute = chunked_brute_sum(mix, g, threshold, 4_000_000)  # sf(4e6) ~ 1e-20
+    brute = chunked_brute_sum(mix, g, threshold, stop)
     assert bound < 1e-6
     assert value == pytest.approx(brute, abs=max(bound, 1e-12), rel=1e-9)
+    if rel is not None:
+        assert abs(value - brute) <= rel * brute, (value, brute)
 
 
 def test_discrete_tail_sum_heavy_pareto_oracle():
@@ -242,7 +263,7 @@ def test_reports_digest_over_default_cells(toy_model, heavytail_model):
                 line = ",".join([name, axis, spec.kind, float(param).hex(), *fields])
                 digest.update((line + "\n").encode())
     assert digest.hexdigest() == (
-        "20a3ed137f61070cc2488b4e6990b86d8a491f20238129c0c2b39fb4ff8b2df5"
+        "825306df4482cd54db5a09e6586d11383f20feecc0b54b16f1a1e8a70c325eb3"
     )
 
 
@@ -315,17 +336,20 @@ def test_invert_achieves_target_on_smooth_model(heavytail_model):
             assert param > 0
 
 
-def test_sampling_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
-    # the Illinois rule never takes more coverage probes than the geometric
-    # bisection over the same bracket and stop did (37), and far fewer on
-    # average; the report on the chosen parameter is not a probe
+def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
+    # first reads the integer quantile and at most two coverages.  The
+    # Illinois rule never takes more coverage probes for sampling than the
+    # geometric bisection over the same bracket and stop did (37); threshold,
+    # bracketed by first's quantile, takes at most 24 and 12 on average.  The
+    # report on the chosen parameter is not a probe.
     import flowtab.analytic as analytic
 
     expect, report = analytic._expect, analytic.analytic_for_spec
-    probes, reporting = [], [False]
+    probes, reporting = {}, [False]
+    cell = [None]
 
     def counted(*args):
-        probes[-1] += not reporting[0]
+        probes[cell[0]][-1] += not reporting[0]
         return expect(*args)
 
     def uncounted(*args):
@@ -339,14 +363,59 @@ def test_sampling_inversion_probe_count(monkeypatch, toy_model, heavytail_model)
     monkeypatch.setattr(analytic, "analytic_for_spec", uncounted)
     for model in (toy_model, heavytail_model):
         for axis in ("length", "size"):
+            for kind in ("first", "threshold", "sampling"):
+                cell[0] = kind, model.name, axis
+                counts = probes.setdefault(cell[0], [])
+                for target in DEFAULT_COVERAGES:
+                    counts.append(0)
+                    try:
+                        analytic.invert_for_coverage(model, kind, axis, target)
+                    except UnreachableError:
+                        counts.pop()
+    sampling = [n for key, counts in probes.items() if key[0] == "sampling" for n in counts]
+    assert len(sampling) == 321 and max(sampling) <= 37
+    assert sum(sampling) / len(sampling) < 20
+    for key, counts in probes.items():
+        if key[0] == "first":
+            assert max(counts) <= 2, key
+        elif key[0] == "threshold":
+            assert max(counts) <= 24 and sum(counts) / len(counts) <= 12, key
+
+
+def test_invert_first_reads_the_integer_quantile(toy_model, heavytail_model):
+    # first covers 100 * sf(floor T) %: its inversion returns the smallest
+    # integer k with 100 * sf(k) <= target, found here by integer bisection,
+    # or k - 1
+    for model in (toy_model, heavytail_model):
+        for axis in ("length", "size"):
+            octets = model.axis(axis).octets
             for target in DEFAULT_COVERAGES:
-                probes.append(0)
-                try:
-                    analytic.invert_for_coverage(model, "sampling", axis, target)
-                except UnreachableError:
-                    probes.pop()
-    assert len(probes) == 321 and max(probes) <= 37
-    assert sum(probes) / len(probes) < 20
+                lo, hi = math.ceil(octets.domain_min) - 1, 2 ** 40  # sf(lo) == 1
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if 100.0 * octets.sf(float(mid)) <= target:
+                        hi = mid
+                    else:
+                        lo = mid
+                param, _ = invert_for_coverage(model, "first", axis, target)
+                assert param in (hi - 1, hi), (model.name, axis, target, param, hi)
+
+
+EDGE_TARGETS = (1e-300, 1e-20, 1e-9, 1e-3, 99.99, 99.9999999, math.nextafter(100.0, 0.0), 100.0)
+
+
+@pytest.mark.parametrize("kind", ["first", "threshold"])
+def test_invert_edge_targets(toy_model, heavytail_model, kind):
+    # targets below 100 * 2^-54 % clamp first's quantile to the generator's
+    # largest draw; targets a rounding below 100% need threshold's halving
+    # to stop; coverage past every flow must not steer the search
+    for model in (toy_model, heavytail_model):
+        for axis in ("length", "size"):
+            for target in EDGE_TARGETS:
+                param, rep = invert_for_coverage(model, kind, axis, target)
+                assert rep.coverage_pct > 0.0 and 0.0 <= param <= 2 ** 40, (model.name, axis, target)
+                if model is heavytail_model and kind == "threshold" and target >= 1e-20:
+                    assert abs(rep.coverage_pct - target) <= 1e-6 * target, (axis, target, rep)
 
 
 def test_invert_unreachable_sampling_size(heavytail_model):

@@ -162,7 +162,8 @@ def test_analyze_length_prints_target_coverage(capsys, tmp_path):
 ])
 def test_analyze_toy_length_step_curve(capsys, tmp_path, flags):
     # first's toy length-axis coverage steps from 90.9% to 0 at T = 10, where
-    # no flow gains an entry; a target inside the step is answered below it
+    # no flow gains an entry; a target inside that last step is answered at
+    # T = 9
     code, _ = run(capsys, "analyze", "--model", TOY, "--axis", "length", *flags,
                   "--out", str(tmp_path / "a"))
     assert code == 0
