@@ -7,6 +7,32 @@ from the triggering packet onward, which is the entry's occupancy under
 the equal-flow-duration model.  ``aggregate_batch`` folds the outcomes
 into the three report metrics.  Packet sizes follow the even-split layout
 of ``PacketLayout``.
+
+Threshold and sampling walk the population in blocks of ``BLOCK_FLOWS``
+flows.  In each block one predicate picks the flows that can gain an
+entry (exactly those, but for the size-sampling bound below, which keeps
+a superset), the per-flow arithmetic runs on those alone, and ``_entries``
+scatters their outcomes into zero-initialised full-length arrays, so the
+arrays (and every sum over them) are those of the whole-population
+formulas, while the working memory is a few blocks, not a few populations.
+The predicates, for a flow of n packets and s bytes:
+
+- threshold, length axis: n > T;
+- threshold, size axis: s > T (``packet_over`` then places the packet);
+- sampling, length axis: with x = log u / log(1 - p), the entry exists iff
+  floor(x) + 1 <= n, which for an integer n is x < n;
+- sampling, size axis: every flow when p = 1, otherwise those with
+  log u > -(p / max_packet_size) * s / (1 - p) * (1 + 1e-6).  The entry
+  exists iff log u exceeds the log-survival of all n packets,
+  sum log(1 - x_i) with x_i = p * packet_i / max_packet_size <= p.  As
+  log(1 - x) >= -x / (1 - x) >= -x / (1 - p) and the packets sum to s
+  exactly (lead * base + (n - lead) * tail = s), that log-survival is at
+  least -(p / max_packet_size) * s / (1 - p); a flow at or below the bound
+  gains no entry, and the 1e-6 margin keeps rounding from dropping one
+  that does.  The candidates then run the exact lead/tail formulas.
+
+Sampling draws one uniform per flow for the whole population before the
+blocks, so the random stream does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -31,6 +57,9 @@ __all__ = [
 ALGORITHM_KINDS = ("first", "threshold", "sampling")
 AXES = ("length", "size")
 DURATION_MODELS = ("equal", "proportional")
+
+# flows per block of the threshold and sampling kernels
+BLOCK_FLOWS = 2 ** 16
 
 
 class DegenerateError(ValueError):
@@ -157,9 +186,11 @@ class PacketLayout:
         self.lead = np.where(spread, lengths - rem, lengths - (rem > 0))
         self.tail = np.where(spread, self.base + 1, self.base + rem)
 
-    def bytes_before(self, k: np.ndarray) -> np.ndarray:
-        """Bytes in the first k packets of each flow."""
-        return k * self.base + np.maximum(k - self.lead, 0) * (self.tail - self.base)
+    def bytes_before(self, k: np.ndarray, flows: np.ndarray) -> np.ndarray:
+        """Bytes in the first k packets of each of the ``flows`` (indices
+        into the population)."""
+        lead, base, tail = self.lead[flows], self.base[flows], self.tail[flows]
+        return k * base + np.maximum(k - lead, 0) * (tail - base)
 
     def packet_over(self, threshold: float, flows: np.ndarray) -> np.ndarray:
         """Index, from 1, of the packet that takes the byte count of each of
@@ -172,13 +203,26 @@ class PacketLayout:
                         lead + np.floor((t - lead_bytes) / tail)) + 1
 
 
-def _entries(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
-             trigger: np.ndarray):
-    """Outcomes of entries created at packet ``trigger`` (from 1; 0 for no
-    entry): the triggering packet and every later one are covered."""
-    created = trigger > 0
-    covered = np.where(created, sizes - layout.bytes_before(trigger - 1), 0)
-    occ = np.where(created, (lengths + 1 - trigger) / lengths, 0.0)
+def _blocks(n: int):
+    """(start, slice) of each block of BLOCK_FLOWS flows, the last partial."""
+    for start in range(0, n, BLOCK_FLOWS):
+        yield start, slice(start, min(start + BLOCK_FLOWS, n))
+
+
+def _entries(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout, triggers):
+    """Outcomes of the entries that ``triggers`` yields, block by block, as
+    (flows, trigger): the flows (indices into the population) that gain an
+    entry and the packet, from 1, that creates it.  The triggering packet
+    and every later one are covered; every other flow keeps zeros."""
+    n = len(lengths)
+    created = np.zeros(n, dtype=bool)
+    covered = np.zeros(n, dtype=np.result_type(sizes, layout.base, np.int64))
+    occ = np.zeros(n)
+    for flows, trigger in triggers:
+        packets = lengths[flows]
+        created[flows] = True
+        covered[flows] = sizes[flows] - layout.bytes_before(trigger - 1, flows)
+        occ[flows] = (packets + 1 - trigger) / packets
     return created, covered, occ
 
 
@@ -190,41 +234,61 @@ def _first_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec):
     return created, covered, occ
 
 
-def _threshold_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                     layout: PacketLayout):
+def _threshold_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
+                        layout: PacketLayout):
     T = spec.threshold
-    if spec.axis == "length":
-        trigger = np.where(lengths > T, np.floor(T) + 1, 0).astype(np.int64)
-    else:
-        # most flows stay at or below a threshold: place the packet only for the rest
-        over = np.flatnonzero(sizes > T)
-        trigger = np.zeros(len(sizes), dtype=np.int64)
-        trigger[over] = layout.packet_over(T, over)
-    return _entries(lengths, sizes, layout, trigger)
+    value = lengths if spec.axis == "length" else sizes
+    for start, block in _blocks(len(lengths)):
+        flows = start + np.flatnonzero(value[block] > T)
+        if spec.axis == "length":
+            trigger = np.full(len(flows), np.floor(T) + 1)
+        else:
+            trigger = layout.packet_over(T, flows)
+        yield flows, trigger.astype(np.int64)
 
 
-def _sampling_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                    rng: np.random.Generator, layout: PacketLayout):
+def _size_candidates(log_u: np.ndarray, sizes: np.ndarray, p: float,
+                     max_packet_size: int) -> np.ndarray:
+    """Indices of the flows that size-scaled sampling at probability p can
+    give an entry, by the bound of the module docstring."""
+    if p == 1.0:
+        return np.arange(len(sizes))
+    return np.flatnonzero(log_u > -p / max_packet_size / (1.0 - p) * (1.0 + 1e-6) * sizes)
+
+
+def _sampling_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
+                       layout: PacketLayout, u: np.ndarray):
     # The first sampled packet is drawn from its exact law by inversion: with
     # u uniform, packet k is the first success when the log-survival of the
     # packets before it is >= log u and that of packets 1..k is < log u.
     # This matches a per-packet Bernoulli loop in distribution.
     p = spec.probability
-    log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    scale = p / layout.max_packet_size
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-p)  # -inf at p = 1
+    for start, block in _blocks(len(lengths)):
+        log_u = np.log(np.maximum(u[block], 2.0 ** -53))
         if spec.axis == "length":
-            trigger = np.floor(log_u / np.log1p(-p)) + 1
-            trigger = np.where(trigger <= lengths, trigger, 0)
+            x = log_u / log_q
+            cand = np.flatnonzero(x < lengths[block])
+            trigger = np.floor(x[cand]) + 1
         else:
+            cand = _size_candidates(log_u, sizes[block], p, layout.max_packet_size)
             # a run of leading packets sampled alike, then a run of trailing ones
-            scale = p / layout.max_packet_size
-            log_q_lead = np.log1p(-scale * layout.base)
-            log_q_tail = np.log1p(-scale * layout.tail)
-            k_lead = np.floor(log_u / log_q_lead) + 1
-            k_tail = layout.lead + np.floor((log_u - layout.lead * log_q_lead) / log_q_tail) + 1
-            trigger = np.where(k_lead <= layout.lead, k_lead,
-                               np.where(k_tail <= lengths, k_tail, 0))
-    return _entries(lengths, sizes, layout, trigger.astype(np.int64))
+            flows = start + cand
+            log_u = log_u[cand]
+            lead = layout.lead[flows]
+            # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_q_lead = np.log1p(-scale * layout.base[flows])
+                log_q_tail = np.log1p(-scale * layout.tail[flows])
+                k_lead = np.floor(log_u / log_q_lead) + 1
+                k_tail = lead + np.floor((log_u - lead * log_q_lead) / log_q_tail) + 1
+            trigger = np.where(k_lead <= lead, k_lead,
+                               np.where(k_tail <= lengths[flows], k_tail, 0))
+            hit = trigger > 0
+            cand, trigger = cand[hit], trigger[hit]
+        yield start + cand, trigger.astype(np.int64)
 
 
 def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
@@ -238,10 +302,13 @@ def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     if spec.kind == "first":
         return _first_batch(lengths, sizes, spec)
     if spec.kind == "threshold":
-        return _threshold_batch(lengths, sizes, spec, layout)
-    if rng is None:
+        triggers = _threshold_triggers(lengths, sizes, spec, layout)
+    elif rng is None:
         raise ValueError("sampling evaluation requires an RNG")
-    return _sampling_batch(lengths, sizes, spec, rng, layout)
+    else:
+        # one draw per flow for the whole population, whatever the blocks
+        triggers = _sampling_triggers(lengths, sizes, spec, layout, rng.random(len(lengths)))
+    return _entries(lengths, sizes, layout, triggers)
 
 
 def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, created: np.ndarray,

@@ -144,6 +144,9 @@ def _cmd_simulate(args) -> int:
         raise ValueError("simulate requires --model or --flows-csv")
     if args.flows_csv is not None and args.model is None:
         raise ValueError("--flows-csv still requires --model for the analytic columns")
+    bad = [fmt for fmt in args.formats if fmt not in _TABLE_FORMATS]
+    if bad:
+        raise ValueError(f"unknown output format(s) {bad}")
     model = load_model(args.model)
     spec = SweepSpec(
         model=model,
@@ -161,8 +164,6 @@ def _cmd_simulate(args) -> int:
     )
     result = run_sweep(spec)
     for fmt in args.formats:
-        if fmt not in _TABLE_FORMATS:
-            raise ValueError(f"unknown output format {fmt!r}")
         table, suffix = _TABLE_FORMATS[fmt]
         path = args.out + suffix
         with open(path, "w", encoding="utf-8") as fh:

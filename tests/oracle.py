@@ -9,6 +9,10 @@ Occupancy uses the equal-flow-duration model by default: a flow's entry
 occupies the table for the fraction of the flow's packets from the
 triggering packet onward.  ``aggregate`` folds outcomes into the three
 report metrics.
+
+``reference_batch`` keeps the whole-population threshold and sampling
+formulas, one array operation over every flow per step, as the reference
+the blocked kernels of ``evaluate_batch`` must match bit for bit.
 """
 from __future__ import annotations
 
@@ -17,7 +21,13 @@ from typing import Iterable
 
 import numpy as np
 
-from flowtab.algorithms import DURATION_MODELS, AlgorithmSpec, DegenerateError, MetricsReport
+from flowtab.algorithms import (
+    DURATION_MODELS,
+    AlgorithmSpec,
+    DegenerateError,
+    MetricsReport,
+    PacketLayout,
+)
 from flowtab.model import DEFAULT_MAX_PACKET
 
 
@@ -164,3 +174,48 @@ def aggregate(outcomes: Iterable[FlowOutcome], duration_model: str = "equal") ->
     else:
         occ_reduction = total_packets / occ_packets
     return MetricsReport(coverage, ops, occ_reduction, n, entries)
+
+
+# -- whole-population reference of the batch kernels -------------------------------
+
+
+def reference_sampling_trigger(lengths: np.ndarray, spec: AlgorithmSpec, layout: PacketLayout,
+                               log_u: np.ndarray) -> np.ndarray:
+    """Packet, from 1, that sampling with log-uniforms ``log_u`` first
+    samples in each flow (0 for none), by inversion of the per-packet law."""
+    p = spec.probability
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if spec.axis == "length":
+            trigger = np.floor(log_u / np.log1p(-p)) + 1
+            trigger = np.where(trigger <= lengths, trigger, 0)
+        else:
+            scale = p / layout.max_packet_size
+            log_q_lead = np.log1p(-scale * layout.base)
+            log_q_tail = np.log1p(-scale * layout.tail)
+            k_lead = np.floor(log_u / log_q_lead) + 1
+            k_tail = layout.lead + np.floor((log_u - layout.lead * log_q_lead) / log_q_tail) + 1
+            trigger = np.where(k_lead <= layout.lead, k_lead,
+                               np.where(k_tail <= lengths, k_tail, 0))
+    return trigger.astype(np.int64)
+
+
+def reference_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
+                    layout: PacketLayout, rng: np.random.Generator | None = None):
+    """(created, covered_bytes, occupancy_fraction) of a threshold or
+    sampling spec over the whole population at once."""
+    if spec.kind == "threshold" and spec.axis == "length":
+        T = spec.threshold
+        trigger = np.where(lengths > T, np.floor(T) + 1, 0).astype(np.int64)
+    elif spec.kind == "threshold":
+        over = np.flatnonzero(sizes > spec.threshold)
+        trigger = np.zeros(len(sizes), dtype=np.int64)
+        trigger[over] = layout.packet_over(spec.threshold, over)
+    else:
+        log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
+        trigger = reference_sampling_trigger(lengths, spec, layout, log_u)
+    created = trigger > 0
+    k = trigger - 1
+    bytes_before = k * layout.base + np.maximum(k - layout.lead, 0) * (layout.tail - layout.base)
+    covered = np.where(created, sizes - bytes_before, 0)
+    occ = np.where(created, (lengths + 1 - trigger) / lengths, 0.0)
+    return created, covered, occ

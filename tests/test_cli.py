@@ -101,6 +101,15 @@ def test_simulate_geometric_series(capsys, tmp_path):
     assert [r.split(",")[0] for r in rows[1:]] == ["1.00e+00", "5.00e-01", "2.50e-01"]
 
 
+def test_simulate_rejects_unknown_format_before_writing(capsys, tmp_path):
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows", "2000",
+                    "--formats", "csv,xyz", "--out", str(tmp_path / "s"))
+    assert code == 2
+    error = json.loads(out)["errors"][0]
+    assert error["type"] == "ValueError" and "xyz" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_relative_to_first(capsys, tmp_path):
     code, _ = run(capsys, "analyze", "--model", TOY, "--axis", "length",
                   "--coverages", "90.90909090909092", "--out", str(tmp_path / "a"))

@@ -1,0 +1,117 @@
+"""The blocked threshold and sampling kernels of ``evaluate_batch`` against
+the whole-population formulas of ``oracle.reference_batch``: the same
+arrays bit for bit, and working memory of a few blocks."""
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from flowtab.algorithms import (
+    BLOCK_FLOWS,
+    AlgorithmSpec,
+    PacketLayout,
+    _size_candidates,
+    evaluate_batch,
+)
+from flowtab.sweep import default_probabilities, default_thresholds
+from oracle import reference_batch, reference_sampling_trigger
+
+POPULATION_SIZES = (1, BLOCK_FLOWS - 1, BLOCK_FLOWS, 3 * BLOCK_FLOWS + 77)
+EXTRA_THRESHOLDS = (0.0, 0.5, 1517.0, 1518.0, 1519.0)
+EXTRA_PROBABILITIES = (1.0, 0.999999, 0.3, 1e-12)
+
+
+def kernel_population(count: int, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heavy-tailed lengths up to 2^22 packets (past the largest default
+    length threshold) with sizes that take every layout: a remainder on
+    the last packet, a spread remainder, exact multiples and flows of
+    full-size packets only."""
+    rng = np.random.default_rng(max_packet_size)
+    lengths = np.minimum(np.floor(rng.pareto(0.6, count)) + 1, 2 ** 22).astype(np.int64)
+    per_packet = rng.integers(1, max_packet_size + 1, count)
+    sizes = lengths * per_packet + rng.integers(0, lengths)
+    sizes = np.where(rng.random(count) < 0.1, lengths * max_packet_size, sizes)
+    sizes = np.where(rng.random(count) < 0.1, lengths * per_packet, sizes)
+    return lengths, np.minimum(sizes, lengths * max_packet_size)
+
+
+def kernel_specs(axis: str) -> list[AlgorithmSpec]:
+    thresholds = sorted(set(default_thresholds(axis)) | set(EXTRA_THRESHOLDS))
+    probabilities = sorted(set(default_probabilities(axis)) | set(EXTRA_PROBABILITIES))
+    return ([AlgorithmSpec("threshold", axis, threshold=t) for t in thresholds]
+            + [AlgorithmSpec("sampling", axis, probability=p) for p in probabilities])
+
+
+@pytest.mark.parametrize("max_packet_size", [1518, 9000])
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_blocked_kernels_match_whole_population_formulas(axis, max_packet_size):
+    lengths, sizes = kernel_population(POPULATION_SIZES[-1], max_packet_size)
+    for count in POPULATION_SIZES:
+        ls, ss = lengths[:count], sizes[:count]
+        layout = PacketLayout(ls, ss, max_packet_size)
+        for spec in kernel_specs(axis):
+            got = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            want = reference_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            for name, g, w in zip(("created", "covered", "occ"), got, want):
+                assert g.dtype == w.dtype, (name, count, spec)
+                assert np.array_equal(g, w), (name, count, spec)
+
+
+@pytest.mark.parametrize("max_packet_size", [1518, 9000])
+def test_size_prefilter_keeps_every_created_flow(max_packet_size):
+    lengths, sizes = kernel_population(BLOCK_FLOWS, max_packet_size)
+    layout = PacketLayout(lengths, sizes, max_packet_size)
+    # at p = 1 every flow is a candidate; below 1e-15 the bound is within
+    # rounding of the log-survival of full-size packets
+    probabilities = sorted(set(default_probabilities("size")[1:]) | set(EXTRA_PROBABILITIES[1:])
+                           | {1e-15, 1e-16, 1e-17})
+    for p in probabilities:
+        spec = AlgorithmSpec("sampling", "size", probability=p)
+        scale = p / max_packet_size
+        with np.errstate(divide="ignore"):
+            # the exact log-survival of every packet of each flow
+            survival = (layout.lead * np.log1p(-scale * layout.base)
+                        + (lengths - layout.lead) * np.log1p(-scale * layout.tail))
+        uniform = np.log(np.maximum(np.random.default_rng(4).random(len(lengths)), 2.0 ** -53))
+        # draws just above and just below each flow's survival, where a
+        # flow's entry turns on and off
+        edge = np.maximum(survival, -745.0)
+        for log_u in (uniform, edge * (1 - 1e-12), np.nextafter(edge, 0.0), edge,
+                      edge * (1 + 1e-12)):
+            log_u = np.minimum(log_u, -2.0 ** -53)
+            created = reference_sampling_trigger(lengths, spec, layout, log_u) > 0
+            kept = np.zeros(len(lengths), dtype=bool)
+            kept[_size_candidates(log_u, sizes, p, max_packet_size)] = True
+            assert not np.any(created & ~kept), spec
+
+
+def traced_peak(call):
+    """Peak bytes that call() held at once, as numpy reports them to
+    tracemalloc, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", [
+    AlgorithmSpec("threshold", "length", threshold=1.0),
+    AlgorithmSpec("threshold", "size", threshold=1.0),
+    AlgorithmSpec("sampling", "length", probability=1.0),
+    AlgorithmSpec("sampling", "size", probability=1.0),
+    AlgorithmSpec("threshold", "size", threshold=65536.0),
+    AlgorithmSpec("sampling", "size", probability=2.0 ** -10),
+], ids=lambda spec: f"{spec.kind}-{spec.axis}-{spec.threshold or spec.probability}")
+def test_kernel_memory_is_outputs_plus_a_few_blocks(spec):
+    count = 4 * BLOCK_FLOWS + 77
+    lengths, sizes = kernel_population(count, 1518)
+    layout = PacketLayout(lengths, sizes, 1518)
+    peak, (created, covered, occ) = traced_peak(
+        lambda: evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(1)))
+    outputs = created.nbytes + covered.nbytes + occ.nbytes
+    log_u = 8 * count
+    assert peak < outputs + log_u + 24 * 8 * BLOCK_FLOWS, (peak, outputs)
