@@ -18,7 +18,8 @@ clipped pmass over the survival table, up to its last nonzero mass, with
 its integers, sf at the table's end, one past it and at the
 support cap, and sf at the quadrature nodes of the remainder.  A probe then
 evaluates only its weight at those points.  A start past the survival table
-builds fresh nodes, and both go through the one quadrature sum.
+evaluates sf afresh only on one piece, up to the first of the remainder's
+piece edges past it, and reads the table's nodes from there on.
 """
 from __future__ import annotations
 
@@ -65,19 +66,14 @@ class AnalyticReport:
 
 # -- quadrature ----------------------------------------------------------------
 
-# per rule (64 then 32 points): nodes x shaped (octaves, points), the rule's
-# weights, and each octave's half-width on the log axis
+# per rule (64 then 32 points): nodes x shaped (pieces, points), the rule's
+# weights, and each piece's half-width on the log axis
 _Rules = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _log_nodes(a: float, b: float) -> _Rules:
-    """Per-octave Gauss-Legendre nodes on the log axis over [a, b] (0 < a),
-    for the 64- and the 32-point rule; none when b <= a."""
-    if b <= a:
-        return ()
-    ta, tb = math.log(a), math.log(b)
-    pieces = max(1, math.ceil((tb - ta) / math.log(2.0)))
-    edges = np.linspace(ta, tb, pieces + 1)
+def _log_rules(edges: np.ndarray) -> _Rules:
+    """Gauss-Legendre nodes of the 64- and the 32-point rule on each piece
+    between consecutive edges on the log axis; none for a single edge."""
     mid = 0.5 * (edges[:-1, None] + edges[1:, None])
     half = 0.5 * (edges[1:, None] - edges[:-1, None])
     return tuple((np.exp(mid + half * nodes[None, :]), weights, half)
@@ -88,8 +84,6 @@ def _log_sum(rules: _Rules, values) -> tuple[float, float]:
     """Integral of fn from its values at each rule's nodes; the error
     estimate is the 64- vs 32-node gap.  Keep the product order
     ((fn(x) * x) * w) * half: the golden outputs pin its rounding."""
-    if not rules:
-        return 0.0, 0.0
     v64, v32 = (float(np.sum(f * x * w[None, :] * half))
                 for (x, w, half), f in zip(rules, values))
     return v64, abs(v64 - v32)
@@ -99,40 +93,21 @@ def _log_sum(rules: _Rules, values) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class _Remainder:
-    """What the Abel-summed remainder of a discrete mixture beyond the
-    integer x0 reads of the mixture: sf(x0), sf(x0 + 1), and at the
-    quadrature nodes over [x0 + 1, SUPPORT_CAP] the smooth interpolant of
-    sf, which on the length axis meets the step function at the integers."""
-
-    x1: np.ndarray  # [x0 + 1]
-    sf0: float
-    sf1: np.ndarray
-    rules: _Rules
-    sf_nodes: tuple[np.ndarray, ...]
-
-
-def _remainder(mix: Mixture, x0: int, sf0: float) -> _Remainder | None:
-    """The remainder beyond x0; None when none is left, because x0 reaches
-    the support cap or sf(x0) == 0."""
-    if x0 >= SUPPORT_CAP or sf0 == 0.0:
-        return None
-    x1 = np.array([x0 + 1.0])
-    rules = _log_nodes(x0 + 1.0, float(SUPPORT_CAP))
-    return _Remainder(x1, sf0, mix.sf(x1), rules, tuple(mix._raw_sf(x) for x, _, _ in rules))
-
-
-@dataclass(frozen=True)
 class _DiscreteTable:
     """The clipped pmass of the survival table's integers lo + 1 .. end, up
-    to the last nonzero one, and the remainder beyond end."""
+    to the last nonzero one; sf at end, end + 1 and the support cap; and
+    the remainder's pieces over [end + 1, SUPPORT_CAP], their log-axis
+    edges, nodes and the smooth interpolant of sf at the nodes."""
 
     lo: int
     end: int
     pmass: np.ndarray
     ks: np.ndarray
-    rem: _Remainder | None
+    sf_end: tuple[float, float]
     sf_cap: float
+    edges: np.ndarray
+    rules: _Rules
+    sf_nodes: tuple[np.ndarray, ...]
 
 
 # keyed by the mixture object itself, so a table lives exactly as long as
@@ -151,10 +126,28 @@ def _tail_table(mix: Mixture) -> _DiscreteTable:
     lo = math.ceil(mix.domain_min) - 1
     end = lo + len(sf) - 1
     pm = np.trim_zeros(np.maximum(sf[:-1] - sf[1:], 0.0), "b")
+    ta, tb = math.log(end + 1.0), math.log(SUPPORT_CAP)
+    edges = np.linspace(ta, tb, max(1, math.ceil((tb - ta) / math.log(2.0))) + 1)
+    rules = _log_rules(edges)
     tab = _DiscreteTable(lo, end, pm, np.arange(lo + 1, lo + 1 + len(pm), dtype=float),
-                         _remainder(mix, end, float(sf[-1])), float(mix.sf(SUPPORT_CAP)))
+                         (float(sf[-1]), mix.sf(end + 1.0)), float(mix.sf(SUPPORT_CAP)),
+                         edges, rules, tuple(mix._raw_sf(x) for x, _, _ in rules))
     _TABLES[mix] = tab
     return tab
+
+
+def _pieces(mix: Mixture, tab: _DiscreteTable, x0: int) -> tuple[_Rules, tuple[np.ndarray, ...]]:
+    """The remainder's pieces over [x0 + 1, SUPPORT_CAP], x0 >= end, and sf
+    at their nodes: the table's own at end; past it one fresh piece up to
+    the first edge beyond x0 + 1, then the table's pieces from that edge."""
+    if x0 == tab.end:
+        return tab.rules, tab.sf_nodes
+    i = int(np.searchsorted(tab.edges, math.log(x0 + 1.0), "right"))
+    fresh = _log_rules(np.append(math.log(x0 + 1.0), tab.edges[i:i + 1]))
+    rules = tuple((np.vstack((x, tx[i:])), w, np.vstack((half, th[i:])))
+                  for (x, w, half), (tx, _, th) in zip(fresh, tab.rules))
+    return rules, tuple(np.vstack((mix._raw_sf(x), s[i:]))
+                        for (x, _, _), s in zip(fresh, tab.sf_nodes))
 
 
 # -- tail sums ------------------------------------------------------------------
@@ -163,32 +156,31 @@ def _tail_table(mix: Mixture) -> _DiscreteTable:
 def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, float]:
     """Sum pmass(k) * g(k) over integers k > start, with a truncation bound.
 
-    The terms up to the end of the mixture's survival table are summed
-    exactly from its tail table.  g and gstep (the forward difference
-    g(x+1) - g(x)) must be vectorized; |sf(x) * gstep(x)| is assumed
-    monotone decreasing beyond the table, which holds for the monotone
-    weight functions used here, all bounded by 1.
+    The terms up to the end of the mixture's survival table, if any, are
+    summed exactly from its tail table, and the rest is Abel-summed.  g and
+    gstep (the forward difference g(x+1) - g(x)) must be vectorized;
+    |sf(x) * gstep(x)| is assumed monotone decreasing beyond the table,
+    which holds for the monotone weight functions used here, all bounded by 1.
     """
     tab = _tail_table(mix)
     start_i = max(math.floor(start), tab.lo)
-    if start_i <= tab.end:
-        # np.sum, not a BLAS dot, whose rounding follows its thread count
-        i = start_i - tab.lo
-        value = float(np.sum(tab.pmass[i:] * g(tab.ks[i:])))
-        x0, rem = tab.end, tab.rem
-    else:  # start lies beyond the table: its remainder starts at start
-        value = 0.0
-        x0 = start_i
-        rem = _remainder(mix, x0, mix.sf(float(x0)))
-    if rem is None:
-        return value, 2.0 * (tab.sf_cap if x0 >= SUPPORT_CAP else 0.0)
+    # np.sum, not a BLAS dot, whose rounding follows its thread count
+    i = start_i - tab.lo
+    value = float(np.sum(tab.pmass[i:] * g(tab.ks[i:])))
+    x0 = max(start_i, tab.end)
+    if x0 >= SUPPORT_CAP:
+        return value, 2.0 * tab.sf_cap
+    sf0, sf1 = tab.sf_end if x0 == tab.end else mix.sf(np.array([x0, x0 + 1.0])).tolist()
+    if sf0 == 0.0:
+        return value, 0.0
 
+    rules, sf_nodes = _pieces(mix, tab, x0)
     integral, int_err = _log_sum(
-        rem.rules, [s * gstep(x) for (x, _, _), s in zip(rem.rules, rem.sf_nodes)]
+        rules, [s * gstep(x) for (x, _, _), s in zip(rules, sf_nodes)]
     )
-    h0 = float((rem.sf1 * gstep(rem.x1))[0])
-    g0 = float(g(rem.x1)[0])
-    value += rem.sf0 * g0 + integral + 0.5 * h0
+    x1 = np.array([x0 + 1.0])
+    h0 = sf1 * float(gstep(x1)[0])
+    value += sf0 * float(g(x1)[0]) + integral + 0.5 * h0
     bound = 0.5 * abs(h0) + int_err + 2.0 * tab.sf_cap
     return value, bound
 

@@ -220,10 +220,14 @@ def _cmd_peff(args) -> int:
     if args.paths is not None:
         with open(args.paths, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        paths = tuple(
-            (float(p["probability"]), tuple(float(q) for q in p["switch_probabilities"]))
-            for p in doc["paths"]
-        )
+        try:
+            paths = tuple(
+                (float(p["probability"]), tuple(float(q) for q in p["switch_probabilities"]))
+                for p in doc["paths"]
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError("path profile: expected an object whose 'paths' hold 'probability' "
+                             f"and 'switch_probabilities' ({type(exc).__name__}: {exc})") from exc
         value = p_eff_paths(PathProfile(paths=paths))
     elif args.p is not None and args.l_avg is not None:
         value = p_eff_avg(args.p, args.l_avg)

@@ -42,7 +42,6 @@ SUPPORT_FLOOR_TOLERANCE = 1e-9
 SUPPORT_CAP = 2 ** 40
 DEFAULT_MAX_PACKET = 1518
 DEFAULT_SIZE_DOMAIN_MIN = 64
-QUANTILE_ITERATIONS = 64
 # integers above domain_min in each mixture's survival table
 TABLE_SPAN = 2 ** 16
 
@@ -147,14 +146,13 @@ class _Prepared:
     """Component with direct vectorized distribution math and its
     lower-truncation constant.
 
-    The sf/ppf implementations are direct numpy and scipy.special math,
-    cheap enough for the vectorized tables and bisections; they are
-    cross-checked against scipy.stats in the test suite.  The survival
-    function is the component's one distribution function: every CDF
-    value is 1 - sf.
+    The sf implementation is direct numpy and scipy.special math, cheap
+    enough for the vectorized tables and bisections; it is cross-checked
+    against scipy.stats in the test suite.  The survival function is the
+    component's one distribution function: every CDF value is 1 - sf.
     """
 
-    __slots__ = ("component", "kind", "weight", "below_floor", "keep", "_p")
+    __slots__ = ("component", "kind", "weight", "keep", "_p")
 
     def __init__(self, component: MixtureComponent, floor: float, discrete: bool):
         self.component = component
@@ -172,7 +170,6 @@ class _Prepared:
             raise SchemaError(
                 f"{component.kind} component has no mass above domain_min"
             )
-        self.below_floor = c
         self.keep = 1.0 - c
 
     def sf(self, x: np.ndarray) -> np.ndarray:
@@ -184,18 +181,6 @@ class _Prepared:
                 z = (np.log(np.maximum(x, 0.0)) - p["mu"]) / p["sigma"]
             return np.where(x > 0.0, special.ndtr(-z), 1.0)
         return _gpd_sf(np.maximum((x - p["location"]) / p["scale"], 0.0), p["shape"])
-
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        p = self._p
-        u = np.clip(u, 0.0, 1.0 - 1e-16)
-        if self.kind == "uniform":
-            return p["low"] + u * (p["high"] - p["low"])
-        if self.kind == "lognormal":
-            return np.exp(p["mu"] + p["sigma"] * special.ndtri(np.maximum(u, 1e-300)))
-        shape, loc, scale = p["shape"], p["location"], p["scale"]
-        if shape == 0.0:
-            return loc - scale * np.log1p(-u)
-        return loc + scale * np.expm1(-shape * np.log1p(-u)) / shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +197,9 @@ class Mixture:
     Every mixture holds one table of sf at the integers from
     ceil(domain_min) - 1, the last where sf is 1, up to ceil(domain_min) +
     TABLE_SPAN, built on first use.  The integer quantile and the analytic
-    tail sums read it on both axes, and the mean on the length axis.
+    tail sums read it on both axes, and the mean on the length axis.  Past
+    its end the quantile reads a grid of 64 integers per octave, also built
+    on first use, and bisects between two of them.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -271,7 +258,7 @@ class Mixture:
         """Probability mass of the integer cell k: cdf(k) - cdf(k - 1)."""
         scalar = np.isscalar(k)
         kk = np.atleast_1d(np.asarray(k, dtype=float))
-        if np.any(kk < self.domain_min):
+        if not np.all(kk >= self.domain_min):  # NaN included
             raise ValueError("pmass requires k >= domain_min")
         out = self.sf(kk - 1.0) - self.sf(kk)
         out = np.maximum(out, 0.0)
@@ -279,41 +266,53 @@ class Mixture:
 
     # -- quantiles -----------------------------------------------------------
 
-    def _bisect(self, u: np.ndarray) -> np.ndarray:
-        """Smallest integer x with 1 - sf(x) >= u, for u beyond the survival
-        table: geometric bisection between the table's end (cdf < u) and the
-        largest component quantile (cdf >= u), then rounded up."""
-        lo = np.full_like(u, math.ceil(self.domain_min) + TABLE_SPAN)
-        hi = lo
-        for pc in self._prepared:
-            hi = np.maximum(hi, pc.ppf(pc.below_floor + u * pc.keep))
-        for _ in range(QUANTILE_ITERATIONS):
-            mid = np.sqrt(lo * hi)
-            above = 1.0 - self._raw_sf(mid) >= u
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        k = np.ceil(hi)
-        return np.where(1.0 - self._raw_sf(k - 1.0) >= u, k - 1.0, k)
+    @functools.cached_property
+    def _tail_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The integers floor(end * 2^(j/64)), j >= 1, past the survival
+        table's end, with cdf at each: octave by octave up to the first
+        whose cdf reaches 1 - 2^-53, the largest u a quantile takes, or
+        whose x overflows, where every component's sf is 0."""
+        steps = np.exp2(np.arange(1, 65) / 64.0)
+        scale = float(math.ceil(self.domain_min) + TABLE_SPAN)
+        xs, cdfs = [], []
+        with np.errstate(over="ignore"):
+            while not cdfs or cdfs[-1][-1] < 1.0 - 2.0 ** -53:
+                xs.append(np.floor(scale * steps))
+                cdfs.append(1.0 - self._raw_sf(xs[-1]))
+                scale *= 2.0
+        return np.concatenate(xs), np.concatenate(cdfs)
 
     def quantile(self, u):
         """Smallest integer x >= domain_min with cdf(x) >= u, for u in [0, 1).
 
-        u is looked up in the survival table and bisected only beyond its
-        end.  By convention quantile(0) == domain_min.
+        u is looked up in the survival table, then in the grid past it; a
+        grid bracket is bisected on the integers, and past 2^53, where
+        floats are sparser than the integers, until no float lies strictly
+        inside it.  By convention quantile(0) == domain_min.
         """
         scalar = np.isscalar(u)
         uu = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((uu < 0.0) | (uu >= 1.0)):
+        if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN included
             raise ValueError("quantile requires u in [0, 1)")
-        out = np.full_like(uu, float(self.domain_min))
         cdf = 1.0 - self._sf_table
         k = np.searchsorted(cdf, uu, "left")
-        live = uu > 0.0
-        inside = live & (k < len(cdf))
-        out[inside] = math.ceil(self.domain_min) - 1 + k[inside]
-        live &= ~inside
-        if np.any(live):
-            out[live] = self._bisect(uu[live])
+        out = np.where(uu > 0.0, math.ceil(self.domain_min) - 1.0 + k, float(self.domain_min))
+        past = k == len(cdf)
+        if np.any(past):
+            up = uu[past]
+            grid, grid_cdf = self._tail_grid
+            j = np.searchsorted(grid_cdf, up, "left")
+            lo = np.where(j > 0, grid[j - 1], math.ceil(self.domain_min) + TABLE_SPAN)
+            hi = grid[j]
+            live = np.arange(len(up))
+            while live.size:
+                mid = np.floor(lo[live] / 2.0 + hi[live] / 2.0)
+                inside = (lo[live] < mid) & (mid < hi[live])
+                live, mid = live[inside], mid[inside]
+                above = 1.0 - self._raw_sf(mid) >= up[live]
+                hi[live[above]] = mid[above]
+                lo[live[~above]] = mid[~above]
+            out[past] = hi
         return float(out[0]) if scalar else out
 
     # -- moments ---------------------------------------------------------------

@@ -13,9 +13,14 @@ report metrics.
 ``reference_batch`` keeps the whole-population threshold and sampling
 formulas, one array operation over every flow per step, as the reference
 the blocked kernels of ``evaluate_batch`` must match bit for bit.
+
+``reference_remainder`` keeps the Abel-summed tail remainder on fresh
+per-octave quadrature nodes from its own start, the reference for the
+analytic tail sums past a mixture's survival table.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +33,7 @@ from flowtab.algorithms import (
     MetricsReport,
     PacketLayout,
 )
-from flowtab.model import DEFAULT_MAX_PACKET
+from flowtab.model import DEFAULT_MAX_PACKET, SUPPORT_CAP, Mixture
 
 
 class PacketizeError(ValueError):
@@ -219,3 +224,29 @@ def reference_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     covered = np.where(created, sizes - bytes_before, 0)
     occ = np.where(created, (lengths + 1 - trigger) / lengths, 0.0)
     return created, covered, occ
+
+
+# -- the tail remainder on fresh nodes ----------------------------------------------
+
+
+def reference_remainder(mix: Mixture, g, gstep, x0: int) -> tuple[float, float]:
+    """Sum of pmass(k) * g(k) over integers k > x0, x0 < SUPPORT_CAP with
+    sf(x0) > 0, with its truncation bound: the Abel-summed remainder
+    sf(x0) g(x0 + 1) + sum over x > x0 of sf(x) gstep(x), the sum read as
+    the integral over [x0 + 1, SUPPORT_CAP] plus half its first term.  The
+    integral takes the 64-point Gauss-Legendre rule on equal pieces of at
+    most an octave on the log axis, its error the gap to the 32-point rule."""
+    x1 = np.array([x0 + 1.0])
+    ta, tb = math.log(x0 + 1.0), math.log(SUPPORT_CAP)
+    edges = np.linspace(ta, tb, max(1, math.ceil((tb - ta) / math.log(2.0))) + 1)
+    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    sums = []
+    for points in (64, 32):
+        nodes, w = np.polynomial.legendre.leggauss(points)
+        x = np.exp(mid + half * nodes[None, :])
+        sums.append(float(np.sum(mix._raw_sf(x) * gstep(x) * x * w[None, :] * half)) if tb > ta else 0.0)
+    v64, v32 = sums
+    h0 = float((mix.sf(x1) * gstep(x1))[0])
+    value = mix.sf(float(x0)) * float(g(x1)[0]) + v64 + 0.5 * h0
+    return value, 0.5 * abs(h0) + abs(v64 - v32) + 2.0 * mix.sf(float(SUPPORT_CAP))

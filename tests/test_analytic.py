@@ -12,6 +12,7 @@ from flowtab.analytic import (
     _WEIGHTS,
     UnreachableError,
     _discrete_tail_sum,
+    _tail_table,
     analytic_for_spec,
     expected_covered_fraction,
     invert_for_coverage,
@@ -19,6 +20,7 @@ from flowtab.analytic import (
 from flowtab.cli import DEFAULT_COVERAGES
 from flowtab.model import Mixture, MixtureComponent
 from flowtab.sweep import SweepSpec, run_sweep
+from oracle import reference_remainder
 
 
 def first(model, axis, t):
@@ -228,6 +230,27 @@ def test_weight_steps_are_forward_differences(heavytail_model, kind, axis):
             assert np.allclose(gstep(x), g(x + 1.0) - g(x), rtol=1e-7, atol=1e-15), (spec, g)
 
 
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_remainder_past_the_table_matches_fresh_nodes(heavytail_model, axis):
+    # a start past the survival table reads one fresh piece up to the
+    # table's next piece edge, then the table's own pieces: it agrees with
+    # fresh nodes from the start on, at the edges and at the support cap
+    for weighting in ("flows", "octets"):
+        mix = getattr(heavytail_model.axis(axis), weighting)
+        tab = _tail_table(mix)
+        edges = np.floor(np.exp(tab.edges[1:-1]))
+        starts = {tab.end, tab.end + 1, 2 ** 40 - 2, 2 ** 40 - 1}
+        starts |= {2 ** k for k in range(17, 40)}
+        starts |= {int(e) + d for e in edges for d in (-2, -1, 0)}
+        for x0 in sorted(starts):
+            t = float(x0)
+            weight = (lambda x: 1.0 - t / x, lambda x: t / (x * (x + 1.0)))
+            value, bound = _discrete_tail_sum(mix, *weight, t)
+            ref_value, ref_bound = reference_remainder(mix, *weight, x0)
+            assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0), (weighting, x0)
+            assert bound == pytest.approx(ref_bound, rel=1e-3, abs=0.0), (weighting, x0)
+
+
 def test_tail_tables_live_and_die_with_their_mixture():
     # each mixture's tail table is found by the mixture itself: a table keyed
     # by id() would be handed to a later mixture that reuses a dropped one's id
@@ -263,7 +286,7 @@ def test_reports_digest_over_default_cells(toy_model, heavytail_model):
                 line = ",".join([name, axis, spec.kind, float(param).hex(), *fields])
                 digest.update((line + "\n").encode())
     assert digest.hexdigest() == (
-        "825306df4482cd54db5a09e6586d11383f20feecc0b54b16f1a1e8a70c325eb3"
+        "dee2e1b0c9088a69da4d0dd5e761517683c23b19cd54fd172828214ef33206ee"
     )
 
 

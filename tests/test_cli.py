@@ -211,6 +211,13 @@ def test_peff_flags_and_profile(capsys, tmp_path):
     assert float(out) == pytest.approx(0.271, abs=1e-12)
     code, _ = run(capsys, "peff", "--p", "0.1")
     assert code == 2
+    # a malformed profile is a validation error, reported as JSON
+    for doc in ({"routes": profile["paths"]}, {"paths": [{"probability": 1.0}]},
+                profile["paths"]):
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "peff", "--paths", str(path))
+        assert code == 2
+        assert json.loads(out)["errors"][0]["type"] == "ValueError"
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

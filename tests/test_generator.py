@@ -186,6 +186,19 @@ def test_size_draws_past_int64_clamp_high(toy_document):
     assert np.array_equal(sizes[draws >= 2.0 ** 63], 1518 * lengths[draws >= 2.0 ** 63])
 
 
+def test_shape5_quantile_stops_at_adjacent_floats(toy_document):
+    # shape-5 quantiles pass 2^53, where floats are sparser than the
+    # integers: the bisection past the survival table returns the float
+    # whose predecessor still falls short of u
+    mix = parse_model(json.dumps(shape5_document(toy_document, "size", 64.0, 64.0))).size_axis.flows
+    u = 1.0 - 2.0 ** -np.arange(20.0, 54.0)
+    q = mix.quantile(u)
+    assert q.max() > 2.0 ** 53
+    below = np.where(q > 2.0 ** 53, np.nextafter(q, 0.0), q - 1.0)
+    assert np.all(mix.cdf(q) >= u)
+    assert np.all(mix.cdf(below) < u)
+
+
 def test_length_draw_past_int64_is_rejected(toy_document, tmp_path, capsys):
     doc = shape5_document(toy_document, "length", 0.5, 1.0)
     with pytest.raises(ValueError, match=r"length draw [0-9.e+]+ packets"):

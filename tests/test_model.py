@@ -185,6 +185,17 @@ def test_quantile_toy(toy_model):
         flows.quantile(1.0)
 
 
+def test_nan_is_rejected(heavytail_model):
+    # NaN fails every range check: it is an error, not the domain floor
+    flows = heavytail_model.size_axis.flows
+    for u in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="quantile requires"):
+            flows.quantile(u)
+    for k in (math.nan, [300.0, math.nan]):
+        with pytest.raises(ValueError, match="pmass requires"):
+            flows.pmass(k)
+
+
 def assert_integer_quantile(mix, u):
     # q is the smallest integer >= domain_min with cdf(q) >= u, checked exactly
     q = mix.quantile(u)
