@@ -12,26 +12,26 @@ probes of the inversion sum the same terms, except that first, a step in T,
 is inverted through the integer quantile.  Every report carries the
 truncation bound; reports above 1e-6 are flagged.
 
-What these sums read of a mixture is built once, on the mixture's first
-probe, into its tail table, which lives as long as the mixture does: the
-clipped pmass over the survival table, up to its last nonzero mass, with
-its integers, sf at the table's end, one past it and at the
-support cap, and sf at the quadrature nodes of the remainder.  A probe then
-evaluates only its weight at those points.  A start past the survival table
-evaluates sf afresh only on one piece, up to the first of the remainder's
-piece edges past it, and reads the table's nodes from there on.
+These sums read each mixture's tail table, which the mixture builds on its
+first probe and keeps as long as it lives (model.Mixture): the clipped
+pmass over the survival table with its integers, sf at the table's end, one
+past it and at the support cap, and sf at the quadrature nodes of the
+remainder.  A probe then evaluates only its weight at those points.  A
+start past the survival table evaluates sf afresh only on one piece, up to
+the first of the remainder's piece edges past it, and reads the table's
+nodes from there on.  This module holds only the weights, the sums and the
+inversion.
 """
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import AlgorithmSpec, DegenerateError
-from .model import SUPPORT_CAP, Mixture, TrafficModel
+from .model import SUPPORT_CAP, Mixture, TrafficModel, _Rules
 
 __all__ = [
     "UnreachableError",
@@ -43,9 +43,6 @@ __all__ = [
 
 FLAG_LEVEL = 1e-6
 P_BRACKET = (1e-12, 1.0)
-
-_GL64 = np.polynomial.legendre.leggauss(64)
-_GL32 = np.polynomial.legendre.leggauss(32)
 
 
 class UnreachableError(ValueError):
@@ -66,19 +63,6 @@ class AnalyticReport:
 
 # -- quadrature ----------------------------------------------------------------
 
-# per rule (64 then 32 points): nodes x shaped (pieces, points), the rule's
-# weights, and each piece's half-width on the log axis
-_Rules = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def _log_rules(edges: np.ndarray) -> _Rules:
-    """Gauss-Legendre nodes of the 64- and the 32-point rule on each piece
-    between consecutive edges on the log axis; none for a single edge."""
-    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
-    half = 0.5 * (edges[1:, None] - edges[:-1, None])
-    return tuple((np.exp(mid + half * nodes[None, :]), weights, half)
-                 for nodes, weights in (_GL64, _GL32))
-
 
 def _log_sum(rules: _Rules, values) -> tuple[float, float]:
     """Integral of fn from its values at each rule's nodes; the error
@@ -87,67 +71,6 @@ def _log_sum(rules: _Rules, values) -> tuple[float, float]:
     v64, v32 = (float(np.sum(f * x * w[None, :] * half))
                 for (x, w, half), f in zip(rules, values))
     return v64, abs(v64 - v32)
-
-
-# -- per-mixture tail tables ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _DiscreteTable:
-    """The clipped pmass of the survival table's integers lo + 1 .. end, up
-    to the last nonzero one; sf at end, end + 1 and the support cap; and
-    the remainder's pieces over [end + 1, SUPPORT_CAP], their log-axis
-    edges, nodes and the smooth interpolant of sf at the nodes."""
-
-    lo: int
-    end: int
-    pmass: np.ndarray
-    ks: np.ndarray
-    sf_end: tuple[float, float]
-    sf_cap: float
-    edges: np.ndarray
-    rules: _Rules
-    sf_nodes: tuple[np.ndarray, ...]
-
-
-# keyed by the mixture object itself, so a table lives exactly as long as
-# its mixture; an id() key could be reused by a later mixture
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _tail_table(mix: Mixture) -> _DiscreteTable:
-    """The mixture's tail table, built on its first probe.  The survival
-    table starts at ceil(domain_min) - 1, where sf is 1, so its first
-    difference is the atom at ceil(domain_min)."""
-    tab = _TABLES.get(mix)
-    if tab is not None:
-        return tab
-    sf = mix._sf_table
-    lo = math.ceil(mix.domain_min) - 1
-    end = lo + len(sf) - 1
-    pm = np.trim_zeros(np.maximum(sf[:-1] - sf[1:], 0.0), "b")
-    ta, tb = math.log(end + 1.0), math.log(SUPPORT_CAP)
-    edges = np.linspace(ta, tb, max(1, math.ceil((tb - ta) / math.log(2.0))) + 1)
-    rules = _log_rules(edges)
-    tab = _DiscreteTable(lo, end, pm, np.arange(lo + 1, lo + 1 + len(pm), dtype=float),
-                         (float(sf[-1]), mix.sf(end + 1.0)), float(mix.sf(SUPPORT_CAP)),
-                         edges, rules, tuple(mix._raw_sf(x) for x, _, _ in rules))
-    _TABLES[mix] = tab
-    return tab
-
-
-def _pieces(mix: Mixture, tab: _DiscreteTable, x0: int) -> tuple[_Rules, tuple[np.ndarray, ...]]:
-    """The remainder's pieces over [x0 + 1, SUPPORT_CAP], x0 >= end, and sf
-    at their nodes: the table's own at end; past it one fresh piece up to
-    the first edge beyond x0 + 1, then the table's pieces from that edge."""
-    if x0 == tab.end:
-        return tab.rules, tab.sf_nodes
-    i = int(np.searchsorted(tab.edges, math.log(x0 + 1.0), "right"))
-    fresh = _log_rules(np.append(math.log(x0 + 1.0), tab.edges[i:i + 1]))
-    rules = tuple((np.vstack((x, tx[i:])), w, np.vstack((half, th[i:])))
-                  for (x, w, half), (tx, _, th) in zip(fresh, tab.rules))
-    return rules, tuple(np.vstack((mix._raw_sf(x), s[i:]))
-                        for (x, _, _), s in zip(fresh, tab.sf_nodes))
 
 
 # -- tail sums ------------------------------------------------------------------
@@ -162,7 +85,7 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
     |sf(x) * gstep(x)| is assumed monotone decreasing beyond the table,
     which holds for the monotone weight functions used here, all bounded by 1.
     """
-    tab = _tail_table(mix)
+    tab = mix._tail_table
     start_i = max(math.floor(start), tab.lo)
     # np.sum, not a BLAS dot, whose rounding follows its thread count
     i = start_i - tab.lo
@@ -174,7 +97,7 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
     if sf0 == 0.0:
         return value, 0.0
 
-    rules, sf_nodes = _pieces(mix, tab, x0)
+    rules, sf_nodes = mix._pieces(x0)
     integral, int_err = _log_sum(
         rules, [s * gstep(x) for (x, _, _), s in zip(rules, sf_nodes)]
     )

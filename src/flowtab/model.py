@@ -6,9 +6,12 @@ flows, of packets, and of octets attributable to flows up to a given
 length/size.  Each weighting is a mixture of uniform, lognormal and
 generalized-Pareto components.  Flows are drawn whole on both axes, from
 the integer law pmass(k) = sf(k - 1) - sf(k) of the mixture's survival
-function, and the analytic sums read that same law.  On the length axis sf
-is itself a step function; on the size axis it is the continuous byte law,
-and the integer law takes its differences at whole bytes.
+function, and the mean and the analytic sums read that same law.  On the
+length axis sf is itself a step function; on the size axis it is the
+continuous byte law, and the integer law takes its differences at whole
+bytes.  Each mixture is the one home of its integer law: the components
+evaluate their own sf, and the mixture keeps the tables its quantile, mean
+and tail sums read.
 """
 from __future__ import annotations
 
@@ -141,39 +144,15 @@ class MixtureComponent:
         # conditional excess beyond a is generalized-Pareto(xi, sc + xi*(a - loc))
         return sf * (a + (sc + xi * (a - loc)) / (1.0 - xi))
 
-
-class _Prepared:
-    """Component with direct vectorized distribution math and its
-    lower-truncation constant.
-
-    The sf implementation is direct numpy and scipy.special math, cheap
-    enough for the vectorized tables and bisections; it is cross-checked
-    against scipy.stats in the test suite.  The survival function is the
-    component's one distribution function: every CDF value is 1 - sf.
-    """
-
-    __slots__ = ("component", "kind", "weight", "keep", "_p")
-
-    def __init__(self, component: MixtureComponent, floor: float, discrete: bool):
-        self.component = component
-        self.kind = component.kind
-        self.weight = component.weight
-        self._p = dict(component.params)
-        c = 1.0 - float(self.sf(np.asarray([floor]))[0])
-        if discrete and c > SUPPORT_FLOOR_TOLERANCE:
-            raise SchemaError(
-                f"{component.kind} component carries probability {c:.3g} below the "
-                f"domain floor {floor}; discrete-axis support must start at "
-                f"{floor + 1} or above"
-            )
-        if c >= 1.0:
-            raise SchemaError(
-                f"{component.kind} component has no mass above domain_min"
-            )
-        self.keep = 1.0 - c
-
     def sf(self, x: np.ndarray) -> np.ndarray:
-        p = self._p
+        """P(X > x) under the untruncated component law, vectorized.
+
+        Direct numpy and scipy.special math, cheap enough for the tables
+        and bisections; the tests cross-check it against scipy.stats.  It
+        is the component's one distribution function: every CDF value is
+        1 - sf.
+        """
+        p = self.params
         if self.kind == "uniform":
             return np.clip((p["high"] - x) / (p["high"] - p["low"]), 0.0, 1.0)
         if self.kind == "lognormal":
@@ -181,6 +160,43 @@ class _Prepared:
                 z = (np.log(np.maximum(x, 0.0)) - p["mu"]) / p["sigma"]
             return np.where(x > 0.0, special.ndtr(-z), 1.0)
         return _gpd_sf(np.maximum((x - p["location"]) / p["scale"], 0.0), p["shape"])
+
+
+# -- per-mixture tail tables ----------------------------------------------------
+
+_GL64 = np.polynomial.legendre.leggauss(64)
+_GL32 = np.polynomial.legendre.leggauss(32)
+
+# per rule (64 then 32 points): nodes x shaped (pieces, points), the rule's
+# weights, and each piece's half-width on the log axis
+_Rules = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _log_rules(edges: np.ndarray) -> _Rules:
+    """Gauss-Legendre nodes of the 64- and the 32-point rule on each piece
+    between consecutive edges on the log axis; none for a single edge."""
+    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    return tuple((np.exp(mid + half * nodes[None, :]), weights, half)
+                 for nodes, weights in (_GL64, _GL32))
+
+
+@dataclass(frozen=True)
+class _DiscreteTable:
+    """The clipped pmass of the survival table's integers lo + 1 .. end, up
+    to the last nonzero one; sf at end, end + 1 and the support cap; and
+    the remainder's pieces over [end + 1, SUPPORT_CAP], their log-axis
+    edges, nodes and the smooth interpolant of sf at the nodes."""
+
+    lo: int
+    end: int
+    pmass: np.ndarray
+    ks: np.ndarray
+    sf_end: tuple[float, float]
+    sf_cap: float
+    edges: np.ndarray
+    rules: _Rules
+    sf_nodes: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,16 +212,18 @@ class Mixture:
 
     Every mixture holds one table of sf at the integers from
     ceil(domain_min) - 1, the last where sf is 1, up to ceil(domain_min) +
-    TABLE_SPAN, built on first use.  The integer quantile and the analytic
-    tail sums read it on both axes, and the mean on the length axis.  Past
-    its end the quantile reads a grid of 64 integers per octave, also built
-    on first use, and bisects between two of them.
+    TABLE_SPAN, built on first use.  The integer quantile reads it, and so
+    does the tail table, also built on first use, from which the mean and
+    the analytic tail sums read the integer law on both axes.  Past the
+    survival table's end the quantile reads a grid of 64 integers per
+    octave, also built on first use, and bisects between two of them.
     """
 
     components: tuple[MixtureComponent, ...]
     domain_min: float
     discrete: bool
-    _prepared: tuple[_Prepared, ...] = field(init=False, repr=False, compare=False)
+    # each component's mass above the floor, by which it is renormalized
+    _keep: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -217,29 +235,45 @@ class Mixture:
             raise WeightError(
                 f"mixture weights sum to {total!r}, expected 1 within {WEIGHT_TOLERANCE}"
             )
-        prepared = tuple(
-            _Prepared(c, self.floor, self.discrete) for c in self.components
-        )
-        object.__setattr__(self, "_prepared", prepared)
+        keep = []
+        for c in self.components:
+            below = 1.0 - float(c.sf(np.asarray([self.floor]))[0])
+            if self.discrete and below > SUPPORT_FLOOR_TOLERANCE:
+                raise SchemaError(
+                    f"{c.kind} component carries probability {below:.3g} below the "
+                    f"domain floor {self.floor}; discrete-axis support must start at "
+                    f"{self.floor + 1} or above"
+                )
+            if below >= 1.0:
+                raise SchemaError(f"{c.kind} component has no mass above domain_min")
+            keep.append(1.0 - below)
+        object.__setattr__(self, "_keep", tuple(keep))
 
     @property
     def floor(self) -> float:
         """Lower edge of the support: domain_min - 1 (discrete) or domain_min."""
         return self.domain_min - 1.0 if self.discrete else float(self.domain_min)
 
+    @property
+    def _ends(self) -> tuple[int, int]:
+        """The survival table's first and last integers: ceil(domain_min) -
+        1 and ceil(domain_min) + TABLE_SPAN."""
+        lo = math.ceil(self.domain_min) - 1
+        return lo, lo + TABLE_SPAN + 1
+
     # -- survival / CDF ----------------------------------------------------
 
     def _raw_sf(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x, dtype=float)
-        for pc in self._prepared:
-            out += pc.weight * (pc.sf(x) / pc.keep)
+        for c, keep in zip(self.components, self._keep):
+            out += c.weight * (c.sf(x) / keep)
         return np.clip(out, 0.0, 1.0)
 
     @functools.cached_property
     def _sf_table(self) -> np.ndarray:
-        """sf at the integers ceil(domain_min) - 1 .. ceil(domain_min) + TABLE_SPAN."""
-        first = math.ceil(self.domain_min)
-        return self.sf(np.arange(first - 1, first + TABLE_SPAN + 1, dtype=float))
+        """sf at the integers of _ends, both included."""
+        lo, end = self._ends
+        return self.sf(np.arange(lo, end + 1, dtype=float))
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
@@ -264,7 +298,37 @@ class Mixture:
         out = np.maximum(out, 0.0)
         return float(out[0]) if scalar else out
 
-    # -- quantiles -----------------------------------------------------------
+    # -- the integer law's tail ----------------------------------------------
+
+    @functools.cached_property
+    def _tail_table(self) -> _DiscreteTable:
+        """What the integer sums read of the mixture.  The survival table
+        starts where sf is 1, so its first difference is the atom at
+        ceil(domain_min)."""
+        sf = self._sf_table
+        lo, end = self._ends
+        pm = np.trim_zeros(np.maximum(sf[:-1] - sf[1:], 0.0), "b")
+        ta, tb = math.log(end + 1.0), math.log(SUPPORT_CAP)
+        edges = np.linspace(ta, tb, max(1, math.ceil((tb - ta) / math.log(2.0))) + 1)
+        rules = _log_rules(edges)
+        return _DiscreteTable(lo, end, pm, np.arange(lo + 1, lo + 1 + len(pm), dtype=float),
+                              (float(sf[-1]), self.sf(end + 1.0)), float(self.sf(SUPPORT_CAP)),
+                              edges, rules, tuple(self._raw_sf(x) for x, _, _ in rules))
+
+    def _pieces(self, x0: int) -> tuple[_Rules, tuple[np.ndarray, ...]]:
+        """The remainder's pieces over [x0 + 1, SUPPORT_CAP], x0 >= end, and
+        sf at their nodes: the tail table's own at end; past it one fresh
+        piece up to the first edge beyond x0 + 1, then the table's pieces
+        from that edge."""
+        tab = self._tail_table
+        if x0 == tab.end:
+            return tab.rules, tab.sf_nodes
+        i = int(np.searchsorted(tab.edges, math.log(x0 + 1.0), "right"))
+        fresh = _log_rules(np.append(math.log(x0 + 1.0), tab.edges[i:i + 1]))
+        rules = tuple((np.vstack((x, tx[i:])), w, np.vstack((half, th[i:])))
+                      for (x, w, half), (tx, _, th) in zip(fresh, tab.rules))
+        return rules, tuple(np.vstack((self._raw_sf(x), s[i:]))
+                            for (x, _, _), s in zip(fresh, tab.sf_nodes))
 
     @functools.cached_property
     def _tail_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +337,7 @@ class Mixture:
         whose cdf reaches 1 - 2^-53, the largest u a quantile takes, or
         whose x overflows, where every component's sf is 0."""
         steps = np.exp2(np.arange(1, 65) / 64.0)
-        scale = float(math.ceil(self.domain_min) + TABLE_SPAN)
+        scale = float(self._ends[1])
         xs, cdfs = [], []
         with np.errstate(over="ignore"):
             while not cdfs or cdfs[-1][-1] < 1.0 - 2.0 ** -53:
@@ -281,6 +345,8 @@ class Mixture:
                 cdfs.append(1.0 - self._raw_sf(xs[-1]))
                 scale *= 2.0
         return np.concatenate(xs), np.concatenate(cdfs)
+
+    # -- quantiles -----------------------------------------------------------
 
     def quantile(self, u):
         """Smallest integer x >= domain_min with cdf(x) >= u, for u in [0, 1).
@@ -294,15 +360,16 @@ class Mixture:
         uu = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN included
             raise ValueError("quantile requires u in [0, 1)")
+        base, end = self._ends
         cdf = 1.0 - self._sf_table
         k = np.searchsorted(cdf, uu, "left")
-        out = np.where(uu > 0.0, math.ceil(self.domain_min) - 1.0 + k, float(self.domain_min))
+        out = np.where(uu > 0.0, float(base) + k, float(self.domain_min))
         past = k == len(cdf)
         if np.any(past):
             up = uu[past]
             grid, grid_cdf = self._tail_grid
             j = np.searchsorted(grid_cdf, up, "left")
-            lo = np.where(j > 0, grid[j - 1], math.ceil(self.domain_min) + TABLE_SPAN)
+            lo = np.where(j > 0, grid[j - 1], end)
             hi = grid[j]
             live = np.arange(len(up))
             while live.size:
@@ -318,29 +385,21 @@ class Mixture:
     # -- moments ---------------------------------------------------------------
 
     def mean(self) -> float | None:
-        """Mixture mean; ``None`` when a component's mean diverges.
+        """Mean of the integer law; ``None`` when a component's mean diverges.
 
-        For discrete mixtures this is the mean of the discretized (integer)
-        distribution, computed by exact summation over the survival table
-        plus closed-form partial expectations for the tail.
+        The tail table's terms are summed exactly, and past its end each
+        component's closed-form partial expectation adds the continuous
+        values, whose integer cells exceed them by half a unit on average.
         """
         if any(not c.mean_is_finite() for c in self.components):
             return None
-        if not self.discrete:
-            acc = 0.0
-            for pc in self._prepared:
-                acc += pc.weight * pc.component.partial_expectation(self.floor) / pc.keep
-            return acc
-        sf = self._sf_table
-        head_end = self.domain_min + TABLE_SPAN
-        ks = np.arange(self.floor, head_end + 1)
-        head = float(np.dot(ks[1:], sf[:-1] - sf[1:]))
-        tail_mass = float(sf[-1])
+        tab = self._tail_table
+        # np.sum, not a BLAS dot, whose rounding follows its thread count
+        head = float(np.sum(tab.ks * tab.pmass))
         tail = 0.0
-        for pc in self._prepared:
-            tail += pc.weight * pc.component.partial_expectation(head_end) / pc.keep
-        # integer cells exceed the underlying continuous value by less than 1
-        return head + tail + 0.5 * tail_mass
+        for c, keep in zip(self.components, self._keep):
+            tail += c.weight * c.partial_expectation(tab.end) / keep
+        return head + tail + 0.5 * tab.sf_end[0]
 
 
 @dataclass(frozen=True)
@@ -441,7 +500,13 @@ def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}.{key}: expected a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer past the largest float
+        x = math.inf
+    if not math.isfinite(x):  # json reads NaN and Infinity
+        raise SchemaError(f"{where}.{key}: expected a finite number")
+    return x
 
 
 def _component_from_json(obj: Any, where: str) -> MixtureComponent:
@@ -508,7 +573,10 @@ def parse_model(document: str) -> TrafficModel:
     length_axis = _axis_from_json(axes["length"], "length", "model.axes.length")
     size_axis = _axis_from_json(axes["size"], "size", "model.axes.size")
 
-    max_packet = int(_number(obj, "max_packet_size", "model")) if "max_packet_size" in obj else DEFAULT_MAX_PACKET
+    max_packet = _number(obj, "max_packet_size", "model") if "max_packet_size" in obj else DEFAULT_MAX_PACKET
+    if max_packet != int(max_packet):
+        raise SchemaError(f"model.max_packet_size: expected a whole number, got {max_packet!r}")
+    max_packet = int(max_packet)
     if max_packet <= 0:
         raise SchemaError("model.max_packet_size must be positive")
 

@@ -2,17 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from flowtab.algorithms import AlgorithmSpec, DegenerateError
 from flowtab.analytic import (
-    _TABLES,
     _WEIGHTS,
     UnreachableError,
     _discrete_tail_sum,
-    _tail_table,
     analytic_for_spec,
     expected_covered_fraction,
     invert_for_coverage,
@@ -237,7 +236,7 @@ def test_remainder_past_the_table_matches_fresh_nodes(heavytail_model, axis):
     # fresh nodes from the start on, at the edges and at the support cap
     for weighting in ("flows", "octets"):
         mix = getattr(heavytail_model.axis(axis), weighting)
-        tab = _tail_table(mix)
+        tab = mix._tail_table
         edges = np.floor(np.exp(tab.edges[1:-1]))
         starts = {tab.end, tab.end + 1, 2 ** 40 - 2, 2 ** 40 - 1}
         starts |= {2 ** k for k in range(17, 40)}
@@ -252,11 +251,11 @@ def test_remainder_past_the_table_matches_fresh_nodes(heavytail_model, axis):
 
 
 def test_tail_tables_live_and_die_with_their_mixture():
-    # each mixture's tail table is found by the mixture itself: a table keyed
-    # by id() would be handed to a later mixture that reuses a dropped one's id
+    # each mixture's tail table is held by the mixture itself: a table keyed
+    # by id() elsewhere would be handed to a later mixture that reuses a
+    # dropped one's id, and the table keeps no reference to its mixture
     ones = lambda x: np.ones_like(x)
     zeros = lambda x: np.zeros_like(x)
-    held = len(_TABLES)
     for i in range(200):
         mix = Mixture(
             components=(MixtureComponent("lognormal", 1.0, {"mu": 0.02 * i, "sigma": 1.0}),),
@@ -264,8 +263,9 @@ def test_tail_tables_live_and_die_with_their_mixture():
         )
         value, _ = _discrete_tail_sum(mix, ones, zeros, 3.0)
         assert value == pytest.approx(mix.sf(3.0), abs=1e-12), i
+        ref = weakref.ref(mix)
         del mix
-    assert len(_TABLES) <= held + 1
+        assert ref() is None, i
 
 
 def test_reports_digest_over_default_cells(toy_model, heavytail_model):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -49,6 +50,53 @@ def test_validate_dominance_error_exits_3(capsys, tmp_path, toy_document):
     code, out = run(capsys, "validate", str(path))
     assert code == 3
     assert json.loads(out)["errors"][0]["type"] == "DominanceError"
+
+
+_LOGNORMAL = {"kind": "lognormal", "weight": 0.5, "params": {"mu": math.nan, "sigma": 1.0}}
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("max_packet_size",), 1518.7, "model.max_packet_size"),
+    (("max_packet_size",), math.inf, "model.max_packet_size"),
+    (("max_packet_size",), math.nan, "model.max_packet_size"),
+    (("axes", "length", "flows", "domain_min"), math.inf, "model.axes.length.flows.domain_min"),
+    (("axes", "size", "flows", "domain_min"), math.nan, "model.axes.size.flows.domain_min"),
+    (("axes", "size", "flows", "components", 0), _LOGNORMAL,
+     "model.axes.size.flows.components[0].params.mu"),
+    (("axes", "size", "octets", "components", 1, "params", "high"), math.inf,
+     "model.axes.size.octets.components[1].params.high"),
+    (("axes", "length", "packets", "components", 0, "weight"), math.nan,
+     "model.axes.length.packets.components[0].weight"),
+    (("avg_flow_length",), math.nan, "model.avg_flow_length"),
+    (("avg_flow_size",), -math.inf, "model.avg_flow_size"),
+    (("avg_packet_size",), 10 ** 400, "model.avg_packet_size"),
+])
+def test_validate_rejects_non_finite_and_fractional_numbers(capsys, tmp_path, toy_document,
+                                                            path, value, field):
+    # json reads NaN, Infinity and integers past the largest float; every
+    # model number must be finite, and max_packet_size a whole number
+    doc = json.loads(json.dumps(toy_document))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(bad))
+    assert code == 2
+    error = json.loads(out)["errors"][0]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(field + ":"), error
+
+
+def test_validate_accepts_a_whole_float_packet_size(capsys, tmp_path, toy_document):
+    doc = dict(toy_document, max_packet_size=1518.0)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(good))
+    assert code == 0
+    assert json.loads(out)["max_packet_size"] == 1518
 
 
 def test_generate_deterministic(capsys, tmp_path):

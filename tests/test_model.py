@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -18,8 +19,11 @@ from flowtab.model import (
     TABLE_SPAN,
     SchemaError,
     WeightError,
+    load_model,
     parse_model,
 )
+
+MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
 
 def lognormal_mixture(mu=0.0, sigma=1.0, domain_min=1, discrete=True):
@@ -241,6 +245,18 @@ def test_quantile_of_cdf_round_trip(heavytail_model):
         assert np.array_equal(mix.quantile(mix.cdf(ks)), ks)
 
 
+@pytest.mark.parametrize("name", ["toy_twopoint.json", "example_heavytail.json"])
+def test_load_model_builds_no_table(name):
+    # every table is built on first use, so loading a model, which
+    # validates it on a 257-point grid, pays for none of them
+    model = load_model(str(MODELS / name))
+    for ax in (model.length_axis, model.size_axis):
+        for mix in (ax.flows, ax.packets, ax.octets):
+            assert not {"_sf_table", "_tail_grid", "_tail_table"} & set(vars(mix))
+            mix.mean()
+            assert {"_sf_table", "_tail_table"} <= set(vars(mix))
+
+
 # -- mean ----------------------------------------------------------------------
 
 
@@ -272,6 +288,11 @@ def test_discrete_mean_lognormal_against_sampled():
 
 
 def test_continuous_mean_matches_scipy_truncated_expectation():
+    # the mean of a size mixture is that of the whole bytes the generator
+    # draws: each integer k > 64 carries the truncated law's mass of
+    # (k - 1, k].  The reference sums that from scipy's laws up to N, then
+    # adds scipy's expectation past N and half of sf(N): a byte count past N
+    # exceeds its continuous value by less than 1, so that errs by < sf(N)/2
     mix = Mixture(
         components=(
             MixtureComponent("lognormal", 0.6, {"mu": 5.0, "sigma": 1.0}),
@@ -283,8 +304,29 @@ def test_continuous_mean_matches_scipy_truncated_expectation():
     )
     ln = stats.lognorm(1.0, scale=math.exp(5.0))
     gp = stats.genpareto(0.4, 64.0, 900.0)
-    expected = 0.6 * ln.expect(lambda x: x, lb=64.0, conditional=True) + 0.4 * gp.mean()
+    ks = np.arange(65.0, 2.0 ** 20 + 1)
+    n = ks[-1]
+    expected = 0.0
+    for w, dist in ((0.6, ln), (0.4, gp)):
+        head = np.sum(ks * (dist.sf(ks - 1.0) - dist.sf(ks)))
+        tail = dist.mean() - dist.expect(lambda x: x, ub=n) + 0.5 * dist.sf(n)
+        expected += w * (head + tail) / dist.sf(64.0)
     assert mix.mean() == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("domain_min,want", [(64, 457.690968), (64.5, 457.693821)])
+def test_size_mean_is_the_integer_laws_mean(domain_min, want):
+    # the mean sums the same law the generator draws, not the continuous
+    # byte law (whose mean is 457.19 at domain_min 64)
+    mix = Mixture(
+        components=(MixtureComponent("lognormal", 1.0, {"mu": 6.0, "sigma": 0.5}),),
+        domain_min=domain_min,
+        discrete=False,
+    )
+    ks = np.arange(math.ceil(domain_min), 2 ** 20 + 1, dtype=float)
+    brute = float(np.sum(ks * mix.pmass(ks)))
+    assert mix.mean() == pytest.approx(brute, rel=1e-12)
+    assert mix.mean() == pytest.approx(want, abs=5e-7)
 
 
 def test_partial_expectation_closed_forms_match_quadrature():
@@ -321,6 +363,6 @@ def test_component_sf_is_the_one_distribution_function(comp, dist, domain_min):
         warnings.simplefilter("error")
         edges = np.array([-1.0, 0.0, np.inf])
         assert np.array_equal(mix.sf(edges), dist.sf(edges))
-        assert np.array_equal(mix._prepared[0].sf(edges), dist.sf(edges))
+        assert np.array_equal(mix.components[0].sf(edges), dist.sf(edges))
         sf_nan = {"uniform": math.nan, "lognormal": 1.0, "generalized-pareto": 0.0}[comp.kind]
-        np.testing.assert_array_equal(mix._prepared[0].sf(np.array([np.nan])), [sf_nan])
+        np.testing.assert_array_equal(mix.components[0].sf(np.array([np.nan])), [sf_nan])
