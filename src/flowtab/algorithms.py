@@ -87,8 +87,8 @@ class AlgorithmSpec:
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}")
         if self.kind in ("first", "threshold"):
-            if self.threshold is None or self.threshold < 0:
-                raise ValueError(f"{self.kind} requires threshold >= 0")
+            if self.threshold is None or not 0 <= self.threshold < math.inf:  # NaN included
+                raise ValueError(f"{self.kind} requires a finite threshold >= 0")
         else:
             if self.probability is None or not (0.0 < self.probability <= 1.0):
                 raise ValueError("sampling requires probability in (0, 1]")
@@ -145,7 +145,7 @@ def p_eff_paths(profile: PathProfile) -> float:
 
 def p_eff_avg(p: float, l_avg: float) -> float:
     """Effective sampling probability for an average path of l_avg switches."""
-    if l_avg < 1:
+    if not l_avg >= 1:  # NaN included
         raise ValueError("l_avg must be >= 1")
     return p_total(p, l_avg)
 

@@ -16,10 +16,15 @@ These sums read each mixture's tail table, which the mixture builds on its
 first probe and keeps as long as it lives (model.Mixture): the clipped
 pmass over the survival table with its integers, sf at the table's end, one
 past it and at the support cap, and sf at the quadrature nodes of the
-remainder.  A probe then evaluates only its weight at those points.  A
-start past the survival table evaluates sf afresh only on one piece, up to
-the first of the remainder's piece edges past it, and reads the table's
-nodes from there on.  This module holds only the weights, the sums and the
+remainder.  A probe then evaluates only its weight at those points, and
+writes it over the survival table into two scratch arrays the tail table
+owns, with numpy out= ufuncs in the operand order of the weight's formula:
+a probe allocates nothing as long as the table, so no heap trim returns
+those pages only for the next probe to fault them back in, and each sum is
+bit for bit the sum of the formula's fresh arrays.  A start past the
+survival table evaluates sf afresh only on one piece, up to the first of
+the remainder's piece edges past it, and reads the table's nodes from
+there on.  This module holds only the weights, the sums and the
 inversion.
 """
 from __future__ import annotations
@@ -81,15 +86,19 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
 
     The terms up to the end of the mixture's survival table, if any, are
     summed exactly from its tail table, and the rest is Abel-summed.  g and
-    gstep (the forward difference g(x+1) - g(x)) must be vectorized;
+    gstep (the forward difference g(x+1) - g(x)) must be vectorized, and
+    g(x, out, tmp) writes its values into out, tmp being scratch of the same
+    shape, and returns out; without them it returns a fresh array.
     |sf(x) * gstep(x)| is assumed monotone decreasing beyond the table,
     which holds for the monotone weight functions used here, all bounded by 1.
     """
     tab = mix._tail_table
     start_i = max(math.floor(start), tab.lo)
-    # np.sum, not a BLAS dot, whose rounding follows its thread count
+    # weight and product go into the table's scratch arrays; np.sum, not a
+    # BLAS dot, whose rounding follows its thread count
     i = start_i - tab.lo
-    value = float(np.sum(tab.pmass[i:] * g(tab.ks[i:])))
+    head = g(tab.ks[i:], tab.out[i:], tab.tmp[i:])
+    value = float(np.sum(np.multiply(tab.pmass[i:], head, out=head)))
     x0 = max(start_i, tab.end)
     if x0 >= SUPPORT_CAP:
         return value, 2.0 * tab.sf_cap
@@ -117,8 +126,9 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
 # reductions invert the flows-weighted expectations of created and covered.
 # A weight is a (g, gstep) pair over the flows above the spec's start point,
 # gstep being the forward difference g(x+1) - g(x) that the Abel-summed tail
-# of the integer sums needs.  A weight of None is the indicator of
-# x > start, whose expectation under the integer law is sf(floor(start)).
+# of the integer sums needs; g computes in place, in its formula's operand
+# order.  A weight of None is the indicator of x > start, whose expectation
+# under the integer law is sf(floor(start)).
 
 
 def _threshold(model: TrafficModel, spec: AlgorithmSpec):
@@ -130,8 +140,8 @@ def _threshold(model: TrafficModel, spec: AlgorithmSpec):
     if spec.kind == "first":
         return t, None, None
 
-    def covered(x: np.ndarray) -> np.ndarray:
-        return 1.0 - t / x
+    def covered(x, out=None, tmp=None):
+        return np.subtract(1.0, np.divide(t, x, out=out), out=out)
 
     def covered_step(x: np.ndarray) -> np.ndarray:
         return t / (x * (x + 1.0))
@@ -150,14 +160,14 @@ def _uniform_sampling(model: TrafficModel, spec: AlgorithmSpec):
     lq = math.log1p(-p)
     q = 1.0 - p
 
-    def created(x: np.ndarray) -> np.ndarray:
-        return -np.expm1(x * lq)
+    def created(x, out=None, tmp=None):
+        return np.negative(np.expm1(np.multiply(x, lq, out=out), out=out), out=out)
 
     def created_step(x: np.ndarray) -> np.ndarray:
         return p * np.exp(x * lq)
 
-    def covered(x: np.ndarray) -> np.ndarray:
-        return _covered_fraction(p, x)
+    def covered(x, out=None, tmp=None):
+        return _covered_fraction(p, x, out, tmp)
 
     def covered_step(x: np.ndarray) -> np.ndarray:
         return (q / p) * (created(x) / x - created(x + 1.0) / (x + 1.0))
@@ -176,15 +186,16 @@ def _size_scaled_sampling(model: TrafficModel, spec: AlgorithmSpec):
     lam = spec.probability / model.max_packet_size
     step = -math.expm1(-lam)
 
-    def created(s: np.ndarray) -> np.ndarray:
-        return -np.expm1(-lam * s)
+    def created(s, out=None, tmp=None):
+        return np.negative(np.expm1(np.multiply(-lam, s, out=out), out=out), out=out)
 
     def created_step(s: np.ndarray) -> np.ndarray:
         return step * np.exp(-lam * s)
 
-    def covered(s: np.ndarray) -> np.ndarray:
-        x = lam * s
-        return 1.0 + np.expm1(-x) / x
+    def covered(s, out=None, tmp=None):
+        x = np.multiply(lam, s, out=tmp)
+        out = np.expm1(np.negative(x, out=out), out=out)
+        return np.add(1.0, np.divide(out, x, out=out), out=out)
 
     def covered_step(s: np.ndarray) -> np.ndarray:
         return (created(s) / s - created(s + 1.0) / (s + 1.0)) / lam
@@ -227,11 +238,13 @@ def expected_covered_fraction(p: float, length) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _covered_fraction(p: float, n: np.ndarray) -> np.ndarray:
+def _covered_fraction(p: float, n: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """expected_covered_fraction without its argument checks, for
-    0 < p < 1 and float lengths n >= 1."""
-    created = -np.expm1(n * math.log1p(-p))
-    return 1.0 - (1.0 - p) * created / (p * n)
+    0 < p < 1 and float lengths n >= 1, as 1 - (1 - p) * created / (p * n)
+    with created = -expm1(n * log1p(-p)); in place like the weights."""
+    out = np.negative(np.expm1(np.multiply(n, math.log1p(-p), out=out), out=out), out=out)
+    out = np.multiply(1.0 - p, out, out=out)
+    return np.subtract(1.0, np.divide(out, np.multiply(p, n, out=tmp), out=out), out=out)
 
 
 def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:

@@ -176,6 +176,8 @@ def _cmd_analyze(args) -> int:
     bad = [kind for kind in args.algorithms if kind not in ALGORITHM_KINDS]
     if bad:
         raise ValueError(f"unknown algorithm(s) {bad}")
+    if not args.algorithms or not args.coverages:
+        raise ValueError("analyze requires at least one algorithm and one coverage target")
     model = load_model(args.model)
     rows = []
     for target in args.coverages:

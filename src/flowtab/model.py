@@ -184,9 +184,10 @@ def _log_rules(edges: np.ndarray) -> _Rules:
 @dataclass(frozen=True)
 class _DiscreteTable:
     """The clipped pmass of the survival table's integers lo + 1 .. end, up
-    to the last nonzero one; sf at end, end + 1 and the support cap; and
-    the remainder's pieces over [end + 1, SUPPORT_CAP], their log-axis
-    edges, nodes and the smooth interpolant of sf at the nodes."""
+    to the last nonzero one; sf at end, end + 1 and the support cap; the
+    remainder's pieces over [end + 1, SUPPORT_CAP], their log-axis edges,
+    nodes and the smooth interpolant of sf at the nodes; and two scratch
+    arrays as long as pmass, into which a head sum writes its weight."""
 
     lo: int
     end: int
@@ -197,6 +198,8 @@ class _DiscreteTable:
     edges: np.ndarray
     rules: _Rules
     sf_nodes: tuple[np.ndarray, ...]
+    out: np.ndarray
+    tmp: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +316,8 @@ class Mixture:
         rules = _log_rules(edges)
         return _DiscreteTable(lo, end, pm, np.arange(lo + 1, lo + 1 + len(pm), dtype=float),
                               (float(sf[-1]), self.sf(end + 1.0)), float(self.sf(SUPPORT_CAP)),
-                              edges, rules, tuple(self._raw_sf(x) for x, _, _ in rules))
+                              edges, rules, tuple(self._raw_sf(x) for x, _, _ in rules),
+                              np.empty(len(pm)), np.empty(len(pm)))
 
     def _pieces(self, x0: int) -> tuple[_Rules, tuple[np.ndarray, ...]]:
         """The remainder's pieces over [x0 + 1, SUPPORT_CAP], x0 >= end, and

@@ -14,6 +14,10 @@ report metrics.
 formulas, one array operation over every flow per step, as the reference
 the blocked kernels of ``evaluate_batch`` must match bit for bit.
 
+``reference_weights`` keeps the analytic weights as whole-array
+expressions, each operation a fresh array, as the reference the in-place
+weights of ``flowtab.analytic`` must match bit for bit.
+
 ``reference_remainder`` keeps the Abel-summed tail remainder on fresh
 per-octave quadrature nodes from its own start, the reference for the
 analytic tail sums past a mixture's survival table.
@@ -33,7 +37,7 @@ from flowtab.algorithms import (
     MetricsReport,
     PacketLayout,
 )
-from flowtab.model import DEFAULT_MAX_PACKET, SUPPORT_CAP, Mixture
+from flowtab.model import DEFAULT_MAX_PACKET, SUPPORT_CAP, Mixture, TrafficModel
 
 
 class PacketizeError(ValueError):
@@ -224,6 +228,34 @@ def reference_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     covered = np.where(created, sizes - bytes_before, 0)
     occ = np.where(created, (lengths + 1 - trigger) / lengths, 0.0)
     return created, covered, occ
+
+
+# -- the analytic weights on fresh arrays --------------------------------------------
+
+
+def reference_weights(model: TrafficModel, spec: AlgorithmSpec):
+    """The (created, covered) weights of a threshold spec, or of a sampling
+    spec with p < 1, as whole-array functions; threshold's created is the
+    indicator, None."""
+    if spec.kind == "threshold":
+        t = float(spec.threshold)
+        return None, lambda x: 1.0 - t / x
+    p = spec.probability
+    if spec.axis == "length":
+        lq = math.log1p(-p)
+
+        def covered_fraction(n):
+            created = -np.expm1(n * math.log1p(-p))
+            return 1.0 - (1.0 - p) * created / (p * n)
+
+        return (lambda x: -np.expm1(x * lq)), covered_fraction
+    lam = p / model.max_packet_size
+
+    def covered(s):
+        x = lam * s
+        return 1.0 + np.expm1(-x) / x
+
+    return (lambda s: -np.expm1(-lam * s)), covered
 
 
 # -- the tail remainder on fresh nodes ----------------------------------------------

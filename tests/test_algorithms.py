@@ -146,6 +146,9 @@ def test_spec_validation():
         AlgorithmSpec("first", "length")  # missing threshold
     with pytest.raises(ValueError):
         AlgorithmSpec("sampling", "length", probability=0.0)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite threshold"):
+            AlgorithmSpec("threshold", "size", threshold=t)
 
 
 # -- probability helpers -----------------------------------------------------------
@@ -193,6 +196,9 @@ def test_p_eff_avg():
     assert p_eff_avg(0.1, 3) == pytest.approx(1 - 0.9 ** 3, abs=1e-15)
     assert p_eff_avg(0.37, 1) == pytest.approx(0.37, abs=1e-15)
     assert p_eff_avg(0.0, 5) == 0.0
+    for l_avg in (0.5, math.nan):
+        with pytest.raises(ValueError, match="l_avg must be >= 1"):
+            p_eff_avg(0.5, l_avg)
 
 
 # -- aggregate -------------------------------------------------------------------

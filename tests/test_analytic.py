@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from flowtab.analytic import (
     _WEIGHTS,
     UnreachableError,
     _discrete_tail_sum,
+    _expect,
     analytic_for_spec,
     expected_covered_fraction,
     invert_for_coverage,
@@ -19,7 +21,7 @@ from flowtab.analytic import (
 from flowtab.cli import DEFAULT_COVERAGES
 from flowtab.model import Mixture, MixtureComponent
 from flowtab.sweep import SweepSpec, run_sweep
-from oracle import reference_remainder
+from oracle import reference_remainder, reference_weights
 
 
 def first(model, axis, t):
@@ -122,6 +124,21 @@ def test_covered_fraction_edge_values():
 # -- tail machinery against direct summation -----------------------------------------
 
 
+# ad-hoc weights in the tail sums' contract: g(x, out, tmp) writes into out
+def counter(t):
+    """The covered share 1 - t/x of a counter at threshold t, with its step."""
+    return (lambda x, out=None, tmp=None: np.subtract(1.0, np.divide(t, x, out=out), out=out),
+            lambda x: t / (x * (x + 1.0)))
+
+
+def ones(x, out=None, tmp=None):
+    return np.power(x, 0.0, out=out)  # exactly 1.0
+
+
+def zeros(x):
+    return np.zeros_like(x)
+
+
 def chunked_brute_sum(mix, g, start, stop):
     total = 0.0
     for lo in range(start + 1, stop + 1, 1 << 20):
@@ -147,8 +164,7 @@ def test_discrete_tail_sum_lognormal_oracle(mu, sigma, threshold, stop, rel):
         domain_min=1, discrete=True,
     )
     t = float(threshold)
-    g = lambda x: 1.0 - t / x
-    gstep = lambda x: t / (x * (x + 1.0))
+    g, gstep = counter(t)
     value, bound = _discrete_tail_sum(mix, g, gstep, t)
     brute = chunked_brute_sum(mix, g, threshold, stop)
     assert bound < 1e-6
@@ -164,8 +180,7 @@ def test_discrete_tail_sum_heavy_pareto_oracle():
         domain_min=1, discrete=True,
     )
     t = 10.0
-    g = lambda x: 1.0 - t / x
-    gstep = lambda x: t / (x * (x + 1.0))
+    g, gstep = counter(t)
     value, bound = _discrete_tail_sum(mix, g, gstep, t)
     brute = chunked_brute_sum(mix, g, 10, 200_000_000)  # residual ~ 4e-8 relative
     assert value == pytest.approx(brute, rel=1e-6)
@@ -202,8 +217,7 @@ def test_size_tail_sum_matches_brute_force(toy_model, law):
     make, stop = SIZE_LAWS[law]
     mix = make(toy_model)
     lo = math.ceil(mix.domain_min) - 1
-    ones = lambda x: np.ones_like(x)
-    total, bound = _discrete_tail_sum(mix, ones, lambda x: np.zeros_like(x), 0.0)
+    total, bound = _discrete_tail_sum(mix, ones, zeros, 0.0)
     assert total == pytest.approx(1.0, abs=max(bound, 1e-12))
     specs = [AlgorithmSpec("threshold", "size", threshold=t) for t in (0.0, 120.5, 999.0, 70_000.0)]
     specs += [AlgorithmSpec("sampling", "size", probability=p) for p in (1e-4, 0.05, 1.0)]
@@ -243,19 +257,78 @@ def test_remainder_past_the_table_matches_fresh_nodes(heavytail_model, axis):
         starts |= {int(e) + d for e in edges for d in (-2, -1, 0)}
         for x0 in sorted(starts):
             t = float(x0)
-            weight = (lambda x: 1.0 - t / x, lambda x: t / (x * (x + 1.0)))
+            weight = counter(t)
             value, bound = _discrete_tail_sum(mix, *weight, t)
             ref_value, ref_bound = reference_remainder(mix, *weight, x0)
             assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0), (weighting, x0)
             assert bound == pytest.approx(ref_bound, rel=1e-3, abs=0.0), (weighting, x0)
 
 
+# thresholds and sampling rates at the edges of the weights' arithmetic
+WEIGHT_SPECS = [("threshold", t) for t in (0.5, 1.0, 2.0 ** 16, 2.0 ** 30)]
+WEIGHT_SPECS += [("sampling", p) for p in (1.0 - 2.0 ** -53, 0.5, 1e-6, 1e-12)]
+
+
+@pytest.mark.parametrize("kind, param", WEIGHT_SPECS)
+def test_in_place_weights_match_fresh_arrays(toy_model, heavytail_model, kind, param):
+    # each weight writes over a head into the tail table's scratch arrays in
+    # its formula's operand order: its values, and the tail sums over them,
+    # are those of the formula's whole-array expression, bit for bit
+    for model in (toy_model, heavytail_model):
+        for axis in ("length", "size"):
+            spec = (AlgorithmSpec(kind, axis, threshold=param) if kind == "threshold"
+                    else AlgorithmSpec(kind, axis, probability=param))
+            start, *weights = _WEIGHTS[kind, axis](model, spec)
+            for mix in (model.axis(axis).flows, model.axis(axis).octets):
+                tab = mix._tail_table
+                for weight, ref in zip(weights, reference_weights(model, spec)):
+                    if weight is None:
+                        continue
+                    g, gstep = weight
+                    expected = ref(tab.ks)
+                    assert np.array_equal(g(tab.ks), expected), (spec, g)
+                    assert np.array_equal(g(tab.ks, tab.out, tab.tmp), expected), (spec, g)
+                    fresh = (lambda x, out=None, tmp=None: ref(x), gstep)
+                    assert (_discrete_tail_sum(mix, g, gstep, start)
+                            == _discrete_tail_sum(mix, *fresh, start)), (spec, g)
+    if kind == "sampling":
+        n = heavytail_model.length_axis.flows._tail_table.ks
+        covered = expected_covered_fraction(param, n)
+        assert not np.shares_memory(covered, heavytail_model.length_axis.flows._tail_table.out)
+        assert np.array_equal(covered, reference_weights(
+            heavytail_model, AlgorithmSpec("sampling", "length", probability=param))[1](n))
+
+
+def test_coverage_probe_allocates_no_head_array(heavytail_model):
+    # a probe writes its weight into its table's scratch arrays: its peak
+    # allocation stays far below one 65,537-term head array (512 KiB)
+    specs = [AlgorithmSpec("threshold", axis, threshold=t)
+             for axis in ("length", "size") for t in (0.0, 3.0, 500.0, 20_000.0)]
+    specs += [AlgorithmSpec("sampling", axis, probability=p)
+              for axis in ("length", "size") for p in (1e-6, 0.05, 0.5)]
+
+    def probe(spec):
+        start, _, covered = _WEIGHTS[spec.kind, spec.axis](heavytail_model, spec)
+        return _expect(heavytail_model.axis(spec.axis).octets, covered, start)
+
+    for spec in specs:  # builds the tail tables
+        probe(spec)
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            probe(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 64 * 1024, (spec, peak)
+    finally:
+        tracemalloc.stop()
+
+
 def test_tail_tables_live_and_die_with_their_mixture():
     # each mixture's tail table is held by the mixture itself: a table keyed
     # by id() elsewhere would be handed to a later mixture that reuses a
     # dropped one's id, and the table keeps no reference to its mixture
-    ones = lambda x: np.ones_like(x)
-    zeros = lambda x: np.zeros_like(x)
     for i in range(200):
         mix = Mixture(
             components=(MixtureComponent("lognormal", 1.0, {"mu": 0.02 * i, "sigma": 1.0}),),
@@ -296,8 +369,7 @@ def test_truncation_flagging_at_the_support_cap():
                                      {"shape": 0.99, "location": 0.0, "scale": 1e7}),),
         domain_min=1, discrete=False,
     )
-    value, bound = _discrete_tail_sum(heavy, lambda s: np.ones_like(s),
-                                      lambda s: np.zeros_like(s), 1.0)
+    value, bound = _discrete_tail_sum(heavy, ones, zeros, 1.0)
     assert bound > 1e-6  # byte mass beyond the 2^40 cap is reported, not hidden
 
 

@@ -158,6 +158,16 @@ def test_simulate_rejects_unknown_format_before_writing(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_simulate_rejects_non_finite_threshold_before_writing(capsys, tmp_path, value):
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows", "2000",
+                    "--thresholds", f"1,{value}", "--out", str(tmp_path / "s"))
+    assert code == 2
+    error = json.loads(out)["errors"][0]
+    assert error["type"] == "ValueError" and "finite threshold" in error["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_analyze_relative_to_first(capsys, tmp_path):
     code, _ = run(capsys, "analyze", "--model", TOY, "--axis", "length",
                   "--coverages", "90.90909090909092", "--out", str(tmp_path / "a"))
@@ -240,6 +250,14 @@ def test_analyze_rejects_unknown_algorithm(capsys, tmp_path):
     assert not (tmp_path / "a.analytic.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [("--coverages", ","), ("--algorithms", ",")])
+def test_analyze_with_nothing_to_do_exits_2(capsys, tmp_path, flags):
+    code, out = run(capsys, "analyze", "--model", TOY, *flags, "--out", str(tmp_path / "a"))
+    assert code == 2
+    assert json.loads(out)["errors"][0]["type"] == "ValueError"
+    assert not (tmp_path / "a.analytic.csv").exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     probe = "import sys, flowtab.cli; print('scipy.stats' in sys.modules)"
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -259,6 +277,9 @@ def test_peff_flags_and_profile(capsys, tmp_path):
     assert float(out) == pytest.approx(0.271, abs=1e-12)
     code, _ = run(capsys, "peff", "--p", "0.1")
     assert code == 2
+    code, out = run(capsys, "peff", "--p", "0.5", "--l-avg", "nan")
+    assert code == 2
+    assert "l_avg must be >= 1" in json.loads(out)["errors"][0]["message"]
     # a malformed profile is a validation error, reported as JSON
     for doc in ({"routes": profile["paths"]}, {"paths": [{"probability": 1.0}]},
                 profile["paths"]):
