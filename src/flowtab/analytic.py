@@ -2,30 +2,12 @@
 
 Metrics are expectations against the model's flow- and octet-weighted
 mixtures.  Flows are whole packets and whole bytes, so on both axes an
-expectation is a sum over the integer law pmass(k) = sf(k - 1) - sf(k) that
-the generator draws: exact over the mixture's survival table
-(ceil(domain_min) .. ceil(domain_min) + 2^16), then an Abel-summed remainder
-beyond it whose summand S(x) * (g(x+1) - g(x)) decays monotonically and is
-sandwiched between integrals, giving a computable truncation bound; an
-indicator weight is the closed form sf(floor(T)).  Reports and the coverage
-probes of the inversion sum the same terms, except that first, a step in T,
-is inverted through the integer quantile.  Every report carries the
-truncation bound; reports above 1e-6 are flagged.
-
-These sums read each mixture's tail table, which the mixture builds on its
-first probe and keeps as long as it lives (model.Mixture): the clipped
-pmass over the survival table with its integers, sf at the table's end, one
-past it and at the support cap, and sf at the quadrature nodes of the
-remainder.  A probe then evaluates only its weight at those points, and
-writes it over the survival table into two scratch arrays the tail table
-owns, with numpy out= ufuncs in the operand order of the weight's formula:
-a probe allocates nothing as long as the table, so no heap trim returns
-those pages only for the next probe to fault them back in, and each sum is
-bit for bit the sum of the formula's fresh arrays.  A start past the
-survival table evaluates sf afresh only on one piece, up to the first of
-the remainder's piece edges past it, and reads the table's nodes from
-there on.  This module holds only the weights, the sums and the
-inversion.
+expectation is a sum over the integer law the generator draws, which
+Mixture.expect computes with its truncation bound.  Reports and the
+coverage probes of the inversion sum the same terms, except that first, a
+step in T, is inverted through the integer quantile.  Every report carries
+the truncation bound; reports above 1e-6 are flagged.  This module holds
+only the weights, the reports and the inversion.
 """
 from __future__ import annotations
 
@@ -36,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import AlgorithmSpec, DegenerateError
-from .model import SUPPORT_CAP, Mixture, TrafficModel, _Rules
+from .model import SUPPORT_CAP, TrafficModel
 
 __all__ = [
     "UnreachableError",
@@ -66,57 +48,6 @@ class AnalyticReport:
         return self.truncation_error > FLAG_LEVEL
 
 
-# -- quadrature ----------------------------------------------------------------
-
-
-def _log_sum(rules: _Rules, values) -> tuple[float, float]:
-    """Integral of fn from its values at each rule's nodes; the error
-    estimate is the 64- vs 32-node gap.  Keep the product order
-    ((fn(x) * x) * w) * half: the golden outputs pin its rounding."""
-    v64, v32 = (float(np.sum(f * x * w[None, :] * half))
-                for (x, w, half), f in zip(rules, values))
-    return v64, abs(v64 - v32)
-
-
-# -- tail sums ------------------------------------------------------------------
-
-
-def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, float]:
-    """Sum pmass(k) * g(k) over integers k > start, with a truncation bound.
-
-    The terms up to the end of the mixture's survival table, if any, are
-    summed exactly from its tail table, and the rest is Abel-summed.  g and
-    gstep (the forward difference g(x+1) - g(x)) must be vectorized, and
-    g(x, out, tmp) writes its values into out, tmp being scratch of the same
-    shape, and returns out; without them it returns a fresh array.
-    |sf(x) * gstep(x)| is assumed monotone decreasing beyond the table,
-    which holds for the monotone weight functions used here, all bounded by 1.
-    """
-    tab = mix._tail_table
-    start_i = max(math.floor(start), tab.lo)
-    # weight and product go into the table's scratch arrays; np.sum, not a
-    # BLAS dot, whose rounding follows its thread count
-    i = start_i - tab.lo
-    head = g(tab.ks[i:], tab.out[i:], tab.tmp[i:])
-    value = float(np.sum(np.multiply(tab.pmass[i:], head, out=head)))
-    x0 = max(start_i, tab.end)
-    if x0 >= SUPPORT_CAP:
-        return value, 2.0 * tab.sf_cap
-    sf0, sf1 = tab.sf_end if x0 == tab.end else mix.sf(np.array([x0, x0 + 1.0])).tolist()
-    if sf0 == 0.0:
-        return value, 0.0
-
-    rules, sf_nodes = mix._pieces(x0)
-    integral, int_err = _log_sum(
-        rules, [s * gstep(x) for (x, _, _), s in zip(rules, sf_nodes)]
-    )
-    x1 = np.array([x0 + 1.0])
-    h0 = sf1 * float(gstep(x1)[0])
-    value += sf0 * float(g(x1)[0]) + integral + 0.5 * h0
-    bound = 0.5 * abs(h0) + int_err + 2.0 * tab.sf_cap
-    return value, bound
-
-
 # -- weight table -----------------------------------------------------------------
 #
 # A flow of magnitude x (packets on the length axis, bytes on the size axis)
@@ -124,11 +55,9 @@ def _discrete_tail_sum(mix: Mixture, g, gstep, start: float) -> tuple[float, flo
 # expected covered(x) share of the flow's bytes and of its packets.  Coverage
 # is the octets-weighted expectation of covered; the operations and occupancy
 # reductions invert the flows-weighted expectations of created and covered.
-# A weight is a (g, gstep) pair over the flows above the spec's start point,
-# gstep being the forward difference g(x+1) - g(x) that the Abel-summed tail
-# of the integer sums needs; g computes in place, in its formula's operand
-# order.  A weight of None is the indicator of x > start, whose expectation
-# under the integer law is sf(floor(start)).
+# A weight over the flows above the spec's start point is a (g, gstep) pair
+# as Mixture.expect takes it, g computing in place in its formula's operand
+# order, or None, the indicator of x > start.
 
 
 def _threshold(model: TrafficModel, spec: AlgorithmSpec):
@@ -214,14 +143,6 @@ _WEIGHTS = {
 }
 
 
-def _expect(mix: Mixture, weight, start: float) -> tuple[float, float]:
-    """Expectation of a weight over the flows of the mixture above start,
-    with its truncation bound."""
-    if weight is None:
-        return mix.sf(math.floor(start)), 0.0
-    return _discrete_tail_sum(mix, *weight, start)
-
-
 def expected_covered_fraction(p: float, length) -> np.ndarray | float:
     """Expected covered share of an n-packet flow under per-packet sampling
     with probability p (triggering packet included):
@@ -255,11 +176,11 @@ def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticRepor
     """
     ax = model.axis(spec.axis)
     start, created, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
-    entries, entries_err = _expect(ax.flows, created, start)
+    entries, entries_err = ax.flows.expect(created, start)
     if entries <= 0.0:
         raise DegenerateError(f"no flow gains an entry under {spec}")
-    cov, cov_err = _expect(ax.octets, covered, start)
-    occupied, occ_err = _expect(ax.flows, covered, start)
+    cov, cov_err = ax.octets.expect(covered, start)
+    occupied, occ_err = ax.flows.expect(covered, start)
     return AnalyticReport(
         100.0 * cov, 1.0 / entries, 1.0 / occupied, cov_err + entries_err + occ_err
     )
@@ -301,7 +222,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
         # since the final choice re-reads probes the search made
         probe = spec(param)  # first, so that an unknown kind raises its ValueError
         start, _, covered = _WEIGHTS[kind, axis](model, probe)
-        return 100.0 * _expect(octets, covered, start)[0]
+        return 100.0 * octets.expect(covered, start)[0]
 
     def nearest(*params: float) -> float:
         return min((q for q in params if cov(q) > 0.0), key=lambda q: abs(cov(q) - target_pct))

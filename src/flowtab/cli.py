@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 
-from .algorithms import ALGORITHM_KINDS, PathProfile, p_eff_avg, p_eff_paths
+from .algorithms import ALGORITHM_KINDS, DURATION_MODELS, PathProfile, p_eff_avg, p_eff_paths
 from .analytic import UnreachableError, invert_for_coverage
-from .generator import GeneratorConfig, generate_arrays, write_flow_csv
+from .generator import COUPLINGS, GeneratorConfig, generate_arrays, write_flow_csv
 from .model import DominanceError, SchemaError, WeightError, load_model
 from .sweep import SweepSpec, emit_table, run_sweep
 
@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probabilities", type=_float_list, default=())
     p.add_argument("--flows", type=_count, default=1_000_000)
     p.add_argument("--seeds", type=_int_list, default=(1,))
-    p.add_argument("--duration-model", choices=("equal", "proportional"), default="equal")
-    p.add_argument("--coupling", choices=("comonotone", "independent"), default="comonotone")
+    p.add_argument("--duration-model", choices=DURATION_MODELS, default="equal")
+    p.add_argument("--coupling", choices=COUPLINGS, default="comonotone")
     p.add_argument("--min-packet", type=_count, default=64)
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--out", required=True, help="output path prefix")
@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--flows", type=_count, required=True)
     p.add_argument("--seed", type=_count, required=True)
-    p.add_argument("--coupling", choices=("comonotone", "independent"), default="comonotone")
+    p.add_argument("--coupling", choices=COUPLINGS, default="comonotone")
     p.add_argument("--min-packet", type=_count, default=64)
     p.add_argument("--out", required=True)
     return parser

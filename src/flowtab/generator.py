@@ -41,6 +41,8 @@ class GeneratorConfig:
     min_packet: int = 64
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.flow_count < 1:
             raise ValueError("flow_count must be >= 1")
         if self.joint_coupling not in COUPLINGS:

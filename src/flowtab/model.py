@@ -11,7 +11,7 @@ length axis sf is itself a step function; on the size axis it is the
 continuous byte law, and the integer law takes its differences at whole
 bytes.  Each mixture is the one home of its integer law: the components
 evaluate their own sf, and the mixture keeps the tables its quantile, mean
-and tail sums read.
+and expectations read.
 """
 from __future__ import annotations
 
@@ -187,7 +187,7 @@ class _DiscreteTable:
     to the last nonzero one; sf at end, end + 1 and the support cap; the
     remainder's pieces over [end + 1, SUPPORT_CAP], their log-axis edges,
     nodes and the smooth interpolant of sf at the nodes; and two scratch
-    arrays as long as pmass, into which a head sum writes its weight."""
+    arrays as long as pmass, which Mixture.expect owns while it runs."""
 
     lo: int
     end: int
@@ -215,11 +215,8 @@ class Mixture:
 
     Every mixture holds one table of sf at the integers from
     ceil(domain_min) - 1, the last where sf is 1, up to ceil(domain_min) +
-    TABLE_SPAN, built on first use.  The integer quantile reads it, and so
-    does the tail table, also built on first use, from which the mean and
-    the analytic tail sums read the integer law on both axes.  Past the
-    survival table's end the quantile reads a grid of 64 integers per
-    octave, also built on first use, and bisects between two of them.
+    TABLE_SPAN, built on first use.  The quantile reads it, and so does the
+    tail table, from which the mean and expect read the integer law.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -274,9 +271,13 @@ class Mixture:
 
     @functools.cached_property
     def _sf_table(self) -> np.ndarray:
-        """sf at the integers of _ends, both included."""
+        """sf at the integers of _ends, both included, evaluated 8,192 at a
+        time: sf is elementwise, and the blocks bound its temporaries."""
         lo, end = self._ends
-        return self.sf(np.arange(lo, end + 1, dtype=float))
+        out = np.empty(end + 1 - lo)
+        for a in range(lo, end + 1, 8192):
+            out[a - lo:a - lo + 8192] = self.sf(np.arange(a, min(a + 8192, end + 1), dtype=float))
+        return out
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
@@ -318,21 +319,6 @@ class Mixture:
                               (float(sf[-1]), self.sf(end + 1.0)), float(self.sf(SUPPORT_CAP)),
                               edges, rules, tuple(self._raw_sf(x) for x, _, _ in rules),
                               np.empty(len(pm)), np.empty(len(pm)))
-
-    def _pieces(self, x0: int) -> tuple[_Rules, tuple[np.ndarray, ...]]:
-        """The remainder's pieces over [x0 + 1, SUPPORT_CAP], x0 >= end, and
-        sf at their nodes: the tail table's own at end; past it one fresh
-        piece up to the first edge beyond x0 + 1, then the table's pieces
-        from that edge."""
-        tab = self._tail_table
-        if x0 == tab.end:
-            return tab.rules, tab.sf_nodes
-        i = int(np.searchsorted(tab.edges, math.log(x0 + 1.0), "right"))
-        fresh = _log_rules(np.append(math.log(x0 + 1.0), tab.edges[i:i + 1]))
-        rules = tuple((np.vstack((x, tx[i:])), w, np.vstack((half, th[i:])))
-                      for (x, w, half), (tx, _, th) in zip(fresh, tab.rules))
-        return rules, tuple(np.vstack((self._raw_sf(x), s[i:]))
-                            for (x, _, _), s in zip(fresh, tab.sf_nodes))
 
     @functools.cached_property
     def _tail_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -404,6 +390,65 @@ class Mixture:
         for c, keep in zip(self.components, self._keep):
             tail += c.weight * c.partial_expectation(tab.end) / keep
         return head + tail + 0.5 * tab.sf_end[0]
+
+    # -- expectations --------------------------------------------------------
+
+    def expect(self, weight, start: float) -> tuple[float, float]:
+        """Sum of pmass(k) * g(k) over the integers k > start, with its
+        truncation bound.
+
+        weight is None, the indicator of x > start, whose sum is
+        sf(floor(start)), or a pair (g, gstep) of vectorized functions,
+        gstep(x) = g(x + 1) - g(x).  g(x, out, tmp) writes its values into
+        out, tmp being scratch of x's shape, and returns out; g(x) returns
+        a fresh array.
+
+        The terms up to the survival table's end are summed exactly from the
+        tail table, and the call owns the table's scratch arrays out and tmp
+        while it runs: g writes the head's weights there with numpy out=
+        ufuncs in its formula's operand order, and the product with pmass is
+        taken in place and np.sum-med (a BLAS dot rounds by its thread
+        count).  So a call allocates no head-length array, and each sum is
+        bit for bit that of the formula's fresh arrays.  Past the table's end
+        x0 the sum is Abel-summed: sf(x0) g(x0 + 1) plus the sum over x > x0
+        of sf(x) gstep(x), assumed monotone decreasing (true of monotone
+        weights bounded by 1), read as its integral over [x0 + 1,
+        SUPPORT_CAP] plus half its first term.  The integral takes the
+        64-point Gauss-Legendre rule on the table's pieces, about an octave
+        each on the log axis, its error the gap to the 32-point rule.  A
+        start past the end evaluates sf afresh on one piece, up to the next
+        piece edge, and reads the table's pieces from there on.
+        """
+        if weight is None:
+            return self.sf(math.floor(start)), 0.0
+        g, gstep = weight
+        tab = self._tail_table
+        start_i = max(math.floor(start), tab.lo)
+        k = start_i - tab.lo
+        head = g(tab.ks[k:], tab.out[k:], tab.tmp[k:])
+        value = float(np.sum(np.multiply(tab.pmass[k:], head, out=head)))
+        x0 = max(start_i, tab.end)
+        if x0 >= SUPPORT_CAP:
+            return value, 2.0 * tab.sf_cap
+        sf0, sf1 = tab.sf_end if x0 == tab.end else self.sf(np.array([x0, x0 + 1.0])).tolist()
+        if sf0 == 0.0:
+            return value, 0.0
+        rules, sf_nodes = tab.rules, tab.sf_nodes
+        if x0 > tab.end:
+            i = int(np.searchsorted(tab.edges, math.log(x0 + 1.0), "right"))
+            fresh = _log_rules(np.append(math.log(x0 + 1.0), tab.edges[i:i + 1]))
+            sf_nodes = tuple(np.vstack((self._raw_sf(x), s[i:]))
+                             for (x, _, _), s in zip(fresh, sf_nodes))
+            rules = tuple((np.vstack((x, tx[i:])), w, np.vstack((half, th[i:])))
+                          for (x, w, half), (tx, _, th) in zip(fresh, rules))
+        # keep the product order ((sf * gstep(x)) * x) * w * half: the golden
+        # outputs pin its rounding
+        v64, v32 = (float(np.sum(s * gstep(x) * x * w[None, :] * half))
+                    for (x, w, half), s in zip(rules, sf_nodes))
+        x1 = np.array([x0 + 1.0])
+        h0 = sf1 * float(gstep(x1)[0])
+        value += sf0 * float(g(x1)[0]) + v64 + 0.5 * h0
+        return value, 0.5 * abs(h0) + abs(v64 - v32) + 2.0 * tab.sf_cap
 
 
 @dataclass(frozen=True)

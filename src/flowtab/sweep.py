@@ -28,6 +28,7 @@ import numpy as np
 
 from .algorithms import (
     ALGORITHM_KINDS,
+    DURATION_MODELS,
     AlgorithmSpec,
     DegenerateError,
     PacketLayout,
@@ -35,7 +36,7 @@ from .algorithms import (
     evaluate_batch,
 )
 from .analytic import AnalyticReport, analytic_for_spec
-from .generator import GeneratorConfig, generate_arrays, read_flow_csv
+from .generator import COUPLINGS, GeneratorConfig, generate_arrays, read_flow_csv
 from .model import TrafficModel
 
 __all__ = [
@@ -82,6 +83,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("sweep requires at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if self.duration_model not in DURATION_MODELS:
+            raise ValueError(f"unknown duration_model {self.duration_model!r}")
+        if self.joint_coupling not in COUPLINGS:
+            raise ValueError(f"unknown joint_coupling {self.joint_coupling!r}")
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         bad = [a for a in self.algorithms if a not in ALGORITHM_KINDS]

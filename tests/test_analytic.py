@@ -12,8 +12,6 @@ from flowtab.algorithms import AlgorithmSpec, DegenerateError
 from flowtab.analytic import (
     _WEIGHTS,
     UnreachableError,
-    _discrete_tail_sum,
-    _expect,
     analytic_for_spec,
     expected_covered_fraction,
     invert_for_coverage,
@@ -143,8 +141,9 @@ def chunked_brute_sum(mix, g, start, stop):
     total = 0.0
     for lo in range(start + 1, stop + 1, 1 << 20):
         hi = min(lo + (1 << 20) - 1, stop)
+        sf = mix.sf(np.arange(lo - 1, hi + 1, dtype=float))
+        pm = sf[:-1] - sf[1:]
         ks = np.arange(lo, hi + 1, dtype=float)
-        pm = mix.sf(ks - 1.0) - mix.sf(ks)
         total += float(np.dot(pm.astype(np.longdouble), g(ks).astype(np.longdouble)))
     return total
 
@@ -165,7 +164,7 @@ def test_discrete_tail_sum_lognormal_oracle(mu, sigma, threshold, stop, rel):
     )
     t = float(threshold)
     g, gstep = counter(t)
-    value, bound = _discrete_tail_sum(mix, g, gstep, t)
+    value, bound = mix.expect((g, gstep), t)
     brute = chunked_brute_sum(mix, g, threshold, stop)
     assert bound < 1e-6
     assert value == pytest.approx(brute, abs=max(bound, 1e-12), rel=1e-9)
@@ -181,7 +180,7 @@ def test_discrete_tail_sum_heavy_pareto_oracle():
     )
     t = 10.0
     g, gstep = counter(t)
-    value, bound = _discrete_tail_sum(mix, g, gstep, t)
+    value, bound = mix.expect((g, gstep), t)
     brute = chunked_brute_sum(mix, g, 10, 200_000_000)  # residual ~ 4e-8 relative
     assert value == pytest.approx(brute, rel=1e-6)
     assert abs(value - brute) <= bound + 2 * float(mix.sf(200_000_000.0))
@@ -217,14 +216,14 @@ def test_size_tail_sum_matches_brute_force(toy_model, law):
     make, stop = SIZE_LAWS[law]
     mix = make(toy_model)
     lo = math.ceil(mix.domain_min) - 1
-    total, bound = _discrete_tail_sum(mix, ones, zeros, 0.0)
+    total, bound = mix.expect((ones, zeros), 0.0)
     assert total == pytest.approx(1.0, abs=max(bound, 1e-12))
     specs = [AlgorithmSpec("threshold", "size", threshold=t) for t in (0.0, 120.5, 999.0, 70_000.0)]
     specs += [AlgorithmSpec("sampling", "size", probability=p) for p in (1e-4, 0.05, 1.0)]
     for spec in specs:
         start, created, covered = _WEIGHTS[spec.kind, "size"](toy_model, spec)
         for weight in filter(None, (created, covered)):
-            value, bound = _discrete_tail_sum(mix, *weight, start)
+            value, bound = mix.expect(weight, start)
             brute = chunked_brute_sum(mix, weight[0], max(math.floor(start), lo), stop)
             assert abs(value - brute) <= max(bound, 1e-12), (spec, value, brute, bound)
 
@@ -258,7 +257,7 @@ def test_remainder_past_the_table_matches_fresh_nodes(heavytail_model, axis):
         for x0 in sorted(starts):
             t = float(x0)
             weight = counter(t)
-            value, bound = _discrete_tail_sum(mix, *weight, t)
+            value, bound = mix.expect(weight, t)
             ref_value, ref_bound = reference_remainder(mix, *weight, x0)
             assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0), (weighting, x0)
             assert bound == pytest.approx(ref_bound, rel=1e-3, abs=0.0), (weighting, x0)
@@ -289,8 +288,7 @@ def test_in_place_weights_match_fresh_arrays(toy_model, heavytail_model, kind, p
                     assert np.array_equal(g(tab.ks), expected), (spec, g)
                     assert np.array_equal(g(tab.ks, tab.out, tab.tmp), expected), (spec, g)
                     fresh = (lambda x, out=None, tmp=None: ref(x), gstep)
-                    assert (_discrete_tail_sum(mix, g, gstep, start)
-                            == _discrete_tail_sum(mix, *fresh, start)), (spec, g)
+                    assert mix.expect(weight, start) == mix.expect(fresh, start), (spec, g)
     if kind == "sampling":
         n = heavytail_model.length_axis.flows._tail_table.ks
         covered = expected_covered_fraction(param, n)
@@ -309,7 +307,7 @@ def test_coverage_probe_allocates_no_head_array(heavytail_model):
 
     def probe(spec):
         start, _, covered = _WEIGHTS[spec.kind, spec.axis](heavytail_model, spec)
-        return _expect(heavytail_model.axis(spec.axis).octets, covered, start)
+        return heavytail_model.axis(spec.axis).octets.expect(covered, start)
 
     for spec in specs:  # builds the tail tables
         probe(spec)
@@ -334,7 +332,7 @@ def test_tail_tables_live_and_die_with_their_mixture():
             components=(MixtureComponent("lognormal", 1.0, {"mu": 0.02 * i, "sigma": 1.0}),),
             domain_min=1, discrete=True,
         )
-        value, _ = _discrete_tail_sum(mix, ones, zeros, 3.0)
+        value, _ = mix.expect((ones, zeros), 3.0)
         assert value == pytest.approx(mix.sf(3.0), abs=1e-12), i
         ref = weakref.ref(mix)
         del mix
@@ -369,7 +367,7 @@ def test_truncation_flagging_at_the_support_cap():
                                      {"shape": 0.99, "location": 0.0, "scale": 1e7}),),
         domain_min=1, discrete=False,
     )
-    value, bound = _discrete_tail_sum(heavy, ones, zeros, 1.0)
+    value, bound = heavy.expect((ones, zeros), 1.0)
     assert bound > 1e-6  # byte mass beyond the 2^40 cap is reported, not hidden
 
 
@@ -439,13 +437,13 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
     # report on the chosen parameter is not a probe.
     import flowtab.analytic as analytic
 
-    expect, report = analytic._expect, analytic.analytic_for_spec
+    expect, report = Mixture.expect, analytic.analytic_for_spec
     probes, reporting = {}, [False]
     cell = [None]
 
-    def counted(*args):
+    def counted(mix, *args):
         probes[cell[0]][-1] += not reporting[0]
-        return expect(*args)
+        return expect(mix, *args)
 
     def uncounted(*args):
         reporting[0] = True
@@ -454,7 +452,7 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
         finally:
             reporting[0] = False
 
-    monkeypatch.setattr(analytic, "_expect", counted)
+    monkeypatch.setattr(Mixture, "expect", counted)
     monkeypatch.setattr(analytic, "analytic_for_spec", uncounted)
     for model in (toy_model, heavytail_model):
         for axis in ("length", "size"):

@@ -312,6 +312,28 @@ def test_simulate_from_ingested_flows(capsys, tmp_path):
     assert first_cov == pytest.approx(100 * 10 / 11, abs=1.5)
 
 
+@pytest.mark.parametrize("ingested, algorithms", [
+    (True, "first,threshold"), (True, "sampling"), (False, "first,threshold")])
+def test_simulate_rejects_negative_seed_before_writing(capsys, tmp_path, ingested, algorithms):
+    # a negative seed is refused whether or not any cell would draw on it
+    pop = tmp_path / "pop.csv"
+    pop.write_text("length_packets,size_bytes\n10,1000\n1,100\n")
+    source = ("--flows-csv", str(pop)) if ingested else ("--flows", "2000")
+    code, out = run(capsys, "simulate", "--model", TOY, *source, "--seeds", "1,-1",
+                    "--algorithms", algorithms, "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert "seeds must be non-negative, got -1" in json.loads(out)["errors"][0]["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_generate_rejects_negative_seed(capsys, tmp_path):
+    code, out = run(capsys, "generate", "--model", TOY, "--flows", "100",
+                    "--seed", "-1", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "seed must be non-negative, got -1" in json.loads(out)["errors"][0]["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_rejects_unpacketizable_flow(capsys, tmp_path):
     pop = tmp_path / "pop.csv"
     pop.write_text("length_packets,size_bytes\n10,1000\n2,3037\n")

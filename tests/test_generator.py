@@ -225,6 +225,8 @@ def test_generate_prefix_stability(toy_model):
 def test_generate_rejects_empty():
     with pytest.raises(ValueError):
         GeneratorConfig(seed=1, flow_count=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        GeneratorConfig(seed=-1, flow_count=10)
 
 
 def test_toy_long_flow_share_within_binomial_ci(toy_model):

@@ -257,6 +257,19 @@ def test_load_model_builds_no_table(name):
             assert {"_sf_table", "_tail_table"} <= set(vars(mix))
 
 
+def test_survival_table_blocks_match_one_pass(toy_model, heavytail_model):
+    # the survival table is built 8,192 integers at a time; sf is
+    # elementwise, so it equals sf over all of them at once, bit for bit
+    mixes = [getattr(ax, w) for model in (toy_model, heavytail_model)
+             for ax in (model.length_axis, model.size_axis) for w in ("flows", "packets", "octets")]
+    mixes.append(Mixture(components=(MixtureComponent(
+        "generalized-pareto", 1.0, {"shape": 0.3, "location": 64.0, "scale": 900.0}),),
+        domain_min=64.5, discrete=False))
+    for mix in mixes:
+        lo, end = mix._ends
+        assert np.array_equal(mix._sf_table, mix.sf(np.arange(lo, end + 1, dtype=float)))
+
+
 # -- mean ----------------------------------------------------------------------
 
 

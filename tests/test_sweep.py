@@ -220,6 +220,12 @@ def test_sweep_requires_parameters(toy_model):
     for jobs in (0, -1, 2.5, 2.0):
         with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
             SweepSpec(model=toy_model, jobs=jobs)
+    with pytest.raises(ValueError, match="seeds must be non-negative"):
+        SweepSpec(model=toy_model, seeds=(1, -2))
+    with pytest.raises(ValueError, match="unknown duration_model"):
+        SweepSpec(model=toy_model, duration_model="uniform")
+    with pytest.raises(ValueError, match="unknown joint_coupling"):
+        SweepSpec(model=toy_model, joint_coupling="gaussian")
     # omitted series fall back to the reference defaults
     spec = SweepSpec(model=toy_model, algorithms=("sampling",))
     assert spec.probabilities == default_probabilities("length")
