@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ModelError",
@@ -71,6 +70,126 @@ class WeightError(ModelError):
 
 class DominanceError(ModelError):
     """flows/packets/octets CDF ordering violated on the validation grid."""
+
+
+# -- the standard normal CDF ------------------------------------------------------
+#
+# A numpy port of cephes ndtr, erf and erfc, the routine scipy.special.ndtr
+# runs: the same coefficients, branch points and operation order, with
+# numpy's exp in place of libm's, which moves a result by a few ulp at most.
+# Each numerator is evaluated by polevl and each denominator, whose leading
+# coefficient 1 is implicit, by p1evl, on Python floats or in place on arrays.
+
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+# inputs up to this many points take the Python-float path
+_NDTR_FLOAT_POINTS = 8
+
+
+def _polevl(x, coefs: tuple[float, ...]):
+    acc = coefs[0] * x
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _p1evl(x, coefs: tuple[float, ...]):
+    acc = x + coefs[0]
+    for c in coefs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _ndtr_float(a: float) -> float:
+    """ndtr at one point, on Python floats."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        # erf(x); when |x| >= sqrt(1/2), erfc(z) = 1 - erf(z) = 1 - |erf(x)|
+        w = x * x
+        r = x * _polevl(w, _NDTR_T) / _p1evl(w, _NDTR_U)
+        if z < _SQRT1_2:
+            return 0.5 + 0.5 * r
+        e = 1.0 - abs(r)
+    elif z * z > _MAXLOG:
+        e = 0.0
+    else:
+        num, den = (_NDTR_P, _NDTR_Q) if z < 8.0 else (_NDTR_R, _NDTR_S)
+        e = float(np.exp(-z * z)) * _polevl(z, num) / _p1evl(z, den)
+    y = 0.5 * e
+    return 1.0 - y if x > 0.0 else y
+
+
+def _erfc_tail(z: np.ndarray, num: tuple[float, ...], den: tuple[float, ...]) -> np.ndarray:
+    """erfc(z) = (exp(-z^2) * num(z)) / den(z) at z >= 1, into a new array."""
+    out = np.multiply(z, z)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= _polevl(z, num)
+    out /= _p1evl(z, den)
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF at each point of a (cephes ndtr).
+
+    Up to _NDTR_FLOAT_POINTS points are evaluated on Python floats, whose
+    per-point cost is far below a numpy call's; larger inputs evaluate each
+    branch only on the points that fall in it.  Both paths agree bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size <= _NDTR_FLOAT_POINTS:
+        return np.array([_ndtr_float(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    x = np.multiply(a, _SQRT1_2)
+    z = np.abs(x)
+    e = np.empty_like(x)  # erfc(|x|)
+    erf = z < 1.0
+    far = z >= 8.0
+    r = None
+    if erf.any():
+        r = x[erf]
+        w = r * r
+        r *= _polevl(w, _NDTR_T)
+        r /= _p1evl(w, _NDTR_U)
+        e[erf] = 1.0 - np.abs(r)
+    mid = ~(erf | far)  # NaN lands here and stays NaN
+    if mid.any():
+        e[mid] = _erfc_tail(z[mid], _NDTR_P, _NDTR_Q)
+    if far.any():
+        e[far] = 0.0  # erfc underflows where z^2 > MAXLOG
+        far &= ~(z * z > _MAXLOG)
+        e[far] = _erfc_tail(z[far], _NDTR_R, _NDTR_S)
+    e *= 0.5
+    np.subtract(1.0, e, out=e, where=x > 0.0)
+    if r is not None:
+        small = z < _SQRT1_2
+        e[small] = 0.5 + 0.5 * r[small[erf]]
+    return e
+
+
+def _lognormal_sf(x: np.ndarray, mu, sigma) -> np.ndarray:
+    """P(X > x) for lognormal(mu, sigma).  mu and sigma broadcast against
+    x, so one call evaluates a stack of components with a single _ndtr."""
+    with np.errstate(divide="ignore"):
+        z = (np.log(np.maximum(x, 0.0)) - mu) / sigma
+    return np.where(x > 0.0, _ndtr(-z), 1.0)
 
 
 def _gpd_sf(z, shape: float):
@@ -134,7 +253,7 @@ class MixtureComponent:
             full = math.exp(mu + 0.5 * s * s)
             if a <= 0:
                 return full
-            return full * special.ndtr(-(math.log(a) - mu - s * s) / s)
+            return full * _ndtr_float(-(math.log(a) - mu - s * s) / s)
         xi, loc, sc = p["shape"], p["location"], p["scale"]
         if a <= loc:
             return loc + sc / (1.0 - xi)
@@ -147,18 +266,16 @@ class MixtureComponent:
     def sf(self, x: np.ndarray) -> np.ndarray:
         """P(X > x) under the untruncated component law, vectorized.
 
-        Direct numpy and scipy.special math, cheap enough for the tables
-        and bisections; the tests cross-check it against scipy.stats.  It
-        is the component's one distribution function: every CDF value is
-        1 - sf.
+        Direct numpy math, the normal CDF included (_ndtr), cheap enough
+        for the tables and bisections; the tests cross-check it against
+        scipy.stats.  It is the component's one distribution function:
+        every CDF value is 1 - sf.
         """
         p = self.params
         if self.kind == "uniform":
             return np.clip((p["high"] - x) / (p["high"] - p["low"]), 0.0, 1.0)
         if self.kind == "lognormal":
-            with np.errstate(divide="ignore"):
-                z = (np.log(np.maximum(x, 0.0)) - p["mu"]) / p["sigma"]
-            return np.where(x > 0.0, special.ndtr(-z), 1.0)
+            return _lognormal_sf(x, p["mu"], p["sigma"])
         return _gpd_sf(np.maximum((x - p["location"]) / p["scale"], 0.0), p["shape"])
 
 
@@ -215,7 +332,8 @@ class Mixture:
 
     Every mixture holds one table of sf at the integers from
     ceil(domain_min) - 1, the last where sf is 1, up to ceil(domain_min) +
-    TABLE_SPAN, built on first use.  The quantile reads it, and so does the
+    TABLE_SPAN, built on first use.  The quantile searches 1 - sf, kept
+    next to it; a scalar sf at one of its integers reads it; and so does the
     tail table, from which the mean and expect read the integer law.
     """
 
@@ -224,6 +342,8 @@ class Mixture:
     discrete: bool
     # each component's mass above the floor, by which it is renormalized
     _keep: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # the lognormal components' mu and sigma, which _raw_sf evaluates at once
+    _normal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -248,6 +368,9 @@ class Mixture:
                 raise SchemaError(f"{c.kind} component has no mass above domain_min")
             keep.append(1.0 - below)
         object.__setattr__(self, "_keep", tuple(keep))
+        normal = [c.params for c in self.components if c.kind == "lognormal"]
+        object.__setattr__(self, "_normal", (np.array([p["mu"] for p in normal]),
+                                             np.array([p["sigma"] for p in normal])))
 
     @property
     def floor(self) -> float:
@@ -264,24 +387,47 @@ class Mixture:
     # -- survival / CDF ----------------------------------------------------
 
     def _raw_sf(self, x: np.ndarray) -> np.ndarray:
+        """The renormalized mixture sf at x >= floor.  One _lognormal_sf
+        call, stacked along a leading axis, serves every lognormal
+        component; the sum runs in component order."""
+        mu, sigma = self._normal
+        if mu.size:
+            col = (-1,) + (1,) * np.ndim(x)
+            normal = iter(_lognormal_sf(x, mu.reshape(col), sigma.reshape(col)))
         out = np.zeros_like(x, dtype=float)
         for c, keep in zip(self.components, self._keep):
-            out += c.weight * (c.sf(x) / keep)
+            sf = next(normal) if c.kind == "lognormal" else c.sf(x)
+            out += c.weight * (sf / keep)
         return np.clip(out, 0.0, 1.0)
 
     @functools.cached_property
     def _sf_table(self) -> np.ndarray:
-        """sf at the integers of _ends, both included, evaluated 8,192 at a
-        time: sf is elementwise, and the blocks bound its temporaries."""
+        """sf at the integers of _ends, both included, evaluated in blocks
+        of 12,288 component values (3,072 integers for four components):
+        sf is elementwise, and each block's temporaries stay within 96 KiB.
+        The allocator reuses blocks that small, where it maps larger ones
+        (from 128 KiB with glibc's defaults) afresh and faults them in."""
         lo, end = self._ends
+        step = max(1, 12288 // len(self.components))
         out = np.empty(end + 1 - lo)
-        for a in range(lo, end + 1, 8192):
-            out[a - lo:a - lo + 8192] = self.sf(np.arange(a, min(a + 8192, end + 1), dtype=float))
+        for a in range(lo, end + 1, step):
+            out[a - lo:a - lo + step] = self.sf(np.arange(a, min(a + step, end + 1), dtype=float))
         return out
+
+    @functools.cached_property
+    def _cdf_table(self) -> np.ndarray:
+        """1 - sf at the survival table's integers, which quantile searches."""
+        return 1.0 - self._sf_table
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
-        accuracy; 1 below domain_min."""
+        accuracy; 1 below domain_min.  A scalar at an integer of a built
+        survival table reads it: the table holds this same evaluation."""
+        table = self.__dict__.get("_sf_table")
+        if table is not None and np.isscalar(x):
+            k = float(x) - self._ends[0]
+            if k.is_integer() and 0.0 <= k < len(table):
+                return float(table[int(k)])
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         pts = np.floor(xx) if self.discrete else xx
         out = self._raw_sf(np.maximum(pts, self.floor))
@@ -351,11 +497,15 @@ class Mixture:
         if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN included
             raise ValueError("quantile requires u in [0, 1)")
         base, end = self._ends
-        cdf = 1.0 - self._sf_table
+        cdf = self._cdf_table
         k = np.searchsorted(cdf, uu, "left")
         out = np.where(uu > 0.0, float(base) + k, float(self.domain_min))
-        past = k == len(cdf)
-        if np.any(past):
+        past = np.flatnonzero(k == len(cdf))
+        if past.size:
+            # in increasing u the bisection's points increase too, so each
+            # branch of _ndtr gathers a contiguous run of them, several
+            # times cheaper than a scattered one
+            past = past[np.argsort(uu[past])]
             up = uu[past]
             grid, grid_cdf = self._tail_grid
             j = np.searchsorted(grid_cdf, up, "left")
@@ -430,17 +580,22 @@ class Mixture:
         x0 = max(start_i, tab.end)
         if x0 >= SUPPORT_CAP:
             return value, 2.0 * tab.sf_cap
-        sf0, sf1 = tab.sf_end if x0 == tab.end else self.sf(np.array([x0, x0 + 1.0])).tolist()
-        if sf0 == 0.0:
-            return value, 0.0
         rules, sf_nodes = tab.rules, tab.sf_nodes
-        if x0 > tab.end:
+        if x0 == tab.end:
+            sf0, sf1 = tab.sf_end
+        else:
             i = int(np.searchsorted(tab.edges, math.log(x0 + 1.0), "right"))
             fresh = _log_rules(np.append(math.log(x0 + 1.0), tab.edges[i:i + 1]))
-            sf_nodes = tuple(np.vstack((self._raw_sf(x), s[i:]))
-                             for (x, _, _), s in zip(fresh, sf_nodes))
+            # sf at x0, x0 + 1 and both rules' fresh nodes in one evaluation
+            (x64, _, _), (x32, _, _) = fresh
+            sf = self._raw_sf(np.concatenate(([x0, x0 + 1.0], x64.ravel(), x32.ravel())))
+            sf0, sf1 = sf[:2].tolist()
+            fresh_sf = (sf[2:2 + x64.size].reshape(x64.shape), sf[2 + x64.size:].reshape(x32.shape))
+            sf_nodes = tuple(np.vstack((f, s[i:])) for f, s in zip(fresh_sf, sf_nodes))
             rules = tuple((np.vstack((x, tx[i:])), w, np.vstack((half, th[i:])))
                           for (x, w, half), (tx, _, th) in zip(fresh, rules))
+        if sf0 == 0.0:
+            return value, 0.0
         # keep the product order ((sf * gstep(x)) * x) * w * half: the golden
         # outputs pin its rounding
         v64, v32 = (float(np.sum(s * gstep(x) * x * w[None, :] * half))

@@ -357,7 +357,7 @@ def test_reports_digest_over_default_cells(toy_model, heavytail_model):
                 line = ",".join([name, axis, spec.kind, float(param).hex(), *fields])
                 digest.update((line + "\n").encode())
     assert digest.hexdigest() == (
-        "dee2e1b0c9088a69da4d0dd5e761517683c23b19cd54fd172828214ef33206ee"
+        "7eb96b8427a8ed8dd08e2da4ab794017305b429c6684c0f0faf32e4742829ef2"
     )
 
 

@@ -258,12 +258,24 @@ def test_analyze_with_nothing_to_do_exits_2(capsys, tmp_path, flags):
     assert not (tmp_path / "a.analytic.csv").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    probe = "import sys, flowtab.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # the runtime needs numpy only: importing the CLI, loading a model and
+    # running analyze and simulate load no scipy module at all
+    probe = (
+        "import sys, flowtab.cli\n"
+        "from flowtab.model import load_model\n"
+        "model, out = sys.argv[1:]\n"
+        "load_model(model)\n"
+        "assert flowtab.cli.main(['analyze', '--model', model, '--axis', 'size',\n"
+        "                         '--coverages', '50,99', '--out', out + '/a']) == 0\n"
+        "assert flowtab.cli.main(['simulate', '--model', model, '--flows', '2000',\n"
+        "                         '--seeds', '1', '--out', out + '/s']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", probe, HEAVY, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_peff_flags_and_profile(capsys, tmp_path):

@@ -4,14 +4,16 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
+from flowtab import model as model_module
 from flowtab.model import (
     DominanceError,
     Mixture,
@@ -252,14 +254,14 @@ def test_load_model_builds_no_table(name):
     model = load_model(str(MODELS / name))
     for ax in (model.length_axis, model.size_axis):
         for mix in (ax.flows, ax.packets, ax.octets):
-            assert not {"_sf_table", "_tail_grid", "_tail_table"} & set(vars(mix))
+            assert not {"_sf_table", "_cdf_table", "_tail_grid", "_tail_table"} & set(vars(mix))
             mix.mean()
             assert {"_sf_table", "_tail_table"} <= set(vars(mix))
 
 
 def test_survival_table_blocks_match_one_pass(toy_model, heavytail_model):
-    # the survival table is built 8,192 integers at a time; sf is
-    # elementwise, so it equals sf over all of them at once, bit for bit
+    # the survival table is built in blocks of integers; sf is elementwise,
+    # so it equals sf over all of them at once, bit for bit
     mixes = [getattr(ax, w) for model in (toy_model, heavytail_model)
              for ax in (model.length_axis, model.size_axis) for w in ("flows", "packets", "octets")]
     mixes.append(Mixture(components=(MixtureComponent(
@@ -268,6 +270,126 @@ def test_survival_table_blocks_match_one_pass(toy_model, heavytail_model):
     for mix in mixes:
         lo, end = mix._ends
         assert np.array_equal(mix._sf_table, mix.sf(np.arange(lo, end + 1, dtype=float)))
+
+
+def test_repeated_quantile_allocates_no_table(heavytail_model):
+    # the CDF that quantile searches is kept next to the survival table, so
+    # a call allocates only arrays as long as its u
+    for mix in (heavytail_model.length_axis.flows, heavytail_model.size_axis.flows):
+        u = np.linspace(0.01, 0.99, 64)
+        first = mix.quantile(u)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert np.array_equal(mix.quantile(u), first)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak < 16 * 1024, peak
+        finally:
+            tracemalloc.stop()
+
+
+# -- the standard normal CDF -------------------------------------------------------
+
+# the branch points of cephes ndtr on its argument a: |a| sqrt(1/2) at
+# sqrt(1/2), 1 and 8, and a^2 / 2 at MAXLOG
+NDTR_EDGES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 7.09782712893383996843e2)]
+
+
+def ndtr_grid() -> np.ndarray:
+    edges = [e for b in NDTR_EDGES for e in (b, np.nextafter(b, 0.0), np.nextafter(b, np.inf))]
+    edges = np.array(edges)
+    return np.concatenate([np.linspace(-40.0, 40.0, 160_001), edges, -edges,
+                           [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]])
+
+
+def libm_exp(x, out=None):
+    """np.exp's signature on libm's exp, elementwise."""
+    values = np.array([math.exp(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ndtr_is_within_4_ulp_of_scipy():
+    a = ndtr_grid()
+    got, want = model_module._ndtr(a), special.ndtr(a)
+    ulp = np.spacing(np.maximum(np.abs(want), np.finfo(float).tiny))
+    assert np.all(np.abs(got - want) <= 4 * ulp)
+    for n in (1, 9):
+        assert np.isnan(model_module._ndtr(np.full(n, np.nan))).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ndtr_on_libm_exp_is_scipy_bit_for_bit(monkeypatch):
+    # only exp differs from the routine scipy runs, so with libm's exp back
+    # in place every coefficient and the operation order show bit for bit
+    a = ndtr_grid()
+    monkeypatch.setattr(np, "exp", libm_exp)
+    assert np.array_equal(model_module._ndtr(a), special.ndtr(a))
+    few = a[::20_001][:8]
+    assert np.array_equal(model_module._ndtr(few), special.ndtr(few))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ndtr_float_path_matches_array_path():
+    a = ndtr_grid()
+    whole = model_module._ndtr(a)
+    assert model_module._NDTR_FLOAT_POINTS == 8
+    for n in (1, 2, 8):
+        parts = np.concatenate([model_module._ndtr(a[i:i + n]) for i in range(0, len(a), n)])
+        assert np.array_equal(parts, whole), n
+    assert np.array_equal(model_module._ndtr(a[:8].reshape(2, 4)), whole[:8].reshape(2, 4))
+
+
+def component_sum_sf(mix: Mixture, x: np.ndarray) -> np.ndarray:
+    """The mixture's renormalized sf, summed one component at a time."""
+    out = np.zeros_like(x, dtype=float)
+    for c, keep in zip(mix.components, mix._keep):
+        out += c.weight * (c.sf(x) / keep)
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batched_sf_matches_component_sum(toy_model, heavytail_model):
+    mixed = Mixture(components=(
+        MixtureComponent("lognormal", 0.3, {"mu": 2.0, "sigma": 1.1}),
+        MixtureComponent("uniform", 0.2, {"low": 63.0, "high": 900.0}),
+        MixtureComponent("lognormal", 0.3, {"mu": 9.0, "sigma": 1.6}),
+        MixtureComponent("generalized-pareto", 0.2, {"shape": 0.4, "location": 64.0, "scale": 500.0}),
+    ), domain_min=64, discrete=False)
+    mixes = [getattr(ax, w) for model in (toy_model, heavytail_model)
+             for ax in (model.length_axis, model.size_axis) for w in ("flows", "packets", "octets")]
+    rng = np.random.default_rng(15)
+    x = np.concatenate([np.arange(64.0, 5000.0), np.geomspace(5000.0, 2.0 ** 40, 3000),
+                        np.exp(rng.uniform(4.2, 27.0, 2000))])
+    for mix in mixes + [mixed]:
+        assert np.array_equal(mix._raw_sf(x), component_sum_sf(mix, x))
+        nodes = x[:192].reshape(3, 64)
+        assert np.array_equal(mix._raw_sf(nodes), component_sum_sf(mix, nodes))
+        # stacked, one and two points take the float path and three the
+        # array path; each component alone takes the float path
+        for n in (1, 2, 3):
+            for i in range(0, 90, n):
+                assert np.array_equal(mix._raw_sf(x[i:i + n]), component_sum_sf(mix, x[i:i + n]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scalar_sf_reads_the_survival_table(heavytail_model):
+    mix = heavytail_model.size_axis.octets
+    fresh = Mixture(components=mix.components, domain_min=mix.domain_min, discrete=mix.discrete)
+    lo, end = mix._ends
+    table = mix._sf_table
+    ks = [lo, lo + 1, 100, 4097, end - 1, end]
+    for k in ks + [float(k) for k in ks] + [np.float64(k) for k in ks]:
+        assert mix.sf(k) == float(table[int(k) - lo]) == fresh.sf(k), k
+    assert "_sf_table" not in vars(fresh)
+    # off the table's integers sf is evaluated afresh
+    for x in (end + 1, 100.5, lo - 1, -3.0, 2.0 ** 40, math.inf, math.nan):
+        assert np.array_equal(mix.sf(x), fresh.sf(x), equal_nan=True), x
 
 
 # -- mean ----------------------------------------------------------------------
