@@ -19,7 +19,6 @@ from .analytic import (
     AnalyticReport,
     UnreachableError,
     analytic_for_spec,
-    expected_covered_fraction,
     invert_for_coverage,
 )
 from .generator import (

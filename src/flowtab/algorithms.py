@@ -1,24 +1,25 @@
 """Population-wide evaluation of the first / threshold / sampling algorithms.
 
-``evaluate_batch`` computes every flow's outcome relative to the reactive
-baseline (every flow gets an entry at its first packet): whether an entry
-was created, the bytes it covered, and the fraction of the flow's packets
-from the triggering packet onward, which is the entry's occupancy under
-the equal-flow-duration model.  ``aggregate_batch`` folds the outcomes
-into the three report metrics.  Packet sizes follow the even-split layout
-of ``PacketLayout``.
+``evaluate_batch`` finds, relative to the reactive baseline (every flow
+gets an entry at its first packet), the flows that gain an entry and the
+packet, from 1, that creates each one: first creates it at packet 1,
+threshold and sampling where their counter or draw fires.  The triggering
+packet and every later one are covered.  ``aggregate_batch`` folds those
+entries into the three report metrics.  Packet sizes follow the even-split
+layout of ``PacketLayout``.
 
-Threshold and sampling walk the population in blocks of ``BLOCK_FLOWS``
+``evaluate_batch`` walks the population in blocks of ``BLOCK_FLOWS``
 flows.  In each block one predicate picks the flows that can gain an
 entry (exactly those, but for the size-sampling bound below, which keeps
-a superset), the per-flow arithmetic runs on those alone, and ``_entries``
-scatters their outcomes into zero-initialised full-length arrays, so the
-arrays (and every sum over them) are those of the whole-population
-formulas, while the working memory is a few blocks, not a few populations.
-The predicates, for a flow of n packets and s bytes:
+a superset) and the per-flow arithmetic runs on those alone;
+``aggregate_batch`` reads the entries in blocks of the same size.  So a
+cell's working memory is its entries and a few blocks, never an array the
+length of the population.  The predicates, for a flow of n packets and s
+bytes:
 
-- threshold, length axis: n > T;
-- threshold, size axis: s > T (``packet_over`` then places the packet);
+- first and threshold, length axis: n > T;
+- first and threshold, size axis: s > T (for threshold ``packet_over``
+  then places the packet);
 - sampling, length axis: with x = log u / log(1 - p), the entry exists iff
   floor(x) + 1 <= n, which for an integer n is x < n;
 - sampling, size axis: every flow when p = 1, otherwise those with
@@ -204,34 +205,10 @@ class PacketLayout:
 
 
 def _blocks(n: int):
-    """(start, slice) of each block of BLOCK_FLOWS flows, the last partial."""
-    for start in range(0, n, BLOCK_FLOWS):
+    """(start, slice) of each block of BLOCK_FLOWS flows, the last partial;
+    one empty block when there are none."""
+    for start in range(0, max(n, 1), BLOCK_FLOWS):
         yield start, slice(start, min(start + BLOCK_FLOWS, n))
-
-
-def _entries(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout, triggers):
-    """Outcomes of the entries that ``triggers`` yields, block by block, as
-    (flows, trigger): the flows (indices into the population) that gain an
-    entry and the packet, from 1, that creates it.  The triggering packet
-    and every later one are covered; every other flow keeps zeros."""
-    n = len(lengths)
-    created = np.zeros(n, dtype=bool)
-    covered = np.zeros(n, dtype=np.result_type(sizes, layout.base, np.int64))
-    occ = np.zeros(n)
-    for flows, trigger in triggers:
-        packets = lengths[flows]
-        created[flows] = True
-        covered[flows] = sizes[flows] - layout.bytes_before(trigger - 1, flows)
-        occ[flows] = (packets + 1 - trigger) / packets
-    return created, covered, occ
-
-
-def _first_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec):
-    value = lengths if spec.axis == "length" else sizes
-    created = value > spec.threshold
-    covered = np.where(created, sizes, 0)
-    occ = created.astype(float)
-    return created, covered, occ
 
 
 def _threshold_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
@@ -240,7 +217,9 @@ def _threshold_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmS
     value = lengths if spec.axis == "length" else sizes
     for start, block in _blocks(len(lengths)):
         flows = start + np.flatnonzero(value[block] > T)
-        if spec.axis == "length":
+        if spec.kind == "first":
+            trigger = np.ones(len(flows))
+        elif spec.axis == "length":
             trigger = np.full(len(flows), np.floor(T) + 1)
         else:
             trigger = layout.packet_over(T, flows)
@@ -293,29 +272,33 @@ def _sampling_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSp
 
 def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
                    layout: PacketLayout, rng: np.random.Generator | None = None):
-    """Per-flow outcomes over a population, as arrays: (created,
-    covered_bytes, occupancy_fraction).
+    """The entries a spec creates over a population, as (flows, trigger):
+    the increasing indices of the flows that gain an entry and the packet,
+    from 1, that creates each one, both int64.
 
     ``layout`` is the population's PacketLayout, which carries the model's
     max_packet_size.  Sampling draws from ``rng``.
     """
-    if spec.kind == "first":
-        return _first_batch(lengths, sizes, spec)
-    if spec.kind == "threshold":
+    if spec.kind != "sampling":
         triggers = _threshold_triggers(lengths, sizes, spec, layout)
     elif rng is None:
         raise ValueError("sampling evaluation requires an RNG")
     else:
         # one draw per flow for the whole population, whatever the blocks
         triggers = _sampling_triggers(lengths, sizes, spec, layout, rng.random(len(lengths)))
-    return _entries(lengths, sizes, layout, triggers)
+    flows, trigger = zip(*triggers)
+    return np.concatenate(flows), np.concatenate(trigger)
 
 
-def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, created: np.ndarray,
-                    covered: np.ndarray, occ: np.ndarray,
+def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
+                    flows: np.ndarray, trigger: np.ndarray,
                     duration_model: str = "equal") -> MetricsReport:
-    """Fold the outcomes of evaluate_batch into coverage and reduction
-    factors.
+    """Fold the entries of evaluate_batch into coverage and reduction
+    factors, a block of entries at a time.  An entry created at packet t of
+    an n-packet flow covers the flow's bytes from packet t on and occupies
+    the table for n + 1 - t packets: the fraction (n + 1 - t) / n of the
+    flow's duration under the equal-duration model, n + 1 - t packet times
+    under the proportional one, whose sum is an exact integer.
 
     Raises DegenerateError when no entry was created (coverage 0, both
     reductions unbounded).
@@ -323,15 +306,20 @@ def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, created: np.ndarray,
     if duration_model not in DURATION_MODELS:
         raise ValueError(f"unknown duration_model {duration_model!r}")
     n = len(lengths)
-    entries = int(np.count_nonzero(created))
+    entries = len(flows)
     if n == 0:
         raise ValueError("aggregate requires a non-empty population")
     if entries == 0:
         raise DegenerateError("no flow created an entry; reductions are infinite")
-    coverage = 100.0 * float(covered.sum()) / float(sizes.sum())
-    ops = n / entries
-    if duration_model == "equal":
-        occ_reduction = n / float(occ.sum())
-    else:
-        occ_reduction = float(lengths.sum()) / float((occ * lengths).sum())
-    return MetricsReport(coverage, ops, occ_reduction, n, entries)
+    equal = duration_model == "equal"
+    covered = occupied = 0
+    for _, block in _blocks(entries):
+        f, t = flows[block], trigger[block]
+        packets = lengths[f]
+        covered += int((sizes[f] - layout.bytes_before(t - 1, f)).sum())
+        held = packets + 1 - t
+        occupied += float((held / packets).sum()) if equal else int(held.sum())
+    coverage = 100.0 * float(covered) / float(sizes.sum())
+    # the baseline holds every flow's entry for the flow's whole duration
+    baseline = n if equal else float(lengths.sum())
+    return MetricsReport(coverage, n / entries, baseline / occupied, n, entries)

@@ -25,7 +25,6 @@ __all__ = [
     "AnalyticReport",
     "analytic_for_spec",
     "invert_for_coverage",
-    "expected_covered_fraction",
 ]
 
 FLAG_LEVEL = 1e-6
@@ -143,25 +142,10 @@ _WEIGHTS = {
 }
 
 
-def expected_covered_fraction(p: float, length) -> np.ndarray | float:
-    """Expected covered share of an n-packet flow under per-packet sampling
-    with probability p (triggering packet included):
-
-        sum_{k=1..n} p q^(k-1) (n-k+1)/n  =  1 - q (1 - q^n) / (p n),  q = 1-p.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    scalar = np.isscalar(length)
-    n = np.atleast_1d(np.asarray(length, dtype=float))
-    if np.any(n < 1):
-        raise ValueError("length must be >= 1")
-    out = np.ones_like(n) if p == 1.0 else _covered_fraction(p, n)
-    return float(out[0]) if scalar else out
-
-
 def _covered_fraction(p: float, n: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """expected_covered_fraction without its argument checks, for
-    0 < p < 1 and float lengths n >= 1, as 1 - (1 - p) * created / (p * n)
+    """Expected covered share of an n-packet flow under per-packet
+    sampling with probability p, the triggering packet included, for
+    0 < p < 1 and float lengths n >= 1: 1 - (1 - p) * created / (p * n)
     with created = -expm1(n * log1p(-p)); in place like the weights."""
     out = np.negative(np.expm1(np.multiply(n, math.log1p(-p), out=out), out=out), out=out)
     out = np.multiply(1.0 - p, out, out=out)

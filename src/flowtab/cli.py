@@ -147,6 +147,8 @@ def _cmd_simulate(args) -> int:
     bad = [fmt for fmt in args.formats if fmt not in _TABLE_FORMATS]
     if bad:
         raise ValueError(f"unknown output format(s) {bad}")
+    if not args.formats:
+        raise ValueError("simulate requires at least one output format")
     model = load_model(args.model)
     spec = SweepSpec(
         model=model,

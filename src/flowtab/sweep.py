@@ -152,9 +152,9 @@ def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
 
 def _metrics_tuple(lengths, sizes, layout, spec, seed, duration_model) -> tuple[float, float, float]:
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    created, covered, occ = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    flows, trigger = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
     try:
-        rep = aggregate_batch(lengths, sizes, created, covered, occ, duration_model)
+        rep = aggregate_batch(lengths, sizes, layout, flows, trigger, duration_model)
     except DegenerateError:
         return (0.0, math.inf, math.inf)
     return (rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction)

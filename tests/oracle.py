@@ -10,9 +10,14 @@ occupies the table for the fraction of the flow's packets from the
 triggering packet onward.  ``aggregate`` folds outcomes into the three
 report metrics.
 
-``reference_batch`` keeps the whole-population threshold and sampling
-formulas, one array operation over every flow per step, as the reference
-the blocked kernels of ``evaluate_batch`` must match bit for bit.
+``reference_trigger`` keeps the whole-population formulas of the
+triggering packet, one array operation over every flow per step, as the
+reference the blocked kernels of ``evaluate_batch`` must match bit for
+bit.  ``expand`` turns the sparse entries that ``evaluate_batch`` returns
+into per-flow arrays.
+
+``expected_covered_fraction`` is the checked, per-flow form of the
+covered-share closed form that ``flowtab.analytic`` weights sampling with.
 
 ``reference_weights`` keeps the analytic weights as whole-array
 expressions, each operation a fresh array, as the reference the in-place
@@ -37,6 +42,7 @@ from flowtab.algorithms import (
     MetricsReport,
     PacketLayout,
 )
+from flowtab.analytic import _covered_fraction
 from flowtab.model import DEFAULT_MAX_PACKET, SUPPORT_CAP, Mixture, TrafficModel
 
 
@@ -208,26 +214,54 @@ def reference_sampling_trigger(lengths: np.ndarray, spec: AlgorithmSpec, layout:
     return trigger.astype(np.int64)
 
 
-def reference_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                    layout: PacketLayout, rng: np.random.Generator | None = None):
-    """(created, covered_bytes, occupancy_fraction) of a threshold or
-    sampling spec over the whole population at once."""
+def reference_trigger(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
+                      layout: PacketLayout, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Packet, from 1, that creates each flow's entry under a spec (0 for
+    none), over the whole population at once."""
+    if spec.kind == "first":
+        value = lengths if spec.axis == "length" else sizes
+        return np.where(value > spec.threshold, 1, 0).astype(np.int64)
     if spec.kind == "threshold" and spec.axis == "length":
         T = spec.threshold
-        trigger = np.where(lengths > T, np.floor(T) + 1, 0).astype(np.int64)
-    elif spec.kind == "threshold":
+        return np.where(lengths > T, np.floor(T) + 1, 0).astype(np.int64)
+    if spec.kind == "threshold":
         over = np.flatnonzero(sizes > spec.threshold)
         trigger = np.zeros(len(sizes), dtype=np.int64)
         trigger[over] = layout.packet_over(spec.threshold, over)
-    else:
-        log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
-        trigger = reference_sampling_trigger(lengths, spec, layout, log_u)
-    created = trigger > 0
-    k = trigger - 1
-    bytes_before = k * layout.base + np.maximum(k - layout.lead, 0) * (layout.tail - layout.base)
-    covered = np.where(created, sizes - bytes_before, 0)
-    occ = np.where(created, (lengths + 1 - trigger) / lengths, 0.0)
+        return trigger
+    log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
+    return reference_sampling_trigger(lengths, spec, layout, log_u)
+
+
+def expand(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
+           flows: np.ndarray, trigger: np.ndarray):
+    """Per-flow (created, covered_bytes, occupancy_fraction) of the entries
+    (flows, trigger) that evaluate_batch returns: the triggering packet and
+    every later one are covered, the occupancy is that of the
+    equal-duration model, and every other flow keeps zeros."""
+    created = np.zeros(len(lengths), dtype=bool)
+    covered = np.zeros(len(lengths), dtype=np.int64)
+    occ = np.zeros(len(lengths))
+    created[flows] = True
+    covered[flows] = sizes[flows] - layout.bytes_before(trigger - 1, flows)
+    occ[flows] = (lengths[flows] + 1 - trigger) / lengths[flows]
     return created, covered, occ
+
+
+def expected_covered_fraction(p: float, length) -> np.ndarray | float:
+    """Expected covered share of an n-packet flow under per-packet sampling
+    with probability p (triggering packet included):
+
+        sum_{k=1..n} p q^(k-1) (n-k+1)/n  =  1 - q (1 - q^n) / (p n),  q = 1-p.
+    """
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must lie in (0, 1]")
+    scalar = np.isscalar(length)
+    n = np.atleast_1d(np.asarray(length, dtype=float))
+    if np.any(n < 1):
+        raise ValueError("length must be >= 1")
+    out = np.ones_like(n) if p == 1.0 else _covered_fraction(p, n)
+    return float(out[0]) if scalar else out
 
 
 # -- the analytic weights on fresh arrays --------------------------------------------

@@ -17,16 +17,12 @@ import numpy as np
 import pytest
 
 from flowtab.algorithms import AlgorithmSpec, PacketLayout, aggregate_batch, evaluate_batch, p_total
-from flowtab.analytic import (
-    UnreachableError,
-    analytic_for_spec,
-    expected_covered_fraction,
-    invert_for_coverage,
-)
+from flowtab.analytic import UnreachableError, analytic_for_spec, invert_for_coverage
 from flowtab.cli import main as cli_main
 from flowtab.generator import GeneratorConfig, generate_arrays
 from flowtab.model import load_model
 from flowtab.sweep import SweepSpec, _sampling_rng, run_sweep
+from oracle import expand, expected_covered_fraction
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -50,11 +46,10 @@ class criterion:
         return False
 
 
-def simulate(model, lengths, sizes, spec, seed, duration_model="equal"):
+def simulate(lengths, sizes, layout, spec, seed, duration_model="equal"):
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    layout = PacketLayout(lengths, sizes, model.max_packet_size)
-    created, covered, occ = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
-    rep = aggregate_batch(lengths, sizes, created, covered, occ, duration_model)
+    flows, trigger = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    rep = aggregate_batch(lengths, sizes, layout, flows, trigger, duration_model)
     return np.array([rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction])
 
 
@@ -88,7 +83,8 @@ def test_a2_sampling_p_one_exact(toy_model, heavytail_model):
         spec = AlgorithmSpec("sampling", "length", probability=1.0)
         for model in (toy_model, heavytail_model):
             lengths, sizes = generate_arrays(model, GeneratorConfig(seed=3, flow_count=10 ** 5))
-            sim = simulate(model, lengths, sizes, spec, seed=3)
+            layout = PacketLayout(lengths, sizes, model.max_packet_size)
+            sim = simulate(lengths, sizes, layout, spec, seed=3)
             assert tuple(sim) == (100.0, 1.0, 1.0)
             ana = analytic_for_spec(model, spec)
             assert (ana.coverage_pct, ana.operations_reduction, ana.occupancy_reduction) == \
@@ -124,8 +120,9 @@ def test_a3_toy_oracle(toy_model):
         layout = PacketLayout(lengths, sizes, toy_model.max_packet_size)
         for kind, want in oracle.items():
             spec = AlgorithmSpec(kind, "length", threshold=1)
-            created, covered, occ = evaluate_batch(lengths, sizes, spec, layout)
-            sim = aggregate_batch(lengths, sizes, created, covered, occ)
+            flows, trigger = evaluate_batch(lengths, sizes, spec, layout)
+            sim = aggregate_batch(lengths, sizes, layout, flows, trigger)
+            created, covered, occ = expand(lengths, sizes, layout, flows, trigger)
             n = len(lengths)
             cov_se = 100 * _ratio_se(covered.astype(float), sizes.astype(float))
             e = created.astype(float)
@@ -162,13 +159,15 @@ def test_a4_analytic_matches_simulation(heavytail_model, ht_population):
     with criterion("A4", detail):
         t0 = time.time()
         seeds = (1, 2, 3, 4, 5)
-        populations = [ht_population(s) for s in seeds]
+        # one layout per population, shared by every spec of every grid
+        populations = [(l, s, PacketLayout(l, s, heavytail_model.max_packet_size))
+                       for l, s in map(ht_population, seeds)]
         worst = 0.0
         for axis, grid, rel_tol in _a4_grids(heavytail_model):
             for spec in grid:
                 sims = np.array([
-                    simulate(heavytail_model, l, s, spec, seed)
-                    for (l, s), seed in zip(populations, seeds)
+                    simulate(*population, spec, seed)
+                    for population, seed in zip(populations, seeds)
                 ])
                 mean = sims.mean(axis=0)
                 se = sims.std(axis=0, ddof=1) / math.sqrt(len(seeds))

@@ -30,19 +30,23 @@ from oracle import (
     eval_first,
     eval_sampling,
     eval_threshold,
+    expand,
     packetize,
 )
 
 
 def batch(lengths, sizes, spec, rng=None):
-    """evaluate_batch with the population's layout at the default 1518-byte
-    max_packet_size of the oracle and the shipped models."""
+    """Per-flow (created, covered, occ) of evaluate_batch with the
+    population's layout at the default 1518-byte max_packet_size of the
+    oracle and the shipped models."""
     layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
-    return evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    return expand(lengths, sizes, layout, *evaluate_batch(lengths, sizes, spec, layout, rng=rng))
 
 
-def outcomes(lengths, sizes, spec, rng=None):
-    return aggregate_batch(lengths, sizes, *batch(lengths, sizes, spec, rng))
+def outcomes(lengths, sizes, spec, rng=None, duration_model="equal"):
+    layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
+    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    return aggregate_batch(lengths, sizes, layout, *entries, duration_model)
 
 
 # -- eval_first ---------------------------------------------------------------
@@ -126,8 +130,9 @@ def test_size_scaled_full_packet_always_sampled():
     # the odds scale by the layout's max_packet_size: a 9000-byte jumbo
     # packet is full, so it is sampled at p = 1
     jumbo = (np.full(1000, 2), np.full(1000, 18000))
-    created, covered, _ = evaluate_batch(*jumbo, spec, PacketLayout(*jumbo, 9000),
-                                         rng=np.random.default_rng(2))
+    layout = PacketLayout(*jumbo, 9000)
+    created, covered, _ = expand(*jumbo, layout, *evaluate_batch(*jumbo, spec, layout,
+                                                                 rng=np.random.default_rng(2)))
     assert created.all() and (covered == 18000).all()
 
 
@@ -254,8 +259,7 @@ def test_aggregate_scalar_stream_matches_batch(toy_population):
 def test_aggregate_proportional_duration(toy_population):
     lengths, sizes = toy_population
     spec = AlgorithmSpec("first", "length", threshold=1)
-    created, covered, occ = batch(lengths, sizes, spec)
-    rep = aggregate_batch(lengths, sizes, created, covered, occ, "proportional")
+    rep = outcomes(lengths, sizes, spec, duration_model="proportional")
     # long flows occupy for their whole (length-proportional) lifetime
     assert rep.occupancy_reduction == pytest.approx(5500 / 5000, rel=1e-12)
     assert rep.operations_reduction == 2.0
@@ -360,7 +364,8 @@ def test_batch_equals_oracle_on_layout_edges(case):
     for kind, evaluator in (("first", eval_first), ("threshold", eval_threshold)):
         for axis, T in (("length", packets), ("size", octets)):
             spec = AlgorithmSpec(kind, axis, threshold=float(T))
-            created, covered, occ = evaluate_batch(lengths, sizes, spec, layout)
+            created, covered, occ = expand(lengths, sizes, layout,
+                                           *evaluate_batch(lengths, sizes, spec, layout))
             for i, flow in enumerate(flows):
                 out = evaluator(flow, spec)
                 assert (bool(created[i]), int(covered[i]), float(occ[i])) == \

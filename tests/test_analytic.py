@@ -13,13 +13,12 @@ from flowtab.analytic import (
     _WEIGHTS,
     UnreachableError,
     analytic_for_spec,
-    expected_covered_fraction,
     invert_for_coverage,
 )
 from flowtab.cli import DEFAULT_COVERAGES
 from flowtab.model import Mixture, MixtureComponent
 from flowtab.sweep import SweepSpec, run_sweep
-from oracle import reference_remainder, reference_weights
+from oracle import expected_covered_fraction, reference_remainder, reference_weights
 
 
 def first(model, axis, t):

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import flowtab.cli
 from flowtab.cli import DEFAULT_COVERAGES, main
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
@@ -155,6 +156,20 @@ def test_simulate_rejects_unknown_format_before_writing(capsys, tmp_path):
     assert code == 2
     error = json.loads(out)["errors"][0]
     assert error["type"] == "ValueError" and "xyz" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("formats", ["", ","])
+def test_simulate_without_a_format_exits_2_before_the_sweep(monkeypatch, capsys, tmp_path, formats):
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(flowtab.cli, "run_sweep", no_sweep)
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows", "2000",
+                    "--formats", formats, "--out", str(tmp_path / "s"))
+    assert code == 2
+    error = json.loads(out)["errors"][0]
+    assert error["type"] == "ValueError" and "output format" in error["message"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
-"""The blocked threshold and sampling kernels of ``evaluate_batch`` against
-the whole-population formulas of ``oracle.reference_batch``: the same
-arrays bit for bit, and working memory of a few blocks."""
+"""The blocked kernels of ``evaluate_batch`` against the whole-population
+formulas of ``oracle.reference_trigger``: the same entries bit for bit,
+and working memory of a few blocks; and the fold of ``aggregate_batch``
+against sums over the per-flow arrays."""
 from __future__ import annotations
 
 import tracemalloc
@@ -13,10 +14,11 @@ from flowtab.algorithms import (
     AlgorithmSpec,
     PacketLayout,
     _size_candidates,
+    aggregate_batch,
     evaluate_batch,
 )
 from flowtab.sweep import default_probabilities, default_thresholds
-from oracle import reference_batch, reference_sampling_trigger
+from oracle import expand, reference_sampling_trigger, reference_trigger
 
 POPULATION_SIZES = (1, BLOCK_FLOWS - 1, BLOCK_FLOWS, 3 * BLOCK_FLOWS + 77)
 EXTRA_THRESHOLDS = (0.0, 0.5, 1517.0, 1518.0, 1519.0)
@@ -40,7 +42,8 @@ def kernel_population(count: int, max_packet_size: int) -> tuple[np.ndarray, np.
 def kernel_specs(axis: str) -> list[AlgorithmSpec]:
     thresholds = sorted(set(default_thresholds(axis)) | set(EXTRA_THRESHOLDS))
     probabilities = sorted(set(default_probabilities(axis)) | set(EXTRA_PROBABILITIES))
-    return ([AlgorithmSpec("threshold", axis, threshold=t) for t in thresholds]
+    return ([AlgorithmSpec(kind, axis, threshold=t)
+             for kind in ("first", "threshold") for t in thresholds]
             + [AlgorithmSpec("sampling", axis, probability=p) for p in probabilities])
 
 
@@ -52,11 +55,31 @@ def test_blocked_kernels_match_whole_population_formulas(axis, max_packet_size):
         ls, ss = lengths[:count], sizes[:count]
         layout = PacketLayout(ls, ss, max_packet_size)
         for spec in kernel_specs(axis):
-            got = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
-            want = reference_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
-            for name, g, w in zip(("created", "covered", "occ"), got, want):
-                assert g.dtype == w.dtype, (name, count, spec)
-                assert np.array_equal(g, w), (name, count, spec)
+            flows, trigger = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            want = reference_trigger(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            assert flows.dtype == trigger.dtype == np.int64, (count, spec)
+            assert np.array_equal(flows, np.flatnonzero(want)), (count, spec)
+            assert np.array_equal(trigger, want[flows]), (count, spec)
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_fold_equals_sums_over_per_flow_arrays(axis):
+    # the fold walks several blocks of entries, the last partial
+    count = 3 * BLOCK_FLOWS + 77
+    lengths, sizes = kernel_population(count, 1518)
+    layout = PacketLayout(lengths, sizes, 1518)
+    for spec in kernel_specs(axis):
+        flows, trigger = evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(2))
+        if len(flows) == 0:
+            continue
+        created, covered, _ = expand(lengths, sizes, layout, flows, trigger)
+        equal = aggregate_batch(lengths, sizes, layout, flows, trigger)
+        assert equal.entries_created == np.count_nonzero(created), spec
+        assert equal.operations_reduction == count / np.count_nonzero(created), spec
+        assert equal.coverage_pct == 100.0 * float(covered.sum()) / float(sizes.sum()), spec
+        proportional = aggregate_batch(lengths, sizes, layout, flows, trigger, "proportional")
+        assert proportional.occupancy_reduction == \
+            lengths.sum() / (lengths[flows] + 1 - trigger).sum(), spec
 
 
 @pytest.mark.parametrize("max_packet_size", [1518, 9000])
@@ -110,8 +133,8 @@ def test_kernel_memory_is_outputs_plus_a_few_blocks(spec):
     count = 4 * BLOCK_FLOWS + 77
     lengths, sizes = kernel_population(count, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
-    peak, (created, covered, occ) = traced_peak(
+    peak, (flows, trigger) = traced_peak(
         lambda: evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(1)))
-    outputs = created.nbytes + covered.nbytes + occ.nbytes
+    outputs = flows.nbytes + trigger.nbytes
     log_u = 8 * count
     assert peak < outputs + log_u + 24 * 8 * BLOCK_FLOWS, (peak, outputs)

@@ -106,6 +106,17 @@ def test_emit_markdown_matches_golden(toy_model):
     assert emit_table(res, "markdown") == golden
 
 
+@pytest.mark.parametrize("duration_model", ["equal", "proportional"])
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_heavytail_sweep_matches_golden(heavytail_model, axis, duration_model):
+    # 150,000 flows: two full evaluation blocks of 65,536 flows and a partial third
+    res = run_sweep(SweepSpec(model=heavytail_model, axis=axis, seeds=(1, 2),
+                              flow_count=150_000, duration_model=duration_model))
+    for fmt, suffix in (("csv", ".csv"), ("markdown", ".md"), ("plotdata", ".plot.csv")):
+        golden = GOLDEN / f"heavytail_sweep_{axis}_{duration_model}{suffix}"
+        assert emit_table(res, fmt) == golden.read_text(), golden.name
+
+
 def test_sweep_over_ingested_csv(tmp_path, toy_model):
     lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=6, flow_count=4000))
     path = tmp_path / "pop.csv"
