@@ -167,9 +167,9 @@ class PacketLayout:
     - otherwise the remainder is spread, one extra byte on each of the last
       rem packets (lead = n - rem, tail = base + 1).
 
-    ``max_packet_size`` also sets the odds of size-scaled sampling.  A
-    layout depends only on the population, so build it once and pass it to
-    every evaluate_batch call over that population.
+    ``max_packet_size`` also sets the odds of size-scaled sampling, and
+    ``total_bytes`` is the flows' byte total, below 2^63.  Build a layout
+    once per population and pass it to every call over that population.
     """
 
     def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
@@ -180,6 +180,10 @@ class PacketLayout:
                 f"flow {i} of {lengths[i]} packets and {sizes[i]} bytes does not split "
                 f"into packets of 1..{max_packet_size} bytes"
             )
+        # a float64 sum errs by far less than 2^62: only near 2^63 is it redone exactly
+        if float(sizes.sum(dtype=float)) >= 2.0 ** 62 and sum(sizes.tolist()) >= 2 ** 63:
+            raise ValueError("the flows' byte total overflows int64")
+        self.total_bytes = int(sizes.sum())
         self.max_packet_size = max_packet_size
         self.base = sizes // lengths
         rem = sizes - self.base * lengths
@@ -319,7 +323,7 @@ def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout
         covered += int((sizes[f] - layout.bytes_before(t - 1, f)).sum())
         held = packets + 1 - t
         occupied += float((held / packets).sum()) if equal else int(held.sum())
-    coverage = 100.0 * float(covered) / float(sizes.sum())
+    coverage = 100.0 * float(covered) / float(layout.total_bytes)
     # the baseline holds every flow's entry for the flow's whole duration
     baseline = n if equal else float(lengths.sum())
     return MetricsReport(coverage, n / entries, baseline / occupied, n, entries)

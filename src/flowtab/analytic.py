@@ -165,9 +165,9 @@ def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticRepor
         raise DegenerateError(f"no flow gains an entry under {spec}")
     cov, cov_err = ax.octets.expect(covered, start)
     occupied, occ_err = ax.flows.expect(covered, start)
-    return AnalyticReport(
-        100.0 * cov, 1.0 / entries, 1.0 / occupied, cov_err + entries_err + occ_err
-    )
+    # far in the tail the occupancy sum underflows while entries remain
+    return AnalyticReport(100.0 * cov, 1.0 / entries, 1.0 / occupied if occupied > 0.0 else math.inf,
+                          cov_err + entries_err + occ_err)
 
 
 # -- coverage inversion ---------------------------------------------------------

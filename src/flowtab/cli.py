@@ -140,10 +140,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.model is None and args.flows_csv is None:
-        raise ValueError("simulate requires --model or --flows-csv")
-    if args.flows_csv is not None and args.model is None:
-        raise ValueError("--flows-csv still requires --model for the analytic columns")
+    if args.model is None:
+        raise ValueError("simulate requires --model, also with --flows-csv (for the analytic columns)")
     bad = [fmt for fmt in args.formats if fmt not in _TABLE_FORMATS]
     if bad:
         raise ValueError(f"unknown output format(s) {bad}")
@@ -315,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     except DominanceError as exc:
         print(json.dumps({"errors": [{"type": "DominanceError", "message": str(exc)}]}))
         return EXIT_CONSISTENCY
-    except (SchemaError, WeightError) as exc:
-        print(json.dumps({"errors": [{"type": type(exc).__name__, "message": str(exc)}]}))
-        return EXIT_VALIDATION
     except (ValueError, FileNotFoundError) as exc:
         kind = type(exc).__name__
         print(json.dumps({"errors": [{"type": kind, "message": str(exc)}]}))

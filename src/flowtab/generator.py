@@ -114,15 +114,9 @@ def generate_arrays(model: TrafficModel, config: GeneratorConfig,
     """
     lengths = np.empty(config.flow_count, dtype=np.int64)
     sizes = np.empty(config.flow_count, dtype=np.int64)
-    pos = 0
-    shard = 0
-    while pos < config.flow_count:
-        count = min(SHARD_SIZE, config.flow_count - pos)
-        l, s = _generate_shard(model, config, shard, count, stats)
-        lengths[pos:pos + count] = l
-        sizes[pos:pos + count] = s
-        pos += count
-        shard += 1
+    for shard, pos in enumerate(range(0, config.flow_count, SHARD_SIZE)):
+        end = min(pos + SHARD_SIZE, config.flow_count)
+        lengths[pos:end], sizes[pos:end] = _generate_shard(model, config, shard, end - pos, stats)
     return lengths, sizes
 
 

@@ -16,6 +16,7 @@ and expectations read.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -46,6 +47,7 @@ DEFAULT_MAX_PACKET = 1518
 DEFAULT_SIZE_DOMAIN_MIN = 64
 # integers above domain_min in each mixture's survival table
 TABLE_SPAN = 2 ** 16
+GUIDE_BUCKETS = 2 ** 16  # equal slices of [0, 1] in the survival table's guide
 
 MODEL_DIR_ENV = "FLOWTAB_MODEL_DIR"
 
@@ -415,9 +417,11 @@ class Mixture:
         return out
 
     @functools.cached_property
-    def _cdf_table(self) -> np.ndarray:
-        """1 - sf at the survival table's integers, which quantile searches."""
-        return 1.0 - self._sf_table
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """1 - sf at the survival table's integers, which quantile searches, and
+        its int32 guide: the first index at or above each b / GUIDE_BUCKETS."""
+        cdf = 1.0 - self._sf_table
+        return cdf, np.searchsorted(cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS).astype(np.int32)
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
@@ -467,58 +471,88 @@ class Mixture:
                               np.empty(len(pm)), np.empty(len(pm)))
 
     @functools.cached_property
-    def _tail_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The integers floor(end * 2^(j/64)), j >= 1, past the survival
-        table's end, with cdf at each: octave by octave up to the first
-        whose cdf reaches 1 - 2^-53, the largest u a quantile takes, or
-        whose x overflows, where every component's sf is 0."""
+    def _tail_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The survival table's end and the integers floor(end * 2^(j/64)),
+        j >= 1, past it, with cdf and log sf at each: octave by octave up to
+        the first whose cdf reaches 1 - 2^-53, the largest u a quantile
+        takes, or whose x overflows, where every component's sf is 0."""
         steps = np.exp2(np.arange(1, 65) / 64.0)
         scale = float(self._ends[1])
-        xs, cdfs = [], []
-        with np.errstate(over="ignore"):
-            while not cdfs or cdfs[-1][-1] < 1.0 - 2.0 ** -53:
+        xs, sfs = [np.array([scale])], [self._sf_table[-1:]]
+        with np.errstate(over="ignore", divide="ignore"):
+            while 1.0 - sfs[-1][-1] < 1.0 - 2.0 ** -53:
                 xs.append(np.floor(scale * steps))
-                cdfs.append(1.0 - self._raw_sf(xs[-1]))
+                sfs.append(self._raw_sf(xs[-1]))
                 scale *= 2.0
-        return np.concatenate(xs), np.concatenate(cdfs)
+            sf = np.concatenate(sfs)
+            return np.concatenate(xs), 1.0 - sf, np.log(sf)
 
     # -- quantiles -----------------------------------------------------------
 
     def quantile(self, u):
         """Smallest integer x >= domain_min with cdf(x) >= u, for u in [0, 1).
 
-        u is looked up in the survival table, then in the grid past it; a
-        grid bracket is bisected on the integers, and past 2^53, where
-        floats are sparser than the integers, until no float lies strictly
-        inside it.  By convention quantile(0) == domain_min.
+        In the survival table u bisects between the guide's entries at the
+        ends of its bucket (Chen & Asau 1974).  Past it, u's grid bracket
+        is narrowed by regula falsi on (log x, log sf) under the Illinois
+        rule (Dowell & Jarratt 1971), then bisected from the sixth round on.
+        Each probe is an integer, past 2^53 a float, strictly inside the
+        bracket, and at or above u when 1 - sf(x) >= u; the search ends when
+        no float lies inside, on plain bisection's answer, bit for bit.
+        By convention quantile(0) == domain_min.
         """
         scalar = np.isscalar(u)
         uu = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN included
             raise ValueError("quantile requires u in [0, 1)")
-        base, end = self._ends
-        cdf = self._cdf_table
-        k = np.searchsorted(cdf, uu, "left")
-        out = np.where(uu > 0.0, float(base) + k, float(self.domain_min))
+        cdf, guide = self._cdf_table
+        bucket = (uu * GUIDE_BUCKETS).astype(np.intp)
+        k, hi = guide[bucket], guide[1:][bucket]
+        live = np.flatnonzero(k < hi)
+        lo, hi, uv = k[live], hi[live], uu[live]
+        while live.size:
+            mid = (lo + hi) >> 1
+            below = cdf[mid] < uv
+            lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+            done = lo == hi
+            k[live[done]] = lo[done]
+            live, lo, hi, uv = live[~done], lo[~done], hi[~done], uv[~done]
+        out = np.where(uu > 0.0, float(self._ends[0]) + k, float(self.domain_min))
         past = np.flatnonzero(k == len(cdf))
         if past.size:
-            # in increasing u the bisection's points increase too, so each
-            # branch of _ndtr gathers a contiguous run of them, several
-            # times cheaper than a scattered one
+            # in increasing u the probes increase too, so each branch of _ndtr
+            # gathers a contiguous run of them, cheaper than a scattered one
             past = past[np.argsort(uu[past])]
             up = uu[past]
-            grid, grid_cdf = self._tail_grid
+            grid, grid_cdf, grid_log_sf = self._tail_grid
             j = np.searchsorted(grid_cdf, up, "left")
-            lo = np.where(j > 0, grid[j - 1], end)
-            hi = grid[j]
+            # per u: log sf where 1 - sf rounds to u, the bracket, log sf
+            # less that at its ends, and the end moved last (+1 the upper)
+            t = np.log((1.0 - up) + 0.5 * (up - np.nextafter(up, 0.0)))
+            lo, hi, side = grid[j - 1], grid[j], np.zeros(len(up))
+            f_lo, f_hi = grid_log_sf[j - 1] - t, grid_log_sf[j] - t
             live = np.arange(len(up))
-            while live.size:
-                mid = np.floor(lo[live] / 2.0 + hi[live] / 2.0)
-                inside = (lo[live] < mid) & (mid < hi[live])
-                live, mid = live[inside], mid[inside]
-                above = 1.0 - self._raw_sf(mid) >= up[live]
-                hi[live[above]] = mid[above]
-                lo[live[~above]] = mid[~above]
+            for rounds in itertools.count():
+                a = np.maximum(lo[live] + 1.0, np.nextafter(lo[live], np.inf))
+                b = np.minimum(hi[live] - 1.0, np.nextafter(hi[live], 0.0))
+                inside = (a <= b) & (hi[live] < np.inf)
+                live, a, b = live[inside], a[inside], b[inside]
+                if not live.size:
+                    break
+                l, h, fl, fh = lo[live], hi[live], f_lo[live], f_hi[live]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # sf flat to its rounding stalls interpolation: from round 6, bisect
+                    w = fl / (fl - fh)
+                    w = np.where((w >= 0.0) & (fh > -np.inf) & (rounds < 6), w, 0.5)
+                    x = np.clip(np.floor(l * np.exp(w * np.log(h / l))), a, b)
+                    sf = self._raw_sf(x)
+                    f = np.log(sf) - t[live]
+                above = 1.0 - sf >= up[live]
+                # Illinois: an end kept twice in a row has its value halved
+                f_lo[live] = np.where(above, np.where(side[live] > 0, 0.5 * fl, fl), f)
+                f_hi[live] = np.where(above, f, np.where(side[live] < 0, 0.5 * fh, fh))
+                lo[live], hi[live] = np.where(above, l, x), np.where(above, x, h)
+                side[live] = np.where(above, 1.0, -1.0)
             out[past] = hi
         return float(out[0]) if scalar else out
 
@@ -656,23 +690,20 @@ class TrafficModel:
             return self.size_axis
         raise ValueError(f"unknown axis {name!r}")
 
-    @property
-    def avg_flow_length(self) -> float:
-        if self.declared_avg_flow_length is not None:
-            return self.declared_avg_flow_length
-        m = self.length_axis.flows.mean()
+    @staticmethod
+    def _average(declared: float | None, axis: AxisModel) -> float:
+        m = axis.flows.mean() if declared is None else declared
         if m is None:
-            raise ModelError("average flow length diverges for this model")
+            raise ModelError(f"average flow {axis.axis} diverges for this model")
         return m
 
     @property
+    def avg_flow_length(self) -> float:
+        return self._average(self.declared_avg_flow_length, self.length_axis)
+
+    @property
     def avg_flow_size(self) -> float:
-        if self.declared_avg_flow_size is not None:
-            return self.declared_avg_flow_size
-        m = self.size_axis.flows.mean()
-        if m is None:
-            raise ModelError("average flow size diverges for this model")
-        return m
+        return self._average(self.declared_avg_flow_size, self.size_axis)
 
     @property
     def avg_packet_size(self) -> float:

@@ -7,13 +7,14 @@ over one generated population per seed (the population depends only on
 over one ingested population shared by every seed.  Each population's
 packet layout is built once and shared by all of its cells.
 
-Over an ingested population only sampling draws on the seed, so each
-first and threshold cell runs once and its result is every seed's, and
-each sampling cell runs once per seed; each of those evaluations is one
-task for the worker pool.  A generated population keeps the seed as the
-task.  Cells are merged into per-parameter means and standard
-deviations, with the analytic value alongside.  Output is byte-identical
-for identical specs regardless of the worker count.
+One population, ingested or a single seed's, is made before the pool
+starts.  Over it only sampling draws on the seed, so each first and
+threshold cell runs once and its result is every seed's, and each
+sampling cell runs once per seed; each of those evaluations is one task
+for the worker pool.  Several generated seeds keep the seed as the task.
+Cells are merged into per-parameter means and standard deviations, with
+the analytic value alongside.  Output is byte-identical for identical
+specs regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -164,17 +165,23 @@ def _population(model: TrafficModel, lengths: np.ndarray, sizes: np.ndarray):
     return lengths, sizes, PacketLayout(lengths, sizes, model.max_packet_size)
 
 
+def _generated(spec: SweepSpec, seed: int):
+    config = GeneratorConfig(seed=seed, flow_count=spec.flow_count,
+                             joint_coupling=spec.joint_coupling, min_packet=spec.min_packet)
+    return _population(spec.model, *generate_arrays(spec.model, config))
+
+
 # cell kinds, dearest evaluation first
 _DEAREST_FIRST = ("sampling", "threshold", "first")
 
 
-def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], ingested: bool):
+def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool):
     """Units of work as ((seed, cell indices), rows): a task evaluates its
     cells for one seed, and its metrics fill those rows of ``per_seed``.
-    Over an ingested population each task is one evaluation (see the
-    module docstring), dearest kind first, so that the pool's dynamic
-    dispatch ends on the cheap ones."""
-    if not ingested:
+    Over one population, ingested or a single seed's, each task is one
+    evaluation (see the module docstring), dearest kind first, so that the
+    pool's dynamic dispatch ends on the cheap ones."""
+    if not one_population:
         every_cell = tuple(range(len(cells)))
         return [((seed, every_cell), (j,)) for j, seed in enumerate(spec.seeds)]
     every_row = tuple(range(len(spec.seeds)))
@@ -208,13 +215,7 @@ def _run_task(task, spec: SweepSpec | None = None,
         spec, population = _inherited
     seed, indices = task
     if population is None:
-        config = GeneratorConfig(
-            seed=seed,
-            flow_count=spec.flow_count,
-            joint_coupling=spec.joint_coupling,
-            min_packet=spec.min_packet,
-        )
-        population = _population(spec.model, *generate_arrays(spec.model, config))
+        population = _generated(spec, seed)
     cells = spec.cells()
     return [_metrics_tuple(*population, cells[i], seed, spec.duration_model) for i in indices]
 
@@ -239,6 +240,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             spec.model, *read_flow_csv(spec.population_csv, spec.model.max_packet_size)
         )
         flow_count = len(population[0])
+    elif len(spec.seeds) == 1:
+        population = _generated(spec, spec.seeds[0])
     tasks = _tasks(spec, cells, population is not None)
     # a fork pool starts all its workers at once: start no more than there are tasks
     workers = min(spec.jobs, len(tasks))

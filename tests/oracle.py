@@ -26,6 +26,12 @@ weights of ``flowtab.analytic`` must match bit for bit.
 ``reference_remainder`` keeps the Abel-summed tail remainder on fresh
 per-octave quadrature nodes from its own start, the reference for the
 analytic tail sums past a mixture's survival table.
+
+``reference_quantile`` keeps the plain search of a mixture's integer
+quantile: one binary search over the whole survival table, then integer
+bisection of each grid bracket past it.  The guided search and the
+interpolation rounds of ``Mixture.quantile`` must return its answers bit
+for bit.
 """
 from __future__ import annotations
 
@@ -316,3 +322,35 @@ def reference_remainder(mix: Mixture, g, gstep, x0: int) -> tuple[float, float]:
     h0 = float((mix.sf(x1) * gstep(x1))[0])
     value = mix.sf(float(x0)) * float(g(x1)[0]) + v64 + 0.5 * h0
     return value, 0.5 * abs(h0) + abs(v64 - v32) + 2.0 * mix.sf(float(SUPPORT_CAP))
+
+
+# -- the integer quantile by bisection ----------------------------------------------
+
+
+def reference_quantile(mix: Mixture, u) -> np.ndarray:
+    """Smallest integer x >= domain_min with 1 - sf(x) >= u, for u in [0, 1).
+
+    u is looked up in the survival table, then in the grid past it; a grid
+    bracket is bisected on the integers, and past 2^53, where floats are
+    sparser than the integers, until no float lies strictly inside it."""
+    uu = np.atleast_1d(np.asarray(u, dtype=float))
+    base = mix._ends[0]
+    cdf = mix._cdf_table[0]
+    k = np.searchsorted(cdf, uu, "left")
+    out = np.where(uu > 0.0, float(base) + k, float(mix.domain_min))
+    past = np.flatnonzero(k == len(cdf))
+    if past.size:
+        up = uu[past]
+        grid, grid_cdf = mix._tail_grid[:2]
+        j = np.searchsorted(grid_cdf, up, "left")
+        lo, hi = grid[j - 1], grid[j]
+        live = np.arange(len(up))
+        while live.size:
+            mid = np.floor(lo[live] / 2.0 + hi[live] / 2.0)
+            inside = (lo[live] < mid) & (mid < hi[live])
+            live, mid = live[inside], mid[inside]
+            above = 1.0 - mix._raw_sf(mid) >= up[live]
+            hi[live[above]] = mid[above]
+            lo[live[~above]] = mid[~above]
+        out[past] = hi
+    return out

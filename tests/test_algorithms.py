@@ -415,3 +415,20 @@ def test_sampling_occupancy_exceeds_operations():
         np.random.default_rng(5),
     )
     assert rep.occupancy_reduction >= rep.operations_reduction
+
+
+def test_byte_total_is_checked_at_the_int64_edge():
+    # a total of 2^63 - 1 bytes is kept exactly, and one byte more is refused
+    lengths = np.full(4, 2 ** 52, dtype=np.int64)
+    sizes = np.full(4, 2 ** 61, dtype=np.int64)
+    sizes[-1] -= 1
+    layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
+    assert layout.total_bytes == 2 ** 63 - 1
+    # aggregate_batch reads the layout's total, not a sum of its own
+    flows, trigger = np.arange(4), np.ones(4, dtype=np.int64)
+    assert aggregate_batch(lengths, sizes, layout, flows, trigger).coverage_pct == 100.0
+    layout.total_bytes *= 4
+    assert aggregate_batch(lengths, sizes, layout, flows, trigger).coverage_pct == 25.0
+    sizes[-1] += 1
+    with pytest.raises(ValueError, match="byte total overflows int64"):
+        PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)

@@ -11,7 +11,10 @@ import sys
 import pytest
 
 import flowtab.cli
+from flowtab.algorithms import AlgorithmSpec
+from flowtab.analytic import analytic_for_spec
 from flowtab.cli import DEFAULT_COVERAGES, main
+from flowtab.model import load_model
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 TOY = str(MODELS / "toy_twopoint.json")
@@ -388,6 +391,32 @@ def test_simulate_rejects_int64_overflowing_flow(capsys, tmp_path):
                         "--out", str(tmp_path / "ingested"))
         assert code == 2
         assert "row 3: flow of " in json.loads(out)["errors"][0]["message"]
+
+
+@pytest.mark.parametrize("axis, threshold", [("size", "1e13"), ("length", "1e14")])
+def test_far_tail_threshold_reports_unbounded_occupancy(capsys, tmp_path, axis, threshold):
+    # the analytic occupancy sum underflows to 0 where entries remain
+    code, _ = run(capsys, "simulate", "--model", HEAVY, "--flows", "1000", "--axis", axis,
+                  "--algorithms", "threshold", "--thresholds", threshold,
+                  "--out", str(tmp_path / "far"))
+    assert code == 0
+    assert (tmp_path / "far.csv").read_text().splitlines()[1] == f"{float(threshold):g},0.00,inf,inf"
+    spec = AlgorithmSpec("threshold", axis, threshold=float(threshold))
+    report = analytic_for_spec(load_model(HEAVY), spec)
+    assert math.isfinite(report.operations_reduction) and report.occupancy_reduction == math.inf
+
+
+def test_simulate_rejects_a_byte_total_past_int64(capsys, tmp_path):
+    # ten flows of 10^18 bytes: the total, 10^19, wraps around int64
+    pop = tmp_path / "pop.csv"
+    pop.write_text("length_packets,size_bytes\n" + "1000000000000000,1000000000000000000\n" * 10
+                   + "1,100\n")
+    code, out = run(capsys, "simulate", "--model", HEAVY, "--flows-csv", str(pop), "--axis", "size",
+                    "--algorithms", "sampling", "--probabilities", "1e-12",
+                    "--out", str(tmp_path / "wrap"))
+    assert code == 2
+    assert json.loads(out)["errors"][0]["message"] == "the flows' byte total overflows int64"
+    assert not (tmp_path / "wrap.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from flowtab import model as model_module
+from flowtab.generator import MIN_UNIFORM, SHARD_SIZE, _shard_rng
 from flowtab.model import (
     DominanceError,
     Mixture,
@@ -24,6 +25,7 @@ from flowtab.model import (
     load_model,
     parse_model,
 )
+from oracle import reference_quantile
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -245,6 +247,90 @@ def test_quantile_of_cdf_round_trip(heavytail_model):
         ks = ks[(mix.cdf(ks - 1.0) < mix.cdf(ks)) | (ks == mix.domain_min)]
         assert np.count_nonzero(ks > mix.domain_min + TABLE_SPAN) >= 5
         assert np.array_equal(mix.quantile(mix.cdf(ks)), ks)
+
+
+# a shape-5 generalized Pareto, whose quantiles pass 2^53
+SHAPE5 = Mixture(components=(MixtureComponent(
+    "generalized-pareto", 1.0, {"shape": 5.0, "location": 64.0, "scale": 64.0}),),
+    domain_min=64.0, discrete=False)
+
+
+def quantile_mixtures():
+    """Every shipped mixture, and SHAPE5."""
+    for name in ("toy_twopoint", "example_heavytail"):
+        model = load_model(str(MODELS / f"{name}.json"))
+        for axis, weighting in itertools.product(("length", "size"), ("flows", "packets", "octets")):
+            yield pytest.param(getattr(model.axis(axis), weighting), id=f"{name}-{axis}-{weighting}")
+    yield pytest.param(SHAPE5, id="shape5")
+
+
+@pytest.mark.parametrize("mix", quantile_mixtures())
+def test_quantile_is_the_bisection_answer(mix):
+    # the guided search and the interpolation rounds return plain
+    # bisection's answers bit for bit, on 10^5 u past the survival table,
+    # on the largest u and on the table's top and its float neighbours
+    cdf, guide = mix._cdf_table
+    assert np.all(np.diff(cdf) >= 0.0)  # the guide relies on it
+    assert guide.dtype == np.int32
+    top = cdf[-1]
+    u = top + (1.0 - top) * np.random.default_rng(17).random(100_000)
+    u = np.concatenate([u, [1.0 - 2.0 ** -53, top, np.nextafter(top, 0.0), np.nextafter(top, 1.0)]])
+    u = u[u < 1.0]
+    assert top == 1.0 or np.count_nonzero(u > top) > 99_000
+    assert np.array_equal(mix.quantile(u), reference_quantile(mix, u))
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_guided_index_is_searchsorted(heavytail_model, axis):
+    # inside the survival table the guided search finds the index a binary
+    # search over the whole table finds, on every shard of a million flows
+    # of seeds 1 to 3
+    mix = heavytail_model.axis(axis).flows
+    cdf = mix._cdf_table[0]
+    for seed, shard in itertools.product((1, 2, 3), range(16)):
+        u = np.maximum(_shard_rng(seed, shard).random(SHARD_SIZE), MIN_UNIFORM)
+        k = np.searchsorted(cdf, u, "left")
+        inside = k < len(cdf)
+        assert np.count_nonzero(inside) > 60_000
+        assert np.array_equal(mix.quantile(u)[inside], mix._ends[0] + k[inside])
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_quantile_past_the_table_takes_few_rounds(monkeypatch, heavytail_model, axis):
+    # each round evaluates sf once on the u still open past the table
+    mix = heavytail_model.axis(axis).flows
+    mix.quantile(np.array([0.5, 1.0 - 2.0 ** -53]))  # builds the tables
+    raw_sf, rounds = mix._raw_sf, []
+
+    def counted(x):
+        rounds[-1] += 1
+        return raw_sf(x)
+
+    monkeypatch.setitem(vars(mix), "_raw_sf", counted)
+    for shard in range(16):
+        rounds.append(0)
+        mix.quantile(np.maximum(_shard_rng(1, shard).random(SHARD_SIZE), MIN_UNIFORM))
+    assert 0 < max(rounds) <= 8, rounds
+
+
+def test_quantile_where_sf_is_flat_to_rounding_does_not_crawl(monkeypatch):
+    # past 2^53 the shape-5 sf changes by less than its rounding from one
+    # float to the next, where interpolation crawls a float at a time (196
+    # rounds at u = 1 - 2^-53); the u still open after a few rounds are
+    # bisected, which takes up to 48 rounds here
+    u = 1.0 - 2.0 ** -np.arange(20.0, 54.0)
+    want = SHAPE5.quantile(u)  # builds the tables
+    raw_sf, rounds = SHAPE5._raw_sf, []
+
+    def counted(x):
+        rounds[-1] += 1
+        return raw_sf(x)
+
+    monkeypatch.setitem(vars(SHAPE5), "_raw_sf", counted)
+    for v, q in zip(u, want):
+        rounds.append(0)
+        assert SHAPE5.quantile(v) == q
+    assert max(rounds) <= 56, rounds
 
 
 @pytest.mark.parametrize("name", ["toy_twopoint.json", "example_heavytail.json"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import pathlib
 
@@ -75,6 +76,10 @@ def test_sweep_deterministic_and_jobs_invariant(toy_model):
     res2 = run_sweep(spec)
     res4 = run_sweep(toy_spec(toy_model, flow_count=5000, jobs=3))
     assert emit_table(res1, "csv") == emit_table(res2, "csv") == emit_table(res4, "csv")
+    # one seed's cells are spread over the pool
+    one = [run_sweep(toy_spec(toy_model, seeds=(2,), flow_count=5000, jobs=jobs)) for jobs in (1, 2)]
+    assert one[0] == one[1]
+    assert [c.per_seed for c in one[0].cells] == [c.per_seed[1:2] for c in res1.cells]
 
 
 def test_degenerate_rows_render_as_infinity(toy_model):
@@ -216,11 +221,14 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, toy_model
     pooled = run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000, jobs=8))
     assert _RecordingPool.max_workers == [2]  # one task per generated seed
     assert emit_table(pooled, "csv") == emit_table(serial, "csv")
-    run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=4))
-    assert _RecordingPool.max_workers == [2]  # one task: no pool
+    one_seed = run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=4))
+    assert _RecordingPool.max_workers == [2, 4]  # one seed's population: 12 single-cell tasks
+    assert one_seed.cells == tuple(
+        dataclasses.replace(c, per_seed=c.per_seed[:1], mean=c.per_seed[0], std=(0.0,) * 3)
+        for c in serial.cells)
     spec = toy_spec(toy_model, seeds=(1,), jobs=5, population_csv=_toy_csv(tmp_path, toy_model))
     run_sweep(spec)
-    assert _RecordingPool.max_workers == [2, 5]  # 12 single-cell tasks
+    assert _RecordingPool.max_workers == [2, 4, 5]  # 12 single-cell tasks
 
 
 def test_sweep_requires_parameters(toy_model):
