@@ -166,8 +166,10 @@ def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticRepor
     cov, cov_err = ax.octets.expect(covered, start)
     occupied, occ_err = ax.flows.expect(covered, start)
     # far in the tail the occupancy sum underflows while entries remain
-    return AnalyticReport(100.0 * cov, 1.0 / entries, 1.0 / occupied if occupied > 0.0 else math.inf,
-                          cov_err + entries_err + occ_err)
+    occupancy = 1.0 / occupied if occupied > 0.0 else math.inf
+    return AnalyticReport(
+        100.0 * cov, 1.0 / entries, occupancy, cov_err + entries_err + occ_err
+    )
 
 
 # -- coverage inversion ---------------------------------------------------------

@@ -140,8 +140,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.model is None:
-        raise ValueError("simulate requires --model, also with --flows-csv (for the analytic columns)")
+    if args.model is None and args.flows_csv is None:
+        raise ValueError("simulate requires --model or --flows-csv")
+    if args.flows_csv is not None and args.model is None:
+        raise ValueError("--flows-csv still requires --model for the analytic columns")
     bad = [fmt for fmt in args.formats if fmt not in _TABLE_FORMATS]
     if bad:
         raise ValueError(f"unknown output format(s) {bad}")

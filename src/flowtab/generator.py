@@ -114,9 +114,15 @@ def generate_arrays(model: TrafficModel, config: GeneratorConfig,
     """
     lengths = np.empty(config.flow_count, dtype=np.int64)
     sizes = np.empty(config.flow_count, dtype=np.int64)
-    for shard, pos in enumerate(range(0, config.flow_count, SHARD_SIZE)):
-        end = min(pos + SHARD_SIZE, config.flow_count)
-        lengths[pos:end], sizes[pos:end] = _generate_shard(model, config, shard, end - pos, stats)
+    pos = 0
+    shard = 0
+    while pos < config.flow_count:
+        count = min(SHARD_SIZE, config.flow_count - pos)
+        l, s = _generate_shard(model, config, shard, count, stats)
+        lengths[pos:pos + count] = l
+        sizes[pos:pos + count] = s
+        pos += count
+        shard += 1
     return lengths, sizes
 
 
@@ -125,8 +131,7 @@ def write_flow_csv(path: str, lengths: np.ndarray, sizes: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["length_packets", "size_bytes"])
-        for l, s in zip(lengths.tolist(), sizes.tolist()):
-            writer.writerow([l, s])
+        writer.writerows(zip(lengths.tolist(), sizes.tolist()))
 
 
 _HEADER = ["length_packets", "size_bytes"]
@@ -170,9 +175,7 @@ def _read_rows(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]
             if not row:
                 continue
             try:
-                if len(row) != 2:
-                    raise ValueError
-                l, s = int(row[0]), int(row[1])
+                l, s = map(int, row)  # a row of other than two fields too
             except ValueError:
                 raise ValueError(
                     f"{path}: row {reader.line_num}: expected two integer fields, got {row}"

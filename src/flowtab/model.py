@@ -494,11 +494,13 @@ class Mixture:
 
         In the survival table u bisects between the guide's entries at the
         ends of its bucket (Chen & Asau 1974).  Past it, u's grid bracket
-        is narrowed by regula falsi on (log x, log sf) under the Illinois
-        rule (Dowell & Jarratt 1971), then bisected from the sixth round on.
-        Each probe is an integer, past 2^53 a float, strictly inside the
-        bracket, and at or above u when 1 - sf(x) >= u; the search ends when
-        no float lies inside, on plain bisection's answer, bit for bit.
+        is narrowed by regula falsi on (log x, log sf), then bisected from
+        the sixth round on.  Each probe is an integer, past 2^53 a float,
+        strictly inside the bracket, and at or above u when 1 - sf(x) >= u;
+        the search ends when no float lies inside.  Where 1 - sf(x) is
+        monotone in x that is plain bisection's answer, bit for bit; where
+        sf is flat to its rounding it need not be, but the answer passes the
+        test and the integer float before it fails it.
         By convention quantile(0) == domain_min.
         """
         scalar = np.isscalar(u)
@@ -526,10 +528,10 @@ class Mixture:
             up = uu[past]
             grid, grid_cdf, grid_log_sf = self._tail_grid
             j = np.searchsorted(grid_cdf, up, "left")
-            # per u: log sf where 1 - sf rounds to u, the bracket, log sf
-            # less that at its ends, and the end moved last (+1 the upper)
+            # per u: log sf where 1 - sf rounds to u, the bracket, and log sf
+            # less that at its ends
             t = np.log((1.0 - up) + 0.5 * (up - np.nextafter(up, 0.0)))
-            lo, hi, side = grid[j - 1], grid[j], np.zeros(len(up))
+            lo, hi = grid[j - 1], grid[j]
             f_lo, f_hi = grid_log_sf[j - 1] - t, grid_log_sf[j] - t
             live = np.arange(len(up))
             for rounds in itertools.count():
@@ -548,11 +550,8 @@ class Mixture:
                     sf = self._raw_sf(x)
                     f = np.log(sf) - t[live]
                 above = 1.0 - sf >= up[live]
-                # Illinois: an end kept twice in a row has its value halved
-                f_lo[live] = np.where(above, np.where(side[live] > 0, 0.5 * fl, fl), f)
-                f_hi[live] = np.where(above, f, np.where(side[live] < 0, 0.5 * fh, fh))
+                f_lo[live], f_hi[live] = np.where(above, fl, f), np.where(above, f, fh)
                 lo[live], hi[live] = np.where(above, l, x), np.where(above, x, h)
-                side[live] = np.where(above, 1.0, -1.0)
             out[past] = hi
         return float(out[0]) if scalar else out
 
@@ -690,20 +689,23 @@ class TrafficModel:
             return self.size_axis
         raise ValueError(f"unknown axis {name!r}")
 
-    @staticmethod
-    def _average(declared: float | None, axis: AxisModel) -> float:
-        m = axis.flows.mean() if declared is None else declared
+    @property
+    def avg_flow_length(self) -> float:
+        if self.declared_avg_flow_length is not None:
+            return self.declared_avg_flow_length
+        m = self.length_axis.flows.mean()
         if m is None:
-            raise ModelError(f"average flow {axis.axis} diverges for this model")
+            raise ModelError("average flow length diverges for this model")
         return m
 
     @property
-    def avg_flow_length(self) -> float:
-        return self._average(self.declared_avg_flow_length, self.length_axis)
-
-    @property
     def avg_flow_size(self) -> float:
-        return self._average(self.declared_avg_flow_size, self.size_axis)
+        if self.declared_avg_flow_size is not None:
+            return self.declared_avg_flow_size
+        m = self.size_axis.flows.mean()
+        if m is None:
+            raise ModelError("average flow size diverges for this model")
+        return m
 
     @property
     def avg_packet_size(self) -> float:

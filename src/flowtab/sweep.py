@@ -18,7 +18,6 @@ specs regardless of the worker count.
 """
 from __future__ import annotations
 
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -194,7 +193,8 @@ def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool
     return tasks
 
 
-# the spec and ingested population (or None) of a pool worker, inherited from run_sweep
+# a pool worker's spec and its one shared population, ingested or the single
+# seed's (or None), inherited from run_sweep
 _inherited = None
 
 
@@ -261,9 +261,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     out = []
     for i, cell in enumerate(cells):
         rows = [per_seed[j][i] for j in range(len(spec.seeds))]
-        cov_m, cov_s = _mean_std([r[0] for r in rows])
-        ops_m, ops_s = _mean_std([r[1] for r in rows])
-        occ_m, occ_s = _mean_std([r[2] for r in rows])
+        # (coverage, ops, occ) means and standard deviations
+        mean, std = zip(*(_mean_std(column) for column in zip(*rows)))
         try:
             ana = analytic_for_spec(spec.model, cell)
         except DegenerateError:
@@ -273,8 +272,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             SweepCell(
                 kind=cell.kind,
                 parameter=float(parameter),
-                mean=(cov_m, ops_m, occ_m),
-                std=(cov_s, ops_s, occ_s),
+                mean=mean,
+                std=std,
                 analytic=ana,
                 per_seed=tuple(rows),
             )
@@ -321,9 +320,8 @@ def emit_table(result: SweepResult, fmt: str) -> str:
 
     if fmt == "plotdata":
         lines = ["algorithm,coverage,occ_reduction"]
-        for series in (first, thr, smp):
-            for c in series:
-                lines.append(f"{c.kind},{_fmt(c.mean[0])},{_fmt(c.mean[2])}")
+        for c in first + thr + smp:
+            lines.append(f"{c.kind},{_fmt(c.mean[0])},{_fmt(c.mean[2])}")
         return "\n".join(lines) + "\n"
 
     header: list[str] = []
@@ -359,16 +357,9 @@ def emit_table(result: SweepResult, fmt: str) -> str:
         rows.append(row)
 
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        return "".join(",".join(row) + "\n" for row in [header] + rows)
 
     # markdown
-    buf = io.StringIO()
-    buf.write("| " + " | ".join(header) + " |\n")
-    buf.write("|" + "|".join("---" for _ in header) + "|\n")
-    for row in rows:
-        buf.write("| " + " | ".join(row) + " |\n")
-    return buf.getvalue()
+    lines = ["| " + " | ".join(row) + " |\n" for row in [header] + rows]
+    lines.insert(1, "|" + "|".join("---" for _ in header) + "|\n")
+    return "".join(lines)

@@ -268,7 +268,9 @@ def quantile_mixtures():
 def test_quantile_is_the_bisection_answer(mix):
     # the guided search and the interpolation rounds return plain
     # bisection's answers bit for bit, on 10^5 u past the survival table,
-    # on the largest u and on the table's top and its float neighbours
+    # on the largest u and on the table's top and its float neighbours;
+    # bisection's answer is also checked to be valid: it passes the test
+    # cdf(q) >= u, and the integer float before it fails it
     cdf, guide = mix._cdf_table
     assert np.all(np.diff(cdf) >= 0.0)  # the guide relies on it
     assert guide.dtype == np.int32
@@ -277,7 +279,10 @@ def test_quantile_is_the_bisection_answer(mix):
     u = np.concatenate([u, [1.0 - 2.0 ** -53, top, np.nextafter(top, 0.0), np.nextafter(top, 1.0)]])
     u = u[u < 1.0]
     assert top == 1.0 or np.count_nonzero(u > top) > 99_000
-    assert np.array_equal(mix.quantile(u), reference_quantile(mix, u))
+    q = mix.quantile(u)
+    assert np.array_equal(q, reference_quantile(mix, u))
+    assert np.all(mix.cdf(q) >= u)
+    assert np.all(mix.cdf(np.minimum(q - 1.0, np.nextafter(q, 0.0))) < u)
 
 
 @pytest.mark.parametrize("axis", ["length", "size"])
