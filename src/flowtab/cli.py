@@ -14,7 +14,7 @@ import sys
 from .algorithms import ALGORITHM_KINDS, DURATION_MODELS, PathProfile, p_eff_avg, p_eff_paths
 from .analytic import UnreachableError, invert_for_coverage
 from .generator import COUPLINGS, GeneratorConfig, generate_arrays, write_flow_csv
-from .model import DominanceError, SchemaError, WeightError, load_model
+from .model import DominanceError, ModelError, load_model
 from .sweep import SweepSpec, emit_table, run_sweep
 
 __all__ = ["main"]
@@ -120,22 +120,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_validate(args) -> int:
     try:
         model = load_model(args.model)
-    except (SchemaError, WeightError, DominanceError) as exc:
+        report = {
+            "valid": True,
+            "name": model.name,
+            "avg_flow_length": model.avg_flow_length,
+            "avg_flow_size": model.avg_flow_size,
+            "avg_packet_size": model.avg_packet_size,
+            "max_packet_size": model.max_packet_size,
+            "errors": [],
+        }
+    except ModelError as exc:  # a diverging average too, read here or in the load
         code = EXIT_CONSISTENCY if isinstance(exc, DominanceError) else EXIT_VALIDATION
         print(json.dumps({
             "valid": False,
             "errors": [{"type": type(exc).__name__, "message": str(exc)}],
         }))
         return code
-    print(json.dumps({
-        "valid": True,
-        "name": model.name,
-        "avg_flow_length": model.avg_flow_length,
-        "avg_flow_size": model.avg_flow_size,
-        "avg_packet_size": model.avg_packet_size,
-        "max_packet_size": model.max_packet_size,
-        "errors": [],
-    }))
+    print(json.dumps(report))
     return EXIT_OK
 
 

@@ -111,7 +111,12 @@ def generate_arrays(model: TrafficModel, config: GeneratorConfig,
 
     Bit-identical for identical (seed, flow_count) regardless of how the
     work is scheduled: shard i always covers flows [i*SHARD_SIZE, ...).
+    A min_packet above the model's max_packet_size leaves no size to clamp
+    to and is a ValueError.
     """
+    if config.min_packet > model.max_packet_size:
+        raise ValueError(f"min_packet {config.min_packet} B exceeds the model's "
+                         f"max_packet_size {model.max_packet_size} B")
     lengths = np.empty(config.flow_count, dtype=np.int64)
     sizes = np.empty(config.flow_count, dtype=np.int64)
     pos = 0

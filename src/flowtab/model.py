@@ -334,9 +334,10 @@ class Mixture:
 
     Every mixture holds one table of sf at the integers from
     ceil(domain_min) - 1, the last where sf is 1, up to ceil(domain_min) +
-    TABLE_SPAN, built on first use.  The quantile searches 1 - sf, kept
-    next to it; a scalar sf at one of its integers reads it; and so does the
-    tail table, from which the mean and expect read the integer law.
+    TABLE_SPAN, built on first use.  The quantile searches 1 - sf there,
+    through an int32 guide into it; a scalar sf at one of its integers reads
+    it; and so does the tail table, from which the mean and expect read the
+    integer law.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -417,11 +418,11 @@ class Mixture:
         return out
 
     @functools.cached_property
-    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """1 - sf at the survival table's integers, which quantile searches, and
-        its int32 guide: the first index at or above each b / GUIDE_BUCKETS."""
-        cdf = 1.0 - self._sf_table
-        return cdf, np.searchsorted(cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS).astype(np.int32)
+    def _guide(self) -> np.ndarray:
+        """The survival table's int32 guide: the first index where 1 - sf is
+        at or above each b / GUIDE_BUCKETS."""
+        keys = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+        return np.searchsorted(1.0 - self._sf_table, keys).astype(np.int32)
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
@@ -492,35 +493,35 @@ class Mixture:
     def quantile(self, u):
         """Smallest integer x >= domain_min with cdf(x) >= u, for u in [0, 1).
 
-        In the survival table u bisects between the guide's entries at the
-        ends of its bucket (Chen & Asau 1974).  Past it, u's grid bracket
-        is narrowed by regula falsi on (log x, log sf), then bisected from
-        the sixth round on.  Each probe is an integer, past 2^53 a float,
-        strictly inside the bracket, and at or above u when 1 - sf(x) >= u;
-        the search ends when no float lies inside.  Where 1 - sf(x) is
-        monotone in x that is plain bisection's answer, bit for bit; where
-        sf is flat to its rounding it need not be, but the answer passes the
-        test and the integer float before it fails it.
+        In the survival table u bisects on 1 - sf between the guide's
+        entries at the ends of its bucket (Chen & Asau 1974).  Past it, u's
+        grid bracket is narrowed by regula falsi on (log x, log sf), then
+        bisected from the sixth round on.  Each probe is an integer, past
+        2^53 a float, strictly inside the bracket, and at or above u when
+        1 - sf(x) >= u; the search ends when no float lies inside.  Where
+        1 - sf(x) is monotone in x that is plain bisection's answer, bit for
+        bit; where sf is flat to its rounding it need not be, but the answer
+        passes the test and the integer float before it fails it.
         By convention quantile(0) == domain_min.
         """
         scalar = np.isscalar(u)
         uu = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN included
             raise ValueError("quantile requires u in [0, 1)")
-        cdf, guide = self._cdf_table
+        table, guide = self._sf_table, self._guide
         bucket = (uu * GUIDE_BUCKETS).astype(np.intp)
         k, hi = guide[bucket], guide[1:][bucket]
         live = np.flatnonzero(k < hi)
         lo, hi, uv = k[live], hi[live], uu[live]
         while live.size:
             mid = (lo + hi) >> 1
-            below = cdf[mid] < uv
+            below = 1.0 - table[mid] < uv
             lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
             done = lo == hi
             k[live[done]] = lo[done]
             live, lo, hi, uv = live[~done], lo[~done], hi[~done], uv[~done]
         out = np.where(uu > 0.0, float(self._ends[0]) + k, float(self.domain_min))
-        past = np.flatnonzero(k == len(cdf))
+        past = np.flatnonzero(k == len(table))
         if past.size:
             # in increasing u the probes increase too, so each branch of _ndtr
             # gathers a contiguous run of them, cheaper than a scattered one
@@ -654,10 +655,11 @@ class AxisModel:
 
     def check_dominance(self) -> None:
         """flows.CDF >= packets.CDF >= octets.CDF pointwise on a 257-point
-        geometric grid from domain_min to the support cap."""
+        geometric grid from domain_min to the support cap, floored on a
+        discrete axis, where a point may repeat."""
         grid = np.geomspace(float(self.flows.domain_min), SUPPORT_CAP, 257)
         if self.flows.discrete:
-            grid = np.unique(np.floor(grid))
+            grid = np.floor(grid)
         f = self.flows.cdf(grid)
         p = self.packets.cdf(grid)
         o = self.octets.cdf(grid)

@@ -18,6 +18,7 @@ specs regardless of the worker count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -298,68 +299,45 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _fmt_param(kind: str, value: float) -> str:
-    if kind == "sampling":
-        return f"{value:.2e}"
-    return f"{value:g}"
+def _means(header: str, cells: Sequence[SweepCell], k: int) -> list[str]:
+    return [header] + [_fmt(c.mean[k]) for c in cells]
+
+
+def _metrics(prefix: str, series: Sequence[SweepCell]) -> list[list[str]]:
+    """A series' coverage, ops and occ columns; none for an empty series."""
+    names = ("cov", "ops", "occ") if series else ()
+    return [_means(f"{prefix}_{m}", series, k) for k, m in enumerate(names)]
 
 
 def emit_table(result: SweepResult, fmt: str) -> str:
     """Render a sweep as csv, markdown, or plotdata.
 
-    csv / markdown mirror the reference layout: a threshold-parameter block
-    with the first and threshold algorithm metrics side by side, then a
-    probability block with the sampling metrics.  plotdata emits
-    (algorithm, coverage, occ_reduction) rows for curve plotting.
+    Every format is a list of columns, each a header followed by its cells,
+    and its rows are those columns read across, a short column ending in
+    empty cells.  csv / markdown mirror the reference layout: a ``param``
+    column of the thresholds with the first and threshold metrics beside
+    it, then a ``prob`` column of the probabilities with the sampling
+    metrics.  plotdata emits (algorithm, coverage, occ_reduction) over the
+    first, threshold and sampling cells for curve plotting.
     """
     if fmt not in ("csv", "markdown", "plotdata"):
         raise ValueError(f"unknown table format {fmt!r}")
-    first = result.series("first")
-    thr = result.series("threshold")
-    smp = result.series("sampling")
-
+    first, thr, smp = (result.series(kind) for kind in ("first", "threshold", "sampling"))
     if fmt == "plotdata":
-        lines = ["algorithm,coverage,occ_reduction"]
-        for c in first + thr + smp:
-            lines.append(f"{c.kind},{_fmt(c.mean[0])},{_fmt(c.mean[2])}")
-        return "\n".join(lines) + "\n"
-
-    header: list[str] = []
-    if first or thr:
-        header.append("param")
-        if first:
-            header += ["first_cov", "first_ops", "first_occ"]
-        if thr:
-            header += ["thr_cov", "thr_ops", "thr_occ"]
-    if smp:
-        header += ["prob", "smp_cov", "smp_ops", "smp_occ"]
-
-    n_rows = max(len(first), len(thr), len(smp))
-    rows: list[list[str]] = []
-    for i in range(n_rows):
-        row: list[str] = []
+        cells = first + thr + smp
+        columns = [["algorithm"] + [c.kind for c in cells],
+                   _means("coverage", cells, 0), _means("occ_reduction", cells, 2)]
+    else:
+        columns = []
         if first or thr:
-            tcell = (first or thr)[i] if i < len(first or thr) else None
-            row.append(_fmt_param("threshold", tcell.parameter) if tcell else "")
-            for series in (first, thr):
-                if series:
-                    if i < len(series):
-                        c = series[i]
-                        row += [_fmt(c.mean[0]), _fmt(c.mean[1]), _fmt(c.mean[2])]
-                    else:
-                        row += ["", "", ""]
+            columns.append(["param"] + [f"{c.parameter:g}" for c in first or thr])
+        columns += _metrics("first", first) + _metrics("thr", thr)
         if smp:
-            if i < len(smp):
-                c = smp[i]
-                row += [_fmt_param("sampling", c.parameter), _fmt(c.mean[0]), _fmt(c.mean[1]), _fmt(c.mean[2])]
-            else:
-                row += ["", "", "", ""]
-        rows.append(row)
-
-    if fmt == "csv":
-        return "".join(",".join(row) + "\n" for row in [header] + rows)
-
-    # markdown
-    lines = ["| " + " | ".join(row) + " |\n" for row in [header] + rows]
-    lines.insert(1, "|" + "|".join("---" for _ in header) + "|\n")
+            columns.append(["prob"] + [f"{c.parameter:.2e}" for c in smp])
+        columns += _metrics("smp", smp)
+    rows = itertools.zip_longest(*columns, fillvalue="")
+    if fmt != "markdown":
+        return "".join(",".join(row) + "\n" for row in rows)
+    lines = ["| " + " | ".join(row) + " |\n" for row in rows]
+    lines.insert(1, "|---" * len(columns) + "|\n")
     return "".join(lines)

@@ -335,7 +335,7 @@ def reference_quantile(mix: Mixture, u) -> np.ndarray:
     sparser than the integers, until no float lies strictly inside it."""
     uu = np.atleast_1d(np.asarray(u, dtype=float))
     base = mix._ends[0]
-    cdf = mix._cdf_table[0]
+    cdf = 1.0 - mix._sf_table
     k = np.searchsorted(cdf, uu, "left")
     out = np.where(uu > 0.0, float(base) + k, float(mix.domain_min))
     past = np.flatnonzero(k == len(cdf))

@@ -56,6 +56,24 @@ def test_validate_dominance_error_exits_3(capsys, tmp_path, toy_document):
     assert json.loads(out)["errors"][0]["type"] == "DominanceError"
 
 
+@pytest.mark.parametrize("declared", [{}, {"avg_packet_size": 100.0}])
+def test_validate_reports_a_diverging_average(capsys, tmp_path, toy_document, declared):
+    # a generalized-Pareto size axis of shape 1.5 has no mean: with no
+    # average declared the load fails, and with only avg_packet_size declared
+    # reading avg_flow_size does; both are invalid models
+    pareto = {"components": [{"kind": "generalized-pareto", "weight": 1.0,
+                              "params": {"shape": 1.5, "location": 64.0, "scale": 100.0}}],
+              "domain_min": 64}
+    doc = {key: value for key, value in toy_document.items() if not key.startswith("avg_")}
+    doc["axes"] = dict(doc["axes"], size={w: pareto for w in ("flows", "packets", "octets")})
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(dict(doc, **declared)))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out) == {"valid": False, "errors": [
+        {"type": "ModelError", "message": "average flow size diverges for this model"}]}
+
+
 _LOGNORMAL = {"kind": "lognormal", "weight": 0.5, "params": {"mu": math.nan, "sigma": 1.0}}
 
 
@@ -126,6 +144,34 @@ def test_generate_rejects_zero_flows(capsys, tmp_path):
                     "--seed", "1", "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "flow_count" in json.loads(out)["errors"][0]["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ("generate", "--seed", "1"),
+    ("simulate", "--seeds", "1"),
+    ("simulate", "--seeds", "1,2", "--jobs", "2"),
+])
+def test_min_packet_above_max_packet_size_exits_2_before_writing(capsys, tmp_path, command):
+    # no size fits between 2000 B and 1518 B per packet: clamping would pin
+    # every flow to the maximum, so the run is refused
+    name, *flags = command
+    out = tmp_path / "x.csv"
+    code, text = run(capsys, name, "--model", HEAVY, "--flows", "5", "--min-packet", "2000",
+                     *flags, "--out", str(out))
+    assert code == 2
+    assert json.loads(text)["errors"][0]["message"] == (
+        "min_packet 2000 B exceeds the model's max_packet_size 1518 B")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_min_packet_at_max_packet_size_is_valid(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _ = run(capsys, "generate", "--model", TOY, "--flows", "50", "--seed", "1",
+                  "--min-packet", "1518", "--out", str(out))
+    assert code == 0
+    for row in out.read_text().strip().splitlines()[1:]:
+        length, size = map(int, row.split(","))
+        assert size == 1518 * length
 
 
 def test_simulate_writes_all_formats_deterministically(capsys, tmp_path):

@@ -3,7 +3,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -271,7 +274,7 @@ def test_quantile_is_the_bisection_answer(mix):
     # on the largest u and on the table's top and its float neighbours;
     # bisection's answer is also checked to be valid: it passes the test
     # cdf(q) >= u, and the integer float before it fails it
-    cdf, guide = mix._cdf_table
+    cdf, guide = 1.0 - mix._sf_table, mix._guide
     assert np.all(np.diff(cdf) >= 0.0)  # the guide relies on it
     assert guide.dtype == np.int32
     top = cdf[-1]
@@ -291,7 +294,7 @@ def test_guided_index_is_searchsorted(heavytail_model, axis):
     # search over the whole table finds, on every shard of a million flows
     # of seeds 1 to 3
     mix = heavytail_model.axis(axis).flows
-    cdf = mix._cdf_table[0]
+    cdf = 1.0 - mix._sf_table
     for seed, shard in itertools.product((1, 2, 3), range(16)):
         u = np.maximum(_shard_rng(seed, shard).random(SHARD_SIZE), MIN_UNIFORM)
         k = np.searchsorted(cdf, u, "left")
@@ -345,9 +348,26 @@ def test_load_model_builds_no_table(name):
     model = load_model(str(MODELS / name))
     for ax in (model.length_axis, model.size_axis):
         for mix in (ax.flows, ax.packets, ax.octets):
-            assert not {"_sf_table", "_cdf_table", "_tail_grid", "_tail_table"} & set(vars(mix))
+            assert not {"_sf_table", "_guide", "_tail_grid", "_tail_table"} & set(vars(mix))
             mix.mean()
             assert {"_sf_table", "_tail_table"} <= set(vars(mix))
+
+
+def test_load_model_leaves_numpy_ma_unloaded():
+    # numpy imports numpy.ma on the first np.unique, which would cost a load
+    # about 26 ms and every run about 1.5 MiB; loading either model calls none
+    probe = (
+        "import sys\n"
+        "from flowtab.model import load_model\n"
+        "for path in sys.argv[1:]:\n"
+        "    load_model(path)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    models = [str(MODELS / name) for name in ("toy_twopoint.json", "example_heavytail.json")]
+    out = subprocess.run([sys.executable, "-c", probe, *models], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_survival_table_blocks_match_one_pass(toy_model, heavytail_model):
@@ -364,7 +384,7 @@ def test_survival_table_blocks_match_one_pass(toy_model, heavytail_model):
 
 
 def test_repeated_quantile_allocates_no_table(heavytail_model):
-    # the CDF that quantile searches is kept next to the survival table, so
+    # quantile searches the survival table through its guide, both kept, so
     # a call allocates only arrays as long as its u
     for mix in (heavytail_model.length_axis.flows, heavytail_model.size_axis.flows):
         u = np.linspace(0.01, 0.99, 64)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import pathlib
 
@@ -109,6 +110,31 @@ def test_emit_markdown_matches_golden(toy_model):
     res = run_sweep(toy_spec(toy_model))
     golden = (GOLDEN / "toy_sweep.md").read_text()
     assert emit_table(res, "markdown") == golden
+
+
+# emit_table's edge cases: every algorithm set against series of unequal length
+_EDGE_SETS = ("first", "threshold", "sampling", "first,threshold", "first,sampling",
+              "threshold,sampling", "first,threshold,sampling", "sampling,first")
+_EDGE_SERIES = {
+    "more_thresholds": dict(thresholds=(0.0, 1.0, 2.5, 4.0), probabilities=(1.0, 0.25)),
+    "more_probabilities": dict(thresholds=(1.0, 2.0), probabilities=(1.0, 0.5, 0.25, 0.125)),
+    # sampling then runs the default probabilities, where it runs at all
+    "no_sampling": dict(thresholds=(0.0, 1.0, 2.0), probabilities=()),
+}
+_edge_results: dict = {}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown", "plotdata"])
+@pytest.mark.parametrize("series", sorted(_EDGE_SERIES))
+@pytest.mark.parametrize("algorithms", _EDGE_SETS)
+def test_emit_table_edge_cases_match_golden(toy_model, algorithms, series, fmt):
+    key = (algorithms, series)
+    if key not in _edge_results:
+        _edge_results[key] = run_sweep(toy_spec(toy_model, algorithms=tuple(algorithms.split(",")),
+                                                seeds=(1, 2), flow_count=3000,
+                                                **_EDGE_SERIES[series]))
+    golden = json.loads((GOLDEN / "emit_table_edges.json").read_text())
+    assert emit_table(_edge_results[key], fmt) == golden[f"{algorithms}/{series}/{fmt}"]
 
 
 @pytest.mark.parametrize("duration_model", ["equal", "proportional"])
