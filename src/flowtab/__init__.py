@@ -22,7 +22,6 @@ from .analytic import (
     invert_for_coverage,
 )
 from .generator import (
-    GenerationStats,
     GeneratorConfig,
     generate_arrays,
     read_flow_csv,

@@ -85,11 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithms", type=_algorithms, default=("first", "threshold", "sampling"))
     p.add_argument("--thresholds", type=_float_list, default=())
     p.add_argument("--probabilities", type=_float_list, default=())
-    p.add_argument("--flows", type=_count, default=1_000_000)
+    p.add_argument("--flows", type=_count, default=SweepSpec.flow_count)
     p.add_argument("--seeds", type=_int_list, default=(1,))
     p.add_argument("--duration-model", choices=DURATION_MODELS, default="equal")
-    p.add_argument("--coupling", choices=COUPLINGS, default="comonotone")
-    p.add_argument("--min-packet", type=_count, default=64)
+    p.add_argument("--coupling", choices=COUPLINGS, default=SweepSpec.joint_coupling)
+    p.add_argument("--min-packet", type=_count, default=SweepSpec.min_packet)
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--formats", type=_algorithms, default=("csv",),
@@ -145,6 +145,13 @@ def _cmd_simulate(args) -> int:
         raise ValueError("simulate requires --model or --flows-csv")
     if args.flows_csv is not None and args.model is None:
         raise ValueError("--flows-csv still requires --model for the analytic columns")
+    if args.flows_csv is not None:
+        ignored = [flag for flag, value, default in (
+            ("--flows", args.flows, SweepSpec.flow_count),
+            ("--coupling", args.coupling, SweepSpec.joint_coupling),
+            ("--min-packet", args.min_packet, SweepSpec.min_packet)) if value != default]
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} would be ignored with --flows-csv")
     bad = [fmt for fmt in args.formats if fmt not in _TABLE_FORMATS]
     if bad:
         raise ValueError(f"unknown output format(s) {bad}")

@@ -21,7 +21,6 @@ from .model import TrafficModel
 
 __all__ = [
     "GeneratorConfig",
-    "GenerationStats",
     "generate_arrays",
     "write_flow_csv",
     "read_flow_csv",
@@ -31,6 +30,7 @@ SHARD_SIZE = 65536
 MIN_UNIFORM = 2.0 ** -53  # rng.random() may return 0.0 exactly; quantile(0) is the domain floor
 
 COUPLINGS = ("comonotone", "independent")
+_HEADER = ["length_packets", "size_bytes"]
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,8 @@ class GeneratorConfig:
             raise ValueError("min_packet must be >= 1 byte")
 
 
-@dataclass
-class GenerationStats:
-    """Clamping diagnostics: fraction of flows whose size was pulled to the
-    [length*min_packet, length*max_packet_size] envelope."""
-
-    flow_count: int = 0
-    clamped_low: int = 0
-    clamped_high: int = 0
-
-    @property
-    def clamped_low_fraction(self) -> float:
-        return self.clamped_low / self.flow_count if self.flow_count else 0.0
-
-    @property
-    def clamped_high_fraction(self) -> float:
-        return self.clamped_high / self.flow_count if self.flow_count else 0.0
-
-
-def _clamp_sizes(lengths: np.ndarray, sizes: np.ndarray, min_packet: int, max_packet: int,
-                 stats: GenerationStats | None = None) -> np.ndarray:
+def _clamp_sizes(lengths: np.ndarray, sizes: np.ndarray, min_packet: int,
+                 max_packet: int) -> np.ndarray:
     # in float, so that a size draw past the int64 range lands on the high
     # clamp; a length whose envelope does not fit int64 is refused
     lo = lengths * float(min_packet)
@@ -78,12 +60,7 @@ def _clamp_sizes(lengths: np.ndarray, sizes: np.ndarray, min_packet: int, max_pa
     if np.any(hi >= 2.0 ** 63):
         raise ValueError(f"length draw {lengths[hi >= 2.0 ** 63][0]:.6g} packets: flows of up "
                          f"to {max_packet} B per packet overflow int64 byte counts")
-    clamped = np.clip(sizes, lo, hi)
-    if stats is not None:
-        stats.flow_count += len(sizes)
-        stats.clamped_low += int(np.count_nonzero(sizes < lo))
-        stats.clamped_high += int(np.count_nonzero(sizes > hi))
-    return clamped.astype(np.int64)
+    return np.clip(sizes, lo, hi, out=lo)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -92,21 +69,20 @@ def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
 
 
 def _generate_shard(model: TrafficModel, config: GeneratorConfig, shard_index: int,
-                    count: int, stats: GenerationStats | None) -> tuple[np.ndarray, np.ndarray]:
+                    lengths: np.ndarray, sizes: np.ndarray) -> None:
+    """Fill one shard's int64 slices of the population."""
     rng = _shard_rng(config.seed, shard_index)
-    u = np.maximum(rng.random(count), MIN_UNIFORM)
-    lengths = model.length_axis.flows.quantile(u)
-    if config.joint_coupling == "comonotone":
-        u2 = u
-    else:
-        u2 = np.maximum(rng.random(count), MIN_UNIFORM)
-    sizes = model.size_axis.flows.quantile(u2)
-    sizes = _clamp_sizes(lengths, sizes, config.min_packet, model.max_packet_size, stats)
-    return lengths.astype(np.int64), sizes
+    u = np.maximum(rng.random(len(lengths)), MIN_UNIFORM)
+    drawn = model.length_axis.flows.quantile(u)
+    if config.joint_coupling == "independent":
+        u = np.maximum(rng.random(len(lengths)), MIN_UNIFORM)
+    # sizes first: the clamp refuses an envelope past int64 before any cast
+    sizes[:] = _clamp_sizes(drawn, model.size_axis.flows.quantile(u), config.min_packet,
+                            model.max_packet_size)
+    lengths[:] = drawn
 
 
-def generate_arrays(model: TrafficModel, config: GeneratorConfig,
-                    stats: GenerationStats | None = None) -> tuple[np.ndarray, np.ndarray]:
+def generate_arrays(model: TrafficModel, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Full population as (lengths, sizes) int64 arrays.
 
     Bit-identical for identical (seed, flow_count) regardless of how the
@@ -119,15 +95,9 @@ def generate_arrays(model: TrafficModel, config: GeneratorConfig,
                          f"max_packet_size {model.max_packet_size} B")
     lengths = np.empty(config.flow_count, dtype=np.int64)
     sizes = np.empty(config.flow_count, dtype=np.int64)
-    pos = 0
-    shard = 0
-    while pos < config.flow_count:
-        count = min(SHARD_SIZE, config.flow_count - pos)
-        l, s = _generate_shard(model, config, shard, count, stats)
-        lengths[pos:pos + count] = l
-        sizes[pos:pos + count] = s
-        pos += count
-        shard += 1
+    for shard, start in enumerate(range(0, config.flow_count, SHARD_SIZE)):
+        block = slice(start, start + SHARD_SIZE)
+        _generate_shard(model, config, shard, lengths[block], sizes[block])
     return lengths, sizes
 
 
@@ -135,11 +105,8 @@ def write_flow_csv(path: str, lengths: np.ndarray, sizes: np.ndarray) -> None:
     """Dump a population as ``length_packets,size_bytes`` rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["length_packets", "size_bytes"])
+        writer.writerow(_HEADER)
         writer.writerows(zip(lengths.tolist(), sizes.tolist()))
-
-
-_HEADER = ["length_packets", "size_bytes"]
 
 
 def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:

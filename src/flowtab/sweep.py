@@ -194,30 +194,27 @@ def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool
     return tasks
 
 
-# a pool worker's spec and its one shared population, ingested or the single
-# seed's (or None), inherited from run_sweep
+# a pool worker's (spec, population, cells), inherited from run_sweep: the
+# population is the one shared one, ingested or the single seed's, or None
 _inherited = None
 
 
-def _inherit(spec: SweepSpec, population) -> None:
+def _inherit(*shared) -> None:
     """Pool initializer.  Under fork the worker receives its arguments
     without pickling and shares the population's pages with the parent,
     so each worker holds no copy of its own."""
     global _inherited
-    _inherited = (spec, population)
+    _inherited = shared
 
 
-def _run_task(task, spec: SweepSpec | None = None,
-              population=None) -> list[tuple[float, float, float]]:
-    """Evaluate a task's cells for its seed, over the given (lengths, sizes,
+def _run_task(task, shared=None) -> list[tuple[float, float, float]]:
+    """Evaluate a task's cells for its seed, over the shared (lengths, sizes,
     layout) population or else over the one generated for the seed.  A
     pool worker passes only the task and runs on what it inherited."""
-    if spec is None:
-        spec, population = _inherited
+    spec, population, cells = shared or _inherited
     seed, indices = task
     if population is None:
         population = _generated(spec, seed)
-    cells = spec.cells()
     return [_metrics_tuple(*population, cells[i], seed, spec.duration_model) for i in indices]
 
 
@@ -244,15 +241,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     elif len(spec.seeds) == 1:
         population = _generated(spec, spec.seeds[0])
     tasks = _tasks(spec, cells, population is not None)
+    shared = (spec, population, cells)
     # a fork pool starts all its workers at once: start no more than there are tasks
     workers = min(spec.jobs, len(tasks))
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                 initializer=_inherit, initargs=(spec, population)) as pool:
+                                 initializer=_inherit, initargs=shared) as pool:
             outcomes = list(pool.map(_run_task, [task for task, _ in tasks]))
     else:
-        outcomes = [_run_task(task, spec, population) for task, _ in tasks]
+        outcomes = [_run_task(task, shared) for task, _ in tasks]
     per_seed = [[None] * len(cells) for _ in spec.seeds]
     for ((_, indices), rows), metrics in zip(tasks, outcomes):
         for i, m in zip(indices, metrics):

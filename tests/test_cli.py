@@ -388,6 +388,28 @@ def test_simulate_from_ingested_flows(capsys, tmp_path):
     assert first_cov == pytest.approx(100 * 10 / 11, abs=1.5)
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--flows", "7"), "--flows"),
+    (("--coupling", "independent"), "--coupling"),
+    (("--min-packet", "1"), "--min-packet"),
+    (("--min-packet", "5000", "--coupling", "independent", "--flows", "7"),
+     "--flows, --coupling, --min-packet")])
+def test_simulate_refuses_generation_flags_with_flows_csv(capsys, tmp_path, flags, named):
+    # the file's flows replace the generated ones: a generation flag would do nothing
+    pop = tmp_path / "pop.csv"
+    pop.write_text("length_packets,size_bytes\n10,1000\n1,100\n")
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows-csv", str(pop), *flags,
+                    "--algorithms", "first", "--thresholds", "1", "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert json.loads(out)["errors"][0]["message"] == f"{named} would be ignored with --flows-csv"
+    assert not (tmp_path / "s.csv").exists()
+    # at their defaults the three stay accepted
+    code, _ = run(capsys, "simulate", "--model", TOY, "--flows-csv", str(pop), "--flows", "1e6",
+                  "--coupling", "comonotone", "--min-packet", "64", "--algorithms", "first",
+                  "--thresholds", "1", "--out", str(tmp_path / "s"))
+    assert code == 0 and (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("ingested, algorithms", [
     (True, "first,threshold"), (True, "sampling"), (False, "first,threshold")])
 def test_simulate_rejects_negative_seed_before_writing(capsys, tmp_path, ingested, algorithms):
