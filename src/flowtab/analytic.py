@@ -3,15 +3,15 @@
 Metrics are expectations against the model's flow- and octet-weighted
 mixtures.  Flows are whole packets and whole bytes, so on both axes an
 expectation is a sum over the integer law the generator draws, which
-Mixture.expect computes with its truncation bound.  Reports and the
-coverage probes of the inversion sum the same terms, except that first, a
-step in T, is inverted through the integer quantile.  Every report carries
-the truncation bound; reports above 1e-6 are flagged.  This module holds
-only the weights, the reports and the inversion.
+Mixture.expect computes with its truncation bound.  A report's coverage
+is the one sum a coverage probe of the inversion makes, and the report at
+an inversion's answer reads its probe's sum; first, a step in T, is
+inverted through the integer quantile.  Every report carries the
+truncation bound; reports above 1e-6 are flagged.  This module holds only
+the weights, the reports and the inversion.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -152,18 +152,22 @@ def _covered_fraction(p: float, n: np.ndarray, out=None, tmp=None) -> np.ndarray
     return np.subtract(1.0, np.divide(out, np.multiply(p, n, out=tmp), out=out), out=out)
 
 
-def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:
-    """Coverage and both reductions of one algorithm over a model, from the
-    spec's (kind, axis) weights.
+def _coverage(model: TrafficModel, spec: AlgorithmSpec) -> tuple[float, float]:
+    """The octets sum of the spec's covered weight, coverage as a share,
+    with its truncation bound: what a report and a coverage probe sum."""
+    start, _, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
+    return model.axis(spec.axis).octets.expect(covered, start)
 
-    Raises DegenerateError when no flow gains an entry.
-    """
+
+def _report(model: TrafficModel, spec: AlgorithmSpec,
+            coverage: tuple[float, float]) -> AnalyticReport:
+    """The spec's report around its coverage sum, as _coverage returns it."""
     ax = model.axis(spec.axis)
     start, created, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
     entries, entries_err = ax.flows.expect(created, start)
     if entries <= 0.0:
         raise DegenerateError(f"no flow gains an entry under {spec}")
-    cov, cov_err = ax.octets.expect(covered, start)
+    cov, cov_err = coverage
     occupied, occ_err = ax.flows.expect(covered, start)
     # far in the tail the occupancy sum underflows while entries remain
     occupancy = 1.0 / occupied if occupied > 0.0 else math.inf
@@ -172,11 +176,20 @@ def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticRepor
     )
 
 
+def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:
+    """Coverage and both reductions of one algorithm over a model, from the
+    spec's (kind, axis) weights.
+
+    Raises DegenerateError when no flow gains an entry.
+    """
+    return _report(model, spec, _coverage(model, spec))
+
+
 # -- coverage inversion ---------------------------------------------------------
 
 
-def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
-                        target_pct: float) -> tuple[float, AnalyticReport]:
+def invert_for_coverage(model: TrafficModel, kind: str, axis: str, target_pct: float,
+                        memo: dict | None = None) -> tuple[float, AnalyticReport]:
     """Find the threshold/probability achieving the target traffic coverage.
 
     Returns the parameter together with the achieved analytic metrics.
@@ -189,6 +202,13 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     between k and a halving of k, sampling over p in P_BRACKET.  The end of
     the final bracket whose coverage is closest to the target is returned,
     never a threshold past every flow, whose coverage is 0.
+
+    memo maps each probed AlgorithmSpec to its coverage sum, the pair
+    (value, truncation bound), and the report at the returned parameter
+    reads that pair instead of summing it again.  Calls that pass one dict
+    share their probes, as analyze's inversions do within one command, so
+    each (kind, parameter) is summed once.  One memo belongs to one model:
+    its keys do not name the model.  Without one, the call keeps its own.
     """
     if target_pct > 100.0:
         raise UnreachableError(f"coverage {target_pct:g}% exceeds 100%")
@@ -196,30 +216,34 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
         raise ValueError("target coverage must lie in (0, 100]")
 
     octets = model.axis(axis).octets
+    memo = {} if memo is None else memo
 
-    def spec(param: float) -> AlgorithmSpec:
+    def probe(param: float) -> AlgorithmSpec:
+        # the spec first, so that an unknown kind raises its ValueError
         if kind == "sampling":
-            return AlgorithmSpec(kind, axis, probability=param)
-        return AlgorithmSpec(kind, axis, threshold=param)
+            spec = AlgorithmSpec(kind, axis, probability=param)
+        else:
+            spec = AlgorithmSpec(kind, axis, threshold=param)
+        if spec not in memo:
+            memo[spec] = _coverage(model, spec)
+        return spec
 
-    @functools.cache
     def cov(param: float) -> float:
-        # coverage alone, summed exactly as the report sums it; memoized,
-        # since the final choice re-reads probes the search made
-        probe = spec(param)  # first, so that an unknown kind raises its ValueError
-        start, _, covered = _WEIGHTS[kind, axis](model, probe)
-        return 100.0 * octets.expect(covered, start)[0]
+        return 100.0 * memo[probe(param)][0]
+
+    def report(param: float) -> tuple[float, AnalyticReport]:
+        spec = probe(param)
+        return param, _report(model, spec, memo[spec])
 
     def nearest(*params: float) -> float:
         return min((q for q in params if cov(q) > 0.0), key=lambda q: abs(cov(q) - target_pct))
 
     if kind in ("first", "threshold"):
         if target_pct == 100.0:
-            return 0.0, analytic_for_spec(model, spec(0.0))
+            return report(0.0)
         k = octets.quantile(min(1.0 - target_pct / 100.0, 1.0 - 2.0 ** -53))
         if kind == "first":
-            param = nearest(k - 1.0, k)
-            return param, analytic_for_spec(model, spec(param))
+            return report(nearest(k - 1.0, k))
         # threshold covers a 1 - T/x share of first's flows: at k at most the
         # target, unless clamped.  Just under 100% rounding may leave no
         # threshold covering more, so the halving stops at 1/SUPPORT_CAP.
@@ -259,5 +283,4 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
             if kept == "hi":
                 f_hi *= 0.5
             lo, f_lo, kept = mid, f_mid, "hi"
-    param = nearest(lo, hi)
-    return param, analytic_for_spec(model, spec(param))
+    return report(nearest(lo, hi))

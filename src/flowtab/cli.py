@@ -186,27 +186,32 @@ def _cmd_analyze(args) -> int:
     bad = [kind for kind in args.algorithms if kind not in ALGORITHM_KINDS]
     if bad:
         raise ValueError(f"unknown algorithm(s) {bad}")
+    if len(set(args.algorithms)) < len(args.algorithms):
+        raise ValueError(f"an algorithm is named twice in {list(args.algorithms)}")
     if not args.algorithms or not args.coverages:
         raise ValueError("analyze requires at least one algorithm and one coverage target")
     model = load_model(args.model)
-    rows = []
-    for target in args.coverages:
+    # every inversion of the command shares one memo of probe sums, and a
+    # target named twice reuses its rows
+    memo, rows = {}, {}
+    for target in dict.fromkeys(args.coverages):
         baseline = None
         per_kind = {}
         for kind in ALGORITHM_KINDS:
             if kind not in args.algorithms and kind != "first":
                 continue
             try:
-                param, rep = invert_for_coverage(model, kind, args.axis, target)
+                param, rep = invert_for_coverage(model, kind, args.axis, target, memo)
                 per_kind[kind] = (param, rep)
                 if kind == "first":
                     baseline = rep
             except UnreachableError:
                 per_kind[kind] = None
+        lines = rows[target] = []
         for kind in args.algorithms:
             entry = per_kind.get(kind)
             if entry is None:
-                rows.append(f"{kind},{target:g},unreachable,,,,,")
+                lines.append(f"{kind},{target:g},unreachable,,,,,\n")
                 continue
             param, rep = entry
             if baseline is not None:
@@ -215,15 +220,15 @@ def _cmd_analyze(args) -> int:
                 rel = f"{ops_rel:.4f},{occ_rel:.4f}"
             else:
                 rel = ","
-            rows.append(
+            lines.append(
                 f"{kind},{target:g},{param:.6e},{rep.coverage_pct:.4f},"
-                f"{rep.operations_reduction:.4f},{rep.occupancy_reduction:.4f},{rel}"
+                f"{rep.operations_reduction:.4f},{rep.occupancy_reduction:.4f},{rel}\n"
             )
     path = args.out + ".analytic.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("algorithm,target_coverage,parameter,coverage,ops_reduction,occ_reduction,"
                  "ops_vs_first,occ_vs_first\n")
-        fh.write("\n".join(rows) + "\n")
+        fh.writelines(row for target in args.coverages for row in rows[target])
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -420,9 +420,14 @@ class Mixture:
     @functools.cached_property
     def _guide(self) -> np.ndarray:
         """The survival table's int32 guide: the first index where 1 - sf is
-        at or above each b / GUIDE_BUCKETS."""
-        keys = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
-        return np.searchsorted(1.0 - self._sf_table, keys).astype(np.int32)
+        at or above each b / GUIDE_BUCKETS.  The keys are searched 4,096 at a
+        time into the guide, so no full-length key or int64 index array is
+        made."""
+        cdf, guide = 1.0 - self._sf_table, np.empty(GUIDE_BUCKETS + 1, dtype=np.int32)
+        for b in range(0, GUIDE_BUCKETS + 1, 4096):
+            keys = np.arange(b, min(b + 4096, GUIDE_BUCKETS + 1)) / GUIDE_BUCKETS
+            guide[b:b + len(keys)] = np.searchsorted(cdf, keys)
+        return guide
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail

@@ -95,6 +95,8 @@ class SweepSpec:
         bad = [a for a in self.algorithms if a not in ALGORITHM_KINDS]
         if bad:
             raise ValueError(f"unknown algorithm(s) {bad}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"an algorithm is named twice in {list(self.algorithms)}")
         needs_thresholds = any(a in self.algorithms for a in ("first", "threshold"))
         if needs_thresholds and not self.thresholds:
             object.__setattr__(self, "thresholds", default_thresholds(self.axis))

@@ -32,6 +32,10 @@ quantile: one binary search over the whole survival table, then integer
 bisection of each grid bracket past it.  The guided search and the
 interpolation rounds of ``Mixture.quantile`` must return its answers bit
 for bit.
+
+``reference_guide`` keeps the one-shot build of a mixture's guide, every
+bucket's key searched at once, which the blocked build must match bit for
+bit.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ from flowtab.algorithms import (
     PacketLayout,
 )
 from flowtab.analytic import _covered_fraction
-from flowtab.model import DEFAULT_MAX_PACKET, SUPPORT_CAP, Mixture, TrafficModel
+from flowtab.model import DEFAULT_MAX_PACKET, GUIDE_BUCKETS, SUPPORT_CAP, Mixture, TrafficModel
 
 
 class PacketizeError(ValueError):
@@ -325,6 +329,13 @@ def reference_remainder(mix: Mixture, g, gstep, x0: int) -> tuple[float, float]:
 
 
 # -- the integer quantile by bisection ----------------------------------------------
+
+
+def reference_guide(mix: Mixture) -> np.ndarray:
+    """The first survival-table index where 1 - sf is at or above each
+    b / GUIDE_BUCKETS, as int32."""
+    keys = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    return np.searchsorted(1.0 - mix._sf_table, keys).astype(np.int32)
 
 
 def reference_quantile(mix: Mixture, u) -> np.ndarray:

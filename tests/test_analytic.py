@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -433,10 +434,11 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
     # Illinois rule never takes more coverage probes for sampling than the
     # geometric bisection over the same bracket and stop did (37); threshold,
     # bracketed by first's quantile, takes at most 24 and 12 on average.  The
-    # report on the chosen parameter is not a probe.
+    # report on the chosen parameter is not a probe: it reads the probe's
+    # coverage sum and adds the two flows sums of _report.
     import flowtab.analytic as analytic
 
-    expect, report = Mixture.expect, analytic.analytic_for_spec
+    expect, report = Mixture.expect, analytic._report
     probes, reporting = {}, [False]
     cell = [None]
 
@@ -452,7 +454,7 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
             reporting[0] = False
 
     monkeypatch.setattr(Mixture, "expect", counted)
-    monkeypatch.setattr(analytic, "analytic_for_spec", uncounted)
+    monkeypatch.setattr(analytic, "_report", uncounted)
     for model in (toy_model, heavytail_model):
         for axis in ("length", "size"):
             for kind in ("first", "threshold", "sampling"):
@@ -472,6 +474,27 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
             assert max(counts) <= 2, key
         elif key[0] == "threshold":
             assert max(counts) <= 24 and sum(counts) / len(counts) <= 12, key
+
+
+@pytest.mark.parametrize("name", ["toy", "heavytail"])
+def test_inversion_report_is_a_fresh_report(request, name):
+    # the report an inversion returns reads the coverage sum its search made,
+    # shared here over every target and kind of an axis as analyze shares
+    # it; each field is bit for bit that of a fresh report at the parameter
+    model = request.getfixturevalue(f"{name}_model")
+    for axis in ("length", "size"):
+        memo = {}
+        for kind in ("first", "threshold", "sampling"):
+            for target in DEFAULT_COVERAGES:
+                try:
+                    param, rep = invert_for_coverage(model, kind, axis, target, memo)
+                except UnreachableError:
+                    continue
+                spec = (AlgorithmSpec(kind, axis, probability=param) if kind == "sampling"
+                        else AlgorithmSpec(kind, axis, threshold=param))
+                fresh = analytic_for_spec(model, spec)
+                assert [v.hex() for v in astuple(rep)] == [v.hex() for v in astuple(fresh)], (
+                    name, axis, kind, target)
 
 
 def test_invert_first_reads_the_integer_quantile(toy_model, heavytail_model):

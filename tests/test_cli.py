@@ -11,10 +11,10 @@ import sys
 import pytest
 
 import flowtab.cli
-from flowtab.algorithms import AlgorithmSpec
-from flowtab.analytic import analytic_for_spec
+from flowtab.algorithms import ALGORITHM_KINDS, AlgorithmSpec
+from flowtab.analytic import UnreachableError, analytic_for_spec, invert_for_coverage
 from flowtab.cli import DEFAULT_COVERAGES, main
-from flowtab.model import load_model
+from flowtab.model import Mixture, load_model
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 TOY = str(MODELS / "toy_twopoint.json")
@@ -251,6 +251,78 @@ def test_analyze_matches_golden(capsys, tmp_path, axis):
     assert code == 0
     golden = GOLDEN / f"analyze_heavytail_{axis}.analytic.csv"
     assert (tmp_path / "a.analytic.csv").read_bytes() == golden.read_bytes()
+
+
+@pytest.fixture
+def weighted_sums(monkeypatch):
+    """The number of weighted Mixture.expect sums made since the fixture
+    was set up, in a list so that a test can reset it."""
+    count, expect = [0], Mixture.expect
+
+    def counted(mix, weight, start):
+        count[0] += weight is not None
+        return expect(mix, weight, start)
+
+    monkeypatch.setattr(Mixture, "expect", counted)
+    return count
+
+
+@pytest.mark.parametrize("axis, shared, separate", [("length", 247, 256), ("size", 212, 227)])
+def test_analyze_targets_share_their_probes(capsys, tmp_path, weighted_sums, axis, shared,
+                                            separate):
+    # one command passes one memo to all its inversions, so a parameter that
+    # several targets probe, such as sampling's bracket ends, is summed once
+    targets = "1,10,25,50,75,90,95,99,99.5,99.9"
+    code, _ = run(capsys, "analyze", "--model", HEAVY, "--axis", axis,
+                  "--coverages", targets, "--out", str(tmp_path / "a"))
+    assert code == 0
+    golden = GOLDEN / f"analyze_heavytail_{axis}.analytic.csv"
+    assert (tmp_path / "a.analytic.csv").read_bytes() == golden.read_bytes()
+    assert weighted_sums[0] == shared
+    weighted_sums[0] = 0
+    model = load_model(HEAVY)
+    for target in map(float, targets.split(",")):
+        for kind in ALGORITHM_KINDS:
+            try:
+                invert_for_coverage(model, kind, axis, target)
+            except UnreachableError:
+                pass
+    assert weighted_sums[0] == separate
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_analyze_target_named_twice_costs_nothing(capsys, tmp_path, weighted_sums, axis):
+    # each row is the default golden's row for its target, and a target
+    # named again repeats its rows without a sum
+    golden = (GOLDEN / f"analyze_heavytail_{axis}_default.analytic.csv").read_bytes()
+    header, *body = golden.splitlines(keepends=True)
+    rows = {}
+    for row in body:
+        rows.setdefault(row.split(b",")[1], []).append(row)
+    sums = []
+    for coverages in ("99.9,50,5", "99.9,50,5,50"):
+        weighted_sums[0] = 0
+        code, _ = run(capsys, "analyze", "--model", HEAVY, "--axis", axis,
+                      "--coverages", coverages, "--out", str(tmp_path / "a"))
+        assert code == 0
+        sums.append(weighted_sums[0])
+    got = (tmp_path / "a.analytic.csv").read_bytes().splitlines(keepends=True)
+    assert got == [header] + [row for t in (b"99.9", b"50", b"5", b"50") for row in rows[t]]
+    assert sums[0] == sums[1] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--flows", "2000", "--algorithms", "first,first"),
+    ("simulate", "--flows", "2000", "--algorithms", "sampling,first,sampling"),
+    ("analyze", "--coverages", "50", "--algorithms", "sampling,sampling"),
+    ("analyze", "--coverages", "50", "--algorithms", "threshold,first,threshold"),
+])
+def test_algorithm_named_twice_exits_2_before_writing(capsys, tmp_path, argv):
+    code, out = run(capsys, argv[0], "--model", TOY, *argv[1:], "--out", str(tmp_path / "a"))
+    assert code == 2
+    error = json.loads(out)["errors"][0]
+    assert error["type"] == "ValueError" and "named twice" in error["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("axis", ["length", "size"])

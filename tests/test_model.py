@@ -28,7 +28,7 @@ from flowtab.model import (
     load_model,
     parse_model,
 )
-from oracle import reference_quantile
+from oracle import reference_guide, reference_quantile
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -286,6 +286,32 @@ def test_quantile_is_the_bisection_answer(mix):
     assert np.array_equal(q, reference_quantile(mix, u))
     assert np.all(mix.cdf(q) >= u)
     assert np.all(mix.cdf(np.minimum(q - 1.0, np.nextafter(q, 0.0))) < u)
+
+
+@pytest.mark.parametrize("mix", quantile_mixtures())
+def test_guide_blocks_match_one_search(mix):
+    # the guide is searched in blocks of keys; each key's index does not
+    # depend on the others, so it equals the one-shot search bit for bit
+    guide = mix._guide
+    assert guide.dtype == np.int32
+    assert np.array_equal(guide, reference_guide(mix))
+
+
+def test_guide_build_peak_stays_near_its_result(heavytail_model):
+    # the 256 KiB guide and the 512 KiB 1 - sf it searches, plus one block
+    # of keys and indices: no full-length float64 keys or int64 indices
+    for mix in (heavytail_model.length_axis.octets, heavytail_model.size_axis.flows):
+        mix._sf_table  # built first: the table is not the guide's to pay for
+        vars(mix).pop("_guide", None)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mix._guide
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024, peak
 
 
 @pytest.mark.parametrize("axis", ["length", "size"])
