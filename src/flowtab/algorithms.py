@@ -5,35 +5,38 @@ gets an entry at its first packet), the flows that gain an entry and the
 packet, from 1, that creates each one: first creates it at packet 1,
 threshold and sampling where their counter or draw fires.  The triggering
 packet and every later one are covered.  ``aggregate_batch`` folds those
-entries into the three report metrics.  Packet sizes follow the even-split
-layout of ``PacketLayout``.
+entries into occupancy and, with their covered bytes, into the three
+report metrics.  Packet sizes follow the even-split layout of
+``PacketLayout``.
 
 ``evaluate_batch`` walks the population in blocks of ``BLOCK_FLOWS``
 flows.  In each block one predicate picks the flows that can gain an
 entry (exactly those, but for the size-sampling bound below, which keeps
-a superset) and the per-flow arithmetic runs on those alone;
-``aggregate_batch`` reads the entries in blocks of the same size.  So a
-cell's working memory is its entries and a few blocks, never an array the
-length of the population.  The predicates, for a flow of n packets and s
-bytes:
+a superset) and the per-flow arithmetic runs on those alone, summing
+their covered bytes exactly from the sizes and lead/base/tail values it
+holds (first needs the sizes alone); ``aggregate_batch`` reads only the
+entries' lengths, in blocks of the same size.  So a cell's working memory
+is its entries and a few blocks, never an array the length of the
+population.  The predicates, for a flow of n packets and s bytes:
 
 - first and threshold, length axis: n > T;
-- first and threshold, size axis: s > T (for threshold ``packet_over``
-  then places the packet);
+- first and threshold, size axis: s > T (for threshold the lead/tail
+  byte counts then place the packet);
 - sampling, length axis: with x = log u / log(1 - p), the entry exists iff
   floor(x) + 1 <= n, which for an integer n is x < n;
-- sampling, size axis: every flow when p = 1, otherwise those with
-  log u > -(p / max_packet_size) * s / (1 - p) * (1 + 1e-6).  The entry
-  exists iff log u exceeds the log-survival of all n packets,
-  sum log(1 - x_i) with x_i = p * packet_i / max_packet_size <= p.  As
-  log(1 - x) >= -x / (1 - x) >= -x / (1 - p) and the packets sum to s
-  exactly (lead * base + (n - lead) * tail = s), that log-survival is at
-  least -(p / max_packet_size) * s / (1 - p); a flow at or below the bound
-  gains no entry, and the 1e-6 margin keeps rounding from dropping one
-  that does.  The candidates then run the exact lead/tail formulas.
+- sampling, size axis, with M = max_packet_size: those with
+  (u - 1) * (M / p - tail) > -(1 + 1e-6) * s.  The entry exists iff log u
+  exceeds the log-survival sum log(1 - x_i) of all n packets, where
+  x_i = p * packet_i / M <= x = p * tail / M (tail >= base).  As
+  log(1 - x_i) >= -x_i / (1 - x) and the packets sum to s exactly, that
+  log-survival is at least -s / (M / p - tail), and log u <= u - 1: a
+  flow at or below the bound gains no entry, and the 1e-6 margin keeps
+  rounding from dropping one that does.  At p = 1 a full-size packet,
+  surely sampled, makes M / p = tail and keeps its flow.  The candidates
+  alone then take log u and run the exact lead/tail formulas.
 
-Sampling draws one uniform per flow for the whole population before the
-blocks, so the random stream does not depend on the block size.
+Sampling draws one uniform per flow, the blocks in turn from one stream,
+so the draws do not depend on the block size.
 """
 from __future__ import annotations
 
@@ -167,9 +170,11 @@ class PacketLayout:
     - otherwise the remainder is spread, one extra byte on each of the last
       rem packets (lead = n - rem, tail = base + 1).
 
-    ``max_packet_size`` also sets the odds of size-scaled sampling, and
-    ``total_bytes`` is the flows' byte total, below 2^63.  Build a layout
-    once per population and pass it to every call over that population.
+    ``base`` and ``tail`` are int32, as no packet exceeds max_packet_size,
+    below 2^31.  ``max_packet_size`` also sets the odds of size-scaled
+    sampling, and ``total_bytes`` is the flows' byte total, below 2^63.
+    Build a layout once per population and pass it to every call over that
+    population.
     """
 
     def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
@@ -185,27 +190,15 @@ class PacketLayout:
             raise ValueError("the flows' byte total overflows int64")
         self.total_bytes = int(sizes.sum())
         self.max_packet_size = max_packet_size
-        self.base = sizes // lengths
-        rem = sizes - self.base * lengths
-        spread = self.base + rem > max_packet_size
-        self.lead = np.where(spread, lengths - rem, lengths - (rem > 0))
-        self.tail = np.where(spread, self.base + 1, self.base + rem)
+        base, rem = np.divmod(sizes, lengths)
+        spread = base + rem > max_packet_size
+        self.lead = lengths - np.where(spread, rem, rem > 0)
+        self.tail = (base + np.where(spread, 1, rem)).astype(np.int32)
+        self.base = base.astype(np.int32)
 
-    def bytes_before(self, k: np.ndarray, flows: np.ndarray) -> np.ndarray:
-        """Bytes in the first k packets of each of the ``flows`` (indices
-        into the population)."""
-        lead, base, tail = self.lead[flows], self.base[flows], self.tail[flows]
-        return k * base + np.maximum(k - lead, 0) * (tail - base)
-
-    def packet_over(self, threshold: float, flows: np.ndarray) -> np.ndarray:
-        """Index, from 1, of the packet that takes the byte count of each of
-        the ``flows`` (indices into the population) above the threshold, as
-        floats; meaningful for flows of more bytes than the threshold."""
-        t = np.floor(threshold)  # byte counts are integers
-        lead, base, tail = self.lead[flows], self.base[flows], self.tail[flows]
-        lead_bytes = lead * base
-        return np.where(t < lead_bytes, np.floor(t / base),
-                        lead + np.floor((t - lead_bytes) / tail)) + 1
+    def of(self, flows: np.ndarray):
+        """(lead, base, tail) of each of the ``flows``, indices into the population."""
+        return self.lead[flows], self.base[flows], self.tail[flows]
 
 
 def _blocks(n: int):
@@ -215,32 +208,46 @@ def _blocks(n: int):
         yield start, slice(start, min(start + BLOCK_FLOWS, n))
 
 
+def _covered(trigger: np.ndarray, size: np.ndarray, lead: np.ndarray, base: np.ndarray,
+             tail: np.ndarray) -> int:
+    """Bytes from packet ``trigger`` on, summed exactly over flows of these
+    sizes and layouts: the bytes their entries cover."""
+    k = trigger - 1
+    return int((size - k * base - np.maximum(k - lead, 0) * (tail - base)).sum())
+
+
 def _threshold_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
                         layout: PacketLayout):
     T = spec.threshold
     value = lengths if spec.axis == "length" else sizes
     for start, block in _blocks(len(lengths)):
         flows = start + np.flatnonzero(value[block] > T)
+        size = sizes[flows]
         if spec.kind == "first":
-            trigger = np.ones(len(flows))
-        elif spec.axis == "length":
+            yield flows, np.ones(len(flows), dtype=np.int64), int(size.sum())
+            continue
+        lead, base, tail = layout.of(flows)
+        if spec.axis == "length":
             trigger = np.full(len(flows), np.floor(T) + 1)
         else:
-            trigger = layout.packet_over(T, flows)
-        yield flows, trigger.astype(np.int64)
+            # the packet that takes the flow's byte count above the threshold
+            t = np.floor(T)  # byte counts are integers
+            lead_bytes = lead * base
+            trigger = np.where(t < lead_bytes, np.floor(t / base),
+                               lead + np.floor((t - lead_bytes) / tail)) + 1
+        trigger = trigger.astype(np.int64)
+        yield flows, trigger, _covered(trigger, size, lead, base, tail)
 
 
-def _size_candidates(log_u: np.ndarray, sizes: np.ndarray, p: float,
+def _size_candidates(u: np.ndarray, sizes: np.ndarray, tail: np.ndarray, p: float,
                      max_packet_size: int) -> np.ndarray:
     """Indices of the flows that size-scaled sampling at probability p can
     give an entry, by the bound of the module docstring."""
-    if p == 1.0:
-        return np.arange(len(sizes))
-    return np.flatnonzero(log_u > -p / max_packet_size / (1.0 - p) * (1.0 + 1e-6) * sizes)
+    return np.flatnonzero((u - 1.0) * (max_packet_size / p - tail) > -(1.0 + 1e-6) * sizes)
 
 
 def _sampling_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                       layout: PacketLayout, u: np.ndarray):
+                       layout: PacketLayout, rng: np.random.Generator):
     # The first sampled packet is drawn from its exact law by inversion: with
     # u uniform, packet k is the first success when the log-survival of the
     # packets before it is >= log u and that of packets 1..k is < log u.
@@ -250,35 +257,39 @@ def _sampling_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSp
     with np.errstate(divide="ignore"):
         log_q = np.log1p(-p)  # -inf at p = 1
     for start, block in _blocks(len(lengths)):
-        log_u = np.log(np.maximum(u[block], 2.0 ** -53))
+        u = rng.random(block.stop - start)  # the blocks draw in turn from one stream
         if spec.axis == "length":
-            x = log_u / log_q
+            x = np.log(np.maximum(u, 2.0 ** -53)) / log_q
             cand = np.flatnonzero(x < lengths[block])
-            trigger = np.floor(x[cand]) + 1
-        else:
-            cand = _size_candidates(log_u, sizes[block], p, layout.max_packet_size)
-            # a run of leading packets sampled alike, then a run of trailing ones
             flows = start + cand
-            log_u = log_u[cand]
-            lead = layout.lead[flows]
-            # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_q_lead = np.log1p(-scale * layout.base[flows])
-                log_q_tail = np.log1p(-scale * layout.tail[flows])
-                k_lead = np.floor(log_u / log_q_lead) + 1
-                k_tail = lead + np.floor((log_u - lead * log_q_lead) / log_q_tail) + 1
-            trigger = np.where(k_lead <= lead, k_lead,
-                               np.where(k_tail <= lengths[flows], k_tail, 0))
-            hit = trigger > 0
-            cand, trigger = cand[hit], trigger[hit]
-        yield start + cand, trigger.astype(np.int64)
+            trigger = (np.floor(x[cand]) + 1).astype(np.int64)
+            yield flows, trigger, _covered(trigger, sizes[flows], *layout.of(flows))
+            continue
+        cand = _size_candidates(u, sizes[block], layout.tail[block], p, layout.max_packet_size)
+        # a run of leading packets sampled alike, then a run of trailing ones
+        flows = start + cand
+        log_u = np.log(np.maximum(u[cand], 2.0 ** -53))
+        lead, base, tail = layout.of(flows)
+        # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q_lead = np.log1p(-scale * base)
+            log_q_tail = np.log1p(-scale * tail)
+            k_lead = np.floor(log_u / log_q_lead) + 1
+            k_tail = lead + np.floor((log_u - lead * log_q_lead) / log_q_tail) + 1
+        trigger = np.where(k_lead <= lead, k_lead,
+                           np.where(k_tail <= lengths[flows], k_tail, 0))
+        hit = np.flatnonzero(trigger > 0)
+        flows, trigger = flows[hit], trigger[hit].astype(np.int64)
+        yield flows, trigger, _covered(trigger, sizes[flows], lead[hit], base[hit], tail[hit])
 
 
 def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
                    layout: PacketLayout, rng: np.random.Generator | None = None):
-    """The entries a spec creates over a population, as (flows, trigger):
-    the increasing indices of the flows that gain an entry and the packet,
-    from 1, that creates each one, both int64.
+    """The entries a spec creates over a population, as (flows, trigger,
+    covered): the increasing indices of the flows that gain an entry and
+    the packet, from 1, that creates each one, both int64, and the exact
+    integer byte total the entries cover, each flow's bytes from its
+    triggering packet on.
 
     ``layout`` is the population's PacketLayout, which carries the model's
     max_packet_size.  Sampling draws from ``rng``.
@@ -288,21 +299,20 @@ def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     elif rng is None:
         raise ValueError("sampling evaluation requires an RNG")
     else:
-        # one draw per flow for the whole population, whatever the blocks
-        triggers = _sampling_triggers(lengths, sizes, spec, layout, rng.random(len(lengths)))
-    flows, trigger = zip(*triggers)
-    return np.concatenate(flows), np.concatenate(trigger)
+        triggers = _sampling_triggers(lengths, sizes, spec, layout, rng)
+    flows, trigger, covered = zip(*triggers)
+    return np.concatenate(flows), np.concatenate(trigger), sum(covered)
 
 
-def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
-                    flows: np.ndarray, trigger: np.ndarray,
+def aggregate_batch(lengths: np.ndarray, layout: PacketLayout, flows: np.ndarray,
+                    trigger: np.ndarray, covered: int,
                     duration_model: str = "equal") -> MetricsReport:
-    """Fold the entries of evaluate_batch into coverage and reduction
-    factors, a block of entries at a time.  An entry created at packet t of
-    an n-packet flow covers the flow's bytes from packet t on and occupies
-    the table for n + 1 - t packets: the fraction (n + 1 - t) / n of the
-    flow's duration under the equal-duration model, n + 1 - t packet times
-    under the proportional one, whose sum is an exact integer.
+    """Fold the entries of evaluate_batch, and the bytes they cover, into
+    coverage and reduction factors, a block of entries at a time.  An entry
+    created at packet t of an n-packet flow occupies the table for
+    n + 1 - t packets: the fraction (n + 1 - t) / n of the flow's duration
+    under the equal-duration model, n + 1 - t packet times under the
+    proportional one, whose sum is an exact integer.
 
     Raises DegenerateError when no entry was created (coverage 0, both
     reductions unbounded).
@@ -316,12 +326,10 @@ def aggregate_batch(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout
     if entries == 0:
         raise DegenerateError("no flow created an entry; reductions are infinite")
     equal = duration_model == "equal"
-    covered = occupied = 0
+    occupied = 0
     for _, block in _blocks(entries):
-        f, t = flows[block], trigger[block]
-        packets = lengths[f]
-        covered += int((sizes[f] - layout.bytes_before(t - 1, f)).sum())
-        held = packets + 1 - t
+        packets = lengths[flows[block]]
+        held = packets + 1 - trigger[block]
         occupied += float((held / packets).sum()) if equal else int(held.sum())
     coverage = 100.0 * float(covered) / float(layout.total_bytes)
     # the baseline holds every flow's entry for the flow's whole duration

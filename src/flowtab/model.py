@@ -821,8 +821,8 @@ def parse_model(document: str) -> TrafficModel:
     if max_packet != int(max_packet):
         raise SchemaError(f"model.max_packet_size: expected a whole number, got {max_packet!r}")
     max_packet = int(max_packet)
-    if max_packet <= 0:
-        raise SchemaError("model.max_packet_size must be positive")
+    if not 0 < max_packet < 2 ** 31:  # packet layouts hold packet sizes as int32
+        raise SchemaError(f"model.max_packet_size: expected 1..{2 ** 31 - 1}, got {max_packet}")
 
     declared = {
         key: (_number(obj, key, "model") if key in obj else None)

@@ -12,9 +12,10 @@ starts.  Over it only sampling draws on the seed, so each first and
 threshold cell runs once and its result is every seed's, and each
 sampling cell runs once per seed; each of those evaluations is one task
 for the worker pool.  Several generated seeds keep the seed as the task.
-Cells are merged into per-parameter means and standard deviations, with
-the analytic value alongside.  Output is byte-identical for identical
-specs regardless of the worker count.
+The analytic column, which needs no population, is one more task, so the
+workers share it too.  Cells are merged into per-parameter means and
+standard deviations, with the analytic value alongside.  Output is
+byte-identical for identical specs regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -155,12 +156,19 @@ def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
 
 def _metrics_tuple(lengths, sizes, layout, spec, seed, duration_model) -> tuple[float, float, float]:
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    flows, trigger = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
     try:
-        rep = aggregate_batch(lengths, sizes, layout, flows, trigger, duration_model)
+        rep = aggregate_batch(lengths, layout, *entries, duration_model)
     except DegenerateError:
         return (0.0, math.inf, math.inf)
     return (rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction)
+
+
+def _analytic(model: TrafficModel, cell: AlgorithmSpec) -> AnalyticReport:
+    try:
+        return analytic_for_spec(model, cell)
+    except DegenerateError:
+        return AnalyticReport(0.0, math.inf, math.inf, 0.0)
 
 
 def _population(model: TrafficModel, lengths: np.ndarray, sizes: np.ndarray):
@@ -179,15 +187,18 @@ _DEAREST_FIRST = ("sampling", "threshold", "first")
 
 def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool):
     """Units of work as ((seed, cell indices), rows): a task evaluates its
-    cells for one seed, and its metrics fill those rows of ``per_seed``.
-    Over one population, ingested or a single seed's, each task is one
-    evaluation (see the module docstring), dearest kind first, so that the
-    pool's dynamic dispatch ends on the cheap ones."""
+    cells for one seed, and its metrics fill those rows of ``per_seed``;
+    the analytic task, seed None and no rows, reports every cell's analytic
+    value.  It follows the whole-seed tasks of several generated seeds and
+    precedes the tasks of one population, ingested or a single seed's,
+    each one evaluation (see the module docstring), dearest kind first, so
+    that the pool's dynamic dispatch ends on the cheap ones."""
+    every_cell = tuple(range(len(cells)))
+    analytic = ((None, every_cell), ())
     if not one_population:
-        every_cell = tuple(range(len(cells)))
-        return [((seed, every_cell), (j,)) for j, seed in enumerate(spec.seeds)]
+        return [((seed, every_cell), (j,)) for j, seed in enumerate(spec.seeds)] + [analytic]
     every_row = tuple(range(len(spec.seeds)))
-    tasks = []
+    tasks = [analytic]
     for i, cell in sorted(enumerate(cells), key=lambda ic: _DEAREST_FIRST.index(ic[1].kind)):
         if cell.kind == "sampling":
             tasks.extend(((seed, (i,)), (j,)) for j, seed in enumerate(spec.seeds))
@@ -209,12 +220,15 @@ def _inherit(*shared) -> None:
     _inherited = shared
 
 
-def _run_task(task, shared=None) -> list[tuple[float, float, float]]:
+def _run_task(task, shared=None) -> list:
     """Evaluate a task's cells for its seed, over the shared (lengths, sizes,
-    layout) population or else over the one generated for the seed.  A
-    pool worker passes only the task and runs on what it inherited."""
+    layout) population or else over the one generated for the seed, or,
+    for the analytic task, their analytic reports.  A pool worker passes
+    only the task and runs on what it inherited."""
     spec, population, cells = shared or _inherited
     seed, indices = task
+    if seed is None:
+        return [_analytic(spec.model, cells[i]) for i in indices]
     if population is None:
         population = _generated(spec, seed)
     return [_metrics_tuple(*population, cells[i], seed, spec.duration_model) for i in indices]
@@ -254,7 +268,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     else:
         outcomes = [_run_task(task, shared) for task, _ in tasks]
     per_seed = [[None] * len(cells) for _ in spec.seeds]
-    for ((_, indices), rows), metrics in zip(tasks, outcomes):
+    for ((seed, indices), rows), metrics in zip(tasks, outcomes):
+        if seed is None:
+            analytic = metrics
         for i, m in zip(indices, metrics):
             for j in rows:
                 per_seed[j][i] = m
@@ -264,28 +280,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         rows = [per_seed[j][i] for j in range(len(spec.seeds))]
         # (coverage, ops, occ) means and standard deviations
         mean, std = zip(*(_mean_std(column) for column in zip(*rows)))
-        try:
-            ana = analytic_for_spec(spec.model, cell)
-        except DegenerateError:
-            ana = AnalyticReport(0.0, math.inf, math.inf, 0.0)
         parameter = cell.threshold if cell.kind in ("first", "threshold") else cell.probability
-        out.append(
-            SweepCell(
-                kind=cell.kind,
-                parameter=float(parameter),
-                mean=mean,
-                std=std,
-                analytic=ana,
-                per_seed=tuple(rows),
-            )
-        )
-    return SweepResult(
-        axis=spec.axis,
-        algorithms=tuple(spec.algorithms),
-        seeds=tuple(spec.seeds),
-        flow_count=flow_count,
-        cells=tuple(out),
-    )
+        out.append(SweepCell(kind=cell.kind, parameter=float(parameter), mean=mean, std=std,
+                             analytic=analytic[i], per_seed=tuple(rows)))
+    return SweepResult(axis=spec.axis, algorithms=tuple(spec.algorithms), seeds=tuple(spec.seeds),
+                       flow_count=flow_count, cells=tuple(out))
 
 
 # -- rendering ----------------------------------------------------------------

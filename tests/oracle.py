@@ -13,8 +13,10 @@ report metrics.
 ``reference_trigger`` keeps the whole-population formulas of the
 triggering packet, one array operation over every flow per step, as the
 reference the blocked kernels of ``evaluate_batch`` must match bit for
-bit.  ``expand`` turns the sparse entries that ``evaluate_batch`` returns
-into per-flow arrays.
+bit; ``packet_over`` places a size threshold's packet and ``bytes_before``
+counts a flow's bytes ahead of a packet, both from a ``PacketLayout``.
+``expand`` turns the sparse entries that ``evaluate_batch`` returns into
+per-flow arrays.
 
 ``expected_covered_fraction`` is the checked, per-flow form of the
 covered-share closed form that ``flowtab.analytic`` weights sampling with.
@@ -204,6 +206,24 @@ def aggregate(outcomes: Iterable[FlowOutcome], duration_model: str = "equal") ->
 # -- whole-population reference of the batch kernels -------------------------------
 
 
+def bytes_before(layout: PacketLayout, k: np.ndarray, flows: np.ndarray) -> np.ndarray:
+    """Bytes in the first k packets of each of the ``flows`` (indices into
+    the population)."""
+    lead, base, tail = layout.lead[flows], layout.base[flows], layout.tail[flows]
+    return k * base + np.maximum(k - lead, 0) * (tail - base)
+
+
+def packet_over(layout: PacketLayout, threshold: float, flows: np.ndarray) -> np.ndarray:
+    """Index, from 1, of the packet that takes the byte count of each of
+    the ``flows`` (indices into the population) above the threshold, as
+    floats; meaningful for flows of more bytes than the threshold."""
+    t = np.floor(threshold)  # byte counts are integers
+    lead, base, tail = layout.lead[flows], layout.base[flows], layout.tail[flows]
+    lead_bytes = lead * base
+    return np.where(t < lead_bytes, np.floor(t / base),
+                    lead + np.floor((t - lead_bytes) / tail)) + 1
+
+
 def reference_sampling_trigger(lengths: np.ndarray, spec: AlgorithmSpec, layout: PacketLayout,
                                log_u: np.ndarray) -> np.ndarray:
     """Packet, from 1, that sampling with log-uniforms ``log_u`` first
@@ -237,7 +257,7 @@ def reference_trigger(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpe
     if spec.kind == "threshold":
         over = np.flatnonzero(sizes > spec.threshold)
         trigger = np.zeros(len(sizes), dtype=np.int64)
-        trigger[over] = layout.packet_over(spec.threshold, over)
+        trigger[over] = packet_over(layout, spec.threshold, over)
         return trigger
     log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
     return reference_sampling_trigger(lengths, spec, layout, log_u)
@@ -253,7 +273,7 @@ def expand(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
     covered = np.zeros(len(lengths), dtype=np.int64)
     occ = np.zeros(len(lengths))
     created[flows] = True
-    covered[flows] = sizes[flows] - layout.bytes_before(trigger - 1, flows)
+    covered[flows] = sizes[flows] - bytes_before(layout, trigger - 1, flows)
     occ[flows] = (lengths[flows] + 1 - trigger) / lengths[flows]
     return created, covered, occ
 

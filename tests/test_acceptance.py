@@ -48,8 +48,8 @@ class criterion:
 
 def simulate(lengths, sizes, layout, spec, seed, duration_model="equal"):
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    flows, trigger = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
-    rep = aggregate_batch(lengths, sizes, layout, flows, trigger, duration_model)
+    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    rep = aggregate_batch(lengths, layout, *entries, duration_model)
     return np.array([rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction])
 
 
@@ -120,8 +120,8 @@ def test_a3_toy_oracle(toy_model):
         layout = PacketLayout(lengths, sizes, toy_model.max_packet_size)
         for kind, want in oracle.items():
             spec = AlgorithmSpec(kind, "length", threshold=1)
-            flows, trigger = evaluate_batch(lengths, sizes, spec, layout)
-            sim = aggregate_batch(lengths, sizes, layout, flows, trigger)
+            flows, trigger, total = evaluate_batch(lengths, sizes, spec, layout)
+            sim = aggregate_batch(lengths, layout, flows, trigger, total)
             created, covered, occ = expand(lengths, sizes, layout, flows, trigger)
             n = len(lengths)
             cov_se = 100 * _ratio_se(covered.astype(float), sizes.astype(float))

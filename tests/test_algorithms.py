@@ -40,13 +40,14 @@ def batch(lengths, sizes, spec, rng=None):
     population's layout at the default 1518-byte max_packet_size of the
     oracle and the shipped models."""
     layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
-    return expand(lengths, sizes, layout, *evaluate_batch(lengths, sizes, spec, layout, rng=rng))
+    flows, trigger, _ = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    return expand(lengths, sizes, layout, flows, trigger)
 
 
 def outcomes(lengths, sizes, spec, rng=None, duration_model="equal"):
     layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
     entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
-    return aggregate_batch(lengths, sizes, layout, *entries, duration_model)
+    return aggregate_batch(lengths, layout, *entries, duration_model)
 
 
 # -- eval_first ---------------------------------------------------------------
@@ -131,8 +132,8 @@ def test_size_scaled_full_packet_always_sampled():
     # packet is full, so it is sampled at p = 1
     jumbo = (np.full(1000, 2), np.full(1000, 18000))
     layout = PacketLayout(*jumbo, 9000)
-    created, covered, _ = expand(*jumbo, layout, *evaluate_batch(*jumbo, spec, layout,
-                                                                 rng=np.random.default_rng(2)))
+    flows, trigger, _ = evaluate_batch(*jumbo, spec, layout, rng=np.random.default_rng(2))
+    created, covered, _ = expand(*jumbo, layout, flows, trigger)
     assert created.all() and (covered == 18000).all()
 
 
@@ -364,8 +365,9 @@ def test_batch_equals_oracle_on_layout_edges(case):
     for kind, evaluator in (("first", eval_first), ("threshold", eval_threshold)):
         for axis, T in (("length", packets), ("size", octets)):
             spec = AlgorithmSpec(kind, axis, threshold=float(T))
-            created, covered, occ = expand(lengths, sizes, layout,
-                                           *evaluate_batch(lengths, sizes, spec, layout))
+            index, trigger, total = evaluate_batch(lengths, sizes, spec, layout)
+            created, covered, occ = expand(lengths, sizes, layout, index, trigger)
+            assert total == covered.sum(), spec
             for i, flow in enumerate(flows):
                 out = evaluator(flow, spec)
                 assert (bool(created[i]), int(covered[i]), float(occ[i])) == \
@@ -425,10 +427,11 @@ def test_byte_total_is_checked_at_the_int64_edge():
     layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
     assert layout.total_bytes == 2 ** 63 - 1
     # aggregate_batch reads the layout's total, not a sum of its own
-    flows, trigger = np.arange(4), np.ones(4, dtype=np.int64)
-    assert aggregate_batch(lengths, sizes, layout, flows, trigger).coverage_pct == 100.0
+    entries = evaluate_batch(lengths, sizes, AlgorithmSpec("first", threshold=0.0), layout)
+    assert entries[2] == 2 ** 63 - 1
+    assert aggregate_batch(lengths, layout, *entries).coverage_pct == 100.0
     layout.total_bytes *= 4
-    assert aggregate_batch(lengths, sizes, layout, flows, trigger).coverage_pct == 25.0
+    assert aggregate_batch(lengths, layout, *entries).coverage_pct == 25.0
     sizes[-1] += 1
     with pytest.raises(ValueError, match="byte total overflows int64"):
         PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)

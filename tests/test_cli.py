@@ -92,6 +92,7 @@ _LOGNORMAL = {"kind": "lognormal", "weight": 0.5, "params": {"mu": math.nan, "si
     (("avg_flow_length",), math.nan, "model.avg_flow_length"),
     (("avg_flow_size",), -math.inf, "model.avg_flow_size"),
     (("avg_packet_size",), 10 ** 400, "model.avg_packet_size"),
+    (("max_packet_size",), 2 ** 31, "model.max_packet_size"),
 ])
 def test_validate_rejects_non_finite_and_fractional_numbers(capsys, tmp_path, toy_document,
                                                             path, value, field):

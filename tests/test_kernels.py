@@ -1,5 +1,6 @@
 """The blocked kernels of ``evaluate_batch`` against the whole-population
 formulas of ``oracle.reference_trigger``: the same entries bit for bit,
+the same covered byte total as the per-flow arrays of ``oracle.expand``,
 and working memory of a few blocks; and the fold of ``aggregate_batch``
 against sums over the per-flow arrays."""
 from __future__ import annotations
@@ -55,11 +56,14 @@ def test_blocked_kernels_match_whole_population_formulas(axis, max_packet_size):
         ls, ss = lengths[:count], sizes[:count]
         layout = PacketLayout(ls, ss, max_packet_size)
         for spec in kernel_specs(axis):
-            flows, trigger = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            flows, trigger, total = evaluate_batch(ls, ss, spec, layout,
+                                                   rng=np.random.default_rng(count))
             want = reference_trigger(ls, ss, spec, layout, rng=np.random.default_rng(count))
             assert flows.dtype == trigger.dtype == np.int64, (count, spec)
             assert np.array_equal(flows, np.flatnonzero(want)), (count, spec)
             assert np.array_equal(trigger, want[flows]), (count, spec)
+            _, covered, _ = expand(ls, ss, layout, flows, trigger)
+            assert type(total) is int and total == int(covered.sum()), (count, spec)
 
 
 @pytest.mark.parametrize("axis", ["length", "size"])
@@ -69,15 +73,16 @@ def test_fold_equals_sums_over_per_flow_arrays(axis):
     lengths, sizes = kernel_population(count, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
     for spec in kernel_specs(axis):
-        flows, trigger = evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(2))
+        flows, trigger, total = evaluate_batch(lengths, sizes, spec, layout,
+                                               rng=np.random.default_rng(2))
         if len(flows) == 0:
             continue
         created, covered, _ = expand(lengths, sizes, layout, flows, trigger)
-        equal = aggregate_batch(lengths, sizes, layout, flows, trigger)
+        equal = aggregate_batch(lengths, layout, flows, trigger, total)
         assert equal.entries_created == np.count_nonzero(created), spec
         assert equal.operations_reduction == count / np.count_nonzero(created), spec
         assert equal.coverage_pct == 100.0 * float(covered.sum()) / float(sizes.sum()), spec
-        proportional = aggregate_batch(lengths, sizes, layout, flows, trigger, "proportional")
+        proportional = aggregate_batch(lengths, layout, flows, trigger, total, "proportional")
         assert proportional.occupancy_reduction == \
             lengths.sum() / (lengths[flows] + 1 - trigger).sum(), spec
 
@@ -86,28 +91,37 @@ def test_fold_equals_sums_over_per_flow_arrays(axis):
 def test_size_prefilter_keeps_every_created_flow(max_packet_size):
     lengths, sizes = kernel_population(BLOCK_FLOWS, max_packet_size)
     layout = PacketLayout(lengths, sizes, max_packet_size)
-    # at p = 1 every flow is a candidate; below 1e-15 the bound is within
-    # rounding of the log-survival of full-size packets
-    probabilities = sorted(set(default_probabilities("size")[1:]) | set(EXTRA_PROBABILITIES[1:])
+    # flows whose largest packet is full-size, which p = 1 surely samples:
+    # every packet full, and one full packet carrying the remainder
+    full = np.flatnonzero(layout.tail == max_packet_size)
+    assert np.any(layout.base[full] == max_packet_size)
+    assert np.any(layout.base[full] < max_packet_size)
+    # below 1e-15 the bound is within rounding of the log-survival of
+    # full-size packets
+    probabilities = sorted(set(default_probabilities("size")) | set(EXTRA_PROBABILITIES)
                            | {1e-15, 1e-16, 1e-17})
+    trailing = lengths - layout.lead
     for p in probabilities:
         spec = AlgorithmSpec("sampling", "size", probability=p)
         scale = p / max_packet_size
-        with np.errstate(divide="ignore"):
-            # the exact log-survival of every packet of each flow
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the exact log-survival of every packet of each flow, -inf
+            # for one with a full-size packet at p = 1
             survival = (layout.lead * np.log1p(-scale * layout.base)
-                        + (lengths - layout.lead) * np.log1p(-scale * layout.tail))
-        uniform = np.log(np.maximum(np.random.default_rng(4).random(len(lengths)), 2.0 ** -53))
+                        + np.where(trailing > 0, trailing * np.log1p(-scale * layout.tail), 0.0))
+        uniform = np.random.default_rng(4).random(len(lengths))
         # draws just above and just below each flow's survival, where a
         # flow's entry turns on and off
-        edge = np.maximum(survival, -745.0)
-        for log_u in (uniform, edge * (1 - 1e-12), np.nextafter(edge, 0.0), edge,
-                      edge * (1 + 1e-12)):
-            log_u = np.minimum(log_u, -2.0 ** -53)
+        edge = np.exp(np.maximum(survival, -745.0))
+        for u in (uniform, edge * (1 + 1e-12), np.nextafter(edge, 1.0), edge,
+                  np.nextafter(edge, 0.0), edge * (1 - 1e-12)):
+            u = np.minimum(u, np.nextafter(1.0, 0.0))
+            log_u = np.log(np.maximum(u, 2.0 ** -53))
             created = reference_sampling_trigger(lengths, spec, layout, log_u) > 0
             kept = np.zeros(len(lengths), dtype=bool)
-            kept[_size_candidates(log_u, sizes, p, max_packet_size)] = True
+            kept[_size_candidates(u, sizes, layout.tail, p, max_packet_size)] = True
             assert not np.any(created & ~kept), spec
+            assert kept[full].all() or p < 1.0, spec
 
 
 def traced_peak(call):
@@ -133,7 +147,7 @@ def test_kernel_memory_is_outputs_plus_a_few_blocks(spec):
     count = 4 * BLOCK_FLOWS + 77
     lengths, sizes = kernel_population(count, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
-    peak, (flows, trigger) = traced_peak(
+    peak, (flows, trigger, _) = traced_peak(
         lambda: evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(1)))
     outputs = flows.nbytes + trigger.nbytes
     log_u = 8 * count

@@ -118,6 +118,17 @@ def test_parse_rejects_max_packet_below_average(toy_document):
         parse_model(json.dumps(doc))
 
 
+def test_parse_bounds_max_packet_by_int32(toy_document):
+    # packet layouts hold packet sizes as int32
+    doc = json.loads(json.dumps(toy_document))
+    doc["max_packet_size"] = 2 ** 31 - 1
+    assert parse_model(json.dumps(doc)).max_packet_size == 2 ** 31 - 1
+    for bad in (2 ** 31, 0):
+        doc["max_packet_size"] = bad
+        with pytest.raises(SchemaError, match=r"max_packet_size: expected 1\.\.2147483647"):
+            parse_model(json.dumps(doc))
+
+
 def test_component_param_validation():
     with pytest.raises(SchemaError):
         MixtureComponent("lognormal", 1.0, {"mu": 0.0, "sigma": -1.0})

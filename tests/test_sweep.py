@@ -8,6 +8,8 @@ import pathlib
 import pytest
 
 import flowtab.sweep
+from flowtab.algorithms import DegenerateError
+from flowtab.analytic import AnalyticReport, analytic_for_spec
 from flowtab.generator import GeneratorConfig, generate_arrays, write_flow_csv
 from flowtab.sweep import (
     SweepSpec,
@@ -219,6 +221,28 @@ def test_ingested_sweep_runs_seed_invariant_cells_once(monkeypatch, tmp_path, to
     assert len(calls) == len(spec.seeds) * (2 * len(spec.thresholds) + len(spec.probabilities))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("population", ["one seed", "ingested", "several seeds"])
+def test_analytic_column_is_the_analytic_report(tmp_path, toy_model, population, jobs):
+    # the analytic task's reports land on their own cells, whatever the
+    # task order and the worker count; threshold 50 is past every flow
+    kw = {"one seed": dict(seeds=(2,)),
+          "ingested": dict(population_csv=_toy_csv(tmp_path, toy_model)),
+          "several seeds": dict(seeds=(1, 2, 3))}[population]
+    spec = toy_spec(toy_model, thresholds=(0.0, 1.0, 4.0, 50.0), flow_count=2000, jobs=jobs, **kw)
+    cells = run_sweep(spec).cells
+    assert len(cells) == len(spec.cells())
+    degenerate = AnalyticReport(0.0, math.inf, math.inf, 0.0)
+    for cell, want in zip(cells, spec.cells()):
+        parameter = want.probability if want.kind == "sampling" else want.threshold
+        assert (cell.kind, cell.parameter) == (want.kind, parameter)
+        try:
+            assert cell.analytic == analytic_for_spec(toy_model, want), want
+        except DegenerateError:
+            assert cell.analytic == degenerate, want
+    assert sum(c.analytic == degenerate for c in cells) == 2  # first and threshold at 50
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and runs the
     tasks in this process, so that no worker is started."""
@@ -245,16 +269,18 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, toy_model
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
     serial = run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000))
     pooled = run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000, jobs=8))
-    assert _RecordingPool.max_workers == [2]  # one task per generated seed
+    # one task per generated seed and the analytic task
+    assert _RecordingPool.max_workers == [3]
     assert emit_table(pooled, "csv") == emit_table(serial, "csv")
     one_seed = run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=4))
-    assert _RecordingPool.max_workers == [2, 4]  # one seed's population: 12 single-cell tasks
+    # one seed's population: 12 single-cell tasks and the analytic task
+    assert _RecordingPool.max_workers == [3, 4]
     assert one_seed.cells == tuple(
         dataclasses.replace(c, per_seed=c.per_seed[:1], mean=c.per_seed[0], std=(0.0,) * 3)
         for c in serial.cells)
     spec = toy_spec(toy_model, seeds=(1,), jobs=5, population_csv=_toy_csv(tmp_path, toy_model))
     run_sweep(spec)
-    assert _RecordingPool.max_workers == [2, 4, 5]  # 12 single-cell tasks
+    assert _RecordingPool.max_workers == [3, 4, 5]  # 12 single-cell tasks and the analytic one
 
 
 def test_sweep_requires_parameters(toy_model):
