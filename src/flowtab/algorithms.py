@@ -66,6 +66,17 @@ DURATION_MODELS = ("equal", "proportional")
 BLOCK_FLOWS = 2 ** 16
 
 
+def check_algorithms(kinds) -> None:
+    """Each name is one of ALGORITHM_KINDS, none is named twice, and there is one at least."""
+    bad = [kind for kind in kinds if kind not in ALGORITHM_KINDS]
+    if bad:
+        raise ValueError(f"unknown algorithm(s) {bad}")
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"an algorithm is named twice in {list(kinds)}")
+    if not kinds:
+        raise ValueError("at least one algorithm is required")
+
+
 class DegenerateError(ValueError):
     """No flow created an entry; reductions are unbounded."""
 

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: validate, simulate, analyze, peff, generate.  All randomness
-flows from explicit --seed/--seeds flags; identical flag sets produce
-byte-identical outputs for any --jobs value.  Exit codes: 0 success,
-1 runtime failure, 2 validation error, 3 model-consistency error.
+Subcommands: validate, simulate, analyze, peff, generate; simulate, analyze
+and generate require --model, simulate also with --flows-csv.  A --config
+file is a JSON object of long flags, each overridden by an explicit one.
+All randomness flows from explicit --seed/--seeds flags; identical flag
+sets produce byte-identical outputs for any --jobs value.  Exit codes: 0
+success, 1 runtime failure, 2 validation error, 3 model-consistency error.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ import argparse
 import json
 import sys
 
-from .algorithms import ALGORITHM_KINDS, DURATION_MODELS, PathProfile, p_eff_avg, p_eff_paths
+from .algorithms import DURATION_MODELS, PathProfile, p_eff_avg, p_eff_paths
+from .algorithms import check_algorithms as _check_algorithms  # private: traced runs skip it
 from .analytic import UnreachableError, invert_for_coverage
 from .generator import COUPLINGS, GeneratorConfig, generate_arrays, write_flow_csv
 from .model import DominanceError, ModelError, load_model
@@ -79,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
 
     p = sub.add_parser("simulate", help="run a multi-seed simulation sweep")
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", required=True)
     p.add_argument("--flows-csv", default=None, help="ingest flows instead of generating")
     p.add_argument("--axis", choices=("length", "size"), default="length")
     p.add_argument("--algorithms", type=_algorithms, default=("first", "threshold", "sampling"))
@@ -141,10 +144,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.model is None and args.flows_csv is None:
-        raise ValueError("simulate requires --model or --flows-csv")
-    if args.flows_csv is not None and args.model is None:
-        raise ValueError("--flows-csv still requires --model for the analytic columns")
     if args.flows_csv is not None:
         ignored = [flag for flag, value, default in (
             ("--flows", args.flows, SweepSpec.flow_count),
@@ -182,47 +181,38 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _invert(model, kind: str, axis: str, target: float, memo: dict):
+    """invert_for_coverage's (parameter, report), or None for an unreachable target."""
+    try:
+        return invert_for_coverage(model, kind, axis, target, memo)
+    except UnreachableError:
+        return None
+
+
 def _cmd_analyze(args) -> int:
-    bad = [kind for kind in args.algorithms if kind not in ALGORITHM_KINDS]
-    if bad:
-        raise ValueError(f"unknown algorithm(s) {bad}")
-    if len(set(args.algorithms)) < len(args.algorithms):
-        raise ValueError(f"an algorithm is named twice in {list(args.algorithms)}")
-    if not args.algorithms or not args.coverages:
-        raise ValueError("analyze requires at least one algorithm and one coverage target")
+    _check_algorithms(args.algorithms)
+    if not args.coverages:
+        raise ValueError("analyze requires at least one coverage target")
     model = load_model(args.model)
     # every inversion of the command shares one memo of probe sums, and a
     # target named twice reuses its rows
     memo, rows = {}, {}
     for target in dict.fromkeys(args.coverages):
-        baseline = None
-        per_kind = {}
-        for kind in ALGORITHM_KINDS:
-            if kind not in args.algorithms and kind != "first":
-                continue
-            try:
-                param, rep = invert_for_coverage(model, kind, args.axis, target, memo)
-                per_kind[kind] = (param, rep)
-                if kind == "first":
-                    baseline = rep
-            except UnreachableError:
-                per_kind[kind] = None
+        # first is the ratio baseline; it is unreachable only past 100 %,
+        # where every kind is, so each reachable row has it
+        first = _invert(model, "first", args.axis, target, memo)
         lines = rows[target] = []
         for kind in args.algorithms:
-            entry = per_kind.get(kind)
-            if entry is None:
+            inverted = first if kind == "first" else _invert(model, kind, args.axis, target, memo)
+            if inverted is None:
                 lines.append(f"{kind},{target:g},unreachable,,,,,\n")
                 continue
-            param, rep = entry
-            if baseline is not None:
-                ops_rel = baseline.operations_reduction / rep.operations_reduction
-                occ_rel = baseline.occupancy_reduction / rep.occupancy_reduction
-                rel = f"{ops_rel:.4f},{occ_rel:.4f}"
-            else:
-                rel = ","
+            param, rep = inverted
             lines.append(
                 f"{kind},{target:g},{param:.6e},{rep.coverage_pct:.4f},"
-                f"{rep.operations_reduction:.4f},{rep.occupancy_reduction:.4f},{rel}\n"
+                f"{rep.operations_reduction:.4f},{rep.occupancy_reduction:.4f},"
+                f"{first[1].operations_reduction / rep.operations_reduction:.4f},"
+                f"{first[1].occupancy_reduction / rep.occupancy_reduction:.4f}\n"
             )
     path = args.out + ".analytic.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -288,16 +278,6 @@ def _parsers(parser: argparse.ArgumentParser):
                 stack.extend(action.choices.values())
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    """Seed every (sub)parser with config values; a config-supplied value
-    also satisfies an otherwise required flag."""
-    for p in _parsers(parser):
-        p.set_defaults(**defaults)
-        for action in p._actions:
-            if action.dest in defaults and not isinstance(action, argparse._SubParsersAction):
-                action.required = False
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -305,23 +285,32 @@ def main(argv: list[str] | None = None) -> int:
     if "--config" in argv:
         idx = argv.index("--config")
         defaults = {}
-        # dest -> the argparse type of the flag with that dest
-        types = {action.dest: action.type for p in _parsers(parser)
-                 for action in p._actions if action.type is not None}
+        # every flag and positional of every (sub)parser: a config key names one's dest
+        actions = [action for p in _parsers(parser) for action in p._actions
+                   if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))]
+        types = {action.dest: action.type for action in actions}
         try:
             with open(argv[idx + 1], "r", encoding="utf-8") as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError("a config file holds a JSON object of flag values")
             for key, value in config.items():
                 norm = key.replace("-", "_")
-                if norm in types:
-                    # converted as the command line would carry it
-                    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-                    value = types[norm](text)
-                defaults[norm] = value
+                if norm not in types:
+                    raise ValueError(f"config key {key!r} names no flag")
+                if value is None or isinstance(value, (bool, dict)):  # no command-line text
+                    raise ValueError(f"config key {key!r}: expected a string, number or list")
+                # carried as the command line's text, then converted as its flag's would be
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                defaults[norm] = (types[norm] or str)(text)
         except (OSError, ValueError, IndexError) as exc:  # JSONDecodeError is a ValueError
             print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))
             return EXIT_VALIDATION
-        _apply_config_defaults(parser, defaults)
+        for p in _parsers(parser):
+            p.set_defaults(**defaults)
+        for action in actions:  # a config value also satisfies a required flag
+            if action.dest in defaults:
+                action.required = False
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -217,7 +217,7 @@ class MixtureComponent:
     params: dict[str, float]
 
     def __post_init__(self) -> None:
-        if self.kind not in _COMPONENT_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in _COMPONENT_PARAMS:
             raise SchemaError(f"unknown component kind {self.kind!r}")
         expected = _COMPONENT_PARAMS[self.kind]
         got = tuple(sorted(self.params))
@@ -753,32 +753,37 @@ def _number(obj: dict, key: str, where: str) -> float:
     return x
 
 
+def _built(where: str, cls, **fields):
+    """cls(**fields), where prefixed to the ModelError its checks raise."""
+    try:
+        return cls(**fields)
+    except ModelError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _component_from_json(obj: Any, where: str) -> MixtureComponent:
     obj = _require_mapping(obj, where)
     _check_keys(obj, ("kind", "weight", "params"), (), where)
-    kind = obj["kind"]
-    if kind not in _COMPONENT_PARAMS:
-        raise SchemaError(f"{where}: unknown kind {kind!r}")
+    # the component judges the kind and the param names
     params_obj = _require_mapping(obj["params"], f"{where}.params")
-    _check_keys(params_obj, _COMPONENT_PARAMS[kind], (), f"{where}.params")
-    params = {k: _number(params_obj, k, f"{where}.params") for k in _COMPONENT_PARAMS[kind]}
-    weight = _number(obj, "weight", where)
-    return MixtureComponent(kind=kind, weight=weight, params=params)
+    params = {k: _number(params_obj, k, f"{where}.params") for k in params_obj}
+    return _built(where, MixtureComponent, kind=obj["kind"],
+                  weight=_number(obj, "weight", where), params=params)
 
 
 def _mixture_from_json(obj: Any, *, discrete: bool, default_domain_min: float, where: str) -> Mixture:
     obj = _require_mapping(obj, where)
     _check_keys(obj, ("components",), ("domain_min",), where)
     comps_obj = obj["components"]
-    if not isinstance(comps_obj, list) or not comps_obj:
-        raise SchemaError(f"{where}.components: expected a non-empty list")
+    if not isinstance(comps_obj, list):
+        raise SchemaError(f"{where}.components: expected a list")
     comps = tuple(
         _component_from_json(c, f"{where}.components[{i}]") for i, c in enumerate(comps_obj)
     )
     domain_min = _number(obj, "domain_min", where) if "domain_min" in obj else default_domain_min
     if discrete and domain_min != int(domain_min):
         raise SchemaError(f"{where}.domain_min: length axis requires an integer")
-    return Mixture(components=comps, domain_min=domain_min, discrete=discrete)
+    return _built(where, Mixture, components=comps, domain_min=domain_min, discrete=discrete)
 
 
 def _axis_from_json(obj: Any, axis: str, where: str) -> AxisModel:

@@ -29,12 +29,12 @@ import multiprocessing
 import numpy as np
 
 from .algorithms import (
-    ALGORITHM_KINDS,
     DURATION_MODELS,
     AlgorithmSpec,
     DegenerateError,
     PacketLayout,
     aggregate_batch,
+    check_algorithms as _check_algorithms,  # private: traced runs skip it
     evaluate_batch,
 )
 from .analytic import AnalyticReport, analytic_for_spec
@@ -93,18 +93,11 @@ class SweepSpec:
             raise ValueError(f"unknown joint_coupling {self.joint_coupling!r}")
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
-        bad = [a for a in self.algorithms if a not in ALGORITHM_KINDS]
-        if bad:
-            raise ValueError(f"unknown algorithm(s) {bad}")
-        if len(set(self.algorithms)) < len(self.algorithms):
-            raise ValueError(f"an algorithm is named twice in {list(self.algorithms)}")
-        needs_thresholds = any(a in self.algorithms for a in ("first", "threshold"))
-        if needs_thresholds and not self.thresholds:
+        _check_algorithms(self.algorithms)
+        if not self.thresholds and {"first", "threshold"} & set(self.algorithms):
             object.__setattr__(self, "thresholds", default_thresholds(self.axis))
         if "sampling" in self.algorithms and not self.probabilities:
             object.__setattr__(self, "probabilities", default_probabilities(self.axis))
-        if not self.thresholds and not self.probabilities:
-            raise ValueError("sweep requires a non-empty parameter series")
 
     def cells(self) -> list[AlgorithmSpec]:
         out = []
@@ -290,16 +283,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # -- rendering ----------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.2f}"
-
-
 def _means(header: str, cells: Sequence[SweepCell], k: int) -> list[str]:
-    return [header] + [_fmt(c.mean[k]) for c in cells]
+    return [header] + [f"{c.mean[k]:.2f}" for c in cells]
 
 
 def _metrics(prefix: str, series: Sequence[SweepCell]) -> list[list[str]]:

@@ -122,6 +122,125 @@ def test_validate_accepts_a_whole_float_packet_size(capsys, tmp_path, toy_docume
     assert json.loads(out)["max_packet_size"] == 1518
 
 
+def _validate_document(capsys, tmp_path, text: str) -> tuple[int, dict]:
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out = run(capsys, "validate", str(bad))
+    return code, json.loads(out)
+
+
+def _mutated(document: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(document))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    return doc
+
+
+_FLOWS = ("axes", "length", "flows")
+_SIZE_FLOWS = ("axes", "size", "flows")
+_DIVERGING_LENGTH = {"components": [{"kind": "generalized-pareto", "weight": 1.0,
+                                     "params": {"shape": 1.5, "location": 1.0, "scale": 2.0}}],
+                     "domain_min": 1}
+
+
+@pytest.mark.parametrize("path, value, kind, where", [
+    (("name",), 5, "SchemaError", "model.name:"),
+    (_FLOWS + ("components", 0, "weight"), "0.5", "SchemaError",
+     "model.axes.length.flows.components[0].weight:"),
+    (_FLOWS + ("components", 1, "params", "low"), None, "SchemaError",
+     "model.axes.length.flows.components[1].params.low:"),
+    (_FLOWS + ("components", 0, "kind"), "weibull", "SchemaError",
+     "model.axes.length.flows.components[0]: unknown component kind 'weibull'"),
+    (_FLOWS + ("components", 0, "kind"), [], "SchemaError",
+     "model.axes.length.flows.components[0]: unknown component kind []"),
+    (_FLOWS + ("components", 0, "kind"), {}, "SchemaError",
+     "model.axes.length.flows.components[0]: unknown component kind {}"),
+    (_FLOWS + ("components", 0, "params", "scale"), 1.0, "SchemaError",
+     "model.axes.length.flows.components[0]: uniform component expects params"),
+    (_FLOWS + ("components", 0, "weight"), 2.0, "WeightError",
+     "model.axes.length.flows.components[0]: component weight 2.0 outside [0, 1]"),
+    (_FLOWS + ("components", 0, "weight"), 0.6, "WeightError",
+     "model.axes.length.flows: mixture weights sum to"),
+    (_FLOWS + ("components",), [], "SchemaError",
+     "model.axes.length.flows: mixture requires at least one component"),
+    (_FLOWS + ("components",), {}, "SchemaError",
+     "model.axes.length.flows.components: expected a list"),
+    (_FLOWS + ("domain_min",), 1.5, "SchemaError",
+     "model.axes.length.flows.domain_min: length axis requires an integer"),
+    (_FLOWS + ("domain_min",), 0, "SchemaError",
+     "model.axes.length.flows: domain_min must be positive"),
+    (_SIZE_FLOWS + ("domain_min",), -64, "SchemaError",
+     "model.axes.size.flows: domain_min must be positive"),
+    (_FLOWS + ("domain_min",), 3, "SchemaError",
+     "model.axes.length.flows: uniform component carries probability"),
+    (_SIZE_FLOWS + ("domain_min",), 999.5, "SchemaError",
+     "model.axes.size.flows: uniform component has no mass above domain_min"),
+])
+def test_validate_names_the_json_path_of_each_error(capsys, tmp_path, toy_document,
+                                                     path, value, kind, where):
+    code, report = _validate_document(capsys, tmp_path,
+                                      json.dumps(_mutated(toy_document, path, value)))
+    assert code == 2
+    assert report["valid"] is False
+    error = report["errors"][0]
+    assert error["type"] == kind
+    assert error["message"].startswith(where), error
+
+
+def test_validate_names_the_component_of_a_parameter_domain_error(capsys, tmp_path,
+                                                                  toy_document):
+    lognormal = {"kind": "lognormal", "weight": 0.5, "params": {"mu": 2.0, "sigma": -1.0}}
+    doc = _mutated(toy_document, _SIZE_FLOWS + ("components", 1), lognormal)
+    code, report = _validate_document(capsys, tmp_path, json.dumps(doc))
+    assert code == 2
+    assert report["errors"] == [{"type": "SchemaError", "message":
+                                 "model.axes.size.flows.components[1]: "
+                                 "lognormal component requires sigma > 0"}]
+
+
+@pytest.mark.parametrize("text", ["{\"name\": ", "[1]", "\"model\""])
+def test_validate_rejects_a_document_that_is_no_json_object(capsys, tmp_path, text):
+    code, report = _validate_document(capsys, tmp_path, text)
+    assert code == 2
+    assert report["valid"] is False and report["errors"][0]["type"] == "SchemaError"
+
+
+def test_validate_reports_an_undeclared_diverging_flow_length(capsys, tmp_path, toy_document):
+    doc = {key: value for key, value in toy_document.items() if not key.startswith("avg_")}
+    doc["axes"] = dict(doc["axes"], length={w: _DIVERGING_LENGTH
+                                            for w in ("flows", "packets", "octets")})
+    code, report = _validate_document(capsys, tmp_path, json.dumps(doc))
+    assert code == 2
+    assert report == {"valid": False, "errors": [
+        {"type": "ModelError", "message": "average flow length diverges for this model"}]}
+
+
+def _dominance_violation(tmp_path, toy_document) -> str:
+    doc = json.loads(json.dumps(toy_document))
+    doc["axes"]["length"]["octets"]["components"][0]["weight"] = 0.9090909090909091
+    doc["axes"]["length"]["octets"]["components"][1]["weight"] = 0.09090909090909091
+    path = tmp_path / "dominance.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--flows", "100", "--thresholds", "1", "--probabilities", "0.5"),
+    ("analyze", "--coverages", "50"),
+])
+def test_a_dominance_violation_exits_3_before_writing(capsys, tmp_path, toy_document, command):
+    model = _dominance_violation(tmp_path, toy_document)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, text = run(capsys, command[0], "--model", model, *command[1:], "--out", str(out / "x"))
+    assert code == 3
+    assert json.loads(text)["errors"][0]["type"] == "DominanceError"
+    assert list(out.iterdir()) == []
+
+
 def test_generate_deterministic(capsys, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -162,6 +281,26 @@ def test_min_packet_above_max_packet_size_exits_2_before_writing(capsys, tmp_pat
     assert code == 2
     assert json.loads(text)["errors"][0]["message"] == (
         "min_packet 2000 B exceeds the model's max_packet_size 1518 B")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_rejects_min_packet_zero(capsys, tmp_path):
+    code, out = run(capsys, "generate", "--model", TOY, "--flows", "50", "--seed", "1",
+                    "--min-packet", "0", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert json.loads(out)["errors"][0] == {"type": "ValueError",
+                                            "message": "min_packet must be >= 1 byte"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", [(), ("--flows-csv", "flows.csv")])
+def test_simulate_without_a_model_exits_2(capsys, tmp_path, source):
+    # argparse refuses it, also when the flows come from a file: the model
+    # still gives max_packet_size and the analytic column
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", *source, "--thresholds", "1", "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    assert "--model" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -378,6 +517,24 @@ def test_analyze_toy_length_step_curve(capsys, tmp_path, flags):
     assert rows == [(kind, target) for target in targets for kind in kinds]
 
 
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_analyze_subset_prints_the_full_runs_rows(capsys, tmp_path, axis):
+    # every reachable row is the full run's, ratios to first included, and
+    # past 100 % each requested kind gets an unreachable row
+    for name, flags in (("full", ()), ("part", ("--algorithms", "sampling,threshold"))):
+        code, _ = run(capsys, "analyze", "--model", HEAVY, "--axis", axis, *flags,
+                      "--coverages", "50,150", "--out", str(tmp_path / name))
+        assert code == 0
+    full = (tmp_path / "full.analytic.csv").read_text().splitlines(keepends=True)
+    part = (tmp_path / "part.analytic.csv").read_text().splitlines(keepends=True)
+    rows = {tuple(row.split(",")[:2]): row for row in full[1:]}
+    assert part == [full[0], rows["sampling", "50"], rows["threshold", "50"],
+                    "sampling,150,unreachable,,,,,\n", "threshold,150,unreachable,,,,,\n"]
+    assert rows["first", "150"] == "first,150,unreachable,,,,,\n"
+    assert all(row.count(",") == 7 and not row.endswith(",,\n")
+               for key, row in rows.items() if key[1] == "50")
+
+
 def test_analyze_rejects_unknown_algorithm(capsys, tmp_path):
     code, out = run(capsys, "analyze", "--model", TOY, "--algorithms", "firts,threshold",
                     "--coverages", "50", "--out", str(tmp_path / "a"))
@@ -446,6 +603,56 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     code, _ = run(capsys, "--config", str(cfg), "generate", "--out", str(out_csv))
     assert code == 0
     assert len(out_csv.read_text().strip().splitlines()) == 501
+
+
+@pytest.mark.parametrize("document", ["[1]", "\"x\"", "3", "null"])
+def test_config_that_is_no_json_object_exits_2(capsys, tmp_path, document):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(document)
+    code, out = run(capsys, "--config", str(cfg), "validate", TOY)
+    assert code == 2
+    assert json.loads(out) == {"errors": [{
+        "type": "ConfigError", "message": "a config file holds a JSON object of flag values"}]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("command", "peff"), ("command", "validate"), ("help", True), ("flow", 10),
+    ("--model", "toy_twopoint.json"), ("model_path", "toy_twopoint.json"),
+])
+def test_config_key_that_names_no_flag_exits_2(capsys, tmp_path, key, value):
+    # only a flag's (or a positional's) dest may be set; "command" would
+    # otherwise replace the subcommand given on the command line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out = run(capsys, "--config", str(cfg), "validate", TOY)
+    assert code == 2
+    assert json.loads(out) == {"errors": [{
+        "type": "ConfigError", "message": f"config key {key!r} names no flag"}]}
+
+
+def test_config_values_of_string_flags_are_carried_as_text(capsys, tmp_path, monkeypatch):
+    # a JSON list or number for a string flag reaches the command as the
+    # text the command line would carry, not as a list or an int
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": [TOY], "out": 5}))
+    code, _ = run(capsys, "--config", str(cfg), "analyze", "--coverages", "50")
+    assert code == 0 and (tmp_path / "5.analytic.csv").exists()
+    cfg.write_text(json.dumps({"flows_csv": 7}))
+    code, out = run(capsys, "--config", str(cfg), "simulate", "--model", TOY, "--out", "x")
+    assert code == 1
+    assert json.loads(out)["errors"][0]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("value", [None, True, {}])
+def test_config_value_with_no_command_line_text_exits_2(capsys, tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": value}))
+    code, out = run(capsys, "--config", str(cfg), "analyze", "--model", TOY, "--coverages", "50")
+    assert code == 2
+    assert json.loads(out) == {"errors": [{
+        "type": "ConfigError", "message": "config key 'out': expected a string, number or list"}]}
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_simulate_from_ingested_flows(capsys, tmp_path):

@@ -142,6 +142,13 @@ def test_component_param_validation():
         MixtureComponent("weibull", 1.0, {})
 
 
+@pytest.mark.parametrize("kind", [[], {}, None, 3])
+def test_component_rejects_a_kind_that_is_no_string(kind):
+    # an unhashable kind is a SchemaError too, not a TypeError from the lookup
+    with pytest.raises(SchemaError, match="unknown component kind"):
+        MixtureComponent(kind, 1.0, {"low": 0.0, "high": 1.0})
+
+
 def test_discrete_mixture_rejects_mass_below_floor():
     comp = MixtureComponent("generalized-pareto", 1.0,
                             {"shape": 0.5, "location": -5.0, "scale": 2.0})
@@ -649,3 +656,25 @@ def test_component_sf_is_the_one_distribution_function(comp, dist, domain_min):
         assert np.array_equal(mix.components[0].sf(edges), dist.sf(edges))
         sf_nan = {"uniform": math.nan, "lognormal": 1.0, "generalized-pareto": 0.0}[comp.kind]
         np.testing.assert_array_equal(mix.components[0].sf(np.array([np.nan])), [sf_nan])
+
+
+def test_gpd_shape_zero_is_the_exponential_law():
+    comp = MixtureComponent("generalized-pareto", 1.0, {"shape": 0.0, "location": 5.0, "scale": 7.0})
+    dist = stats.genpareto(c=0.0, loc=5.0, scale=7.0)
+    xs = np.array([0.0, 5.0, 5.5, 12.0, 40.0, 400.0])
+    assert np.allclose(comp.sf(xs), dist.sf(xs), rtol=1e-14, atol=0.0)
+    for a in (0.0, 5.0, 9.0, 60.0):
+        want = dist.expect(lambda x: x, lb=a)
+        assert comp.partial_expectation(a) == pytest.approx(want, rel=1e-9)
+
+
+def test_gpd_partial_expectation_past_a_negative_shape_endpoint():
+    # shape -0.5 bounds the support at location - scale / shape = 19
+    comp = MixtureComponent("generalized-pareto", 1.0,
+                            {"shape": -0.5, "location": 5.0, "scale": 7.0})
+    dist = stats.genpareto(c=-0.5, loc=5.0, scale=7.0)
+    for a in (5.0, 10.0, 18.5):
+        want = dist.expect(lambda x: x, lb=a, ub=19.0)
+        assert comp.partial_expectation(a) == pytest.approx(want, rel=1e-9)
+    for a in (19.0, 25.0, 1e9):
+        assert comp.partial_expectation(a) == 0.0
