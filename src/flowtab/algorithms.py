@@ -12,12 +12,13 @@ report metrics.  Packet sizes follow the even-split layout of
 ``evaluate_batch`` walks the population in blocks of ``BLOCK_FLOWS``
 flows.  In each block one predicate picks the flows that can gain an
 entry (exactly those, but for the size-sampling bound below, which keeps
-a superset) and the per-flow arithmetic runs on those alone, summing
-their covered bytes exactly from the sizes and lead/base/tail values it
-holds (first needs the sizes alone); ``aggregate_batch`` reads only the
-entries' lengths, in blocks of the same size.  So a cell's working memory
-is its entries and a few blocks, never an array the length of the
-population.  The predicates, for a flow of n packets and s bytes:
+a superset) and the per-flow arithmetic runs on those alone, summing their
+covered bytes exactly from the sizes and lead/base/tail values it holds
+(first needs the sizes alone); ``aggregate_batch`` reads only the entries'
+lengths, in blocks of the same size.  So a cell's working memory is its
+entries and a few blocks, never an array the length of the population, and
+the layout, built in blocks too, holds 16 B per flow.  The predicates, for
+a flow of n packets and s bytes:
 
 - first and threshold, length axis: n > T;
 - first and threshold, size axis: s > T (for threshold the lead/tail
@@ -184,28 +185,32 @@ class PacketLayout:
     ``base`` and ``tail`` are int32, as no packet exceeds max_packet_size,
     below 2^31.  ``max_packet_size`` also sets the odds of size-scaled
     sampling, and ``total_bytes`` is the flows' byte total, below 2^63.
+    The arrays are built a block of BLOCK_FLOWS flows at a time, each block
+    checked first to split into packets of 1..max_packet_size bytes.
     Build a layout once per population and pass it to every call over that
     population.
     """
 
     def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
-        bad = np.flatnonzero((lengths < 1) | (sizes < lengths) | (sizes > lengths * max_packet_size))
-        if len(bad):
-            i = bad[0]
-            raise ValueError(
-                f"flow {i} of {lengths[i]} packets and {sizes[i]} bytes does not split "
-                f"into packets of 1..{max_packet_size} bytes"
-            )
+        self.lead, self.base, self.tail = (np.empty(len(lengths), dtype=t)
+                                           for t in (np.int64, np.int32, np.int32))
+        for start, block in _blocks(len(lengths)):
+            l, s = lengths[block], sizes[block]
+            bad = np.flatnonzero((l < 1) | (s < l) | (s > l * max_packet_size))
+            if len(bad):
+                i = start + bad[0]
+                raise ValueError(f"flow {i} of {lengths[i]} packets and {sizes[i]} bytes does "
+                                 f"not split into packets of 1..{max_packet_size} bytes")
+            base, rem = np.divmod(s, l)
+            spread = base + rem > max_packet_size
+            np.subtract(l, np.where(spread, rem, rem > 0), out=self.lead[block])
+            self.tail[block] = base + np.where(spread, 1, rem)
+            self.base[block] = base
         # a float64 sum errs by far less than 2^62: only near 2^63 is it redone exactly
         if float(sizes.sum(dtype=float)) >= 2.0 ** 62 and sum(sizes.tolist()) >= 2 ** 63:
             raise ValueError("the flows' byte total overflows int64")
         self.total_bytes = int(sizes.sum())
         self.max_packet_size = max_packet_size
-        base, rem = np.divmod(sizes, lengths)
-        spread = base + rem > max_packet_size
-        self.lead = lengths - np.where(spread, rem, rem > 0)
-        self.tail = (base + np.where(spread, 1, rem)).astype(np.int32)
-        self.base = base.astype(np.int32)
 
     def of(self, flows: np.ndarray):
         """(lead, base, tail) of each of the ``flows``, indices into the population."""

@@ -281,16 +281,19 @@ def _parsers(parser: argparse.ArgumentParser):
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    # a config file provides defaults; explicit flags win by coming later
-    if "--config" in argv:
-        idx = argv.index("--config")
+    # the config path as argparse reads it before the subcommand (--config=F, --conf F)
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is the parser's error
+    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and its flags
+    config_path = pre.parse_known_args(argv)[0].config
+    if config_path is not None:
         defaults = {}
         # every flag and positional of every (sub)parser: a config key names one's dest
         actions = [action for p in _parsers(parser) for action in p._actions
                    if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))]
         types = {action.dest: action.type for action in actions}
         try:
-            with open(argv[idx + 1], "r", encoding="utf-8") as fh:
+            with open(config_path, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValueError("a config file holds a JSON object of flag values")
@@ -303,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
                 # carried as the command line's text, then converted as its flag's would be
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
                 defaults[norm] = (types[norm] or str)(text)
-        except (OSError, ValueError, IndexError) as exc:  # JSONDecodeError is a ValueError
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))
             return EXIT_VALIDATION
         for p in _parsers(parser):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import _blocks
 from .model import TrafficModel
 
 __all__ = [
@@ -114,8 +115,9 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
 
     Every flow must split into packets of 1..max_packet_size bytes, and its
     largest byte count, length * max_packet_size, must fit int64.  The rows
-    parse in bulk; a file the bulk parse does not take whole goes through
-    the row loop, which names its first bad row.
+    parse in bulk into a table whose two columns are copied out and checked
+    a block at a time; a file the bulk parse does not take whole goes
+    through the row loop, which names its first bad row.
     """
     rows = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -128,9 +130,10 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
             except (ValueError, Warning):
                 pass
     if rows is not None and rows.shape[1] == 2:
-        lengths, sizes = rows.T.copy()
-        fits = lengths <= (2 ** 63 - 1) // max_packet_size  # masks the overflowing products
-        if np.all(fits & (lengths >= 1) & (sizes >= lengths) & (sizes <= lengths * max_packet_size)):
+        lengths, sizes = rows[:, 0].copy(), rows[:, 1].copy()
+        longest = (2 ** 63 - 1) // max_packet_size  # masks the overflowing products
+        if all(np.all((l <= longest) & (l >= 1) & (s >= l) & (s <= l * max_packet_size))
+               for l, s in ((lengths[b], sizes[b]) for _, b in _blocks(len(lengths)))):
             return lengths, sizes
     return _read_rows(path, max_packet_size)
 

@@ -605,6 +605,34 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert len(out_csv.read_text().strip().splitlines()) == 501
 
 
+@pytest.mark.parametrize("spelling", ["equals", "abbreviation"])
+def test_config_path_is_read_in_every_spelling_argparse_takes(capsys, tmp_path, spelling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "flows": 5}))
+    flag = [f"--config={cfg}"] if spelling == "equals" else ["--conf", str(cfg)]
+    code, _ = run(capsys, *flag, "generate", "--model", TOY, "--out", str(tmp_path / "c.csv"))
+    assert code == 0
+    code, _ = run(capsys, "generate", "--model", TOY, "--seed", "3", "--flows", "5",
+                  "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
+
+
+def test_a_subcommand_flag_abbreviation_names_no_config_file(capsys, tmp_path):
+    # after the subcommand, --co abbreviates generate's --coupling, not --config
+    code, _ = run(capsys, "generate", "--model", TOY, "--seed", "3", "--flows", "5",
+                  "--co", "independent", "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+
+
+def test_invalid_config_given_with_an_equals_sign_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"seed": "x"}))
+    code, out = run(capsys, f"--config={cfg}", "validate", TOY)
+    assert code == 2
+    assert json.loads(out)["errors"][0]["type"] == "ConfigError"
+
+
 @pytest.mark.parametrize("document", ["[1]", "\"x\"", "3", "null"])
 def test_config_that_is_no_json_object_exits_2(capsys, tmp_path, document):
     cfg = tmp_path / "cfg.json"

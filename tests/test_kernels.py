@@ -1,8 +1,11 @@
 """The blocked kernels of ``evaluate_batch`` against the whole-population
 formulas of ``oracle.reference_trigger``: the same entries bit for bit,
 the same covered byte total as the per-flow arrays of ``oracle.expand``,
-and working memory of a few blocks; and the fold of ``aggregate_batch``
-against sums over the per-flow arrays."""
+and working memory of a few blocks; the fold of ``aggregate_batch``
+against sums over the per-flow arrays; and the population set-up,
+``PacketLayout`` and the ingest of ``read_flow_csv``, built a block at a
+time: the one-shot formulas at the block edges, and a few blocks beyond
+their outputs."""
 from __future__ import annotations
 
 import tracemalloc
@@ -18,6 +21,7 @@ from flowtab.algorithms import (
     aggregate_batch,
     evaluate_batch,
 )
+from flowtab.generator import read_flow_csv, write_flow_csv
 from flowtab.sweep import default_probabilities, default_thresholds
 from oracle import expand, reference_sampling_trigger, reference_trigger
 
@@ -150,5 +154,93 @@ def test_kernel_memory_is_outputs_plus_a_few_blocks(spec):
     peak, (flows, trigger, _) = traced_peak(
         lambda: evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(1)))
     outputs = flows.nbytes + trigger.nbytes
-    log_u = 8 * count
-    assert peak < outputs + log_u + 24 * 8 * BLOCK_FLOWS, (peak, outputs)
+    assert peak < outputs + 24 * 8 * BLOCK_FLOWS, (peak, outputs)
+
+
+# -- population set-up: the layout and the CSV ingest, a block at a time ---------
+
+
+def one_shot_layout(lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
+    """(lead, base, tail) of every flow at once, by PacketLayout's formulas."""
+    base, rem = np.divmod(sizes, lengths)
+    spread = base + rem > max_packet_size
+    return lengths - np.where(spread, rem, rem > 0), base, base + np.where(spread, 1, rem)
+
+
+# (length, size) -> (lead, base, tail): the remainder spread over the last
+# packets, carried by the last packet alone, and none
+EDGE_FLOWS = {
+    "spread": ((10, 10 * 1517 + 9), (1, 1517, 1518)),
+    "last-carries": ((10, 10 * 1500 + 9), (9, 1500, 1509)),
+    "even": ((10, 15000), (10, 1500, 1500)),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_FLOWS)
+def test_layout_at_block_edges_equals_the_one_shot_formula(case):
+    count = 3 * BLOCK_FLOWS + 77
+    lengths, sizes = kernel_population(count, 1518)
+    (length, size), want = EDGE_FLOWS[case]
+    # either side of the first block edge, and in the partial last block
+    edges = [BLOCK_FLOWS - 1, BLOCK_FLOWS, 3 * BLOCK_FLOWS + 5, count - 1]
+    lengths[edges], sizes[edges] = length, size
+    layout = PacketLayout(lengths, sizes, 1518)
+    assert (layout.lead.dtype, layout.base.dtype, layout.tail.dtype) == (np.int64, np.int32,
+                                                                         np.int32)
+    for got, expected in zip((layout.lead, layout.base, layout.tail),
+                             one_shot_layout(lengths, sizes, 1518)):
+        assert np.array_equal(got, expected)
+    for i in edges:
+        assert (layout.lead[i], layout.base[i], layout.tail[i]) == want, i
+
+
+def test_layout_names_a_bad_flow_by_its_global_index():
+    lengths, sizes = kernel_population(3 * BLOCK_FLOWS + 77, 1518)
+    bad = 2 * BLOCK_FLOWS + 123  # in the third block alone
+    sizes[bad] = lengths[bad] * 1518 + 1
+    with pytest.raises(ValueError, match=f"^flow {bad} of {lengths[bad]} packets and "
+                                         f"{sizes[bad]} bytes does not split into packets"):
+        PacketLayout(lengths, sizes, 1518)
+
+
+def test_a_bad_flow_wins_over_an_overflowing_byte_total():
+    # four flows of 2^61 bytes overflow int64, and the second block holds a
+    # flow of no packets: the flow is named, as the check of each flow comes first
+    lengths = np.ones(BLOCK_FLOWS + 1, dtype=np.int64)
+    sizes = np.ones(BLOCK_FLOWS + 1, dtype=np.int64)
+    lengths[:4], sizes[:4] = 2 ** 52, 2 ** 61
+    lengths[-1] = 0
+    with pytest.raises(ValueError, match=f"^flow {BLOCK_FLOWS} of 0 packets"):
+        PacketLayout(lengths, sizes, 1518)
+    lengths[-1] = 1
+    with pytest.raises(ValueError, match="byte total overflows int64"):
+        PacketLayout(lengths, sizes, 1518)
+
+
+def test_layout_memory_is_its_arrays_plus_a_few_blocks():
+    lengths, sizes = kernel_population(8 * BLOCK_FLOWS + 77, 1518)
+    peak, layout = traced_peak(lambda: PacketLayout(lengths, sizes, 1518))
+    arrays = layout.lead.nbytes + layout.base.nbytes + layout.tail.nbytes
+    assert arrays == 16 * len(lengths)
+    assert peak < arrays + 6 * 8 * BLOCK_FLOWS, (peak, arrays)
+
+
+def test_ingest_memory_is_twice_its_outputs_plus_a_few_blocks(tmp_path, monkeypatch):
+    lengths, sizes = kernel_population(8 * BLOCK_FLOWS + 77, 1518)
+    path = str(tmp_path / "flows.csv")
+    write_flow_csv(path, lengths, sizes)
+    monkeypatch.setattr("flowtab.generator._read_rows", None)  # the bulk parse alone
+    peak, (back_l, back_s) = traced_peak(lambda: read_flow_csv(path, 1518))
+    assert np.array_equal(back_l, lengths) and np.array_equal(back_s, sizes)
+    outputs = back_l.nbytes + back_s.nbytes
+    assert peak <= 2 * outputs + 3 * 8 * BLOCK_FLOWS, (peak, outputs)
+
+
+def test_ingest_names_a_bad_row_in_the_third_block(tmp_path):
+    lengths, sizes = kernel_population(3 * BLOCK_FLOWS + 77, 1518)
+    bad = 2 * BLOCK_FLOWS + 123
+    sizes[bad] = lengths[bad] * 1518 + 1
+    path = str(tmp_path / "flows.csv")
+    write_flow_csv(path, lengths, sizes)
+    with pytest.raises(ValueError, match=f"row {bad + 2}: flow of {lengths[bad]} packets"):
+        read_flow_csv(path, 1518)
