@@ -109,6 +109,17 @@ class AlgorithmSpec:
             if self.probability is None or not (0.0 < self.probability <= 1.0):
                 raise ValueError("sampling requires probability in (0, 1]")
 
+    @classmethod
+    def of(cls, kind: str, axis: str, parameter: float) -> AlgorithmSpec:
+        """The spec of a kind at its parameter: sampling's probability, else a threshold."""
+        if kind == "sampling":
+            return cls(kind, axis, probability=parameter)
+        return cls(kind, axis, threshold=parameter)
+
+    @property
+    def parameter(self) -> float:
+        return self.probability if self.kind == "sampling" else self.threshold
+
 
 @dataclass(frozen=True)
 class PathProfile:
@@ -186,7 +197,8 @@ class PacketLayout:
     below 2^31.  ``max_packet_size`` also sets the odds of size-scaled
     sampling, and ``total_bytes`` is the flows' byte total, below 2^63.
     The arrays are built a block of BLOCK_FLOWS flows at a time, each block
-    checked first to split into packets of 1..max_packet_size bytes.
+    checked first to split into packets of 1..max_packet_size bytes, with
+    length * max_packet_size in int64, as read_flow_csv checks its rows.
     Build a layout once per population and pass it to every call over that
     population.
     """
@@ -196,7 +208,8 @@ class PacketLayout:
                                            for t in (np.int64, np.int32, np.int32))
         for start, block in _blocks(len(lengths)):
             l, s = lengths[block], sizes[block]
-            bad = np.flatnonzero((l < 1) | (s < l) | (s > l * max_packet_size))
+            bad = np.flatnonzero((l < 1) | (l > (2 ** 63 - 1) // max_packet_size)  # l * M fits
+                                 | (s < l) | (s > l * max_packet_size))
             if len(bad):
                 i = start + bad[0]
                 raise ValueError(f"flow {i} of {lengths[i]} packets and {sizes[i]} bytes does "

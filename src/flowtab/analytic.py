@@ -219,11 +219,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str, target_pct: f
     memo = {} if memo is None else memo
 
     def probe(param: float) -> AlgorithmSpec:
-        # the spec first, so that an unknown kind raises its ValueError
-        if kind == "sampling":
-            spec = AlgorithmSpec(kind, axis, probability=param)
-        else:
-            spec = AlgorithmSpec(kind, axis, threshold=param)
+        spec = AlgorithmSpec.of(kind, axis, param)  # first, so that an unknown kind raises
         if spec not in memo:
             memo[spec] = _coverage(model, spec)
         return spec

@@ -33,9 +33,7 @@ DEFAULT_COVERAGES = tuple(float(c) for c in range(1, 100)) + (99.9,)
 _TABLE_FORMATS = {
     "csv": ("csv", ".csv"),
     "md": ("markdown", ".md"),
-    "markdown": ("markdown", ".md"),
     "plot": ("plotdata", ".plot.csv"),
-    "plotdata": ("plotdata", ".plot.csv"),
 }
 
 
@@ -86,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows-csv", default=None, help="ingest flows instead of generating")
     p.add_argument("--axis", choices=("length", "size"), default="length")
     p.add_argument("--algorithms", type=_algorithms, default=("first", "threshold", "sampling"))
-    p.add_argument("--thresholds", type=_float_list, default=())
-    p.add_argument("--probabilities", type=_float_list, default=())
+    # omitted, a series is the axis' default one; given, it names one value at least
+    p.add_argument("--thresholds", type=_float_list, default=None)
+    p.add_argument("--probabilities", type=_float_list, default=None)
     p.add_argument("--flows", type=_count, default=SweepSpec.flow_count)
     p.add_argument("--seeds", type=_int_list, default=(1,))
     p.add_argument("--duration-model", choices=DURATION_MODELS, default="equal")
@@ -114,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--flows", type=_count, required=True)
     p.add_argument("--seed", type=_count, required=True)
-    p.add_argument("--coupling", choices=COUPLINGS, default="comonotone")
-    p.add_argument("--min-packet", type=_count, default=64)
+    p.add_argument("--coupling", choices=COUPLINGS, default=GeneratorConfig.joint_coupling)
+    p.add_argument("--min-packet", type=_count, default=GeneratorConfig.min_packet)
     p.add_argument("--out", required=True)
     return parser
 
@@ -156,13 +155,16 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"unknown output format(s) {bad}")
     if not args.formats:
         raise ValueError("simulate requires at least one output format")
+    for flag, series in ("--thresholds", args.thresholds), ("--probabilities", args.probabilities):
+        if series == ():
+            raise ValueError(f"{flag} names no value")
     model = load_model(args.model)
     spec = SweepSpec(
         model=model,
         axis=args.axis,
         algorithms=args.algorithms,
-        thresholds=args.thresholds,
-        probabilities=args.probabilities,
+        thresholds=args.thresholds or (),
+        probabilities=args.probabilities or (),
         seeds=args.seeds,
         flow_count=args.flows,
         duration_model=args.duration_model,
@@ -225,6 +227,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_peff(args) -> int:
     if args.paths is not None:
+        ignored = [flag for flag, value in (("--p", args.p), ("--l-avg", args.l_avg))
+                   if value is not None]
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} would be ignored with --paths")
         with open(args.paths, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
@@ -267,17 +273,6 @@ _COMMANDS = {
 }
 
 
-def _parsers(parser: argparse.ArgumentParser):
-    """The parser and every subcommand parser under it."""
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        yield p
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -287,33 +282,29 @@ def main(argv: list[str] | None = None) -> int:
     pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and its flags
     config_path = pre.parse_known_args(argv)[0].config
     if config_path is not None:
-        defaults = {}
-        # every flag and positional of every (sub)parser: a config key names one's dest
-        actions = [action for p in _parsers(parser) for action in p._actions
+        # every flag and positional of each (sub)parser: a config key names one's dest
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = [action for p in (parser, *sub.choices.values()) for action in p._actions
                    if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))]
-        types = {action.dest: action.type for action in actions}
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValueError("a config file holds a JSON object of flag values")
             for key, value in config.items():
-                norm = key.replace("-", "_")
-                if norm not in types:
+                named = [action for action in actions if action.dest == key.replace("-", "_")]
+                if not named:
                     raise ValueError(f"config key {key!r} names no flag")
                 if value is None or isinstance(value, (bool, dict)):  # no command-line text
                     raise ValueError(f"config key {key!r}: expected a string, number or list")
-                # carried as the command line's text, then converted as its flag's would be
+                # carried as the command line's text, converted as its flag's would be, and
+                # made the flag's default, which also satisfies a required flag
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-                defaults[norm] = (types[norm] or str)(text)
+                for action in named:
+                    action.default, action.required = (action.type or str)(text), False
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))
             return EXIT_VALIDATION
-        for p in _parsers(parser):
-            p.set_defaults(**defaults)
-        for action in actions:  # a config value also satisfies a required flag
-            if action.dest in defaults:
-                action.required = False
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

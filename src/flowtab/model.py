@@ -696,23 +696,21 @@ class TrafficModel:
             return self.size_axis
         raise ValueError(f"unknown axis {name!r}")
 
-    @property
-    def avg_flow_length(self) -> float:
-        if self.declared_avg_flow_length is not None:
-            return self.declared_avg_flow_length
-        m = self.length_axis.flows.mean()
+    @staticmethod
+    def _average(declared: float | None, flows: Mixture, what: str) -> float:
+        """The declared average, else the flows' mean, which may diverge."""
+        m = declared if declared is not None else flows.mean()
         if m is None:
-            raise ModelError("average flow length diverges for this model")
+            raise ModelError(f"average {what} diverges for this model")
         return m
 
     @property
+    def avg_flow_length(self) -> float:
+        return self._average(self.declared_avg_flow_length, self.length_axis.flows, "flow length")
+
+    @property
     def avg_flow_size(self) -> float:
-        if self.declared_avg_flow_size is not None:
-            return self.declared_avg_flow_size
-        m = self.size_axis.flows.mean()
-        if m is None:
-            raise ModelError("average flow size diverges for this model")
-        return m
+        return self._average(self.declared_avg_flow_size, self.size_axis.flows, "flow size")
 
     @property
     def avg_packet_size(self) -> float:

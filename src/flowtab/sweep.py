@@ -38,7 +38,7 @@ from .algorithms import (
     evaluate_batch,
 )
 from .analytic import AnalyticReport, analytic_for_spec
-from .generator import COUPLINGS, GeneratorConfig, generate_arrays, read_flow_csv
+from .generator import GeneratorConfig, generate_arrays, read_flow_csv
 from .model import TrafficModel
 
 __all__ = [
@@ -77,8 +77,8 @@ class SweepSpec:
     seeds: tuple[int, ...] = (1,)
     flow_count: int = 1_000_000
     duration_model: str = "equal"
-    joint_coupling: str = "comonotone"
-    min_packet: int = 64
+    joint_coupling: str = GeneratorConfig.joint_coupling
+    min_packet: int = GeneratorConfig.min_packet
     jobs: int = 1
     population_csv: str | None = None
 
@@ -87,10 +87,11 @@ class SweepSpec:
             raise ValueError("sweep requires at least one seed")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"a seed is named twice in {list(self.seeds)}")
+        self.generator_config(self.seeds[0])  # refuses a bad flow_count, coupling or min_packet
         if self.duration_model not in DURATION_MODELS:
             raise ValueError(f"unknown duration_model {self.duration_model!r}")
-        if self.joint_coupling not in COUPLINGS:
-            raise ValueError(f"unknown joint_coupling {self.joint_coupling!r}")
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         _check_algorithms(self.algorithms)
@@ -99,16 +100,14 @@ class SweepSpec:
         if "sampling" in self.algorithms and not self.probabilities:
             object.__setattr__(self, "probabilities", default_probabilities(self.axis))
 
+    def generator_config(self, seed: int) -> GeneratorConfig:
+        """The settings that generate the seed's population."""
+        return GeneratorConfig(seed=seed, flow_count=self.flow_count,
+                               joint_coupling=self.joint_coupling, min_packet=self.min_packet)
+
     def cells(self) -> list[AlgorithmSpec]:
-        out = []
-        for kind in self.algorithms:
-            if kind in ("first", "threshold"):
-                out.extend(AlgorithmSpec(kind, self.axis, threshold=t) for t in self.thresholds)
-            else:
-                out.extend(
-                    AlgorithmSpec(kind, self.axis, probability=p) for p in self.probabilities
-                )
-        return out
+        return [AlgorithmSpec.of(kind, self.axis, parameter) for kind in self.algorithms
+                for parameter in (self.probabilities if kind == "sampling" else self.thresholds)]
 
 
 @dataclass(frozen=True)
@@ -164,14 +163,9 @@ def _analytic(model: TrafficModel, cell: AlgorithmSpec) -> AnalyticReport:
         return AnalyticReport(0.0, math.inf, math.inf, 0.0)
 
 
-def _population(model: TrafficModel, lengths: np.ndarray, sizes: np.ndarray):
-    return lengths, sizes, PacketLayout(lengths, sizes, model.max_packet_size)
-
-
 def _generated(spec: SweepSpec, seed: int):
-    config = GeneratorConfig(seed=seed, flow_count=spec.flow_count,
-                             joint_coupling=spec.joint_coupling, min_packet=spec.min_packet)
-    return _population(spec.model, *generate_arrays(spec.model, config))
+    lengths, sizes = generate_arrays(spec.model, spec.generator_config(seed))
+    return lengths, sizes, PacketLayout(lengths, sizes, spec.model.max_packet_size)
 
 
 # cell kinds, dearest evaluation first
@@ -243,10 +237,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     flow_count = spec.flow_count
     if spec.population_csv is not None:
         # an ingested population is the same for every seed: read it once
-        population = _population(
-            spec.model, *read_flow_csv(spec.population_csv, spec.model.max_packet_size)
-        )
-        flow_count = len(population[0])
+        lengths, sizes = read_flow_csv(spec.population_csv, spec.model.max_packet_size)
+        population = lengths, sizes, PacketLayout(lengths, sizes, spec.model.max_packet_size)
+        flow_count = len(lengths)
     elif len(spec.seeds) == 1:
         population = _generated(spec, spec.seeds[0])
     tasks = _tasks(spec, cells, population is not None)
@@ -273,8 +266,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         rows = [per_seed[j][i] for j in range(len(spec.seeds))]
         # (coverage, ops, occ) means and standard deviations
         mean, std = zip(*(_mean_std(column) for column in zip(*rows)))
-        parameter = cell.threshold if cell.kind in ("first", "threshold") else cell.probability
-        out.append(SweepCell(kind=cell.kind, parameter=float(parameter), mean=mean, std=std,
+        out.append(SweepCell(kind=cell.kind, parameter=float(cell.parameter), mean=mean, std=std,
                              analytic=analytic[i], per_seed=tuple(rows)))
     return SweepResult(axis=spec.axis, algorithms=tuple(spec.algorithms), seeds=tuple(spec.seeds),
                        flow_count=flow_count, cells=tuple(out))

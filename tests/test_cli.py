@@ -15,6 +15,7 @@ from flowtab.algorithms import ALGORITHM_KINDS, AlgorithmSpec
 from flowtab.analytic import UnreachableError, analytic_for_spec, invert_for_coverage
 from flowtab.cli import DEFAULT_COVERAGES, main
 from flowtab.model import Mixture, load_model
+from flowtab.sweep import default_probabilities, default_thresholds, run_sweep
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 TOY = str(MODELS / "toy_twopoint.json")
@@ -362,6 +363,63 @@ def test_simulate_without_a_format_exits_2_before_the_sweep(monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("formats", ["markdown", "plotdata", "csv,markdown"])
+def test_simulate_takes_only_the_documented_format_names(capsys, tmp_path, formats):
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows", "2000",
+                    "--formats", formats, "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert "unknown output format" in json.loads(out)["errors"][0]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, series", [
+    ("--thresholds", ","), ("--thresholds", "geom:1:2:0"), ("--thresholds", "geom:1:2:-3"),
+    ("--probabilities", ","), ("--probabilities", "geom:0.5:0.5:0"),
+])
+def test_simulate_refuses_an_explicitly_empty_series(monkeypatch, capsys, tmp_path, flag, series):
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(flowtab.cli, "run_sweep", no_sweep)
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows", "2000",
+                    flag, series, "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert json.loads(out)["errors"][0] == {"type": "ValueError",
+                                            "message": f"{flag} names no value"}
+    # a config value of [] is as explicit as the flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: []}))
+    code, out = run(capsys, "--config", str(cfg), "simulate", "--model", TOY,
+                    "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert json.loads(out)["errors"][0]["message"] == f"{flag} names no value"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_simulate_without_a_series_flag_runs_the_default_series(monkeypatch, capsys, tmp_path):
+    specs = []
+
+    def recording_sweep(spec):
+        specs.append(spec)
+        return run_sweep(spec)
+
+    monkeypatch.setattr(flowtab.cli, "run_sweep", recording_sweep)
+    code, _ = run(capsys, "simulate", "--model", TOY, "--flows", "2000", "--out",
+                  str(tmp_path / "s"))
+    assert code == 0
+    assert specs[0].thresholds == default_thresholds("length")
+    assert specs[0].probabilities == default_probabilities("length")
+
+
+def test_simulate_refuses_a_seed_named_twice(capsys, tmp_path):
+    code, out = run(capsys, "simulate", "--model", TOY, "--flows", "2000", "--seeds", "2,1,2",
+                    "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert json.loads(out)["errors"][0] == {"type": "ValueError",
+                                            "message": "a seed is named twice in [2, 1, 2]"}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_simulate_rejects_non_finite_threshold_before_writing(capsys, tmp_path, value):
     code, out = run(capsys, "simulate", "--model", TOY, "--flows", "2000",
@@ -583,6 +641,12 @@ def test_peff_flags_and_profile(capsys, tmp_path):
     assert float(out) == pytest.approx(0.271, abs=1e-12)
     code, _ = run(capsys, "peff", "--p", "0.1")
     assert code == 2
+    # a flag the profile would override is refused, not ignored
+    for flags, named in ((("--p", "0.01", "--l-avg", "3"), "--p, --l-avg"),
+                         (("--p", "0.1"), "--p"), (("--l-avg", "3"), "--l-avg")):
+        code, out = run(capsys, "peff", "--paths", str(path), *flags)
+        assert code == 2
+        assert json.loads(out)["errors"][0]["message"] == f"{named} would be ignored with --paths"
     code, out = run(capsys, "peff", "--p", "0.5", "--l-avg", "nan")
     assert code == 2
     assert "l_avg must be >= 1" in json.loads(out)["errors"][0]["message"]

@@ -203,6 +203,31 @@ def test_layout_names_a_bad_flow_by_its_global_index():
         PacketLayout(lengths, sizes, 1518)
 
 
+def _refuses(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("max_packet_size", [1518, 9000, 2 ** 31 - 1])
+def test_layout_refuses_a_length_whose_envelope_overflows_as_ingest_does(tmp_path,
+                                                                        max_packet_size):
+    # one byte a packet: the flow splits, but length * max_packet_size
+    # overflows int64 past `longest`, where the wrapped product once decided
+    longest = (2 ** 63 - 1) // max_packet_size
+    rng = np.random.default_rng(max_packet_size)
+    wrapped = rng.integers(longest + 1, 2 ** 62, 50, dtype=np.int64).tolist()
+    path = str(tmp_path / "flow.csv")
+    for length in [longest, longest + 1] + wrapped:
+        lengths = sizes = np.array([length], dtype=np.int64)
+        write_flow_csv(path, lengths, sizes)
+        refused = _refuses(lambda: PacketLayout(lengths, sizes, max_packet_size))
+        assert refused == _refuses(lambda: read_flow_csv(path, max_packet_size)), length
+        assert refused == (length > longest), length
+
+
 def test_a_bad_flow_wins_over_an_overflowing_byte_total():
     # four flows of 2^61 bytes overflow int64, and the second block holds a
     # flow of no packets: the flow is named, as the check of each flow comes first

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 import flowtab.sweep
-from flowtab.algorithms import DegenerateError
+from flowtab.algorithms import AlgorithmSpec, DegenerateError
 from flowtab.analytic import AnalyticReport, analytic_for_spec
 from flowtab.generator import GeneratorConfig, generate_arrays, write_flow_csv
 from flowtab.sweep import (
@@ -297,6 +297,27 @@ def test_sweep_requires_parameters(toy_model):
         SweepSpec(model=toy_model, duration_model="uniform")
     with pytest.raises(ValueError, match="unknown joint_coupling"):
         SweepSpec(model=toy_model, joint_coupling="gaussian")
+    with pytest.raises(ValueError, match=r"a seed is named twice in \[1, 2, 1\]"):
+        SweepSpec(model=toy_model, seeds=(1, 2, 1))
     # omitted series fall back to the reference defaults
     spec = SweepSpec(model=toy_model, algorithms=("sampling",))
     assert spec.probabilities == default_probabilities("length")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"flow_count": 0}, "flow_count must be >= 1"),
+    ({"min_packet": 0}, "min_packet must be >= 1 byte"),
+    ({"flow_count": 0, "seeds": (1, 2, 3)}, "flow_count must be >= 1"),
+])
+def test_spec_refuses_bad_generation_settings_when_built(toy_model, setting, message):
+    # refused by the spec itself, not later in a pool worker generating a seed
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(model=toy_model, **setting)
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_cells_round_trip_through_their_parameter(toy_model, axis):
+    cells = SweepSpec(model=toy_model, axis=axis).cells()
+    assert {c.kind for c in cells} == {"first", "threshold", "sampling"}
+    for cell in cells:
+        assert AlgorithmSpec.of(cell.kind, cell.axis, cell.parameter) == cell
