@@ -15,10 +15,12 @@ entry (exactly those, but for the size-sampling bound below, which keeps
 a superset) and the per-flow arithmetic runs on those alone, summing their
 covered bytes exactly from the sizes and lead/base/tail values it holds
 (first needs the sizes alone); ``aggregate_batch`` reads only the entries'
-lengths, in blocks of the same size.  So a cell's working memory is its
-entries and a few blocks, never an array the length of the population, and
-the layout, built in blocks too, holds 16 B per flow.  The predicates, for
-a flow of n packets and s bytes:
+lengths, in blocks of the same size.  Each intermediate is written into
+the scratch the population's PacketLayout owns, and the entries into the
+caller's ``out`` pair, of which the results are views until it is written
+again.  So a cell allocates one block of indices at a time, and the
+layout, built in blocks too, holds 16 B per flow.  The predicates, for a
+flow of n packets and s bytes:
 
 - first and threshold, length axis: n > T;
 - first and threshold, size axis: s > T (for threshold the lead/tail
@@ -37,12 +39,18 @@ a flow of n packets and s bytes:
   alone then take log u and run the exact lead/tail formulas.
 
 Sampling draws one uniform per flow, the blocks in turn from one stream,
-so the draws do not depend on the block size.
+so the draws do not depend on the block size.  The first sampled packet is
+drawn from its exact law by inversion: with u uniform, packet k is the
+first success when the log-survival of the packets before it is >= log u
+and that of packets 1..k is < log u.  This matches a per-packet Bernoulli
+loop in distribution.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -200,7 +208,7 @@ class PacketLayout:
     checked first to split into packets of 1..max_packet_size bytes, with
     length * max_packet_size in int64, as read_flow_csv checks its rows.
     Build a layout once per population and pass it to every call over that
-    population.
+    population: they write its ``scratch``, so they run one at a time.
     """
 
     def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
@@ -225,9 +233,24 @@ class PacketLayout:
         self.total_bytes = int(sizes.sum())
         self.max_packet_size = max_packet_size
 
+    @functools.cached_property
+    def scratch(self) -> SimpleNamespace:
+        """The kernels' intermediates for a block of BLOCK_FLOWS flows, by name."""
+        return SimpleNamespace(**{name: np.empty(BLOCK_FLOWS, dtype) for names, dtype in (
+            ("lead i0 i1", np.int64), ("base tail", np.int32), ("f0 f1 f2", np.float64),
+            ("mask hit", bool)) for name in names.split()})
+
+    @functools.cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """An ``out`` pair for evaluate_batch, allocated where first asked for,
+        in a pool worker after its fork: pages no entry reaches stay absent."""
+        return np.empty(len(self.lead), dtype=np.int64), np.empty(len(self.lead), dtype=np.int64)
+
     def of(self, flows: np.ndarray):
-        """(lead, base, tail) of each of the ``flows``, indices into the population."""
-        return self.lead[flows], self.base[flows], self.tail[flows]
+        """(lead, base, tail) of each of the ``flows``, into the scratch."""
+        s = self.scratch
+        return _take(self.lead, flows, s.lead), _take(self.base, flows, s.base), \
+            _take(self.tail, flows, s.tail)
 
 
 def _blocks(n: int):
@@ -237,83 +260,104 @@ def _blocks(n: int):
         yield start, slice(start, min(start + BLOCK_FLOWS, n))
 
 
-def _covered(trigger: np.ndarray, size: np.ndarray, lead: np.ndarray, base: np.ndarray,
-             tail: np.ndarray) -> int:
+def _take(values: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[indices], in range, into the head of ``out``: "raise" would copy ``out`` first."""
+    return np.take(values, indices, out=out[:len(indices)], mode="clip")
+
+
+def _covered(size, trigger, lead, base, tail, tmp) -> int:
     """Bytes from packet ``trigger`` on, summed exactly over flows of these
-    sizes and layouts: the bytes their entries cover."""
-    k = trigger - 1
-    return int((size - k * base - np.maximum(k - lead, 0) * (tail - base)).sum())
+    layouts and of ``size`` bytes in all: the bytes their entries cover,
+    size - sum(k * base + max(k - lead, 0) * (tail - base)), k = trigger - 1.
+    Overwrites lead and ``tmp``."""
+    k = np.subtract(trigger, 1, out=tmp[:len(trigger)])
+    np.maximum(np.subtract(k, lead, out=lead), 0, out=lead)
+    size -= int(np.multiply(k, base, out=k).sum())
+    return size - int(np.multiply(lead, np.subtract(tail, base, out=k), out=lead).sum())
 
 
-def _threshold_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                        layout: PacketLayout):
-    T = spec.threshold
+def _threshold_block(lengths, sizes, spec, layout, rng, start, block, flows, trigger):
+    """A block's entries, written into the heads of flows and trigger, as
+    the other kernels do: their count and the bytes they cover."""
+    s, T, t = layout.scratch, spec.threshold, np.floor(spec.threshold)  # whole bytes
     value = lengths if spec.axis == "length" else sizes
-    for start, block in _blocks(len(lengths)):
-        flows = start + np.flatnonzero(value[block] > T)
-        size = sizes[flows]
-        if spec.kind == "first":
-            yield flows, np.ones(len(flows), dtype=np.int64), int(size.sum())
-            continue
-        lead, base, tail = layout.of(flows)
-        if spec.axis == "length":
-            trigger = np.full(len(flows), np.floor(T) + 1)
-        else:
-            # the packet that takes the flow's byte count above the threshold
-            t = np.floor(T)  # byte counts are integers
-            lead_bytes = lead * base
-            trigger = np.where(t < lead_bytes, np.floor(t / base),
-                               lead + np.floor((t - lead_bytes) / tail)) + 1
-        trigger = trigger.astype(np.int64)
-        yield flows, trigger, _covered(trigger, size, lead, base, tail)
+    cand = np.flatnonzero(np.greater(value[block], T, out=s.mask[:block.stop - start]))
+    n, trig = len(cand), trigger[:len(cand)]
+    cand = np.add(cand, start, out=flows[:n])
+    size = int(_take(sizes, cand, s.i0).sum())
+    if spec.kind == "first":
+        trig.fill(1)
+        return n, size
+    lead, base, tail = layout.of(cand)
+    if spec.axis == "length":
+        np.copyto(trig, t + 1, casting="unsafe")
+    else:  # the packet that takes the flow's byte count above the threshold
+        lead_bytes, x, inside = np.multiply(lead, base, out=s.i0[:n]), s.f0[:n], s.f1[:n]
+        np.floor(np.divide(np.subtract(t, lead_bytes, out=x), tail, out=x), out=x)
+        np.floor(np.divide(t, base, out=inside), out=inside)
+        np.copyto(np.add(lead, x, out=x), inside, where=np.less(t, lead_bytes, out=s.mask[:n]))
+        np.copyto(trig, np.add(x, 1, out=x), casting="unsafe")
+    return n, _covered(size, trig, lead, base, tail, s.i0)
+
+
+def _length_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows, trigger):
+    s = layout.scratch
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-spec.probability)  # -inf at p = 1
+    u = rng.random(out=s.f0[:block.stop - start])
+    x = np.divide(np.log(np.maximum(u, 2.0 ** -53, out=u), out=u), log_q, out=u)
+    cand = np.flatnonzero(np.less(x, lengths[block], out=s.mask[:len(x)]))
+    n, k = len(cand), _take(x, cand, s.f1)
+    np.copyto(trigger[:n], np.add(np.floor(k, out=k), 1, out=k), casting="unsafe")
+    cand = np.add(cand, start, out=flows[:n])
+    size = int(_take(sizes, cand, s.i0).sum())
+    return n, _covered(size, trigger[:n], *layout.of(cand), s.i0)
 
 
 def _size_candidates(u: np.ndarray, sizes: np.ndarray, tail: np.ndarray, p: float,
-                     max_packet_size: int) -> np.ndarray:
+                     layout: PacketLayout) -> np.ndarray:
     """Indices of the flows that size-scaled sampling at probability p can
     give an entry, by the bound of the module docstring."""
-    return np.flatnonzero((u - 1.0) * (max_packet_size / p - tail) > -(1.0 + 1e-6) * sizes)
+    s, n = layout.scratch, len(u)
+    lhs = np.subtract(u, 1.0, out=s.f1[:n])
+    np.multiply(lhs, np.subtract(layout.max_packet_size / p, tail, out=s.f2[:n]), out=lhs)
+    bound = np.multiply(-(1.0 + 1e-6), sizes, out=s.f2[:n])
+    return np.flatnonzero(np.greater(lhs, bound, out=s.mask[:n]))
 
 
-def _sampling_triggers(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                       layout: PacketLayout, rng: np.random.Generator):
-    # The first sampled packet is drawn from its exact law by inversion: with
-    # u uniform, packet k is the first success when the log-survival of the
-    # packets before it is >= log u and that of packets 1..k is < log u.
-    # This matches a per-packet Bernoulli loop in distribution.
-    p = spec.probability
-    scale = p / layout.max_packet_size
-    with np.errstate(divide="ignore"):
-        log_q = np.log1p(-p)  # -inf at p = 1
-    for start, block in _blocks(len(lengths)):
-        u = rng.random(block.stop - start)  # the blocks draw in turn from one stream
-        if spec.axis == "length":
-            x = np.log(np.maximum(u, 2.0 ** -53)) / log_q
-            cand = np.flatnonzero(x < lengths[block])
-            flows = start + cand
-            trigger = (np.floor(x[cand]) + 1).astype(np.int64)
-            yield flows, trigger, _covered(trigger, sizes[flows], *layout.of(flows))
-            continue
-        cand = _size_candidates(u, sizes[block], layout.tail[block], p, layout.max_packet_size)
-        # a run of leading packets sampled alike, then a run of trailing ones
-        flows = start + cand
-        log_u = np.log(np.maximum(u[cand], 2.0 ** -53))
-        lead, base, tail = layout.of(flows)
-        # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q_lead = np.log1p(-scale * base)
-            log_q_tail = np.log1p(-scale * tail)
-            k_lead = np.floor(log_u / log_q_lead) + 1
-            k_tail = lead + np.floor((log_u - lead * log_q_lead) / log_q_tail) + 1
-        trigger = np.where(k_lead <= lead, k_lead,
-                           np.where(k_tail <= lengths[flows], k_tail, 0))
-        hit = np.flatnonzero(trigger > 0)
-        flows, trigger = flows[hit], trigger[hit].astype(np.int64)
-        yield flows, trigger, _covered(trigger, sizes[flows], lead[hit], base[hit], tail[hit])
+def _size_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows, trigger):
+    s, p = layout.scratch, spec.probability
+    scale, u = p / layout.max_packet_size, rng.random(out=s.f0[:block.stop - start])
+    cand = _size_candidates(u, sizes[block], layout.tail[block], p, layout)
+    # a run of leading packets sampled alike, then a run of trailing ones
+    n, log_u = len(cand), _take(u, cand, s.f1)
+    np.log(np.maximum(log_u, 2.0 ** -53, out=log_u), out=log_u)
+    cand = np.add(cand, start, out=s.i1[:n])  # frees the indices before the hits' are found
+    (lead, base, tail), size = layout.of(cand), int(_take(sizes, cand, s.i0).sum())
+    k_lead, log_q_run = s.f0[:n], s.f2[:n]
+    # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log1p(np.multiply(-scale, base, out=log_q_run), out=log_q_run)
+        np.add(np.floor(np.divide(log_u, log_q_run, out=k_lead), out=k_lead), 1, out=k_lead)
+        # k_tail = lead + floor((log_u - lead * log_q_lead) / log_q_tail) + 1, over log_u
+        k_tail = np.subtract(log_u, np.multiply(lead, log_q_run, out=log_q_run), out=log_u)
+        np.log1p(np.multiply(-scale, tail, out=log_q_run), out=log_q_run)
+        np.floor(np.divide(k_tail, log_q_run, out=k_tail), out=k_tail)
+        np.add(np.add(lead, k_tail, out=k_tail), 1, out=k_tail)
+    # where(k_lead <= lead, k_lead, where(k_tail <= n, k_tail, n + 1)): at packet n + 1 a flow
+    # has no entry and covers nothing
+    trig, in_tail, in_lead = _take(lengths, cand, s.i0), s.mask[:n], s.hit[:n]
+    np.less_equal(k_tail, trig, out=in_tail)
+    np.copyto(np.add(trig, 1, out=trig), k_tail, where=in_tail, casting="unsafe")
+    np.copyto(trig, k_lead, where=np.less_equal(k_lead, lead, out=in_lead), casting="unsafe")
+    hits = np.flatnonzero(np.logical_or(in_tail, in_lead, out=in_tail))
+    _take(cand, hits, flows), _take(trig, hits, trigger)
+    return len(hits), _covered(size, trig, lead, base, tail, cand)
 
 
 def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                   layout: PacketLayout, rng: np.random.Generator | None = None):
+                   layout: PacketLayout, rng: np.random.Generator | None = None,
+                   out: tuple[np.ndarray, np.ndarray] | None = None):
     """The entries a spec creates over a population, as (flows, trigger,
     covered): the increasing indices of the flows that gain an entry and
     the packet, from 1, that creates each one, both int64, and the exact
@@ -321,27 +365,37 @@ def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     triggering packet on.
 
     ``layout`` is the population's PacketLayout, which carries the model's
-    max_packet_size.  Sampling draws from ``rng``.
+    max_packet_size and the kernels' scratch.  Sampling draws from ``rng``.
+    flows and trigger are views of the heads of ``out``, two int64 arrays
+    at least as long as the population such as ``layout.entries``, valid
+    until they are next written; without ``out`` the call allocates them.
     """
-    if spec.kind != "sampling":
-        triggers = _threshold_triggers(lengths, sizes, spec, layout)
-    elif rng is None:
+    if out is None:
+        out = np.empty(len(lengths), dtype=np.int64), np.empty(len(lengths), dtype=np.int64)
+    flows, trigger = out
+    if any(a.dtype != np.int64 or len(a) < len(lengths) for a in out):
+        raise ValueError(f"out must be two int64 arrays of at least {len(lengths)} entries")
+    if spec.kind == "sampling" and rng is None:
         raise ValueError("sampling evaluation requires an RNG")
-    else:
-        triggers = _sampling_triggers(lengths, sizes, spec, layout, rng)
-    flows, trigger, covered = zip(*triggers)
-    return np.concatenate(flows), np.concatenate(trigger), sum(covered)
+    kernel = _threshold_block if spec.kind != "sampling" else \
+        _length_sampling_block if spec.axis == "length" else _size_sampling_block
+    entries = covered = 0
+    for start, block in _blocks(len(lengths)):
+        count, bytes_ = kernel(lengths, sizes, spec, layout, rng, start, block,
+                               flows[entries:], trigger[entries:])
+        entries, covered = entries + count, covered + bytes_
+    return flows[:entries], trigger[:entries], covered
 
 
 def aggregate_batch(lengths: np.ndarray, layout: PacketLayout, flows: np.ndarray,
                     trigger: np.ndarray, covered: int,
                     duration_model: str = "equal") -> MetricsReport:
     """Fold the entries of evaluate_batch, and the bytes they cover, into
-    coverage and reduction factors, a block of entries at a time.  An entry
-    created at packet t of an n-packet flow occupies the table for
-    n + 1 - t packets: the fraction (n + 1 - t) / n of the flow's duration
-    under the equal-duration model, n + 1 - t packet times under the
-    proportional one, whose sum is an exact integer.
+    coverage and reduction factors, a block of entries at a time in the
+    layout's scratch.  An entry created at packet t of an n-packet flow
+    occupies the table for n + 1 - t packets: the fraction (n + 1 - t) / n
+    of the flow's duration under the equal-duration model, n + 1 - t
+    packet times under the proportional one, whose sum is an exact integer.
 
     Raises DegenerateError when no entry was created (coverage 0, both
     reductions unbounded).
@@ -355,11 +409,14 @@ def aggregate_batch(lengths: np.ndarray, layout: PacketLayout, flows: np.ndarray
     if entries == 0:
         raise DegenerateError("no flow created an entry; reductions are infinite")
     equal = duration_model == "equal"
+    s = layout.scratch
     occupied = 0
     for _, block in _blocks(entries):
-        packets = lengths[flows[block]]
-        held = packets + 1 - trigger[block]
-        occupied += float((held / packets).sum()) if equal else int(held.sum())
+        packets = _take(lengths, flows[block], s.i0)
+        held = np.subtract(np.add(packets, 1, out=s.i1[:len(packets)]), trigger[block],
+                           out=s.i1[:len(packets)])
+        occupied += float(np.divide(held, packets, out=s.f0[:len(packets)]).sum()) if equal \
+            else int(held.sum())
     coverage = 100.0 * float(covered) / float(layout.total_bytes)
     # the baseline holds every flow's entry for the flow's whole duration
     baseline = n if equal else float(lengths.sum())

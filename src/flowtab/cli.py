@@ -297,11 +297,15 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError(f"config key {key!r} names no flag")
                 if value is None or isinstance(value, (bool, dict)):  # no command-line text
                     raise ValueError(f"config key {key!r}: expected a string, number or list")
-                # carried as the command line's text, converted as its flag's would be, and
-                # made the flag's default, which also satisfies a required flag
+                # carried as the command line's text, converted and checked against its
+                # choices as its flag's would be (argparse checks command-line text alone),
+                # and made the flag's default, which also satisfies a required flag
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
                 for action in named:
                     action.default, action.required = (action.type or str)(text), False
+                    if action.default not in (action.choices or [action.default]):
+                        raise ValueError(f"config key {key!r}: {action.default!r} is not one of "
+                                         f"{', '.join(map(repr, action.choices))}")
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))
             return EXIT_VALIDATION

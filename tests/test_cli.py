@@ -747,6 +747,26 @@ def test_config_value_with_no_command_line_text_exits_2(capsys, tmp_path, value)
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("key, command, allowed", [
+    ("axis", ["analyze", "--coverages", "50"], "'length', 'size'"),
+    ("axis", ["simulate", "--flows", "1e3"], "'length', 'size'"),
+    ("duration-model", ["simulate", "--flows", "1e3"], "'equal', 'proportional'"),
+    ("coupling", ["simulate", "--flows", "1e3"], "'comonotone', 'independent'"),
+    ("coupling", ["generate", "--flows", "1e3", "--seed", "1"], "'comonotone', 'independent'"),
+], ids=["analyze-axis", "simulate-axis", "duration-model", "simulate-coupling",
+        "generate-coupling"])
+def test_config_value_outside_its_flags_choices_exits_2(capsys, tmp_path, key, command, allowed):
+    # argparse checks choices on command-line text alone, so the config pass does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "bogus"}))
+    code, out = run(capsys, "--config", str(cfg), *command, "--model", TOY,
+                    "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert json.loads(out) == {"errors": [{
+        "type": "ConfigError", "message": f"config key {key!r}: 'bogus' is not one of {allowed}"}]}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_simulate_from_ingested_flows(capsys, tmp_path):
     pop = tmp_path / "pop.csv"
     run(capsys, "generate", "--model", TOY, "--flows", "3000", "--seed", "2",

@@ -8,14 +8,21 @@ time: the one-shot formulas at the block edges, and a few blocks beyond
 their outputs."""
 from __future__ import annotations
 
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import flowtab
 from flowtab.algorithms import (
     BLOCK_FLOWS,
     AlgorithmSpec,
+    DegenerateError,
     PacketLayout,
     _size_candidates,
     aggregate_batch,
@@ -123,7 +130,7 @@ def test_size_prefilter_keeps_every_created_flow(max_packet_size):
             log_u = np.log(np.maximum(u, 2.0 ** -53))
             created = reference_sampling_trigger(lengths, spec, layout, log_u) > 0
             kept = np.zeros(len(lengths), dtype=bool)
-            kept[_size_candidates(u, sizes, layout.tail, p, max_packet_size)] = True
+            kept[_size_candidates(u, sizes, layout.tail, p, layout)] = True
             assert not np.any(created & ~kept), spec
             assert kept[full].all() or p < 1.0, spec
 
@@ -151,10 +158,105 @@ def test_kernel_memory_is_outputs_plus_a_few_blocks(spec):
     count = 4 * BLOCK_FLOWS + 77
     lengths, sizes = kernel_population(count, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
-    peak, (flows, trigger, _) = traced_peak(
+    peak, _ = traced_peak(
         lambda: evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(1)))
-    outputs = flows.nbytes + trigger.nbytes
-    assert peak < outputs + 24 * 8 * BLOCK_FLOWS, (peak, outputs)
+    # the pair the call allocates, the layout's scratch of 8 1/8 blocks and
+    # a block of candidate indices
+    pair = 2 * 8 * count
+    assert peak < pair + 10 * 8 * BLOCK_FLOWS, (peak, pair)
+
+
+def interleaved_specs(axis: str) -> list[AlgorithmSpec]:
+    """kernel_specs(axis), the kinds taking turns, then a degenerate cell."""
+    specs = kernel_specs(axis)
+    by_kind = [[spec for spec in specs if spec.kind == kind]
+               for kind in ("first", "threshold", "sampling")]
+    turns = [spec for turn in itertools.zip_longest(*by_kind) for spec in turn if spec]
+    return turns + [AlgorithmSpec("threshold", axis, threshold=2.0 ** 62)]
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_a_reused_pair_holds_the_fresh_results(axis):
+    lengths, sizes = kernel_population(3 * BLOCK_FLOWS + 77, 1518)
+    for count in (1, BLOCK_FLOWS - 1, BLOCK_FLOWS + 1, 3 * BLOCK_FLOWS + 77):
+        ls, ss = lengths[:count], sizes[:count]
+        layout = PacketLayout(ls, ss, 1518)
+        pair = (np.empty(count, dtype=np.int64), np.empty(count + 5, dtype=np.int64))
+        for spec in interleaved_specs(axis):
+            fresh = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            reused = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count),
+                                    out=pair)
+            # views of the pair's heads
+            assert all(got.base is head and got.ctypes.data == head.ctypes.data
+                       for got, head in zip(reused, pair)), (count, spec)
+            assert all(np.array_equal(got, want) for got, want in zip(reused[:2], fresh[:2]))
+            assert reused[2] == fresh[2], (count, spec)
+            if len(fresh[0]) == 0:
+                with pytest.raises(DegenerateError):
+                    aggregate_batch(ls, layout, *reused)
+                continue
+            for model in ("equal", "proportional"):
+                assert aggregate_batch(ls, layout, *reused, model) == \
+                    aggregate_batch(ls, layout, *fresh, model), (count, spec)
+        assert len(reused[0]) == 0  # the degenerate cell, last
+
+
+def test_a_pair_shorter_than_the_population_is_refused():
+    lengths, sizes = kernel_population(BLOCK_FLOWS + 1, 1518)
+    layout = PacketLayout(lengths, sizes, 1518)
+    spec = AlgorithmSpec("first", "length", threshold=1.0)
+    for out in ((np.empty(BLOCK_FLOWS, dtype=np.int64), np.empty(BLOCK_FLOWS + 1, dtype=np.int64)),
+                (np.empty(BLOCK_FLOWS + 1, dtype=np.int64), np.empty(BLOCK_FLOWS, dtype=np.int64)),
+                (np.empty(BLOCK_FLOWS + 1, dtype=np.int64), np.empty(BLOCK_FLOWS + 1))):
+        with pytest.raises(ValueError, match="out must be two int64 arrays"):
+            evaluate_batch(lengths, sizes, spec, layout, out=out)
+
+
+@pytest.mark.parametrize("kind", ["first", "threshold", "sampling"])
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_a_warm_cell_allocates_less_than_two_blocks(kind, axis):
+    # after a first cell has allocated the layout's scratch, a cell reusing
+    # one pair holds at most its candidates' indices beyond it
+    count = 4 * BLOCK_FLOWS + 77
+    lengths, sizes = kernel_population(count, 1518)
+    layout = PacketLayout(lengths, sizes, 1518)
+    pair = layout.entries
+    first, second = (1.0, 0.5) if kind == "sampling" else (4.0, 1.0)
+    for parameter in first, second:
+        spec = AlgorithmSpec.of(kind, axis, parameter)
+        peak, report = traced_peak(lambda: aggregate_batch(lengths, layout, *evaluate_batch(
+            lengths, sizes, spec, layout, rng=np.random.default_rng(3), out=pair)))
+    assert report.entries_created > BLOCK_FLOWS, report
+    assert peak < 2 * 8 * BLOCK_FLOWS, peak
+
+
+SERIES_FAULTS = """
+import resource, sys
+import numpy as np
+from flowtab.model import load_model
+from flowtab.sweep import SweepSpec, _generated, _metrics_tuple
+spec = SweepSpec(model=load_model(sys.argv[1]), flow_count=262144)
+population = _generated(spec, 1)
+if sys.argv[2] == "freed":
+    np.ones(2 ** 19)  # 4 MiB allocated, written and freed
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for cell in spec.cells():
+    _metrics_tuple(*population, cell, 1, spec.duration_model)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_series_faults_do_not_depend_on_what_was_freed_before():
+    # a default length series of 262,144 heavy-tail flows, each in a fresh
+    # interpreter: the kernels fault in their scratch and entry pair once,
+    # whatever the allocator's thresholds were left at
+    pytest.importorskip("resource")
+    model = pathlib.Path(__file__).resolve().parent.parent / "models" / "example_heavytail.json"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(flowtab.__file__).parents[1])}
+    faults = [int(subprocess.run([sys.executable, "-c", SERIES_FAULTS, str(model), prior],
+                                 capture_output=True, text=True, check=True, env=env).stdout)
+              for prior in ("none", "freed")]
+    assert abs(faults[0] - faults[1]) < 0.25 * max(faults), faults
 
 
 # -- population set-up: the layout and the CSV ingest, a block at a time ---------
