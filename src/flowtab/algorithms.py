@@ -15,11 +15,12 @@ entry (exactly those, but for the size-sampling bound below, which keeps
 a superset) and the per-flow arithmetic runs on those alone, summing their
 covered bytes exactly from the sizes and lead/base/tail values it holds
 (first needs the sizes alone); ``aggregate_batch`` reads only the entries'
-lengths, in blocks of the same size.  Each intermediate is written into
-the scratch the population's PacketLayout owns, and the entries into the
-caller's ``out`` pair, of which the results are views until it is written
-again.  So a cell allocates one block of indices at a time, and the
-layout, built in blocks too, holds 16 B per flow.  The predicates, for a
+lengths, in blocks of the same size.  The population's PacketLayout owns
+both the scratch each intermediate is written into and the ``entries``
+pair the entries are written into, so the results are views of that pair
+until the next call over the population.  A cell allocates one block of
+indices at a time, and the layout, built in blocks too, holds 16 B per
+flow beside its scratch and pair.  The predicates, for a
 flow of n packets and s bytes:
 
 - first and threshold, length axis: n > T;
@@ -54,18 +55,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = [
-    "DegenerateError",
-    "AlgorithmSpec",
-    "PacketLayout",
-    "PathProfile",
-    "MetricsReport",
-    "p_total",
-    "p_eff_paths",
-    "p_eff_avg",
-    "evaluate_batch",
-    "aggregate_batch",
-]
+__all__ = ["DegenerateError", "AlgorithmSpec", "PacketLayout", "PathProfile", "MetricsReport",
+           "p_total", "p_eff_paths", "p_eff_avg", "evaluate_batch", "aggregate_batch"]
 
 ALGORITHM_KINDS = ("first", "threshold", "sampling")
 AXES = ("length", "size")
@@ -208,7 +199,8 @@ class PacketLayout:
     checked first to split into packets of 1..max_packet_size bytes, with
     length * max_packet_size in int64, as read_flow_csv checks its rows.
     Build a layout once per population and pass it to every call over that
-    population: they write its ``scratch``, so they run one at a time.
+    population: they write its ``scratch`` and ``entries``, so they run one
+    at a time.
     """
 
     def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
@@ -242,12 +234,14 @@ class PacketLayout:
 
     @functools.cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """An ``out`` pair for evaluate_batch, allocated where first asked for,
-        in a pool worker after its fork: pages no entry reaches stay absent."""
+        """The int64 (flows, trigger) pair evaluate_batch writes, allocated
+        where first used, in a pool worker after its fork: pages no entry
+        reaches stay absent."""
         return np.empty(len(self.lead), dtype=np.int64), np.empty(len(self.lead), dtype=np.int64)
 
-    def of(self, flows: np.ndarray):
-        """(lead, base, tail) of each of the ``flows``, into the scratch."""
+    def _of(self, flows: np.ndarray):
+        """(lead, base, tail) of each of the ``flows``, gathered into the
+        scratch, where the next gather overwrites them."""
         s = self.scratch
         return _take(self.lead, flows, s.lead), _take(self.base, flows, s.base), \
             _take(self.tail, flows, s.tail)
@@ -278,19 +272,29 @@ def _covered(size, trigger, lead, base, tail, tmp) -> int:
 
 def _threshold_block(lengths, sizes, spec, layout, rng, start, block, flows, trigger):
     """A block's entries, written into the heads of flows and trigger, as
-    the other kernels do: their count and the bytes they cover."""
-    s, T, t = layout.scratch, spec.threshold, np.floor(spec.threshold)  # whole bytes
-    value = lengths if spec.axis == "length" else sizes
-    cand = np.flatnonzero(np.greater(value[block], T, out=s.mask[:block.stop - start]))
+    the size-sampling kernel does: their count and the bytes they cover.
+    Length-axis sampling is a threshold per flow, x = log u / log(1 - p)."""
+    s, m = layout.scratch, block.stop - start
+    if spec.kind == "sampling":
+        with np.errstate(divide="ignore"):
+            log_q = np.log1p(-spec.probability)  # -inf at p = 1
+        u = rng.random(out=s.f0[:m])
+        x = np.divide(np.log(np.maximum(u, 2.0 ** -53, out=u), out=u), log_q, out=u)
+        cand = np.flatnonzero(np.less(x, lengths[block], out=s.mask[:m]))
+        t = np.floor(_take(x, cand, s.f1), out=s.f1[:len(cand)])
+    else:
+        value = lengths if spec.axis == "length" else sizes
+        cand = np.flatnonzero(np.greater(value[block], spec.threshold, out=s.mask[:m]))
+        t = np.floor(spec.threshold)  # whole packets or bytes
     n, trig = len(cand), trigger[:len(cand)]
     cand = np.add(cand, start, out=flows[:n])
     size = int(_take(sizes, cand, s.i0).sum())
     if spec.kind == "first":
         trig.fill(1)
         return n, size
-    lead, base, tail = layout.of(cand)
+    lead, base, tail = layout._of(cand)
     if spec.axis == "length":
-        np.copyto(trig, t + 1, casting="unsafe")
+        np.copyto(trig, np.add(t, 1, out=s.f1[:n]), casting="unsafe")
     else:  # the packet that takes the flow's byte count above the threshold
         lead_bytes, x, inside = np.multiply(lead, base, out=s.i0[:n]), s.f0[:n], s.f1[:n]
         np.floor(np.divide(np.subtract(t, lead_bytes, out=x), tail, out=x), out=x)
@@ -298,20 +302,6 @@ def _threshold_block(lengths, sizes, spec, layout, rng, start, block, flows, tri
         np.copyto(np.add(lead, x, out=x), inside, where=np.less(t, lead_bytes, out=s.mask[:n]))
         np.copyto(trig, np.add(x, 1, out=x), casting="unsafe")
     return n, _covered(size, trig, lead, base, tail, s.i0)
-
-
-def _length_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows, trigger):
-    s = layout.scratch
-    with np.errstate(divide="ignore"):
-        log_q = np.log1p(-spec.probability)  # -inf at p = 1
-    u = rng.random(out=s.f0[:block.stop - start])
-    x = np.divide(np.log(np.maximum(u, 2.0 ** -53, out=u), out=u), log_q, out=u)
-    cand = np.flatnonzero(np.less(x, lengths[block], out=s.mask[:len(x)]))
-    n, k = len(cand), _take(x, cand, s.f1)
-    np.copyto(trigger[:n], np.add(np.floor(k, out=k), 1, out=k), casting="unsafe")
-    cand = np.add(cand, start, out=flows[:n])
-    size = int(_take(sizes, cand, s.i0).sum())
-    return n, _covered(size, trigger[:n], *layout.of(cand), s.i0)
 
 
 def _size_candidates(u: np.ndarray, sizes: np.ndarray, tail: np.ndarray, p: float,
@@ -333,7 +323,7 @@ def _size_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows,
     n, log_u = len(cand), _take(u, cand, s.f1)
     np.log(np.maximum(log_u, 2.0 ** -53, out=log_u), out=log_u)
     cand = np.add(cand, start, out=s.i1[:n])  # frees the indices before the hits' are found
-    (lead, base, tail), size = layout.of(cand), int(_take(sizes, cand, s.i0).sum())
+    (lead, base, tail), size = layout._of(cand), int(_take(sizes, cand, s.i0).sum())
     k_lead, log_q_run = s.f0[:n], s.f2[:n]
     # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -356,8 +346,7 @@ def _size_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows,
 
 
 def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                   layout: PacketLayout, rng: np.random.Generator | None = None,
-                   out: tuple[np.ndarray, np.ndarray] | None = None):
+                   layout: PacketLayout, rng: np.random.Generator | None = None):
     """The entries a spec creates over a population, as (flows, trigger,
     covered): the increasing indices of the flows that gain an entry and
     the packet, from 1, that creates each one, both int64, and the exact
@@ -365,21 +354,15 @@ def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     triggering packet on.
 
     ``layout`` is the population's PacketLayout, which carries the model's
-    max_packet_size and the kernels' scratch.  Sampling draws from ``rng``.
-    flows and trigger are views of the heads of ``out``, two int64 arrays
-    at least as long as the population such as ``layout.entries``, valid
-    until they are next written; without ``out`` the call allocates them.
+    max_packet_size and the kernels' scratch.  flows and trigger are views
+    of the heads of its ``entries`` pair, valid until the next call over
+    the population writes them.  Sampling draws from ``rng``.
     """
-    if out is None:
-        out = np.empty(len(lengths), dtype=np.int64), np.empty(len(lengths), dtype=np.int64)
-    flows, trigger = out
-    if any(a.dtype != np.int64 or len(a) < len(lengths) for a in out):
-        raise ValueError(f"out must be two int64 arrays of at least {len(lengths)} entries")
     if spec.kind == "sampling" and rng is None:
         raise ValueError("sampling evaluation requires an RNG")
-    kernel = _threshold_block if spec.kind != "sampling" else \
-        _length_sampling_block if spec.axis == "length" else _size_sampling_block
-    entries = covered = 0
+    kernel = _size_sampling_block if spec.kind == "sampling" and spec.axis == "size" \
+        else _threshold_block
+    (flows, trigger), entries, covered = layout.entries, 0, 0
     for start, block in _blocks(len(lengths)):
         count, bytes_ = kernel(lengths, sizes, spec, layout, rng, start, block,
                                flows[entries:], trigger[entries:])
@@ -402,20 +385,18 @@ def aggregate_batch(lengths: np.ndarray, layout: PacketLayout, flows: np.ndarray
     """
     if duration_model not in DURATION_MODELS:
         raise ValueError(f"unknown duration_model {duration_model!r}")
-    n = len(lengths)
-    entries = len(flows)
+    n, entries = len(lengths), len(flows)
     if n == 0:
         raise ValueError("aggregate requires a non-empty population")
     if entries == 0:
         raise DegenerateError("no flow created an entry; reductions are infinite")
-    equal = duration_model == "equal"
-    s = layout.scratch
-    occupied = 0
+    if flows[0] < 0 or flows[-1] >= n:  # increasing, so its ends bound every index
+        raise IndexError(f"flow index out of range for a population of {n} flows")
+    equal, s, occupied = duration_model == "equal", layout.scratch, 0
     for _, block in _blocks(entries):
-        packets = _take(lengths, flows[block], s.i0)
-        held = np.subtract(np.add(packets, 1, out=s.i1[:len(packets)]), trigger[block],
-                           out=s.i1[:len(packets)])
-        occupied += float(np.divide(held, packets, out=s.f0[:len(packets)]).sum()) if equal \
+        packets, held = _take(lengths, flows[block], s.i0), s.i1[:block.stop - block.start]
+        np.subtract(np.add(packets, 1, out=held), trigger[block], out=held)
+        occupied += float(np.divide(held, packets, out=s.f0[:len(held)]).sum()) if equal \
             else int(held.sum())
     coverage = 100.0 * float(covered) / float(layout.total_bytes)
     # the baseline holds every flow's entry for the flow's whole duration

@@ -30,11 +30,8 @@ EXIT_CONSISTENCY = 3
 DEFAULT_COVERAGES = tuple(float(c) for c in range(1, 100)) + (99.9,)
 
 # --formats name -> (emit_table format, output file suffix)
-_TABLE_FORMATS = {
-    "csv": ("csv", ".csv"),
-    "md": ("markdown", ".md"),
-    "plot": ("plotdata", ".plot.csv"),
-}
+_TABLE_FORMATS = {"csv": ("csv", ".csv"), "md": ("markdown", ".md"),
+                  "plot": ("plotdata", ".plot.csv")}
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -122,21 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_validate(args) -> int:
     try:
         model = load_model(args.model)
-        report = {
-            "valid": True,
-            "name": model.name,
-            "avg_flow_length": model.avg_flow_length,
-            "avg_flow_size": model.avg_flow_size,
-            "avg_packet_size": model.avg_packet_size,
-            "max_packet_size": model.max_packet_size,
-            "errors": [],
-        }
+        report = {"valid": True, "name": model.name, "avg_flow_length": model.avg_flow_length,
+                  "avg_flow_size": model.avg_flow_size, "avg_packet_size": model.avg_packet_size,
+                  "max_packet_size": model.max_packet_size, "errors": []}
     except ModelError as exc:  # a diverging average too, read here or in the load
         code = EXIT_CONSISTENCY if isinstance(exc, DominanceError) else EXIT_VALIDATION
-        print(json.dumps({
-            "valid": False,
-            "errors": [{"type": type(exc).__name__, "message": str(exc)}],
-        }))
+        print(json.dumps({"valid": False,
+                          "errors": [{"type": type(exc).__name__, "message": str(exc)}]}))
         return code
     print(json.dumps(report))
     return EXIT_OK
@@ -159,20 +148,11 @@ def _cmd_simulate(args) -> int:
         if series == ():
             raise ValueError(f"{flag} names no value")
     model = load_model(args.model)
-    spec = SweepSpec(
-        model=model,
-        axis=args.axis,
-        algorithms=args.algorithms,
-        thresholds=args.thresholds or (),
-        probabilities=args.probabilities or (),
-        seeds=args.seeds,
-        flow_count=args.flows,
-        duration_model=args.duration_model,
-        joint_coupling=args.coupling,
-        min_packet=args.min_packet,
-        jobs=args.jobs,
-        population_csv=args.flows_csv,
-    )
+    spec = SweepSpec(model=model, axis=args.axis, algorithms=args.algorithms,
+                     thresholds=args.thresholds or (), probabilities=args.probabilities or (),
+                     seeds=args.seeds, flow_count=args.flows, duration_model=args.duration_model,
+                     joint_coupling=args.coupling, min_packet=args.min_packet, jobs=args.jobs,
+                     population_csv=args.flows_csv)
     result = run_sweep(spec)
     for fmt in args.formats:
         table, suffix = _TABLE_FORMATS[fmt]
@@ -252,25 +232,16 @@ def _cmd_peff(args) -> int:
 
 def _cmd_generate(args) -> int:
     model = load_model(args.model)
-    config = GeneratorConfig(
-        seed=args.seed,
-        flow_count=args.flows,
-        joint_coupling=args.coupling,
-        min_packet=args.min_packet,
-    )
+    config = GeneratorConfig(seed=args.seed, flow_count=args.flows, joint_coupling=args.coupling,
+                             min_packet=args.min_packet)
     lengths, sizes = generate_arrays(model, config)
     write_flow_csv(args.out, lengths, sizes)
     print(f"wrote {args.out} ({len(lengths)} flows)")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "peff": _cmd_peff,
-    "generate": _cmd_generate,
-}
+_COMMANDS = {"validate": _cmd_validate, "simulate": _cmd_simulate, "analyze": _cmd_analyze,
+             "peff": _cmd_peff, "generate": _cmd_generate}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -807,12 +807,8 @@ def parse_model(document: str) -> TrafficModel:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     obj = _require_mapping(obj, "model")
-    _check_keys(
-        obj,
-        ("name", "axes"),
-        ("max_packet_size", "avg_flow_length", "avg_flow_size", "avg_packet_size"),
-        "model",
-    )
+    _check_keys(obj, ("name", "axes"),
+                ("max_packet_size", "avg_flow_length", "avg_flow_size", "avg_packet_size"), "model")
     if not isinstance(obj["name"], str):
         raise SchemaError("model.name: expected a string")
     axes = _require_mapping(obj["axes"], "model.axes")
@@ -840,15 +836,9 @@ def parse_model(document: str) -> TrafficModel:
                 f"avg_flow_size/avg_flow_length = {implied:g} by more than 1%"
             )
 
-    model = TrafficModel(
-        name=obj["name"],
-        length_axis=length_axis,
-        size_axis=size_axis,
-        max_packet_size=max_packet,
-        declared_avg_flow_length=afl,
-        declared_avg_flow_size=afs,
-        declared_avg_packet_size=aps,
-    )
+    model = TrafficModel(name=obj["name"], length_axis=length_axis, size_axis=size_axis,
+                         max_packet_size=max_packet, declared_avg_flow_length=afl,
+                         declared_avg_flow_size=afs, declared_avg_packet_size=aps)
     if model.max_packet_size < model.avg_packet_size:
         raise SchemaError(
             f"max_packet_size {model.max_packet_size} below average packet size "

@@ -148,7 +148,7 @@ def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
 
 def _metrics_tuple(lengths, sizes, layout, spec, seed, duration_model) -> tuple[float, float, float]:
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng, out=layout.entries)
+    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
     try:
         rep = aggregate_batch(lengths, layout, *entries, duration_model)
     except DegenerateError:

@@ -160,7 +160,7 @@ def test_kernel_memory_is_outputs_plus_a_few_blocks(spec):
     layout = PacketLayout(lengths, sizes, 1518)
     peak, _ = traced_peak(
         lambda: evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(1)))
-    # the pair the call allocates, the layout's scratch of 8 1/8 blocks and
+    # the layout's entry pair, which the call allocates, its scratch of 8 1/8 blocks and
     # a block of candidate indices
     pair = 2 * 8 * count
     assert peak < pair + 10 * 8 * BLOCK_FLOWS, (peak, pair)
@@ -177,18 +177,19 @@ def interleaved_specs(axis: str) -> list[AlgorithmSpec]:
 
 @pytest.mark.parametrize("axis", ["length", "size"])
 def test_a_reused_pair_holds_the_fresh_results(axis):
+    # one layout runs the kinds in turn through its pair and scratch; each
+    # cell's results equal those of a fresh layout, whose pair is new
     lengths, sizes = kernel_population(3 * BLOCK_FLOWS + 77, 1518)
     for count in (1, BLOCK_FLOWS - 1, BLOCK_FLOWS + 1, 3 * BLOCK_FLOWS + 77):
         ls, ss = lengths[:count], sizes[:count]
         layout = PacketLayout(ls, ss, 1518)
-        pair = (np.empty(count, dtype=np.int64), np.empty(count + 5, dtype=np.int64))
         for spec in interleaved_specs(axis):
-            fresh = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
-            reused = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count),
-                                    out=pair)
+            fresh_layout = PacketLayout(ls, ss, 1518)
+            fresh = evaluate_batch(ls, ss, spec, fresh_layout, rng=np.random.default_rng(count))
+            reused = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
             # views of the pair's heads
             assert all(got.base is head and got.ctypes.data == head.ctypes.data
-                       for got, head in zip(reused, pair)), (count, spec)
+                       for got, head in zip(reused, layout.entries)), (count, spec)
             assert all(np.array_equal(got, want) for got, want in zip(reused[:2], fresh[:2]))
             assert reused[2] == fresh[2], (count, spec)
             if len(fresh[0]) == 0:
@@ -197,35 +198,32 @@ def test_a_reused_pair_holds_the_fresh_results(axis):
                 continue
             for model in ("equal", "proportional"):
                 assert aggregate_batch(ls, layout, *reused, model) == \
-                    aggregate_batch(ls, layout, *fresh, model), (count, spec)
+                    aggregate_batch(ls, fresh_layout, *fresh, model), (count, spec)
         assert len(reused[0]) == 0  # the degenerate cell, last
 
 
-def test_a_pair_shorter_than_the_population_is_refused():
-    lengths, sizes = kernel_population(BLOCK_FLOWS + 1, 1518)
+def test_an_index_past_the_population_is_refused():
+    lengths, sizes = kernel_population(10, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
-    spec = AlgorithmSpec("first", "length", threshold=1.0)
-    for out in ((np.empty(BLOCK_FLOWS, dtype=np.int64), np.empty(BLOCK_FLOWS + 1, dtype=np.int64)),
-                (np.empty(BLOCK_FLOWS + 1, dtype=np.int64), np.empty(BLOCK_FLOWS, dtype=np.int64)),
-                (np.empty(BLOCK_FLOWS + 1, dtype=np.int64), np.empty(BLOCK_FLOWS + 1))):
-        with pytest.raises(ValueError, match="out must be two int64 arrays"):
-            evaluate_batch(lengths, sizes, spec, layout, out=out)
+    for flows in ([0, 10], [-1, 3], [10]):
+        flows = np.array(flows, dtype=np.int64)
+        with pytest.raises(IndexError, match="out of range"):
+            aggregate_batch(lengths, layout, flows, np.ones(len(flows), dtype=np.int64), 0)
 
 
 @pytest.mark.parametrize("kind", ["first", "threshold", "sampling"])
 @pytest.mark.parametrize("axis", ["length", "size"])
 def test_a_warm_cell_allocates_less_than_two_blocks(kind, axis):
-    # after a first cell has allocated the layout's scratch, a cell reusing
-    # one pair holds at most its candidates' indices beyond it
+    # after a first cell has allocated the layout's scratch and pair, a
+    # second cell holds at most its candidates' indices beyond them
     count = 4 * BLOCK_FLOWS + 77
     lengths, sizes = kernel_population(count, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
-    pair = layout.entries
     first, second = (1.0, 0.5) if kind == "sampling" else (4.0, 1.0)
     for parameter in first, second:
         spec = AlgorithmSpec.of(kind, axis, parameter)
         peak, report = traced_peak(lambda: aggregate_batch(lengths, layout, *evaluate_batch(
-            lengths, sizes, spec, layout, rng=np.random.default_rng(3), out=pair)))
+            lengths, sizes, spec, layout, rng=np.random.default_rng(3))))
     assert report.entries_created > BLOCK_FLOWS, report
     assert peak < 2 * 8 * BLOCK_FLOWS, peak
 

@@ -200,9 +200,9 @@ def _count_evaluations(monkeypatch) -> list[str]:
     calls = []
     evaluate = flowtab.sweep.evaluate_batch
 
-    def counted(lengths, sizes, spec, layout, **kwargs):
+    def counted(lengths, sizes, spec, layout, rng=None):
         calls.append(spec.kind)
-        return evaluate(lengths, sizes, spec, layout, **kwargs)
+        return evaluate(lengths, sizes, spec, layout, rng=rng)
 
     monkeypatch.setattr(flowtab.sweep, "evaluate_batch", counted)
     return calls
