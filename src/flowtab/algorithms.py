@@ -197,7 +197,8 @@ class PacketLayout:
     sampling, and ``total_bytes`` is the flows' byte total, below 2^63.
     The arrays are built a block of BLOCK_FLOWS flows at a time, each block
     checked first to split into packets of 1..max_packet_size bytes, with
-    length * max_packet_size in int64, as read_flow_csv checks its rows.
+    length * max_packet_size in int64, as read_flow_csv checks its rows, and
+    then written in place, beside a few bool masks of one block.
     Build a layout once per population and pass it to every call over that
     population: they write its ``scratch`` and ``entries``, so they run one
     at a time.
@@ -208,17 +209,19 @@ class PacketLayout:
                                            for t in (np.int64, np.int32, np.int32))
         for start, block in _blocks(len(lengths)):
             l, s = lengths[block], sizes[block]
-            bad = np.flatnonzero((l < 1) | (l > (2 ** 63 - 1) // max_packet_size)  # l * M fits
-                                 | (s < l) | (s > l * max_packet_size))
-            if len(bad):
-                i = start + bad[0]
+            lead, base, tail = self.lead[block], self.base[block], self.tail[block]
+            bad = (l < 1) | (l > (2 ** 63 - 1) // max_packet_size)  # l * M fits
+            bad |= (s < l) | (s > np.multiply(l, max_packet_size, out=lead))
+            if bad.any():
+                i = start + np.flatnonzero(bad)[0]
                 raise ValueError(f"flow {i} of {lengths[i]} packets and {sizes[i]} bytes does "
                                  f"not split into packets of 1..{max_packet_size} bytes")
-            base, rem = np.divmod(s, l)
-            spread = base + rem > max_packet_size
-            np.subtract(l, np.where(spread, rem, rem > 0), out=self.lead[block])
-            self.tail[block] = base + np.where(spread, 1, rem)
-            self.base[block] = base
+            np.divmod(s, l, out=(base, lead))  # the remainder in lead, until lead is written
+            spread = np.greater(lead, np.subtract(max_packet_size, base, out=tail))
+            np.add(base, lead, out=tail)  # past M where spread, and rewritten there
+            np.add(base, 1, out=tail, where=spread)
+            np.minimum(lead, 1, out=lead, where=~spread)  # rem > 0 where not spread
+            np.subtract(l, lead, out=lead)
         # a float64 sum errs by far less than 2^62: only near 2^63 is it redone exactly
         if float(sizes.sum(dtype=float)) >= 2.0 ** 62 and sum(sizes.tolist()) >= 2 ** 63:
             raise ValueError("the flows' byte total overflows int64")

@@ -16,7 +16,7 @@ import sys
 from .algorithms import DURATION_MODELS, PathProfile, p_eff_avg, p_eff_paths
 from .algorithms import check_algorithms as _check_algorithms  # private: traced runs skip it
 from .analytic import UnreachableError, invert_for_coverage
-from .generator import COUPLINGS, GeneratorConfig, generate_arrays, write_flow_csv
+from .generator import GeneratorConfig, generate_arrays, write_flow_csv
 from .model import DominanceError, ModelError, load_model
 from .sweep import SweepSpec, emit_table, run_sweep
 
@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", type=_count, default=SweepSpec.flow_count)
     p.add_argument("--seeds", type=_int_list, default=(1,))
     p.add_argument("--duration-model", choices=DURATION_MODELS, default="equal")
-    p.add_argument("--coupling", choices=COUPLINGS, default=SweepSpec.joint_coupling)
     p.add_argument("--min-packet", type=_count, default=SweepSpec.min_packet)
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--out", required=True, help="output path prefix")
@@ -110,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--flows", type=_count, required=True)
     p.add_argument("--seed", type=_count, required=True)
-    p.add_argument("--coupling", choices=COUPLINGS, default=GeneratorConfig.joint_coupling)
     p.add_argument("--min-packet", type=_count, default=GeneratorConfig.min_packet)
     p.add_argument("--out", required=True)
     return parser
@@ -135,7 +133,6 @@ def _cmd_simulate(args) -> int:
     if args.flows_csv is not None:
         ignored = [flag for flag, value, default in (
             ("--flows", args.flows, SweepSpec.flow_count),
-            ("--coupling", args.coupling, SweepSpec.joint_coupling),
             ("--min-packet", args.min_packet, SweepSpec.min_packet)) if value != default]
         if ignored:
             raise ValueError(f"{', '.join(ignored)} would be ignored with --flows-csv")
@@ -151,8 +148,7 @@ def _cmd_simulate(args) -> int:
     spec = SweepSpec(model=model, axis=args.axis, algorithms=args.algorithms,
                      thresholds=args.thresholds or (), probabilities=args.probabilities or (),
                      seeds=args.seeds, flow_count=args.flows, duration_model=args.duration_model,
-                     joint_coupling=args.coupling, min_packet=args.min_packet, jobs=args.jobs,
-                     population_csv=args.flows_csv)
+                     min_packet=args.min_packet, jobs=args.jobs, population_csv=args.flows_csv)
     result = run_sweep(spec)
     for fmt in args.formats:
         table, suffix = _TABLE_FORMATS[fmt]
@@ -232,8 +228,7 @@ def _cmd_peff(args) -> int:
 
 def _cmd_generate(args) -> int:
     model = load_model(args.model)
-    config = GeneratorConfig(seed=args.seed, flow_count=args.flows, joint_coupling=args.coupling,
-                             min_packet=args.min_packet)
+    config = GeneratorConfig(seed=args.seed, flow_count=args.flows, min_packet=args.min_packet)
     lengths, sizes = generate_arrays(model, config)
     write_flow_csv(args.out, lengths, sizes)
     print(f"wrote {args.out} ({len(lengths)} flows)")

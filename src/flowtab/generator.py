@@ -2,12 +2,12 @@
 
 Flows are drawn by inverse transform from the model's flow-weighted
 mixtures, whose quantiles are integers on both axes.  A single uniform
-variate drives both the length and the size quantile by default
-(comonotone coupling), which gives perfect rank correlation between flow
-length and flow size; ``independent`` coupling is available for
-sensitivity studies.  The population is produced in fixed-size shards,
-each with its own seed-derived RNG stream, so serial and parallel runs
-yield bit-identical output.
+variate drives both the length and the size quantile (comonotone
+coupling), which gives perfect rank correlation between flow length and
+flow size.  The population is produced in fixed-size shards, each with its
+own seed-derived RNG stream, so serial and parallel runs yield
+bit-identical output.  Each shard is drawn and resolved in its slices of
+the outputs, beside which generation holds a few blocks of flows.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import _blocks
-from .model import TrafficModel
+from .model import QUANTILE_BLOCK, TrafficModel
 
 __all__ = [
     "GeneratorConfig",
@@ -30,7 +30,6 @@ __all__ = [
 SHARD_SIZE = 65536
 MIN_UNIFORM = 2.0 ** -53  # rng.random() may return 0.0 exactly; quantile(0) is the domain floor
 
-COUPLINGS = ("comonotone", "independent")
 _HEADER = ["length_packets", "size_bytes"]
 
 
@@ -38,7 +37,6 @@ _HEADER = ["length_packets", "size_bytes"]
 class GeneratorConfig:
     seed: int
     flow_count: int
-    joint_coupling: str = "comonotone"
     min_packet: int = 64
 
     def __post_init__(self) -> None:
@@ -46,22 +44,8 @@ class GeneratorConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.flow_count < 1:
             raise ValueError("flow_count must be >= 1")
-        if self.joint_coupling not in COUPLINGS:
-            raise ValueError(f"unknown joint_coupling {self.joint_coupling!r}")
         if self.min_packet < 1:
             raise ValueError("min_packet must be >= 1 byte")
-
-
-def _clamp_sizes(lengths: np.ndarray, sizes: np.ndarray, min_packet: int,
-                 max_packet: int) -> np.ndarray:
-    # in float, so that a size draw past the int64 range lands on the high
-    # clamp; a length whose envelope does not fit int64 is refused
-    lo = lengths * float(min_packet)
-    hi = lengths * float(max_packet)
-    if np.any(hi >= 2.0 ** 63):
-        raise ValueError(f"length draw {lengths[hi >= 2.0 ** 63][0]:.6g} packets: flows of up "
-                         f"to {max_packet} B per packet overflow int64 byte counts")
-    return np.clip(sizes, lo, hi, out=lo)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -71,16 +55,21 @@ def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
 
 def _generate_shard(model: TrafficModel, config: GeneratorConfig, shard_index: int,
                     lengths: np.ndarray, sizes: np.ndarray) -> None:
-    """Fill one shard's int64 slices of the population."""
-    rng = _shard_rng(config.seed, shard_index)
-    u = np.maximum(rng.random(len(lengths)), MIN_UNIFORM)
-    drawn = model.length_axis.flows.quantile(u)
-    if config.joint_coupling == "independent":
-        u = np.maximum(rng.random(len(lengths)), MIN_UNIFORM)
-    # sizes first: the clamp refuses an envelope past int64 before any cast
-    sizes[:] = _clamp_sizes(drawn, model.size_axis.flows.quantile(u), config.min_packet,
-                            model.max_packet_size)
-    lengths[:] = drawn
+    """Fill one shard's int64 slices of the population: the uniforms are drawn
+    into sizes, the quantiles written over lengths and them, then cast in place."""
+    u, drawn = sizes.view(np.float64), lengths.view(np.float64)
+    _shard_rng(config.seed, shard_index).random(out=u)
+    np.maximum(u, MIN_UNIFORM, out=u)
+    model.length_axis.flows.quantile(u, out=drawn)
+    model.size_axis.flows.quantile(u, out=u)
+    for b in (slice(a, a + QUANTILE_BLOCK) for a in range(0, len(u), QUANTILE_BLOCK)):
+        # in float, so that a size draw past the int64 range lands on the high clamp
+        lo, hi = drawn[b] * float(config.min_packet), drawn[b] * float(model.max_packet_size)
+        if np.any(hi >= 2.0 ** 63):
+            raise ValueError(f"length draw {drawn[b].max():.6g} packets: flows of up to "
+                             f"{model.max_packet_size} B per packet overflow int64 byte counts")
+        sizes[b] = np.clip(u[b], lo, hi, out=lo)
+        lengths[b] = drawn[b]
 
 
 def generate_arrays(model: TrafficModel, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +115,8 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
                 with warnings.catch_warnings():
                     # numpy warns on a file without rows, which the row loop names
                     warnings.simplefilter("error")
-                    rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+                    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None,
+                                      ndmin=2, skiprows=1, encoding="utf-8")
             except (ValueError, Warning):
                 pass
     if rows is not None and rows.shape[1] == 2:

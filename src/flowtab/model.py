@@ -48,6 +48,7 @@ DEFAULT_SIZE_DOMAIN_MIN = 64
 # integers above domain_min in each mixture's survival table
 TABLE_SPAN = 2 ** 16
 GUIDE_BUCKETS = 2 ** 16  # equal slices of [0, 1] in the survival table's guide
+QUANTILE_BLOCK = 2 ** 13  # u per block of the in-table quantile search: 64 KiB of float64
 
 MODEL_DIR_ENV = "FLOWTAB_MODEL_DIR"
 
@@ -190,8 +191,8 @@ def _lognormal_sf(x: np.ndarray, mu, sigma) -> np.ndarray:
     """P(X > x) for lognormal(mu, sigma).  mu and sigma broadcast against
     x, so one call evaluates a stack of components with a single _ndtr."""
     with np.errstate(divide="ignore"):
-        z = (np.log(np.maximum(x, 0.0)) - mu) / sigma
-    return np.where(x > 0.0, _ndtr(-z), 1.0)
+        z = (np.log(np.maximum(x, 0.0)) - mu) / -sigma  # negated: _ndtr holds no second copy
+    return np.where(x > 0.0, _ndtr(z), 1.0)
 
 
 def _gpd_sf(z, shape: float):
@@ -495,7 +496,7 @@ class Mixture:
 
     # -- quantiles -----------------------------------------------------------
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         """Smallest integer x >= domain_min with cdf(x) >= u, for u in [0, 1).
 
         In the survival table u bisects on 1 - sf between the guide's
@@ -506,32 +507,20 @@ class Mixture:
         1 - sf(x) >= u; the search ends when no float lies inside.  Where
         1 - sf(x) is monotone in x that is plain bisection's answer, bit for
         bit; where sf is flat to its rounding it need not be, but the answer
-        passes the test and the integer float before it fails it.
-        By convention quantile(0) == domain_min.
+        passes the test and the integer float before it fails it.  The float
+        ``out`` may be u itself.  By convention quantile(0) == domain_min.
         """
         scalar = np.isscalar(u)
         uu = np.atleast_1d(np.asarray(u, dtype=float))
-        if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN included
+        if uu.size and not (uu.min() >= 0.0 and uu.max() < 1.0):  # NaN included
             raise ValueError("quantile requires u in [0, 1)")
-        table, guide = self._sf_table, self._guide
-        bucket = (uu * GUIDE_BUCKETS).astype(np.intp)
-        k, hi = guide[bucket], guide[1:][bucket]
-        live = np.flatnonzero(k < hi)
-        lo, hi, uv = k[live], hi[live], uu[live]
-        while live.size:
-            mid = (lo + hi) >> 1
-            below = 1.0 - table[mid] < uv
-            lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
-            done = lo == hi
-            k[live[done]] = lo[done]
-            live, lo, hi, uv = live[~done], lo[~done], hi[~done], uv[~done]
-        out = np.where(uu > 0.0, float(self._ends[0]) + k, float(self.domain_min))
-        past = np.flatnonzero(k == len(table))
+        out = np.empty_like(uu) if out is None else out
+        past, up = self._table_quantile(uu, out)
         if past.size:
             # in increasing u the probes increase too, so each branch of _ndtr
             # gathers a contiguous run of them, cheaper than a scattered one
-            past = past[np.argsort(uu[past])]
-            up = uu[past]
+            order = np.argsort(up)
+            past, up = past[order], up[order]
             grid, grid_cdf, grid_log_sf = self._tail_grid
             j = np.searchsorted(grid_cdf, up, "left")
             # per u: log sf where 1 - sf rounds to u, the bracket, and log sf
@@ -553,13 +542,44 @@ class Mixture:
                     w = fl / (fl - fh)
                     w = np.where((w >= 0.0) & (fh > -np.inf) & (rounds < 6), w, 0.5)
                     x = np.clip(np.floor(l * np.exp(w * np.log(h / l))), a, b)
-                    sf = self._raw_sf(x)
+                    # blocks of at most 2,048 probes: _raw_sf holds temporaries per component
+                    step = len(x) // (len(x) // 2048 + 1) + 1
+                    sf = np.concatenate([self._raw_sf(x[i:i + step]) for i in range(0, len(x), step)])
                     f = np.log(sf) - t[live]
                 above = 1.0 - sf >= up[live]
                 f_lo[live], f_hi[live] = np.where(above, fl, f), np.where(above, f, fh)
                 lo[live], hi[live] = np.where(above, l, x), np.where(above, x, h)
             out[past] = hi
         return float(out[0]) if scalar else out
+
+    def _table_quantile(self, uu: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Writes each u's quantile in the table to out and returns the positions and
+        u of those past it.  Per QUANTILE_BLOCK u, the guide answers where u's bucket
+        holds one integer; the other u are kept aside and bisected a block at a time."""
+        table, guide, floor = self._sf_table, self._guide, float(self._ends[0])
+        wide, wide_u = [np.empty(0, np.intp)], [np.empty(0)]
+        for a in range(0, len(uu), QUANTILE_BLOCK):
+            ub = uu[a:a + QUANTILE_BLOCK]
+            bucket = (ub * GUIDE_BUCKETS).astype(np.intp)
+            k, hi = guide[bucket], guide[1:][bucket]
+            bisect = np.flatnonzero(np.minimum(k, len(table) - 1) < hi)  # or at the table's end
+            wide.append(a + bisect)
+            wide_u.append(ub[bisect])
+            np.add(k, floor, out=out[a:a + QUANTILE_BLOCK])
+        wide, wide_u = np.concatenate(wide), np.concatenate(wide_u)
+        for c in range(0, len(wide), QUANTILE_BLOCK):
+            at, uv = wide[c:c + QUANTILE_BLOCK], wide_u[c:c + QUANTILE_BLOCK]
+            bucket = (uv * GUIDE_BUCKETS).astype(np.intp)
+            k, hi = guide[bucket], guide[1:][bucket]
+            while (k < hi).any():
+                # a closed bracket stays: its probe is masked, and its mid is its end
+                mid = (k + hi) >> 1
+                below = (1.0 - table.take(mid, mode="clip") < uv) & (k < hi)
+                k, hi = np.where(below, mid + 1, k), np.where(below, hi, mid)
+            # u = 0, always in the first bucket, finds the table's first integer
+            out[at] = np.maximum(floor + k, self.domain_min)
+        past = out[wide] == floor + len(table)
+        return wide[past], wide_u[past]
 
     # -- moments ---------------------------------------------------------------
 

@@ -77,7 +77,6 @@ class SweepSpec:
     seeds: tuple[int, ...] = (1,)
     flow_count: int = 1_000_000
     duration_model: str = "equal"
-    joint_coupling: str = GeneratorConfig.joint_coupling
     min_packet: int = GeneratorConfig.min_packet
     jobs: int = 1
     population_csv: str | None = None
@@ -89,7 +88,7 @@ class SweepSpec:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"a seed is named twice in {list(self.seeds)}")
-        self.generator_config(self.seeds[0])  # refuses a bad flow_count, coupling or min_packet
+        self.generator_config(self.seeds[0])  # refuses a bad flow_count or min_packet
         if self.duration_model not in DURATION_MODELS:
             raise ValueError(f"unknown duration_model {self.duration_model!r}")
         if not isinstance(self.jobs, int) or self.jobs < 1:
@@ -102,8 +101,7 @@ class SweepSpec:
 
     def generator_config(self, seed: int) -> GeneratorConfig:
         """The settings that generate the seed's population."""
-        return GeneratorConfig(seed=seed, flow_count=self.flow_count,
-                               joint_coupling=self.joint_coupling, min_packet=self.min_packet)
+        return GeneratorConfig(seed=seed, flow_count=self.flow_count, min_packet=self.min_packet)
 
     def cells(self) -> list[AlgorithmSpec]:
         return [AlgorithmSpec.of(kind, self.axis, parameter) for kind in self.algorithms

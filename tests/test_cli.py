@@ -683,10 +683,14 @@ def test_config_path_is_read_in_every_spelling_argparse_takes(capsys, tmp_path, 
 
 
 def test_a_subcommand_flag_abbreviation_names_no_config_file(capsys, tmp_path):
-    # after the subcommand, --co abbreviates generate's --coupling, not --config
+    # after the subcommand, --mi abbreviates generate's --min-packet, and the
+    # config pass reads no flag of the subcommand's as a config path
     code, _ = run(capsys, "generate", "--model", TOY, "--seed", "3", "--flows", "5",
-                  "--co", "independent", "--out", str(tmp_path / "x.csv"))
+                  "--mi", "64", "--out", str(tmp_path / "x.csv"))
     assert code == 0
+    code, _ = run(capsys, "generate", "--model", TOY, "--seed", "3", "--flows", "5",
+                  "--out", str(tmp_path / "y.csv"))
+    assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
 
 
 def test_invalid_config_given_with_an_equals_sign_exits_2(capsys, tmp_path):
@@ -710,6 +714,7 @@ def test_config_that_is_no_json_object_exits_2(capsys, tmp_path, document):
 @pytest.mark.parametrize("key, value", [
     ("command", "peff"), ("command", "validate"), ("help", True), ("flow", 10),
     ("--model", "toy_twopoint.json"), ("model_path", "toy_twopoint.json"),
+    ("coupling", "comonotone"),
 ])
 def test_config_key_that_names_no_flag_exits_2(capsys, tmp_path, key, value):
     # only a flag's (or a positional's) dest may be set; "command" would
@@ -751,10 +756,7 @@ def test_config_value_with_no_command_line_text_exits_2(capsys, tmp_path, value)
     ("axis", ["analyze", "--coverages", "50"], "'length', 'size'"),
     ("axis", ["simulate", "--flows", "1e3"], "'length', 'size'"),
     ("duration-model", ["simulate", "--flows", "1e3"], "'equal', 'proportional'"),
-    ("coupling", ["simulate", "--flows", "1e3"], "'comonotone', 'independent'"),
-    ("coupling", ["generate", "--flows", "1e3", "--seed", "1"], "'comonotone', 'independent'"),
-], ids=["analyze-axis", "simulate-axis", "duration-model", "simulate-coupling",
-        "generate-coupling"])
+], ids=["analyze-axis", "simulate-axis", "duration-model"])
 def test_config_value_outside_its_flags_choices_exits_2(capsys, tmp_path, key, command, allowed):
     # argparse checks choices on command-line text alone, so the config pass does
     cfg = tmp_path / "cfg.json"
@@ -782,10 +784,9 @@ def test_simulate_from_ingested_flows(capsys, tmp_path):
 
 @pytest.mark.parametrize("flags, named", [
     (("--flows", "7"), "--flows"),
-    (("--coupling", "independent"), "--coupling"),
+    (("--min-packet", "5000"), "--min-packet"),
     (("--min-packet", "1"), "--min-packet"),
-    (("--min-packet", "5000", "--coupling", "independent", "--flows", "7"),
-     "--flows, --coupling, --min-packet")])
+    (("--min-packet", "5000", "--flows", "7"), "--flows, --min-packet")])
 def test_simulate_refuses_generation_flags_with_flows_csv(capsys, tmp_path, flags, named):
     # the file's flows replace the generated ones: a generation flag would do nothing
     pop = tmp_path / "pop.csv"
@@ -795,9 +796,9 @@ def test_simulate_refuses_generation_flags_with_flows_csv(capsys, tmp_path, flag
     assert code == 2
     assert json.loads(out)["errors"][0]["message"] == f"{named} would be ignored with --flows-csv"
     assert not (tmp_path / "s.csv").exists()
-    # at their defaults the three stay accepted
+    # at their defaults the two stay accepted
     code, _ = run(capsys, "simulate", "--model", TOY, "--flows-csv", str(pop), "--flows", "1e6",
-                  "--coupling", "comonotone", "--min-packet", "64", "--algorithms", "first",
+                  "--min-packet", "64", "--algorithms", "first",
                   "--thresholds", "1", "--out", str(tmp_path / "s"))
     assert code == 0 and (tmp_path / "s.csv").exists()
 

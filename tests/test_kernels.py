@@ -3,9 +3,9 @@ formulas of ``oracle.reference_trigger``: the same entries bit for bit,
 the same covered byte total as the per-flow arrays of ``oracle.expand``,
 and working memory of a few blocks; the fold of ``aggregate_batch``
 against sums over the per-flow arrays; and the population set-up,
-``PacketLayout`` and the ingest of ``read_flow_csv``, built a block at a
-time: the one-shot formulas at the block edges, and a few blocks beyond
-their outputs."""
+generation, ``PacketLayout`` and the ingest of ``read_flow_csv``, built a
+block at a time: the one-shot formulas at the block edges, and a few
+blocks beyond their outputs."""
 from __future__ import annotations
 
 import itertools
@@ -28,7 +28,13 @@ from flowtab.algorithms import (
     aggregate_batch,
     evaluate_batch,
 )
-from flowtab.generator import read_flow_csv, write_flow_csv
+from flowtab.generator import (
+    SHARD_SIZE,
+    GeneratorConfig,
+    generate_arrays,
+    read_flow_csv,
+    write_flow_csv,
+)
 from flowtab.sweep import default_probabilities, default_thresholds
 from oracle import expand, reference_sampling_trigger, reference_trigger
 
@@ -347,7 +353,47 @@ def test_layout_memory_is_its_arrays_plus_a_few_blocks():
     peak, layout = traced_peak(lambda: PacketLayout(lengths, sizes, 1518))
     arrays = layout.lead.nbytes + layout.base.nbytes + layout.tail.nbytes
     assert arrays == 16 * len(lengths)
-    assert peak < arrays + 6 * 8 * BLOCK_FLOWS, (peak, arrays)
+    # each block is written in place: its temporaries are a few bool masks
+    assert peak < arrays + 1 * 8 * BLOCK_FLOWS, (peak, arrays)
+
+
+def test_generation_memory_is_its_outputs_plus_two_blocks(heavytail_model):
+    # the uniforms and both quantiles are written into the output arrays;
+    # beside them generation holds a few arrays of QUANTILE_BLOCK flows and
+    # some of the flows whose search goes on past the guide
+    generate_arrays(heavytail_model, GeneratorConfig(seed=2, flow_count=10))  # builds the tables
+    config = GeneratorConfig(seed=1, flow_count=4 * SHARD_SIZE + 77)
+    peak, (lengths, sizes) = traced_peak(lambda: generate_arrays(heavytail_model, config))
+    outputs = lengths.nbytes + sizes.nbytes
+    assert peak <= outputs + 2 * 8 * SHARD_SIZE, (peak, outputs)
+
+
+GENERATION_FAULTS = """
+import resource, sys
+import numpy as np
+from flowtab.generator import GeneratorConfig, generate_arrays
+from flowtab.model import load_model
+model = load_model(sys.argv[1])
+generate_arrays(model, GeneratorConfig(seed=2, flow_count=10))  # builds the tables
+if sys.argv[2] == "freed":
+    np.ones(2 ** 19)  # 4 MiB allocated, written and freed
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+generate_arrays(model, GeneratorConfig(seed=1, flow_count=262144))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_generation_faults_are_its_outputs_and_a_few_blocks():
+    # 262,144 heavy-tail flows, each run in a fresh interpreter: the outputs
+    # are 1,024 pages of 4 KiB, and the blocks beside them are small enough
+    # for the allocator to reuse, whatever its thresholds were left at
+    pytest.importorskip("resource")
+    model = pathlib.Path(__file__).resolve().parent.parent / "models" / "example_heavytail.json"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(flowtab.__file__).parents[1])}
+    for prior in ("none", "freed"):
+        faults = int(subprocess.run([sys.executable, "-c", GENERATION_FAULTS, str(model), prior],
+                                    capture_output=True, text=True, check=True, env=env).stdout)
+        assert faults <= 1500, (prior, faults)
 
 
 def test_ingest_memory_is_twice_its_outputs_plus_a_few_blocks(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from flowtab.model import (
     DominanceError,
     Mixture,
     MixtureComponent,
+    QUANTILE_BLOCK,
     TABLE_SPAN,
     SchemaError,
     WeightError,
@@ -307,6 +308,17 @@ def test_quantile_is_the_bisection_answer(mix):
 
 
 @pytest.mark.parametrize("mix", quantile_mixtures())
+def test_quantile_into_its_own_u(mix):
+    # out may be u itself, over several blocks, wide buckets, the table's end
+    # and u = 0: each u is read before its answer is written over it
+    u = np.random.default_rng(23).random(3 * QUANTILE_BLOCK + 5)
+    u[:3] = 0.0, 1.0 - 2.0 ** -53, min(1.0 - mix._sf_table[-1], 1.0 - 2.0 ** -53)
+    expected = reference_quantile(mix, u)
+    assert mix.quantile(u, out=u) is u
+    assert np.array_equal(u, expected)
+
+
+@pytest.mark.parametrize("mix", quantile_mixtures())
 def test_guide_blocks_match_one_search(mix):
     # the guide is searched in blocks of keys; each key's index does not
     # depend on the others, so it equals the one-shot search bit for bit
@@ -349,13 +361,16 @@ def test_guided_index_is_searchsorted(heavytail_model, axis):
 
 @pytest.mark.parametrize("axis", ["length", "size"])
 def test_quantile_past_the_table_takes_few_rounds(monkeypatch, heavytail_model, axis):
-    # each round evaluates sf once on the u still open past the table
+    # each round evaluates sf once on the u still open past the table, in
+    # blocks that are views of the round's probes
     mix = heavytail_model.axis(axis).flows
     mix.quantile(np.array([0.5, 1.0 - 2.0 ** -53]))  # builds the tables
-    raw_sf, rounds = mix._raw_sf, []
+    raw_sf, rounds, probes = mix._raw_sf, [], [None]
 
     def counted(x):
-        rounds[-1] += 1
+        if x.base is None or x.base is not probes[-1]:
+            probes.append(x.base)
+            rounds[-1] += 1
         return raw_sf(x)
 
     monkeypatch.setitem(vars(mix), "_raw_sf", counted)

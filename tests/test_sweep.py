@@ -295,8 +295,6 @@ def test_sweep_requires_parameters(toy_model):
         SweepSpec(model=toy_model, seeds=(1, -2))
     with pytest.raises(ValueError, match="unknown duration_model"):
         SweepSpec(model=toy_model, duration_model="uniform")
-    with pytest.raises(ValueError, match="unknown joint_coupling"):
-        SweepSpec(model=toy_model, joint_coupling="gaussian")
     with pytest.raises(ValueError, match=r"a seed is named twice in \[1, 2, 1\]"):
         SweepSpec(model=toy_model, seeds=(1, 2, 1))
     # omitted series fall back to the reference defaults
