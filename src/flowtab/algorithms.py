@@ -250,11 +250,11 @@ class PacketLayout:
             _take(self.tail, flows, s.tail)
 
 
-def _blocks(n: int):
-    """(start, slice) of each block of BLOCK_FLOWS flows, the last partial;
+def _blocks(n: int, size: int = BLOCK_FLOWS):
+    """(start, slice) of each block of ``size`` flows, the last partial;
     one empty block when there are none."""
-    for start in range(0, max(n, 1), BLOCK_FLOWS):
-        yield start, slice(start, min(start + BLOCK_FLOWS, n))
+    for start in range(0, max(n, 1), size):
+        yield start, slice(start, min(start + size, n))
 
 
 def _take(values: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:

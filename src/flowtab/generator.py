@@ -12,23 +12,20 @@ the outputs, beside which generation holds a few blocks of flows.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import _blocks
-from .model import QUANTILE_BLOCK, TrafficModel
+from .model import TrafficModel
 
-__all__ = [
-    "GeneratorConfig",
-    "generate_arrays",
-    "write_flow_csv",
-    "read_flow_csv",
-]
+__all__ = ["GeneratorConfig", "generate_arrays", "write_flow_csv", "read_flow_csv"]
 
 SHARD_SIZE = 65536
 MIN_UNIFORM = 2.0 ** -53  # rng.random() may return 0.0 exactly; quantile(0) is the domain floor
+CLAMP_BLOCK = 2 ** 13  # flows per block of the size clamp: its float64 temporaries are 64 KiB
 
 _HEADER = ["length_packets", "size_bytes"]
 
@@ -62,11 +59,12 @@ def _generate_shard(model: TrafficModel, config: GeneratorConfig, shard_index: i
     np.maximum(u, MIN_UNIFORM, out=u)
     model.length_axis.flows.quantile(u, out=drawn)
     model.size_axis.flows.quantile(u, out=u)
-    for b in (slice(a, a + QUANTILE_BLOCK) for a in range(0, len(u), QUANTILE_BLOCK)):
+    for _, b in _blocks(len(u), CLAMP_BLOCK):
         # in float, so that a size draw past the int64 range lands on the high clamp
         lo, hi = drawn[b] * float(config.min_packet), drawn[b] * float(model.max_packet_size)
-        if np.any(hi >= 2.0 ** 63):
-            raise ValueError(f"length draw {drawn[b].max():.6g} packets: flows of up to "
+        over = hi >= 2.0 ** 63
+        if over.any():
+            raise ValueError(f"length draw {drawn[b][over][0]:.6g} packets: flows of up to "
                              f"{model.max_packet_size} B per packet overflow int64 byte counts")
         sizes[b] = np.clip(u[b], lo, hi, out=lo)
         lengths[b] = drawn[b]
@@ -111,12 +109,15 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
     rows = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
         if next(csv.reader(fh), None) == _HEADER:
+            # loadtxt parses a file faster by its path; a pipe reads once, so through fh
+            regular = os.path.isfile(path)
             try:
                 with warnings.catch_warnings():
                     # numpy warns on a file without rows, which the row loop names
                     warnings.simplefilter("error")
-                    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None,
-                                      ndmin=2, skiprows=1, encoding="utf-8")
+                    rows = np.loadtxt(path if regular else fh, delimiter=",", dtype=np.int64,
+                                      comments=None, ndmin=2, skiprows=int(regular),
+                                      encoding="utf-8")
             except (ValueError, Warning):
                 pass
     if rows is not None and rows.shape[1] == 2:

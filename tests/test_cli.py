@@ -683,8 +683,16 @@ def test_config_path_is_read_in_every_spelling_argparse_takes(capsys, tmp_path, 
 
 
 def test_a_subcommand_flag_abbreviation_names_no_config_file(capsys, tmp_path):
-    # after the subcommand, --mi abbreviates generate's --min-packet, and the
-    # config pass reads no flag of the subcommand's as a config path
+    # after the subcommand, --co abbreviates analyze's --coverages and is also a
+    # prefix of the top-level --config; the config pass must not read it as one
+    code, _ = run(capsys, "analyze", "--model", TOY, "--co", "50", "--out", str(tmp_path / "x"))
+    assert code == 0
+    code, _ = run(capsys, "analyze", "--model", TOY, "--coverages", "50",
+                  "--out", str(tmp_path / "y"))
+    assert code == 0
+    assert ((tmp_path / "x.analytic.csv").read_bytes()
+            == (tmp_path / "y.analytic.csv").read_bytes())
+    # and --mi abbreviates generate's --min-packet
     code, _ = run(capsys, "generate", "--model", TOY, "--seed", "3", "--flows", "5",
                   "--mi", "64", "--out", str(tmp_path / "x.csv"))
     assert code == 0

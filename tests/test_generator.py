@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -310,6 +312,30 @@ def test_flow_csv_round_trip(tmp_path, toy_model):
         bad.write_text(f"length_packets,size_bytes\n1,100\n{row}\n")
         with pytest.raises(ValueError, match="row 3: expected two integer fields"):
             read_flow_csv(str(bad), 1518)
+
+
+def test_flow_csv_is_read_whole_through_a_pipe(tmp_path, toy_model):
+    # a pipe, such as a shell's <(zcat flows.csv.gz), can be read only once:
+    # every row must come through the handle that read the header
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=5, flow_count=20000))
+    dump = tmp_path / "flows.csv"
+    write_flow_csv(str(dump), lengths, sizes)
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb") as fh:
+            fh.write(dump.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        back_l, back_s = read_flow_csv(f"/dev/fd/{r}", 1518)
+    finally:
+        os.close(r)
+        writer.join()
+    assert np.array_equal(lengths, back_l) and np.array_equal(sizes, back_s)
 
 
 HEADER = "length_packets,size_bytes\n"

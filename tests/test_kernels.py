@@ -359,8 +359,8 @@ def test_layout_memory_is_its_arrays_plus_a_few_blocks():
 
 def test_generation_memory_is_its_outputs_plus_two_blocks(heavytail_model):
     # the uniforms and both quantiles are written into the output arrays;
-    # beside them generation holds a few arrays of QUANTILE_BLOCK flows and
-    # some of the flows whose search goes on past the guide
+    # beside them generation holds a few arrays of 8,192 flows (QUANTILE_BLOCK,
+    # CLAMP_BLOCK) and some of the flows whose search goes on past the guide
     generate_arrays(heavytail_model, GeneratorConfig(seed=2, flow_count=10))  # builds the tables
     config = GeneratorConfig(seed=1, flow_count=4 * SHARD_SIZE + 77)
     peak, (lengths, sizes) = traced_peak(lambda: generate_arrays(heavytail_model, config))
