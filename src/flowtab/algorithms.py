@@ -149,7 +149,7 @@ def p_total(p: float, n: float) -> float:
     sampling with probability p: 1 - (1 - p)^n, computed stably."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    if n < 0:
+    if not n >= 0:  # NaN included
         raise ValueError("n must be >= 0")
     if n == 0 or p == 0.0:
         return 0.0

@@ -154,26 +154,12 @@ def _covered_fraction(p: float, n: np.ndarray, out=None, tmp=None) -> np.ndarray
 
 def _coverage(model: TrafficModel, spec: AlgorithmSpec) -> tuple[float, float]:
     """The octets sum of the spec's covered weight, coverage as a share,
-    with its truncation bound: what a report and a coverage probe sum."""
-    start, _, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
-    return model.axis(spec.axis).octets.expect(covered, start)
-
-
-def _report(model: TrafficModel, spec: AlgorithmSpec,
-            coverage: tuple[float, float]) -> AnalyticReport:
-    """The spec's report around its coverage sum, as _coverage returns it."""
-    ax = model.axis(spec.axis)
-    start, created, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
-    entries, entries_err = ax.flows.expect(created, start)
-    if entries <= 0.0:
-        raise DegenerateError(f"no flow gains an entry under {spec}")
-    cov, cov_err = coverage
-    occupied, occ_err = ax.flows.expect(covered, start)
-    # far in the tail the occupancy sum underflows while entries remain
-    occupancy = 1.0 / occupied if occupied > 0.0 else math.inf
-    return AnalyticReport(
-        100.0 * cov, 1.0 / entries, occupancy, cov_err + entries_err + occ_err
-    )
+    with its truncation bound: what a report and a coverage probe sum.
+    The model keeps each spec's pair, so each is summed once."""
+    if spec not in model.coverage_sums:
+        start, _, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
+        model.coverage_sums[spec] = model.axis(spec.axis).octets.expect(covered, start)
+    return model.coverage_sums[spec]
 
 
 def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:
@@ -182,14 +168,25 @@ def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticRepor
 
     Raises DegenerateError when no flow gains an entry.
     """
-    return _report(model, spec, _coverage(model, spec))
+    ax = model.axis(spec.axis)
+    cov, cov_err = _coverage(model, spec)
+    start, created, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
+    entries, entries_err = ax.flows.expect(created, start)
+    if entries <= 0.0:
+        raise DegenerateError(f"no flow gains an entry under {spec}")
+    occupied, occ_err = ax.flows.expect(covered, start)
+    # far in the tail the occupancy sum underflows while entries remain
+    occupancy = 1.0 / occupied if occupied > 0.0 else math.inf
+    return AnalyticReport(
+        100.0 * cov, 1.0 / entries, occupancy, cov_err + entries_err + occ_err
+    )
 
 
 # -- coverage inversion ---------------------------------------------------------
 
 
-def invert_for_coverage(model: TrafficModel, kind: str, axis: str, target_pct: float,
-                        memo: dict | None = None) -> tuple[float, AnalyticReport]:
+def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
+                        target_pct: float) -> tuple[float, AnalyticReport]:
     """Find the threshold/probability achieving the target traffic coverage.
 
     Returns the parameter together with the achieved analytic metrics.
@@ -203,12 +200,9 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str, target_pct: f
     the final bracket whose coverage is closest to the target is returned,
     never a threshold past every flow, whose coverage is 0.
 
-    memo maps each probed AlgorithmSpec to its coverage sum, the pair
-    (value, truncation bound), and the report at the returned parameter
-    reads that pair instead of summing it again.  Calls that pass one dict
-    share their probes, as analyze's inversions do within one command, so
-    each (kind, parameter) is summed once.  One memo belongs to one model:
-    its keys do not name the model.  Without one, the call keeps its own.
+    A probe's coverage sum is kept on the model, so the report at the
+    returned parameter reads it, and inversions over one model sum each
+    (kind, parameter) once.
     """
     if target_pct > 100.0:
         raise UnreachableError(f"coverage {target_pct:g}% exceeds 100%")
@@ -216,20 +210,12 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str, target_pct: f
         raise ValueError("target coverage must lie in (0, 100]")
 
     octets = model.axis(axis).octets
-    memo = {} if memo is None else memo
-
-    def probe(param: float) -> AlgorithmSpec:
-        spec = AlgorithmSpec.of(kind, axis, param)  # first, so that an unknown kind raises
-        if spec not in memo:
-            memo[spec] = _coverage(model, spec)
-        return spec
 
     def cov(param: float) -> float:
-        return 100.0 * memo[probe(param)][0]
+        return 100.0 * _coverage(model, AlgorithmSpec.of(kind, axis, param))[0]
 
     def report(param: float) -> tuple[float, AnalyticReport]:
-        spec = probe(param)
-        return param, _report(model, spec, memo[spec])
+        return param, analytic_for_spec(model, AlgorithmSpec.of(kind, axis, param))
 
     def nearest(*params: float) -> float:
         return min((q for q in params if cov(q) > 0.0), key=lambda q: abs(cov(q) - target_pct))

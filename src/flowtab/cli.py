@@ -159,10 +159,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _invert(model, kind: str, axis: str, target: float, memo: dict):
+def _invert(model, kind: str, axis: str, target: float):
     """invert_for_coverage's (parameter, report), or None for an unreachable target."""
     try:
-        return invert_for_coverage(model, kind, axis, target, memo)
+        return invert_for_coverage(model, kind, axis, target)
     except UnreachableError:
         return None
 
@@ -172,16 +172,14 @@ def _cmd_analyze(args) -> int:
     if not args.coverages:
         raise ValueError("analyze requires at least one coverage target")
     model = load_model(args.model)
-    # every inversion of the command shares one memo of probe sums, and a
-    # target named twice reuses its rows
-    memo, rows = {}, {}
+    rows = {}  # a target named twice reuses its rows
     for target in dict.fromkeys(args.coverages):
         # first is the ratio baseline; it is unreachable only past 100 %,
         # where every kind is, so each reachable row has it
-        first = _invert(model, "first", args.axis, target, memo)
+        first = _invert(model, "first", args.axis, target)
         lines = rows[target] = []
         for kind in args.algorithms:
-            inverted = first if kind == "first" else _invert(model, kind, args.axis, target, memo)
+            inverted = first if kind == "first" else _invert(model, kind, args.axis, target)
             if inverted is None:
                 lines.append(f"{kind},{target:g},unreachable,,,,,\n")
                 continue

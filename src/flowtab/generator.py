@@ -12,6 +12,7 @@ the outputs, beside which generation holds a few blocks of flows.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import warnings
 from dataclasses import dataclass
@@ -104,60 +105,63 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
     largest byte count, length * max_packet_size, must fit int64.  The rows
     parse in bulk into a table whose two columns are copied out and checked
     a block at a time; a file the bulk parse does not take whole goes
-    through the row loop, which names its first bad row.
+    through the row loop, which names its first bad row.  Both read the
+    handle that read the header: a pipe, such as a shell's <(zcat ...), can
+    be read only once, so its text is kept in memory.
     """
     rows = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        if next(csv.reader(fh), None) == _HEADER:
-            # loadtxt parses a file faster by its path; a pipe reads once, so through fh
-            regular = os.path.isfile(path)
+        regular = os.path.isfile(path)
+        src = fh if regular else io.StringIO(fh.read(), newline="")
+        if next(csv.reader(src), None) == _HEADER:
             try:
                 with warnings.catch_warnings():
                     # numpy warns on a file without rows, which the row loop names
                     warnings.simplefilter("error")
-                    rows = np.loadtxt(path if regular else fh, delimiter=",", dtype=np.int64,
+                    # loadtxt parses a regular file faster by its path
+                    rows = np.loadtxt(path if regular else src, delimiter=",", dtype=np.int64,
                                       comments=None, ndmin=2, skiprows=int(regular),
                                       encoding="utf-8")
             except (ValueError, Warning):
                 pass
-    if rows is not None and rows.shape[1] == 2:
-        lengths, sizes = rows[:, 0].copy(), rows[:, 1].copy()
-        longest = (2 ** 63 - 1) // max_packet_size  # masks the overflowing products
-        if all(np.all((l <= longest) & (l >= 1) & (s >= l) & (s <= l * max_packet_size))
-               for l, s in ((lengths[b], sizes[b]) for _, b in _blocks(len(lengths)))):
-            return lengths, sizes
-    return _read_rows(path, max_packet_size)
+        if rows is not None and rows.shape[1] == 2:
+            lengths, sizes = rows[:, 0].copy(), rows[:, 1].copy()
+            longest = (2 ** 63 - 1) // max_packet_size  # masks the overflowing products
+            if all(np.all((l <= longest) & (l >= 1) & (s >= l) & (s <= l * max_packet_size))
+                   for l, s in ((lengths[b], sizes[b]) for _, b in _blocks(len(lengths)))):
+                return lengths, sizes
+        src.seek(0)
+        return _read_rows(src, path, max_packet_size)
 
 
-def _read_rows(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_rows(fh, path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:
     lengths: list[int] = []
     sizes: list[int] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise ValueError(f"{path}: expected header length_packets,size_bytes")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                l, s = map(int, row)  # a row of other than two fields too
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: expected two integer fields, got {row}"
-                ) from None
-            if l * max_packet_size >= 2 ** 63:
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: flow of {l} packets: flows of up to "
-                    f"{max_packet_size} B per packet overflow int64 byte counts"
-                )
-            if l < 1 or s < l or s > l * max_packet_size:
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: flow of {l} packets and {s} bytes "
-                    f"does not split into packets of 1..{max_packet_size} bytes"
-                )
-            lengths.append(l)
-            sizes.append(s)
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header != _HEADER:
+        raise ValueError(f"{path}: expected header length_packets,size_bytes")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            l, s = map(int, row)  # a row of other than two fields too
+        except ValueError:
+            raise ValueError(
+                f"{path}: row {reader.line_num}: expected two integer fields, got {row}"
+            ) from None
+        if l * max_packet_size >= 2 ** 63:
+            raise ValueError(
+                f"{path}: row {reader.line_num}: flow of {l} packets: flows of up to "
+                f"{max_packet_size} B per packet overflow int64 byte counts"
+            )
+        if l < 1 or s < l or s > l * max_packet_size:
+            raise ValueError(
+                f"{path}: row {reader.line_num}: flow of {l} packets and {s} bytes "
+                f"does not split into packets of 1..{max_packet_size} bytes"
+            )
+        lengths.append(l)
+        sizes.append(s)
     if not lengths:
         raise ValueError(f"{path}: no flows")
     return np.asarray(lengths, dtype=np.int64), np.asarray(sizes, dtype=np.int64)

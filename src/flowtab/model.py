@@ -708,6 +708,8 @@ class TrafficModel:
     declared_avg_flow_length: float | None = None
     declared_avg_flow_size: float | None = None
     declared_avg_packet_size: float | None = None
+    # AlgorithmSpec -> its coverage sum and truncation bound, kept by analytic._coverage
+    coverage_sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def axis(self, name: str) -> AxisModel:
         if name == "length":

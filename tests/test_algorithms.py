@@ -165,6 +165,9 @@ def test_p_total_values():
     assert p_total(1.0, 5) == 1.0
     assert p_total(0.0, 10) == 0.0
     assert p_total(0.3, 0) == 0.0
+    for n in (-1, math.nan):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            p_total(0.5, n)
 
 
 def test_p_total_against_high_precision():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import pathlib
 import tracemalloc
 import weakref
 from dataclasses import astuple
@@ -17,9 +18,12 @@ from flowtab.analytic import (
     invert_for_coverage,
 )
 from flowtab.cli import DEFAULT_COVERAGES
-from flowtab.model import Mixture, MixtureComponent
+from flowtab.model import Mixture, MixtureComponent, load_model
 from flowtab.sweep import SweepSpec, run_sweep
 from oracle import expected_covered_fraction, reference_remainder, reference_weights
+
+MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
+MODEL_FILES = {"toy": "toy_twopoint.json", "heavytail": "example_heavytail.json"}
 
 
 def first(model, axis, t):
@@ -435,10 +439,11 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
     # geometric bisection over the same bracket and stop did (37); threshold,
     # bracketed by first's quantile, takes at most 24 and 12 on average.  The
     # report on the chosen parameter is not a probe: it reads the probe's
-    # coverage sum and adds the two flows sums of _report.
+    # coverage sum and adds its two flows sums.  Each inversion is counted
+    # from a model that keeps no sums yet.
     import flowtab.analytic as analytic
 
-    expect, report = Mixture.expect, analytic._report
+    expect, report = Mixture.expect, analytic.analytic_for_spec
     probes, reporting = {}, [False]
     cell = [None]
 
@@ -454,7 +459,7 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
             reporting[0] = False
 
     monkeypatch.setattr(Mixture, "expect", counted)
-    monkeypatch.setattr(analytic, "_report", uncounted)
+    monkeypatch.setattr(analytic, "analytic_for_spec", uncounted)
     for model in (toy_model, heavytail_model):
         for axis in ("length", "size"):
             for kind in ("first", "threshold", "sampling"):
@@ -462,6 +467,7 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
                 counts = probes.setdefault(cell[0], [])
                 for target in DEFAULT_COVERAGES:
                     counts.append(0)
+                    model.coverage_sums.clear()
                     try:
                         analytic.invert_for_coverage(model, kind, axis, target)
                     except UnreachableError:
@@ -479,22 +485,46 @@ def test_inversion_probe_count(monkeypatch, toy_model, heavytail_model):
 @pytest.mark.parametrize("name", ["toy", "heavytail"])
 def test_inversion_report_is_a_fresh_report(request, name):
     # the report an inversion returns reads the coverage sum its search made,
-    # shared here over every target and kind of an axis as analyze shares
-    # it; each field is bit for bit that of a fresh report at the parameter
+    # kept on the model over every target and kind of an axis as analyze
+    # keeps it; each field is bit for bit that of a report over a newly
+    # parsed model, which no inversion has probed
     model = request.getfixturevalue(f"{name}_model")
+    parsed = load_model(str(MODELS / MODEL_FILES[name]))
     for axis in ("length", "size"):
-        memo = {}
         for kind in ("first", "threshold", "sampling"):
             for target in DEFAULT_COVERAGES:
                 try:
-                    param, rep = invert_for_coverage(model, kind, axis, target, memo)
+                    param, rep = invert_for_coverage(model, kind, axis, target)
                 except UnreachableError:
                     continue
                 spec = (AlgorithmSpec(kind, axis, probability=param) if kind == "sampling"
                         else AlgorithmSpec(kind, axis, threshold=param))
-                fresh = analytic_for_spec(model, spec)
+                fresh = analytic_for_spec(parsed, spec)
                 assert [v.hex() for v in astuple(rep)] == [v.hex() for v in astuple(fresh)], (
                     name, axis, kind, target)
+
+
+def test_inversions_over_two_models_share_no_sums(toy_model, heavytail_model):
+    # each model keeps its own probe sums: inverting the toy model and then
+    # the heavy-tail model in one process gives every answer that the same
+    # inversion gives over a freshly loaded model
+    targets = (1.0, 25.0, 50.0, 90.0, 99.9)
+    for axis in ("length", "size"):
+        for kind in ("first", "threshold", "sampling"):
+            for name, model in (("toy", toy_model), ("heavytail", heavytail_model)):
+                for target in targets:
+                    fresh = load_model(str(MODELS / MODEL_FILES[name]))
+                    got, want = [], []
+                    for m, out in ((model, got), (fresh, want)):
+                        try:
+                            param, rep = invert_for_coverage(m, kind, axis, target)
+                            out.extend(v.hex() for v in (param, *astuple(rep)))
+                        except UnreachableError as exc:
+                            out.append(str(exc))
+                    assert got == want, (name, axis, kind, target)
+    # the heavy-tail answer, not the toy's p = 0.1458
+    p, _ = invert_for_coverage(heavytail_model, "sampling", "length", 50.0)
+    assert p == pytest.approx(6.32e-4, rel=1e-3)
 
 
 def test_invert_first_reads_the_integer_quantile(toy_model, heavytail_model):

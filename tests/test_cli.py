@@ -468,8 +468,8 @@ def weighted_sums(monkeypatch):
 @pytest.mark.parametrize("axis, shared, separate", [("length", 247, 256), ("size", 212, 227)])
 def test_analyze_targets_share_their_probes(capsys, tmp_path, weighted_sums, axis, shared,
                                             separate):
-    # one command passes one memo to all its inversions, so a parameter that
-    # several targets probe, such as sampling's bracket ends, is summed once
+    # a model keeps its probe sums, so a parameter that several targets of
+    # one command probe, such as sampling's bracket ends, is summed once
     targets = "1,10,25,50,75,90,95,99,99.5,99.9"
     code, _ = run(capsys, "analyze", "--model", HEAVY, "--axis", axis,
                   "--coverages", targets, "--out", str(tmp_path / "a"))
@@ -477,15 +477,22 @@ def test_analyze_targets_share_their_probes(capsys, tmp_path, weighted_sums, axi
     golden = GOLDEN / f"analyze_heavytail_{axis}.analytic.csv"
     assert (tmp_path / "a.analytic.csv").read_bytes() == golden.read_bytes()
     assert weighted_sums[0] == shared
-    weighted_sums[0] = 0
-    model = load_model(HEAVY)
-    for target in map(float, targets.split(",")):
-        for kind in ALGORITHM_KINDS:
-            try:
-                invert_for_coverage(model, kind, axis, target)
-            except UnreachableError:
-                pass
-    assert weighted_sums[0] == separate
+
+    def inversions(model_per_call: bool) -> int:
+        weighted_sums[0] = 0
+        model = load_model(HEAVY)
+        for target in map(float, targets.split(",")):
+            for kind in ALGORITHM_KINDS:
+                try:
+                    invert_for_coverage(load_model(HEAVY) if model_per_call else model,
+                                        kind, axis, target)
+                except UnreachableError:
+                    pass
+        return weighted_sums[0]
+
+    # separate calls over one model make the command's sums, a newly loaded
+    # model makes them again, and a model per call shares none
+    assert [inversions(False), inversions(False), inversions(True)] == [shared, shared, separate]
 
 
 @pytest.mark.parametrize("axis", ["length", "size"])

@@ -314,28 +314,52 @@ def test_flow_csv_round_trip(tmp_path, toy_model):
             read_flow_csv(str(bad), 1518)
 
 
+def piped(data: bytes, read):
+    """read's result on a pipe fed data, named by its /dev/fd path."""
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
+
+
 def test_flow_csv_is_read_whole_through_a_pipe(tmp_path, toy_model):
     # a pipe, such as a shell's <(zcat flows.csv.gz), can be read only once:
-    # every row must come through the handle that read the header
+    # every row must come through the handle that read the header, whether
+    # the bulk parse takes the file, the row loop takes a file the bulk
+    # parse refuses, or the row loop names a bad row
     if not os.path.isdir("/dev/fd"):
         pytest.skip("no /dev/fd to name a pipe by")
     lengths, sizes = generate_arrays(toy_model, GeneratorConfig(seed=5, flow_count=20000))
     dump = tmp_path / "flows.csv"
     write_flow_csv(str(dump), lengths, sizes)
-    r, w = os.pipe()
-
-    def feed():
-        with open(w, "wb") as fh:
-            fh.write(dump.read_bytes())
-
-    writer = threading.Thread(target=feed)
-    writer.start()
-    try:
-        back_l, back_s = read_flow_csv(f"/dev/fd/{r}", 1518)
-    finally:
-        os.close(r)
-        writer.join()
+    back_l, back_s = piped(dump.read_bytes(), lambda path: read_flow_csv(path, 1518))
     assert np.array_equal(lengths, back_l) and np.array_equal(sizes, back_s)
+
+    quoted = (HEADER + '"1","100"\n10,1000\n').encode()
+    dump.write_bytes(quoted)
+    by_path = read_flow_csv(str(dump), 1518)
+    back = piped(quoted, lambda path: read_flow_csv(path, 1518))
+    assert all(np.array_equal(a, b) for a, b in zip(back, by_path))
+
+    def error(path):
+        with pytest.raises(ValueError) as excinfo:
+            read_flow_csv(path, 1518)
+        return str(excinfo.value)
+
+    bad = (HEADER + "1,100\n2,3037\n").encode()
+    dump.write_bytes(bad)
+    message = "row 3: flow of 2 packets and 3037 bytes does not split into packets of 1..1518 bytes"
+    assert error(str(dump)) == f"{dump}: {message}"
+    assert piped(bad, error).endswith(f": {message}")
 
 
 HEADER = "length_packets,size_bytes\n"
@@ -352,7 +376,8 @@ HEADER = "length_packets,size_bytes\n"
 def test_bulk_reader_matches_row_loop(tmp_path, monkeypatch, body, bulk):
     path = tmp_path / "flows.csv"
     path.write_bytes((HEADER + body).encode())
-    expected = _read_rows(str(path), 1518)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        expected = _read_rows(fh, str(path), 1518)
     if bulk:  # the bulk parse takes these files whole, without the row loop
         monkeypatch.setattr("flowtab.generator._read_rows", None)
     lengths, sizes = read_flow_csv(str(path), 1518)
