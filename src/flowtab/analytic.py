@@ -77,79 +77,46 @@ def _threshold(model: TrafficModel, spec: AlgorithmSpec):
     return t, None, (covered, covered_step)
 
 
-def _uniform_sampling(model: TrafficModel, spec: AlgorithmSpec):
-    """Per-packet sampling with probability p, decided by flow length: an
-    n-packet flow gains an entry with probability 1 - q^n, q = 1 - p.  At
-    p = 1 every flow gets an entry at its first packet."""
+def _sampling(model: TrafficModel, spec: AlgorithmSpec):
+    """Sampling with probability p per packet.  Each of a flow's x units
+    escapes at log-rate r, so the flow gains an entry with probability
+    created(x) = 1 - e^(r x) and the entry covers an expected
+    1 - a created(x) / (b x) of it, the triggering unit included.  On the
+    length axis the unit is a packet and the law is exact: r = log(1 - p),
+    a = 1 - p, b = p; at p = 1 every flow gets an entry at its first
+    packet.  On the size axis the unit is a byte at rate
+    lam = p / max_packet_size, the small-packet limit of the per-packet
+    odds p b / max_packet_size: r = -lam, a = 1, b = lam.  Flows are whole
+    units, so the weights carry their forward differences over one unit,
+    created's being rise e^(r x), rise = 1 - e^r (p on the length axis)."""
     p = spec.probability
-    start = model.length_axis.flows.floor
-    if p == 1.0:
-        return start, None, None
-    lq = math.log1p(-p)
-    q = 1.0 - p
+    if spec.axis == "length":
+        if p == 1.0:
+            return 0.0, None, None
+        r, a, b, rise = math.log1p(-p), 1.0 - p, p, p
+    else:
+        lam = p / model.max_packet_size
+        r, a, b, rise = -lam, 1.0, lam, -math.expm1(-lam)
 
     def created(x, out=None, tmp=None):
-        return np.negative(np.expm1(np.multiply(x, lq, out=out), out=out), out=out)
+        return np.negative(np.expm1(np.multiply(x, r, out=out), out=out), out=out)
 
     def created_step(x: np.ndarray) -> np.ndarray:
-        return p * np.exp(x * lq)
+        return rise * np.exp(x * r)
 
     def covered(x, out=None, tmp=None):
-        return _covered_fraction(p, x, out, tmp)
+        # 1 - a created(x) / (b x), created's negation folded into the signs
+        out = np.multiply(a, np.expm1(np.multiply(x, r, out=out), out=out), out=out)
+        return np.add(1.0, np.divide(out, np.multiply(b, x, out=tmp), out=out), out=out)
 
     def covered_step(x: np.ndarray) -> np.ndarray:
-        return (q / p) * (created(x) / x - created(x + 1.0) / (x + 1.0))
-
-    return start, (created, created_step), (covered, covered_step)
-
-
-def _size_scaled_sampling(model: TrafficModel, spec: AlgorithmSpec):
-    """Size-scaled sampling in the continuous-byte approximation: with
-    per-byte rate lam = p / max_packet_size, a flow of s bytes gains an
-    entry with probability 1 - exp(-lam s) and covers an expected
-    1 - (1 - exp(-lam s)) / (lam s) of itself.  The per-packet Bernoulli
-    process is the exact reference; this closed form is its small-packet
-    limit.  Sizes are whole bytes, so the weights carry their forward
-    differences over one byte."""
-    lam = spec.probability / model.max_packet_size
-    step = -math.expm1(-lam)
-
-    def created(s, out=None, tmp=None):
-        return np.negative(np.expm1(np.multiply(-lam, s, out=out), out=out), out=out)
-
-    def created_step(s: np.ndarray) -> np.ndarray:
-        return step * np.exp(-lam * s)
-
-    def covered(s, out=None, tmp=None):
-        x = np.multiply(lam, s, out=tmp)
-        out = np.expm1(np.negative(x, out=out), out=out)
-        return np.add(1.0, np.divide(out, x, out=out), out=out)
-
-    def covered_step(s: np.ndarray) -> np.ndarray:
-        return (created(s) / s - created(s + 1.0) / (s + 1.0)) / lam
+        return (created(x) / x - created(x + 1.0) / (x + 1.0)) / (b / a)
 
     return 0.0, (created, created_step), (covered, covered_step)
 
 
-# (kind, axis) -> builder of the spec's (start, created, covered)
-_WEIGHTS = {
-    ("first", "length"): _threshold,
-    ("first", "size"): _threshold,
-    ("threshold", "length"): _threshold,
-    ("threshold", "size"): _threshold,
-    ("sampling", "length"): _uniform_sampling,
-    ("sampling", "size"): _size_scaled_sampling,
-}
-
-
-def _covered_fraction(p: float, n: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """Expected covered share of an n-packet flow under per-packet
-    sampling with probability p, the triggering packet included, for
-    0 < p < 1 and float lengths n >= 1: 1 - (1 - p) * created / (p * n)
-    with created = -expm1(n * log1p(-p)); in place like the weights."""
-    out = np.negative(np.expm1(np.multiply(n, math.log1p(-p), out=out), out=out), out=out)
-    out = np.multiply(1.0 - p, out, out=out)
-    return np.subtract(1.0, np.divide(out, np.multiply(p, n, out=tmp), out=out), out=out)
+# kind -> builder of the spec's (start, created, covered) on either axis
+_WEIGHTS = {"first": _threshold, "threshold": _threshold, "sampling": _sampling}
 
 
 def _coverage(model: TrafficModel, spec: AlgorithmSpec) -> tuple[float, float]:
@@ -157,20 +124,20 @@ def _coverage(model: TrafficModel, spec: AlgorithmSpec) -> tuple[float, float]:
     with its truncation bound: what a report and a coverage probe sum.
     The model keeps each spec's pair, so each is summed once."""
     if spec not in model.coverage_sums:
-        start, _, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
+        start, _, covered = _WEIGHTS[spec.kind](model, spec)
         model.coverage_sums[spec] = model.axis(spec.axis).octets.expect(covered, start)
     return model.coverage_sums[spec]
 
 
 def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:
     """Coverage and both reductions of one algorithm over a model, from the
-    spec's (kind, axis) weights.
+    weights of the spec's kind.
 
     Raises DegenerateError when no flow gains an entry.
     """
     ax = model.axis(spec.axis)
     cov, cov_err = _coverage(model, spec)
-    start, created, covered = _WEIGHTS[spec.kind, spec.axis](model, spec)
+    start, created, covered = _WEIGHTS[spec.kind](model, spec)
     entries, entries_err = ax.flows.expect(created, start)
     if entries <= 0.0:
         raise DegenerateError(f"no flow gains an entry under {spec}")

@@ -54,7 +54,7 @@ from flowtab.algorithms import (
     MetricsReport,
     PacketLayout,
 )
-from flowtab.analytic import _covered_fraction
+from flowtab.analytic import _WEIGHTS
 from flowtab.model import DEFAULT_MAX_PACKET, GUIDE_BUCKETS, SUPPORT_CAP, Mixture, TrafficModel
 
 
@@ -290,7 +290,10 @@ def expected_covered_fraction(p: float, length) -> np.ndarray | float:
     n = np.atleast_1d(np.asarray(length, dtype=float))
     if np.any(n < 1):
         raise ValueError("length must be >= 1")
-    out = np.ones_like(n) if p == 1.0 else _covered_fraction(p, n)
+    # the library's length-axis weights, which read nothing of a model; at
+    # p = 1 they are the indicator, None
+    _, _, covered = _WEIGHTS["sampling"](None, AlgorithmSpec("sampling", "length", probability=p))
+    out = np.ones_like(n) if covered is None else covered[0](n)
     return float(out[0]) if scalar else out
 
 
@@ -298,14 +301,16 @@ def expected_covered_fraction(p: float, length) -> np.ndarray | float:
 
 
 def reference_weights(model: TrafficModel, spec: AlgorithmSpec):
-    """The (created, covered) weights of a threshold spec, or of a sampling
-    spec with p < 1, as whole-array functions; threshold's created is the
-    indicator, None."""
+    """The (created, covered) weights of a threshold or sampling spec as
+    whole-array functions; an indicator weight is None: threshold's
+    created, and both of sampling at p = 1 on the length axis."""
     if spec.kind == "threshold":
         t = float(spec.threshold)
         return None, lambda x: 1.0 - t / x
     p = spec.probability
     if spec.axis == "length":
+        if p == 1.0:
+            return None, None
         lq = math.log1p(-p)
 
         def covered_fraction(n):
