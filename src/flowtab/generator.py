@@ -38,6 +38,9 @@ class GeneratorConfig:
     min_packet: int = 64
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # each setting is an integer
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.flow_count < 1:

@@ -11,11 +11,12 @@ One population, ingested or a single seed's, is made before the pool
 starts.  Over it only sampling draws on the seed, so each first and
 threshold cell runs once and its result is every seed's, and each
 sampling cell runs once per seed; each of those evaluations is one task
-for the worker pool.  Several generated seeds keep the seed as the task.
-The analytic column, which needs no population, is one more task, so the
-workers share it too.  Cells are merged into per-parameter means and
-standard deviations, with the analytic value alongside.  Output is
-byte-identical for identical specs regardless of the worker count.
+for the worker pool, whose forked workers inherit the running sweep.
+Several generated seeds keep the seed as the task.  The analytic column,
+which needs no population, is one more task, so the workers share it
+too.  Cells are merged into per-parameter means and standard deviations,
+with the analytic value alongside.  Output is byte-identical for
+identical specs regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -88,10 +89,11 @@ class SweepSpec:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"a seed is named twice in {list(self.seeds)}")
-        self.generator_config(self.seeds[0])  # refuses a bad flow_count or min_packet
+        for seed in self.seeds:  # refuses a bad seed, flow_count or min_packet
+            self.generator_config(seed)
         if self.duration_model not in DURATION_MODELS:
             raise ValueError(f"unknown duration_model {self.duration_model!r}")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
             raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         _check_algorithms(self.algorithms)
         if not self.thresholds and {"first", "threshold"} & set(self.algorithms):
@@ -120,9 +122,6 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
-    axis: str
-    algorithms: tuple[str, ...]
-    seeds: tuple[int, ...]
     flow_count: int
     cells: tuple[SweepCell, ...]
 
@@ -192,25 +191,17 @@ def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool
     return tasks
 
 
-# a pool worker's (spec, population, cells), inherited from run_sweep: the
-# population is the one shared one, ingested or the single seed's, or None
+# the running sweep's (spec, population, cells), None between sweeps; the population
+# is the shared one, ingested or the single seed's, or None.  Forked workers inherit
+# it without pickling and share its pages with the parent, so each copies none.
 _inherited = None
 
 
-def _inherit(*shared) -> None:
-    """Pool initializer.  Under fork the worker receives its arguments
-    without pickling and shares the population's pages with the parent,
-    so each worker holds no copy of its own."""
-    global _inherited
-    _inherited = shared
-
-
-def _run_task(task, shared=None) -> list:
+def _run_task(task) -> list:
     """Evaluate a task's cells for its seed, over the shared (lengths, sizes,
     layout) population or else over the one generated for the seed, or,
-    for the analytic task, their analytic reports.  A pool worker passes
-    only the task and runs on what it inherited."""
-    spec, population, cells = shared or _inherited
+    for the analytic task, their analytic reports."""
+    spec, population, cells = _inherited
     seed, indices = task
     if seed is None:
         return [_analytic(spec.model, cells[i]) for i in indices]
@@ -230,6 +221,7 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full sweep; deterministic for a given spec (seeds explicit)."""
+    global _inherited
     cells = spec.cells()
     population = None
     flow_count = spec.flow_count
@@ -241,16 +233,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     elif len(spec.seeds) == 1:
         population = _generated(spec, spec.seeds[0])
     tasks = _tasks(spec, cells, population is not None)
-    shared = (spec, population, cells)
+    _inherited = (spec, population, cells)
     # a fork pool starts all its workers at once: start no more than there are tasks
     workers = min(spec.jobs, len(tasks))
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                 initializer=_inherit, initargs=shared) as pool:
-            outcomes = list(pool.map(_run_task, [task for task, _ in tasks]))
-    else:
-        outcomes = [_run_task(task, shared) for task, _ in tasks]
+    try:
+        if workers > 1:
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                outcomes = list(pool.map(_run_task, [task for task, _ in tasks]))
+        else:
+            outcomes = [_run_task(task) for task, _ in tasks]
+    finally:
+        _inherited = None
     per_seed = [[None] * len(cells) for _ in spec.seeds]
     for ((seed, indices), rows), metrics in zip(tasks, outcomes):
         if seed is None:
@@ -266,8 +260,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         mean, std = zip(*(_mean_std(column) for column in zip(*rows)))
         out.append(SweepCell(kind=cell.kind, parameter=float(cell.parameter), mean=mean, std=std,
                              analytic=analytic[i], per_seed=tuple(rows)))
-    return SweepResult(axis=spec.axis, algorithms=tuple(spec.algorithms), seeds=tuple(spec.seeds),
-                       flow_count=flow_count, cells=tuple(out))
+    return SweepResult(flow_count=flow_count, cells=tuple(out))
 
 
 # -- rendering ----------------------------------------------------------------

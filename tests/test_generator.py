@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import warnings
 
@@ -245,6 +246,22 @@ def test_generate_rejects_empty():
         GeneratorConfig(seed=1, flow_count=0)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         GeneratorConfig(seed=-1, flow_count=10)
+
+
+@pytest.mark.parametrize("setting", [{"seed": 1.5}, {"flow_count": 10.0}, {"min_packet": 64.5},
+                                     {"seed": True}, {"flow_count": True}, {"min_packet": True}])
+def test_generation_settings_must_be_integers(setting):
+    # refused when built: not later in SeedSequence or np.empty, nor truncated in the size clamp
+    ((name, value),) = setting.items()
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        GeneratorConfig(**{"seed": 1, "flow_count": 10, **setting})
+
+
+def test_generation_settings_may_be_numpy_integers(toy_model):
+    numpy_ints = GeneratorConfig(seed=np.int64(4), flow_count=np.int32(1000), min_packet=np.uint8(64))
+    want = generate_arrays(toy_model, GeneratorConfig(seed=4, flow_count=1000, min_packet=64))
+    got = generate_arrays(toy_model, numpy_ints)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_toy_long_flow_share_within_binomial_ci(toy_model):

@@ -249,9 +249,8 @@ class _RecordingPool:
 
     max_workers: list[int] = []
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
+    def __init__(self, max_workers, mp_context):
         self.max_workers.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -283,6 +282,23 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, toy_model
     assert _RecordingPool.max_workers == [3, 4, 5]  # 12 single-cell tasks and the analytic one
 
 
+def test_sweep_releases_what_it_shares_with_its_tasks(monkeypatch, toy_model):
+    # the module holds a sweep's spec, population and cells only while it runs
+    run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000))
+    assert flowtab.sweep._inherited is None
+    run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000, jobs=2))
+    assert flowtab.sweep._inherited is None
+
+    def fail(*args):
+        raise RuntimeError("task failed")
+
+    monkeypatch.setattr(flowtab.sweep, "_metrics_tuple", fail)
+    for seeds, jobs in (((1,), 1), ((1, 2), 2)):
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_sweep(toy_spec(toy_model, seeds=seeds, flow_count=2000, jobs=jobs))
+        assert flowtab.sweep._inherited is None
+
+
 def test_sweep_requires_parameters(toy_model):
     with pytest.raises(ValueError):
         SweepSpec(model=toy_model, algorithms=("bogus",))
@@ -306,6 +322,11 @@ def test_sweep_requires_parameters(toy_model):
     ({"flow_count": 0}, "flow_count must be >= 1"),
     ({"min_packet": 0}, "min_packet must be >= 1 byte"),
     ({"flow_count": 0, "seeds": (1, 2, 3)}, "flow_count must be >= 1"),
+    ({"seeds": (1, 2.5), "jobs": 2}, "seed must be an integer, got 2.5"),
+    ({"seeds": (True,)}, "seed must be an integer, got True"),
+    ({"flow_count": 1e6}, "flow_count must be an integer, got 1000000.0"),
+    ({"min_packet": 64.5}, "min_packet must be an integer, got 64.5"),
+    ({"jobs": True}, "jobs must be an integer >= 1, got True"),
 ])
 def test_spec_refuses_bad_generation_settings_when_built(toy_model, setting, message):
     # refused by the spec itself, not later in a pool worker generating a seed
