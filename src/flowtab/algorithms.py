@@ -6,8 +6,9 @@ packet, from 1, that creates each one: first creates it at packet 1,
 threshold and sampling where their counter or draw fires.  The triggering
 packet and every later one are covered.  ``aggregate_batch`` folds those
 entries into occupancy and, with their covered bytes, into the three
-report metrics.  Packet sizes follow the even-split layout of
-``PacketLayout``.
+report metrics.  A population is one ``PacketLayout``: the flows' lengths
+and sizes and the even-split sizes of their packets, so no call can pair
+a layout with another population's arrays.
 
 ``evaluate_batch`` walks the population in blocks of ``BLOCK_FLOWS``
 flows.  In each block one predicate picks the flows that can gain an
@@ -15,10 +16,10 @@ entry (exactly those, but for the size-sampling bound below, which keeps
 a superset) and the per-flow arithmetic runs on those alone, summing their
 covered bytes exactly from the sizes and lead/base/tail values it holds
 (first needs the sizes alone); ``aggregate_batch`` reads only the entries'
-lengths, in blocks of the same size.  The population's PacketLayout owns
-both the scratch each intermediate is written into and the ``entries``
-pair the entries are written into, so the results are views of that pair
-until the next call over the population.  A cell allocates one block of
+lengths, in blocks of the same size.  The layout also owns both the
+scratch each intermediate is written into and the ``entries`` pair the
+entries are written into, so the results are views of that pair until
+the next call over the population.  A cell allocates one block of
 indices at a time, and the layout, built in blocks too, holds 16 B per
 flow beside its scratch and pair.  The predicates, for a
 flow of n packets and s bytes:
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -102,11 +104,10 @@ class AlgorithmSpec:
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}")
         if self.kind in ("first", "threshold"):
-            if self.threshold is None or not 0 <= self.threshold < math.inf:  # NaN included
+            if not isinstance(self.threshold, numbers.Real) or not 0 <= self.threshold < math.inf:
                 raise ValueError(f"{self.kind} requires a finite threshold >= 0")
-        else:
-            if self.probability is None or not (0.0 < self.probability <= 1.0):
-                raise ValueError("sampling requires probability in (0, 1]")
+        elif not isinstance(self.probability, numbers.Real) or not 0.0 < self.probability <= 1.0:
+            raise ValueError("sampling requires probability in (0, 1]")
 
     @classmethod
     def of(cls, kind: str, axis: str, parameter: float) -> AlgorithmSpec:
@@ -127,12 +128,12 @@ class PathProfile:
     paths: tuple[tuple[float, tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
+        if any(not isinstance(q, numbers.Real) or not 0.0 <= q <= 1.0  # NaN included
+               for p, switch_ps in self.paths for q in (p, *switch_ps)):
+            raise ValueError("probabilities must lie in [0, 1]")
         total = math.fsum(p for p, _ in self.paths)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"path probabilities sum to {total!r}, expected 1")
-        for p, switch_ps in self.paths:
-            if not (0.0 <= p <= 1.0) or any(not (0.0 <= q <= 1.0) for q in switch_ps):
-                raise ValueError("probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -140,16 +141,14 @@ class MetricsReport:
     coverage_pct: float
     operations_reduction: float
     occupancy_reduction: float
-    flow_count: int
-    entries_created: int
 
 
 def p_total(p: float, n: float) -> float:
     """Probability that an n-packet flow has an entry under per-packet
     sampling with probability p: 1 - (1 - p)^n, computed stably."""
-    if not (0.0 <= p <= 1.0):
+    if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if not n >= 0:  # NaN included
+    if not isinstance(n, numbers.Real) or not n >= 0:  # NaN included
         raise ValueError("n must be >= 0")
     if n == 0 or p == 0.0:
         return 0.0
@@ -171,7 +170,7 @@ def p_eff_paths(profile: PathProfile) -> float:
 
 def p_eff_avg(p: float, l_avg: float) -> float:
     """Effective sampling probability for an average path of l_avg switches."""
-    if not l_avg >= 1:  # NaN included
+    if not isinstance(l_avg, numbers.Real) or not l_avg >= 1:  # NaN included
         raise ValueError("l_avg must be >= 1")
     return p_total(p, l_avg)
 
@@ -180,7 +179,8 @@ def p_eff_avg(p: float, l_avg: float) -> float:
 
 
 class PacketLayout:
-    """Even-split packet sizes of a population of flows, in closed form.
+    """A population of flows: their ``lengths`` and ``sizes``, 1-D int64
+    arrays, and the even-split sizes of their packets, in closed form.
 
     A flow of n packets and s bytes sends ``lead`` leading packets of
     base = s // n bytes, then n - lead trailing packets of ``tail`` bytes
@@ -205,6 +205,11 @@ class PacketLayout:
     """
 
     def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
+        self.lengths, self.sizes = lengths, sizes = np.asarray(lengths), np.asarray(sizes)
+        if not (lengths.ndim == 1 and lengths.shape == sizes.shape and len(lengths)
+                and lengths.dtype == sizes.dtype == np.int64):
+            raise ValueError(f"lengths {lengths.dtype}{lengths.shape} and sizes {sizes.dtype}"
+                             f"{sizes.shape} are not equal-length, non-empty 1-D int64 arrays")
         self.lead, self.base, self.tail = (np.empty(len(lengths), dtype=t)
                                            for t in (np.int64, np.int32, np.int32))
         for start, block in _blocks(len(lengths)):
@@ -251,9 +256,8 @@ class PacketLayout:
 
 
 def _blocks(n: int, size: int = BLOCK_FLOWS):
-    """(start, slice) of each block of ``size`` flows, the last partial;
-    one empty block when there are none."""
-    for start in range(0, max(n, 1), size):
+    """(start, slice) of each block of ``size`` flows, the last partial."""
+    for start in range(0, n, size):
         yield start, slice(start, min(start + size, n))
 
 
@@ -273,11 +277,11 @@ def _covered(size, trigger, lead, base, tail, tmp) -> int:
     return size - int(np.multiply(lead, np.subtract(tail, base, out=k), out=lead).sum())
 
 
-def _threshold_block(lengths, sizes, spec, layout, rng, start, block, flows, trigger):
+def _threshold_block(layout, spec, rng, start, block, flows, trigger):
     """A block's entries, written into the heads of flows and trigger, as
     the size-sampling kernel does: their count and the bytes they cover.
     Length-axis sampling is a threshold per flow, x = log u / log(1 - p)."""
-    s, m = layout.scratch, block.stop - start
+    s, m, lengths, sizes = layout.scratch, block.stop - start, layout.lengths, layout.sizes
     if spec.kind == "sampling":
         with np.errstate(divide="ignore"):
             log_q = np.log1p(-spec.probability)  # -inf at p = 1
@@ -307,26 +311,25 @@ def _threshold_block(lengths, sizes, spec, layout, rng, start, block, flows, tri
     return n, _covered(size, trig, lead, base, tail, s.i0)
 
 
-def _size_candidates(u: np.ndarray, sizes: np.ndarray, tail: np.ndarray, p: float,
-                     layout: PacketLayout) -> np.ndarray:
-    """Indices of the flows that size-scaled sampling at probability p can
-    give an entry, by the bound of the module docstring."""
-    s, n = layout.scratch, len(u)
+def _size_candidates(u: np.ndarray, p: float, layout: PacketLayout, block: slice) -> np.ndarray:
+    """Indices, from the block's start, of its flows that size-scaled sampling
+    at probability p can give an entry, by the bound of the module docstring."""
+    s, n, tail = layout.scratch, len(u), layout.tail[block]
     lhs = np.subtract(u, 1.0, out=s.f1[:n])
     np.multiply(lhs, np.subtract(layout.max_packet_size / p, tail, out=s.f2[:n]), out=lhs)
-    bound = np.multiply(-(1.0 + 1e-6), sizes, out=s.f2[:n])
+    bound = np.multiply(-(1.0 + 1e-6), layout.sizes[block], out=s.f2[:n])
     return np.flatnonzero(np.greater(lhs, bound, out=s.mask[:n]))
 
 
-def _size_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows, trigger):
+def _size_sampling_block(layout, spec, rng, start, block, flows, trigger):
     s, p = layout.scratch, spec.probability
     scale, u = p / layout.max_packet_size, rng.random(out=s.f0[:block.stop - start])
-    cand = _size_candidates(u, sizes[block], layout.tail[block], p, layout)
+    cand = _size_candidates(u, p, layout, block)
     # a run of leading packets sampled alike, then a run of trailing ones
     n, log_u = len(cand), _take(u, cand, s.f1)
     np.log(np.maximum(log_u, 2.0 ** -53, out=log_u), out=log_u)
     cand = np.add(cand, start, out=s.i1[:n])  # frees the indices before the hits' are found
-    (lead, base, tail), size = layout._of(cand), int(_take(sizes, cand, s.i0).sum())
+    (lead, base, tail), size = layout._of(cand), int(_take(layout.sizes, cand, s.i0).sum())
     k_lead, log_q_run = s.f0[:n], s.f2[:n]
     # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -339,7 +342,7 @@ def _size_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows,
         np.add(np.add(lead, k_tail, out=k_tail), 1, out=k_tail)
     # where(k_lead <= lead, k_lead, where(k_tail <= n, k_tail, n + 1)): at packet n + 1 a flow
     # has no entry and covers nothing
-    trig, in_tail, in_lead = _take(lengths, cand, s.i0), s.mask[:n], s.hit[:n]
+    trig, in_tail, in_lead = _take(layout.lengths, cand, s.i0), s.mask[:n], s.hit[:n]
     np.less_equal(k_tail, trig, out=in_tail)
     np.copyto(np.add(trig, 1, out=trig), k_tail, where=in_tail, casting="unsafe")
     np.copyto(trig, k_lead, where=np.less_equal(k_lead, lead, out=in_lead), casting="unsafe")
@@ -348,15 +351,15 @@ def _size_sampling_block(lengths, sizes, spec, layout, rng, start, block, flows,
     return len(hits), _covered(size, trig, lead, base, tail, cand)
 
 
-def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                   layout: PacketLayout, rng: np.random.Generator | None = None):
+def evaluate_batch(layout: PacketLayout, spec: AlgorithmSpec,
+                   rng: np.random.Generator | None = None):
     """The entries a spec creates over a population, as (flows, trigger,
     covered): the increasing indices of the flows that gain an entry and
     the packet, from 1, that creates each one, both int64, and the exact
     integer byte total the entries cover, each flow's bytes from its
     triggering packet on.
 
-    ``layout`` is the population's PacketLayout, which carries the model's
+    ``layout`` is the population, which carries the model's
     max_packet_size and the kernels' scratch.  flows and trigger are views
     of the heads of its ``entries`` pair, valid until the next call over
     the population writes them.  Sampling draws from ``rng``.
@@ -366,15 +369,13 @@ def evaluate_batch(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
     kernel = _size_sampling_block if spec.kind == "sampling" and spec.axis == "size" \
         else _threshold_block
     (flows, trigger), entries, covered = layout.entries, 0, 0
-    for start, block in _blocks(len(lengths)):
-        count, bytes_ = kernel(lengths, sizes, spec, layout, rng, start, block,
-                               flows[entries:], trigger[entries:])
+    for start, block in _blocks(len(layout.lengths)):
+        count, bytes_ = kernel(layout, spec, rng, start, block, flows[entries:], trigger[entries:])
         entries, covered = entries + count, covered + bytes_
     return flows[:entries], trigger[:entries], covered
 
 
-def aggregate_batch(lengths: np.ndarray, layout: PacketLayout, flows: np.ndarray,
-                    trigger: np.ndarray, covered: int,
+def aggregate_batch(layout: PacketLayout, flows: np.ndarray, trigger: np.ndarray, covered: int,
                     duration_model: str = "equal") -> MetricsReport:
     """Fold the entries of evaluate_batch, and the bytes they cover, into
     coverage and reduction factors, a block of entries at a time in the
@@ -388,9 +389,7 @@ def aggregate_batch(lengths: np.ndarray, layout: PacketLayout, flows: np.ndarray
     """
     if duration_model not in DURATION_MODELS:
         raise ValueError(f"unknown duration_model {duration_model!r}")
-    n, entries = len(lengths), len(flows)
-    if n == 0:
-        raise ValueError("aggregate requires a non-empty population")
+    lengths, n, entries = layout.lengths, len(layout.lengths), len(flows)
     if entries == 0:
         raise DegenerateError("no flow created an entry; reductions are infinite")
     if flows[0] < 0 or flows[-1] >= n:  # increasing, so its ends bound every index
@@ -404,4 +403,4 @@ def aggregate_batch(lengths: np.ndarray, layout: PacketLayout, flows: np.ndarray
     coverage = 100.0 * float(covered) / float(layout.total_bytes)
     # the baseline holds every flow's entry for the flow's whole duration
     baseline = n if equal else float(lengths.sum())
-    return MetricsReport(coverage, n / entries, baseline / occupied, n, entries)
+    return MetricsReport(coverage, n / entries, baseline / occupied)

@@ -4,8 +4,8 @@ A sweep evaluates the first/threshold algorithms over a threshold series
 and the sampling algorithm over a probability series, for every seed,
 over one generated population per seed (the population depends only on
 (seed, flow_count), so it is shared across all cells of that seed), or
-over one ingested population shared by every seed.  Each population's
-packet layout is built once and shared by all of its cells.
+over one ingested population shared by every seed.  Each population is
+one PacketLayout, built once and shared by all of its cells.
 
 One population, ingested or a single seed's, is made before the pool
 starts.  Over it only sampling draws on the seed, so each first and
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,6 +31,7 @@ import multiprocessing
 import numpy as np
 
 from .algorithms import (
+    AXES,
     DURATION_MODELS,
     AlgorithmSpec,
     DegenerateError,
@@ -58,9 +60,9 @@ _SAMPLING_TAG = {"length": 2, "size": 3}
 
 def default_thresholds(axis: str) -> tuple[float, ...]:
     """Powers of two: 1..2^21 packets, or 64..2^30 bytes."""
-    if axis == "length":
-        return tuple(float(2 ** k) for k in range(0, 22))
-    return tuple(float(2 ** k) for k in range(6, 31))
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}")
+    return tuple(float(2 ** k) for k in (range(0, 22) if axis == "length" else range(6, 31)))
 
 
 def default_probabilities(axis: str) -> tuple[float, ...]:
@@ -83,8 +85,8 @@ class SweepSpec:
     population_csv: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("sweep requires at least one seed")
+        if not self.seeds or not all(isinstance(seed, numbers.Real) for seed in self.seeds):
+            raise ValueError(f"sweep requires one or more integer seeds, got {self.seeds!r}")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
@@ -100,6 +102,7 @@ class SweepSpec:
             object.__setattr__(self, "thresholds", default_thresholds(self.axis))
         if "sampling" in self.algorithms and not self.probabilities:
             object.__setattr__(self, "probabilities", default_probabilities(self.axis))
+        self.cells()  # refuses a bad axis or parameter
 
     def generator_config(self, seed: int) -> GeneratorConfig:
         """The settings that generate the seed's population."""
@@ -143,11 +146,11 @@ def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _metrics_tuple(lengths, sizes, layout, spec, seed, duration_model) -> tuple[float, float, float]:
+def _metrics_tuple(layout, spec, seed, duration_model) -> tuple[float, float, float]:
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
+    entries = evaluate_batch(layout, spec=spec, rng=rng)  # traced runs label spans by spec=
     try:
-        rep = aggregate_batch(lengths, layout, *entries, duration_model)
+        rep = aggregate_batch(layout, *entries, duration_model)
     except DegenerateError:
         return (0.0, math.inf, math.inf)
     return (rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction)
@@ -160,9 +163,9 @@ def _analytic(model: TrafficModel, cell: AlgorithmSpec) -> AnalyticReport:
         return AnalyticReport(0.0, math.inf, math.inf, 0.0)
 
 
-def _generated(spec: SweepSpec, seed: int):
-    lengths, sizes = generate_arrays(spec.model, spec.generator_config(seed))
-    return lengths, sizes, PacketLayout(lengths, sizes, spec.model.max_packet_size)
+def _generated(spec: SweepSpec, seed: int) -> PacketLayout:
+    population = generate_arrays(spec.model, spec.generator_config(seed))
+    return PacketLayout(*population, spec.model.max_packet_size)
 
 
 # cell kinds, dearest evaluation first
@@ -192,22 +195,22 @@ def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool
 
 
 # the running sweep's (spec, population, cells), None between sweeps; the population
-# is the shared one, ingested or the single seed's, or None.  Forked workers inherit
+# is the shared PacketLayout, ingested or the single seed's, or None.  Forked workers inherit
 # it without pickling and share its pages with the parent, so each copies none.
 _inherited = None
 
 
 def _run_task(task) -> list:
-    """Evaluate a task's cells for its seed, over the shared (lengths, sizes,
-    layout) population or else over the one generated for the seed, or,
-    for the analytic task, their analytic reports."""
+    """Evaluate a task's cells for its seed, over the shared population or
+    else over the one generated for the seed, or, for the analytic task,
+    their analytic reports."""
     spec, population, cells = _inherited
     seed, indices = task
     if seed is None:
         return [_analytic(spec.model, cells[i]) for i in indices]
     if population is None:
         population = _generated(spec, seed)
-    return [_metrics_tuple(*population, cells[i], seed, spec.duration_model) for i in indices]
+    return [_metrics_tuple(population, cells[i], seed, spec.duration_model) for i in indices]
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -222,14 +225,10 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full sweep; deterministic for a given spec (seeds explicit)."""
     global _inherited
-    cells = spec.cells()
-    population = None
-    flow_count = spec.flow_count
+    cells, population, max_packet = spec.cells(), None, spec.model.max_packet_size
     if spec.population_csv is not None:
         # an ingested population is the same for every seed: read it once
-        lengths, sizes = read_flow_csv(spec.population_csv, spec.model.max_packet_size)
-        population = lengths, sizes, PacketLayout(lengths, sizes, spec.model.max_packet_size)
-        flow_count = len(lengths)
+        population = PacketLayout(*read_flow_csv(spec.population_csv, max_packet), max_packet)
     elif len(spec.seeds) == 1:
         population = _generated(spec, spec.seeds[0])
     tasks = _tasks(spec, cells, population is not None)
@@ -260,7 +259,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         mean, std = zip(*(_mean_std(column) for column in zip(*rows)))
         out.append(SweepCell(kind=cell.kind, parameter=float(cell.parameter), mean=mean, std=std,
                              analytic=analytic[i], per_seed=tuple(rows)))
-    return SweepResult(flow_count=flow_count, cells=tuple(out))
+    return SweepResult(len(population.lengths) if population else spec.flow_count, tuple(out))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -14,9 +14,10 @@ report metrics.
 triggering packet, one array operation over every flow per step, as the
 reference the blocked kernels of ``evaluate_batch`` must match bit for
 bit; ``packet_over`` places a size threshold's packet and ``bytes_before``
-counts a flow's bytes ahead of a packet, both from a ``PacketLayout``.
-``expand`` turns the sparse entries that ``evaluate_batch`` returns into
-per-flow arrays.
+counts a flow's bytes ahead of a packet.  ``expand`` turns the sparse
+entries that ``evaluate_batch`` returns into per-flow arrays.  Each reads
+the population, the flows' lengths and sizes and their packets, from its
+``PacketLayout``, as the library does.
 
 ``expected_covered_fraction`` is the checked, per-flow form of the
 covered-share closed form that ``flowtab.analytic`` weights sampling with.
@@ -200,7 +201,7 @@ def aggregate(outcomes: Iterable[FlowOutcome], duration_model: str = "equal") ->
         occ_reduction = n / occ
     else:
         occ_reduction = total_packets / occ_packets
-    return MetricsReport(coverage, ops, occ_reduction, n, entries)
+    return MetricsReport(coverage, ops, occ_reduction)
 
 
 # -- whole-population reference of the batch kernels -------------------------------
@@ -224,11 +225,11 @@ def packet_over(layout: PacketLayout, threshold: float, flows: np.ndarray) -> np
                     lead + np.floor((t - lead_bytes) / tail)) + 1
 
 
-def reference_sampling_trigger(lengths: np.ndarray, spec: AlgorithmSpec, layout: PacketLayout,
+def reference_sampling_trigger(layout: PacketLayout, spec: AlgorithmSpec,
                                log_u: np.ndarray) -> np.ndarray:
     """Packet, from 1, that sampling with log-uniforms ``log_u`` first
     samples in each flow (0 for none), by inversion of the per-packet law."""
-    p = spec.probability
+    p, lengths = spec.probability, layout.lengths
     with np.errstate(divide="ignore", invalid="ignore"):
         if spec.axis == "length":
             trigger = np.floor(log_u / np.log1p(-p)) + 1
@@ -244,10 +245,11 @@ def reference_sampling_trigger(lengths: np.ndarray, spec: AlgorithmSpec, layout:
     return trigger.astype(np.int64)
 
 
-def reference_trigger(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpec,
-                      layout: PacketLayout, rng: np.random.Generator | None = None) -> np.ndarray:
+def reference_trigger(layout: PacketLayout, spec: AlgorithmSpec,
+                      rng: np.random.Generator | None = None) -> np.ndarray:
     """Packet, from 1, that creates each flow's entry under a spec (0 for
     none), over the whole population at once."""
+    lengths, sizes = layout.lengths, layout.sizes
     if spec.kind == "first":
         value = lengths if spec.axis == "length" else sizes
         return np.where(value > spec.threshold, 1, 0).astype(np.int64)
@@ -260,15 +262,15 @@ def reference_trigger(lengths: np.ndarray, sizes: np.ndarray, spec: AlgorithmSpe
         trigger[over] = packet_over(layout, spec.threshold, over)
         return trigger
     log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
-    return reference_sampling_trigger(lengths, spec, layout, log_u)
+    return reference_sampling_trigger(layout, spec, log_u)
 
 
-def expand(lengths: np.ndarray, sizes: np.ndarray, layout: PacketLayout,
-           flows: np.ndarray, trigger: np.ndarray):
+def expand(layout: PacketLayout, flows: np.ndarray, trigger: np.ndarray):
     """Per-flow (created, covered_bytes, occupancy_fraction) of the entries
     (flows, trigger) that evaluate_batch returns: the triggering packet and
     every later one are covered, the occupancy is that of the
     equal-duration model, and every other flow keeps zeros."""
+    lengths, sizes = layout.lengths, layout.sizes
     created = np.zeros(len(lengths), dtype=bool)
     covered = np.zeros(len(lengths), dtype=np.int64)
     occ = np.zeros(len(lengths))

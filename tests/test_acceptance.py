@@ -46,10 +46,10 @@ class criterion:
         return False
 
 
-def simulate(lengths, sizes, layout, spec, seed, duration_model="equal"):
+def simulate(layout, spec, seed, duration_model="equal"):
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
-    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
-    rep = aggregate_batch(lengths, layout, *entries, duration_model)
+    entries = evaluate_batch(layout, spec, rng=rng)
+    rep = aggregate_batch(layout, *entries, duration_model)
     return np.array([rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction])
 
 
@@ -84,7 +84,7 @@ def test_a2_sampling_p_one_exact(toy_model, heavytail_model):
         for model in (toy_model, heavytail_model):
             lengths, sizes = generate_arrays(model, GeneratorConfig(seed=3, flow_count=10 ** 5))
             layout = PacketLayout(lengths, sizes, model.max_packet_size)
-            sim = simulate(lengths, sizes, layout, spec, seed=3)
+            sim = simulate(layout, spec, seed=3)
             assert tuple(sim) == (100.0, 1.0, 1.0)
             ana = analytic_for_spec(model, spec)
             assert (ana.coverage_pct, ana.operations_reduction, ana.occupancy_reduction) == \
@@ -120,9 +120,9 @@ def test_a3_toy_oracle(toy_model):
         layout = PacketLayout(lengths, sizes, toy_model.max_packet_size)
         for kind, want in oracle.items():
             spec = AlgorithmSpec(kind, "length", threshold=1)
-            flows, trigger, total = evaluate_batch(lengths, sizes, spec, layout)
-            sim = aggregate_batch(lengths, layout, flows, trigger, total)
-            created, covered, occ = expand(lengths, sizes, layout, flows, trigger)
+            flows, trigger, total = evaluate_batch(layout, spec)
+            sim = aggregate_batch(layout, flows, trigger, total)
+            created, covered, occ = expand(layout, flows, trigger)
             n = len(lengths)
             cov_se = 100 * _ratio_se(covered.astype(float), sizes.astype(float))
             e = created.astype(float)
@@ -160,13 +160,13 @@ def test_a4_analytic_matches_simulation(heavytail_model, ht_population):
         t0 = time.time()
         seeds = (1, 2, 3, 4, 5)
         # one layout per population, shared by every spec of every grid
-        populations = [(l, s, PacketLayout(l, s, heavytail_model.max_packet_size))
-                       for l, s in map(ht_population, seeds)]
+        populations = [PacketLayout(*ht_population(seed), heavytail_model.max_packet_size)
+                       for seed in seeds]
         worst = 0.0
         for axis, grid, rel_tol in _a4_grids(heavytail_model):
             for spec in grid:
                 sims = np.array([
-                    simulate(*population, spec, seed)
+                    simulate(population, spec, seed)
                     for population, seed in zip(populations, seeds)
                 ])
                 mean = sims.mean(axis=0)

@@ -40,14 +40,14 @@ def batch(lengths, sizes, spec, rng=None):
     population's layout at the default 1518-byte max_packet_size of the
     oracle and the shipped models."""
     layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
-    flows, trigger, _ = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
-    return expand(lengths, sizes, layout, flows, trigger)
+    flows, trigger, _ = evaluate_batch(layout, spec, rng=rng)
+    return expand(layout, flows, trigger)
 
 
 def outcomes(lengths, sizes, spec, rng=None, duration_model="equal"):
     layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
-    entries = evaluate_batch(lengths, sizes, spec, layout, rng=rng)
-    return aggregate_batch(lengths, layout, *entries, duration_model)
+    entries = evaluate_batch(layout, spec, rng=rng)
+    return aggregate_batch(layout, *entries, duration_model)
 
 
 # -- eval_first ---------------------------------------------------------------
@@ -132,8 +132,8 @@ def test_size_scaled_full_packet_always_sampled():
     # packet is full, so it is sampled at p = 1
     jumbo = (np.full(1000, 2), np.full(1000, 18000))
     layout = PacketLayout(*jumbo, 9000)
-    flows, trigger, _ = evaluate_batch(*jumbo, spec, layout, rng=np.random.default_rng(2))
-    created, covered, _ = expand(*jumbo, layout, flows, trigger)
+    flows, trigger, _ = evaluate_batch(layout, spec, rng=np.random.default_rng(2))
+    created, covered, _ = expand(layout, flows, trigger)
     assert created.all() and (covered == 18000).all()
 
 
@@ -233,7 +233,7 @@ def test_aggregate_sampling_p_one_is_baseline(toy_population):
     lengths, sizes = toy_population
     rng = np.random.default_rng(0)
     rep = outcomes(lengths, sizes, AlgorithmSpec("sampling", "length", probability=1.0), rng)
-    assert rep == MetricsReport(100.0, 1.0, 1.0, 1000, 1000)
+    assert rep == MetricsReport(100.0, 1.0, 1.0)
 
 
 def test_aggregate_degenerate(toy_population):
@@ -255,7 +255,6 @@ def test_aggregate_scalar_stream_matches_batch(toy_population):
     batch = outcomes(lengths, sizes, spec)
     assert rep.coverage_pct == batch.coverage_pct
     assert rep.operations_reduction == batch.operations_reduction
-    assert rep.entries_created == batch.entries_created
     # occupancy sums accumulate in different orders between the two paths
     assert rep.occupancy_reduction == pytest.approx(batch.occupancy_reduction, rel=1e-12)
 
@@ -368,8 +367,8 @@ def test_batch_equals_oracle_on_layout_edges(case):
     for kind, evaluator in (("first", eval_first), ("threshold", eval_threshold)):
         for axis, T in (("length", packets), ("size", octets)):
             spec = AlgorithmSpec(kind, axis, threshold=float(T))
-            index, trigger, total = evaluate_batch(lengths, sizes, spec, layout)
-            created, covered, occ = expand(lengths, sizes, layout, index, trigger)
+            index, trigger, total = evaluate_batch(layout, spec)
+            created, covered, occ = expand(layout, index, trigger)
             assert total == covered.sum(), spec
             for i, flow in enumerate(flows):
                 out = evaluator(flow, spec)
@@ -430,11 +429,11 @@ def test_byte_total_is_checked_at_the_int64_edge():
     layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
     assert layout.total_bytes == 2 ** 63 - 1
     # aggregate_batch reads the layout's total, not a sum of its own
-    entries = evaluate_batch(lengths, sizes, AlgorithmSpec("first", threshold=0.0), layout)
+    entries = evaluate_batch(layout, AlgorithmSpec("first", threshold=0.0))
     assert entries[2] == 2 ** 63 - 1
-    assert aggregate_batch(lengths, layout, *entries).coverage_pct == 100.0
+    assert aggregate_batch(layout, *entries).coverage_pct == 100.0
     layout.total_bytes *= 4
-    assert aggregate_batch(lengths, layout, *entries).coverage_pct == 25.0
+    assert aggregate_batch(layout, *entries).coverage_pct == 25.0
     sizes[-1] += 1
     with pytest.raises(ValueError, match="byte total overflows int64"):
         PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)

@@ -73,13 +73,12 @@ def test_blocked_kernels_match_whole_population_formulas(axis, max_packet_size):
         ls, ss = lengths[:count], sizes[:count]
         layout = PacketLayout(ls, ss, max_packet_size)
         for spec in kernel_specs(axis):
-            flows, trigger, total = evaluate_batch(ls, ss, spec, layout,
-                                                   rng=np.random.default_rng(count))
-            want = reference_trigger(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            flows, trigger, total = evaluate_batch(layout, spec, rng=np.random.default_rng(count))
+            want = reference_trigger(layout, spec, rng=np.random.default_rng(count))
             assert flows.dtype == trigger.dtype == np.int64, (count, spec)
             assert np.array_equal(flows, np.flatnonzero(want)), (count, spec)
             assert np.array_equal(trigger, want[flows]), (count, spec)
-            _, covered, _ = expand(ls, ss, layout, flows, trigger)
+            _, covered, _ = expand(layout, flows, trigger)
             assert type(total) is int and total == int(covered.sum()), (count, spec)
 
 
@@ -90,16 +89,14 @@ def test_fold_equals_sums_over_per_flow_arrays(axis):
     lengths, sizes = kernel_population(count, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
     for spec in kernel_specs(axis):
-        flows, trigger, total = evaluate_batch(lengths, sizes, spec, layout,
-                                               rng=np.random.default_rng(2))
+        flows, trigger, total = evaluate_batch(layout, spec, rng=np.random.default_rng(2))
         if len(flows) == 0:
             continue
-        created, covered, _ = expand(lengths, sizes, layout, flows, trigger)
-        equal = aggregate_batch(lengths, layout, flows, trigger, total)
-        assert equal.entries_created == np.count_nonzero(created), spec
+        created, covered, _ = expand(layout, flows, trigger)
+        equal = aggregate_batch(layout, flows, trigger, total)
         assert equal.operations_reduction == count / np.count_nonzero(created), spec
         assert equal.coverage_pct == 100.0 * float(covered.sum()) / float(sizes.sum()), spec
-        proportional = aggregate_batch(lengths, layout, flows, trigger, total, "proportional")
+        proportional = aggregate_batch(layout, flows, trigger, total, "proportional")
         assert proportional.occupancy_reduction == \
             lengths.sum() / (lengths[flows] + 1 - trigger).sum(), spec
 
@@ -134,9 +131,9 @@ def test_size_prefilter_keeps_every_created_flow(max_packet_size):
                   np.nextafter(edge, 0.0), edge * (1 - 1e-12)):
             u = np.minimum(u, np.nextafter(1.0, 0.0))
             log_u = np.log(np.maximum(u, 2.0 ** -53))
-            created = reference_sampling_trigger(lengths, spec, layout, log_u) > 0
+            created = reference_sampling_trigger(layout, spec, log_u) > 0
             kept = np.zeros(len(lengths), dtype=bool)
-            kept[_size_candidates(u, sizes, layout.tail, p, layout)] = True
+            kept[_size_candidates(u, p, layout, slice(0, len(lengths)))] = True
             assert not np.any(created & ~kept), spec
             assert kept[full].all() or p < 1.0, spec
 
@@ -165,7 +162,7 @@ def test_kernel_memory_is_outputs_plus_a_few_blocks(spec):
     lengths, sizes = kernel_population(count, 1518)
     layout = PacketLayout(lengths, sizes, 1518)
     peak, _ = traced_peak(
-        lambda: evaluate_batch(lengths, sizes, spec, layout, rng=np.random.default_rng(1)))
+        lambda: evaluate_batch(layout, spec, rng=np.random.default_rng(1)))
     # the layout's entry pair, which the call allocates, its scratch of 8 1/8 blocks and
     # a block of candidate indices
     pair = 2 * 8 * count
@@ -191,8 +188,8 @@ def test_a_reused_pair_holds_the_fresh_results(axis):
         layout = PacketLayout(ls, ss, 1518)
         for spec in interleaved_specs(axis):
             fresh_layout = PacketLayout(ls, ss, 1518)
-            fresh = evaluate_batch(ls, ss, spec, fresh_layout, rng=np.random.default_rng(count))
-            reused = evaluate_batch(ls, ss, spec, layout, rng=np.random.default_rng(count))
+            fresh = evaluate_batch(fresh_layout, spec, rng=np.random.default_rng(count))
+            reused = evaluate_batch(layout, spec, rng=np.random.default_rng(count))
             # views of the pair's heads
             assert all(got.base is head and got.ctypes.data == head.ctypes.data
                        for got, head in zip(reused, layout.entries)), (count, spec)
@@ -200,11 +197,11 @@ def test_a_reused_pair_holds_the_fresh_results(axis):
             assert reused[2] == fresh[2], (count, spec)
             if len(fresh[0]) == 0:
                 with pytest.raises(DegenerateError):
-                    aggregate_batch(ls, layout, *reused)
+                    aggregate_batch(layout, *reused)
                 continue
             for model in ("equal", "proportional"):
-                assert aggregate_batch(ls, layout, *reused, model) == \
-                    aggregate_batch(ls, fresh_layout, *fresh, model), (count, spec)
+                assert aggregate_batch(layout, *reused, model) == \
+                    aggregate_batch(fresh_layout, *fresh, model), (count, spec)
         assert len(reused[0]) == 0  # the degenerate cell, last
 
 
@@ -214,7 +211,7 @@ def test_an_index_past_the_population_is_refused():
     for flows in ([0, 10], [-1, 3], [10]):
         flows = np.array(flows, dtype=np.int64)
         with pytest.raises(IndexError, match="out of range"):
-            aggregate_batch(lengths, layout, flows, np.ones(len(flows), dtype=np.int64), 0)
+            aggregate_batch(layout, flows, np.ones(len(flows), dtype=np.int64), 0)
 
 
 @pytest.mark.parametrize("kind", ["first", "threshold", "sampling"])
@@ -228,9 +225,9 @@ def test_a_warm_cell_allocates_less_than_two_blocks(kind, axis):
     first, second = (1.0, 0.5) if kind == "sampling" else (4.0, 1.0)
     for parameter in first, second:
         spec = AlgorithmSpec.of(kind, axis, parameter)
-        peak, report = traced_peak(lambda: aggregate_batch(lengths, layout, *evaluate_batch(
-            lengths, sizes, spec, layout, rng=np.random.default_rng(3))))
-    assert report.entries_created > BLOCK_FLOWS, report
+        peak, report = traced_peak(lambda: aggregate_batch(layout, *evaluate_batch(
+            layout, spec, rng=np.random.default_rng(3))))
+    assert report.operations_reduction < count / BLOCK_FLOWS, report  # entries > BLOCK_FLOWS
     assert peak < 2 * 8 * BLOCK_FLOWS, peak
 
 
@@ -240,12 +237,12 @@ import numpy as np
 from flowtab.model import load_model
 from flowtab.sweep import SweepSpec, _generated, _metrics_tuple
 spec = SweepSpec(model=load_model(sys.argv[1]), flow_count=262144)
-population = _generated(spec, 1)
+layout = _generated(spec, 1)
 if sys.argv[2] == "freed":
     np.ones(2 ** 19)  # 4 MiB allocated, written and freed
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for cell in spec.cells():
-    _metrics_tuple(*population, cell, 1, spec.duration_model)
+    _metrics_tuple(layout, cell, 1, spec.duration_model)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

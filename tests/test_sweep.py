@@ -200,9 +200,10 @@ def _count_evaluations(monkeypatch) -> list[str]:
     calls = []
     evaluate = flowtab.sweep.evaluate_batch
 
-    def counted(lengths, sizes, spec, layout, rng=None):
+    # spec keyword-only, as a traced run needs it to label the span
+    def counted(layout, *, spec, rng=None):
         calls.append(spec.kind)
-        return evaluate(lengths, sizes, spec, layout, rng=rng)
+        return evaluate(layout, spec=spec, rng=rng)
 
     monkeypatch.setattr(flowtab.sweep, "evaluate_batch", counted)
     return calls
