@@ -138,9 +138,19 @@ class PathProfile:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """Coverage and both reductions, simulated or analytic, and the bound on
+    the analytic sums' truncation, flagged above FLAG_LEVEL; a simulation
+    sums every flow exactly, so its ``truncation_error`` is 0."""
+
+    FLAG_LEVEL = 1e-6  # a class constant, not a field
     coverage_pct: float
     operations_reduction: float
     occupancy_reduction: float
+    truncation_error: float = 0.0
+
+    @property
+    def flagged(self) -> bool:
+        return self.truncation_error > self.FLAG_LEVEL
 
 
 def p_total(p: float, n: float) -> float:
@@ -201,7 +211,9 @@ class PacketLayout:
     then written in place, beside a few bool masks of one block.
     Build a layout once per population and pass it to every call over that
     population: they write its ``scratch`` and ``entries``, so they run one
-    at a time.
+    at a time.  The layout makes the arrays it keeps read-only, the caller's
+    lengths and sizes too, uncopied; a write through another view of their
+    memory is not caught.
     """
 
     def __init__(self, lengths: np.ndarray, sizes: np.ndarray, max_packet_size: int):
@@ -232,6 +244,8 @@ class PacketLayout:
             raise ValueError("the flows' byte total overflows int64")
         self.total_bytes = int(sizes.sum())
         self.max_packet_size = max_packet_size
+        for array in (lengths, sizes, self.lead, self.base, self.tail):
+            array.flags.writeable = False
 
     @functools.cached_property
     def scratch(self) -> SimpleNamespace:

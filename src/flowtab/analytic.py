@@ -13,38 +13,23 @@ the weights, the reports and the inversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AlgorithmSpec, DegenerateError
+from .algorithms import AlgorithmSpec, DegenerateError, MetricsReport
 from .model import SUPPORT_CAP, TrafficModel
 
 __all__ = [
     "UnreachableError",
-    "AnalyticReport",
     "analytic_for_spec",
     "invert_for_coverage",
 ]
 
-FLAG_LEVEL = 1e-6
 P_BRACKET = (1e-12, 1.0)
 
 
 class UnreachableError(ValueError):
     """Requested traffic coverage exceeds what the algorithm can achieve."""
-
-
-@dataclass(frozen=True)
-class AnalyticReport:
-    coverage_pct: float
-    operations_reduction: float
-    occupancy_reduction: float
-    truncation_error: float = 0.0
-
-    @property
-    def flagged(self) -> bool:
-        return self.truncation_error > FLAG_LEVEL
 
 
 # -- weight table -----------------------------------------------------------------
@@ -129,7 +114,7 @@ def _coverage(model: TrafficModel, spec: AlgorithmSpec) -> tuple[float, float]:
     return model.coverage_sums[spec]
 
 
-def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticReport:
+def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> MetricsReport:
     """Coverage and both reductions of one algorithm over a model, from the
     weights of the spec's kind.
 
@@ -144,7 +129,7 @@ def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticRepor
     occupied, occ_err = ax.flows.expect(covered, start)
     # far in the tail the occupancy sum underflows while entries remain
     occupancy = 1.0 / occupied if occupied > 0.0 else math.inf
-    return AnalyticReport(
+    return MetricsReport(
         100.0 * cov, 1.0 / entries, occupancy, cov_err + entries_err + occ_err
     )
 
@@ -153,7 +138,7 @@ def analytic_for_spec(model: TrafficModel, spec: AlgorithmSpec) -> AnalyticRepor
 
 
 def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
-                        target_pct: float) -> tuple[float, AnalyticReport]:
+                        target_pct: float) -> tuple[float, MetricsReport]:
     """Find the threshold/probability achieving the target traffic coverage.
 
     Returns the parameter together with the achieved analytic metrics.
@@ -181,7 +166,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     def cov(param: float) -> float:
         return 100.0 * _coverage(model, AlgorithmSpec.of(kind, axis, param))[0]
 
-    def report(param: float) -> tuple[float, AnalyticReport]:
+    def report(param: float) -> tuple[float, MetricsReport]:
         return param, analytic_for_spec(model, AlgorithmSpec.of(kind, axis, param))
 
     def nearest(*params: float) -> float:

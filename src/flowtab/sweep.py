@@ -35,12 +35,13 @@ from .algorithms import (
     DURATION_MODELS,
     AlgorithmSpec,
     DegenerateError,
+    MetricsReport,
     PacketLayout,
     aggregate_batch,
     check_algorithms as _check_algorithms,  # private: traced runs skip it
     evaluate_batch,
 )
-from .analytic import AnalyticReport, analytic_for_spec
+from .analytic import analytic_for_spec
 from .generator import GeneratorConfig, generate_arrays, read_flow_csv
 from .model import TrafficModel
 
@@ -119,7 +120,7 @@ class SweepCell:
     parameter: float
     mean: tuple[float, float, float]  # coverage %, ops reduction, occ reduction
     std: tuple[float, float, float]
-    analytic: AnalyticReport
+    analytic: MetricsReport
     per_seed: tuple[tuple[float, float, float], ...]
 
 
@@ -146,21 +147,19 @@ def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _report(leg, *args) -> MetricsReport:
+    """leg(*args), or on either leg the degenerate cell where no flow gains an entry."""
+    try:
+        return leg(*args)
+    except DegenerateError:
+        return MetricsReport(0.0, math.inf, math.inf)
+
+
 def _metrics_tuple(layout, spec, seed, duration_model) -> tuple[float, float, float]:
     rng = _sampling_rng(seed, spec) if spec.kind == "sampling" else None
     entries = evaluate_batch(layout, spec=spec, rng=rng)  # traced runs label spans by spec=
-    try:
-        rep = aggregate_batch(layout, *entries, duration_model)
-    except DegenerateError:
-        return (0.0, math.inf, math.inf)
+    rep = _report(aggregate_batch, layout, *entries, duration_model)
     return (rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction)
-
-
-def _analytic(model: TrafficModel, cell: AlgorithmSpec) -> AnalyticReport:
-    try:
-        return analytic_for_spec(model, cell)
-    except DegenerateError:
-        return AnalyticReport(0.0, math.inf, math.inf, 0.0)
 
 
 def _generated(spec: SweepSpec, seed: int) -> PacketLayout:
@@ -207,7 +206,7 @@ def _run_task(task) -> list:
     spec, population, cells = _inherited
     seed, indices = task
     if seed is None:
-        return [_analytic(spec.model, cells[i]) for i in indices]
+        return [_report(analytic_for_spec, spec.model, cells[i]) for i in indices]
     if population is None:
         population = _generated(spec, seed)
     return [_metrics_tuple(population, cells[i], seed, spec.duration_model) for i in indices]

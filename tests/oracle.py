@@ -22,6 +22,11 @@ the population, the flows' lengths and sizes and their packets, from its
 ``expected_covered_fraction`` is the checked, per-flow form of the
 covered-share closed form that ``flowtab.analytic`` weights sampling with.
 
+``expected_sampling`` is the exact law of sampling over a fixed
+population: each flow's expected entry, covered bytes and occupancy, in
+closed form over its lead and tail runs, against which the simulated
+sampling mean is tested with no model error.
+
 ``reference_weights`` keeps the analytic weights as whole-array
 expressions, each operation a fresh array, as the reference the in-place
 weights of ``flowtab.analytic`` must match bit for bit.
@@ -297,6 +302,99 @@ def expected_covered_fraction(p: float, length) -> np.ndarray | float:
     _, _, covered = _WEIGHTS["sampling"](None, AlgorithmSpec("sampling", "length", probability=p))
     out = np.ones_like(n) if covered is None else covered[0](n)
     return float(out[0]) if scalar else out
+
+
+# -- the exact sampling law over a fixed population -----------------------------------
+
+
+@dataclass(frozen=True)
+class SamplingExpectation:
+    """Per-flow float arrays: the chance of an entry, the expected covered
+    bytes, the expected packets the entry is held for (the occupancy of the
+    proportional-duration model) and their share of the flow's packets (that
+    of the equal-duration model)."""
+
+    entries: np.ndarray
+    covered: np.ndarray
+    held: np.ndarray
+    occupancy: np.ndarray
+
+
+def _log_pass(runs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log q^R, q = 1 - x: the log-chance that no packet of a run of R, each
+    sampled at odds x, is sampled; 0 for an empty run, at x = 1 too."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(runs > 0, runs * np.log1p(-x), 0.0)
+
+
+def _run_packets(runs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V(R, x) = sum_{i<R} (R - i) q^i x = R - q (1 - q^R) / x, q = 1 - x:
+    the expected packets of a run of R, each sampled at odds x, from the
+    first sampled one to the run's end, 0 when none is.  Where R x <= 1 the
+    closed form cancels, so it is summed as its series
+    sum_{r>=2} C(R+1, r) (-1)^r x^(r-1), whose terms fall by a factor
+    R x / (r + 1) <= 1 / (r + 1) each: its first 20 reach double precision."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = runs + (1.0 - x) * np.expm1(_log_pass(runs, x)) / x
+    term = runs * (runs + 1.0) / 2.0 * x
+    series = term.copy()
+    for r in range(2, 21):
+        term = term * -x * (runs + 1.0 - r) / (r + 1.0)
+        series += term
+    return np.where(runs * x <= 1.0, series, closed)
+
+
+def expected_sampling(layout: PacketLayout, spec: AlgorithmSpec) -> SamplingExpectation:
+    """The exact expectations of a sampling spec over the layout's flows,
+    with no noise and no model error.
+
+    A flow of n packets sends a lead run of L packets of ``base`` bytes,
+    sampled at odds x_b each, then a tail run of m = n - L packets of
+    ``tail`` bytes, at odds x_t: p on the length axis, p * packet /
+    max_packet_size on the size axis.  With q = 1 - x, the entry is created
+    at lead packet i + 1 with chance q_b^i x_b and at tail packet L + j + 1
+    with chance q_b^L q_t^j x_t, and it covers the bytes and holds the
+    packets from there on.  Summed over both runs, with V(R, x) of
+    ``_run_packets`` the expected packets of a run from its trigger on:
+
+        entries = 1 - q_b^L q_t^m
+        held    = m (1 - q_b^L) + V(L, x_b) + q_b^L V(m, x_t)
+        covered = m tail (1 - q_b^L) + base V(L, x_b) + q_b^L tail V(m, x_t)
+
+    At p = 1 on the length axis q = 0, and the entry is the first packet's.
+    """
+    if spec.kind != "sampling":
+        raise ValueError("spec.kind must be 'sampling'")
+    n = layout.lengths.astype(float)
+    lead, base, tail = (a.astype(float) for a in (layout.lead, layout.base, layout.tail))
+    m, p = n - lead, spec.probability
+    if spec.axis == "length":
+        x_b = x_t = np.full(len(n), p)
+    else:
+        x_b, x_t = p / layout.max_packet_size * base, p / layout.max_packet_size * tail
+    log_pass_b = _log_pass(lead, x_b)
+    pass_b, hit_b = np.exp(log_pass_b), -np.expm1(log_pass_b)
+    v_b, v_t = _run_packets(lead, x_b), _run_packets(m, x_t)
+    held = m * hit_b + v_b + pass_b * v_t
+    covered = m * tail * hit_b + base * v_b + pass_b * tail * v_t
+    entries = -np.expm1(log_pass_b + _log_pass(m, x_t))
+    return SamplingExpectation(entries, covered, held, held / n)
+
+
+def expected_sampling_per_packet(flow: FlowRecord, spec: AlgorithmSpec,
+                                 max_packet_size: int = DEFAULT_MAX_PACKET):
+    """(entries, covered, held) of ``expected_sampling`` for one flow, summed
+    packet by packet over the chance that each packet is the first sampled."""
+    sizes = packetize(flow, max_packet_size)
+    survive, entries, covered, held = 1.0, 0.0, 0.0, 0.0
+    for i, pkt in enumerate(sizes):
+        odds = spec.probability * pkt / max_packet_size if spec.axis == "size" \
+            else spec.probability
+        first = survive * odds
+        entries, covered, held = entries + first, covered + first * sum(sizes[i:]), \
+            held + first * (flow.length - i)
+        survive *= 1.0 - odds
+    return entries, covered, held
 
 
 # -- the analytic weights on fresh arrays --------------------------------------------

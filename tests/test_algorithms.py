@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+import flowtab.algorithms
 from flowtab.algorithms import (
     AlgorithmSpec,
     DegenerateError,
@@ -31,6 +33,8 @@ from oracle import (
     eval_sampling,
     eval_threshold,
     expand,
+    expected_sampling,
+    expected_sampling_per_packet,
     packetize,
 )
 
@@ -398,6 +402,104 @@ def test_batch_sampling_matches_oracle_on_spread_flows(length, size):
         assert chi2_contingency(table).pvalue > 1e-3, spec
 
 
+# -- the exact sampling law -----------------------------------------------------------
+
+
+def assert_exact_law(flows, spec, max_packet_size=DEFAULT_MAX_PACKET):
+    lengths = np.array([f.length for f in flows], dtype=np.int64)
+    sizes = np.array([f.size for f in flows], dtype=np.int64)
+    law = expected_sampling(PacketLayout(lengths, sizes, max_packet_size), spec)
+    for i, flow in enumerate(flows):
+        entries, covered, held = expected_sampling_per_packet(flow, spec, max_packet_size)
+        got = (law.entries[i], law.covered[i], law.held[i], law.occupancy[i])
+        want = (entries, covered, held, held / flow.length)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (flow, spec)
+
+
+# p = 1 (q = 0 on the length axis) and tiny p, where the closed forms cancel
+SAMPLING_ODDS = st.one_of(st.sampled_from([1.0, 0.5, 2.0 ** -10, 1e-9, 1e-15]),
+                          st.floats(min_value=1e-15, max_value=1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flows=st.lists(edge_flows(), min_size=1, max_size=12), p=SAMPLING_ODDS,
+       axis=st.sampled_from(["length", "size"]))
+def test_expected_sampling_matches_per_packet_sum_on_layout_edges(flows, p, axis):
+    assert_exact_law(flows, AlgorithmSpec("sampling", axis, probability=p))
+
+
+def test_expected_sampling_on_jumbo_and_zero_odds_edges():
+    # 9000-byte packets: full ones sampled surely at p = 1; a spread and a
+    # last-packet remainder under the jumbo size, and runs far past 1 / x
+    jumbo = [FlowRecord(2, 18000), FlowRecord(3, 17000), FlowRecord(5, 44998),
+             FlowRecord(1, 9000), FlowRecord(400, 400 * 8999 + 7)]
+    for p in (1.0, 0.3, 2.0 ** -20):
+        for axis in ("length", "size"):
+            assert_exact_law(jumbo, AlgorithmSpec("sampling", axis, probability=p), 9000)
+    law = expected_sampling(PacketLayout(np.array([1, 7]), np.array([9000, 63000]), 9000),
+                            AlgorithmSpec("sampling", "size", probability=1.0))
+    assert (law.entries == 1.0).all() and list(law.covered) == [9000.0, 63000.0]
+
+
+# The simulated sampling mean against the exact law, fixed before the first
+# run and not re-picked since: the heavy-tail model's population of seed 1
+# and 2^15 flows; K = 100 sampling seeds, 0..99; p = 2^-k for k = 0..14 on
+# the length axis and 0..12 on the size axis, each cell at least 100 exact
+# entries per seed; in each, the mean of the entries, covered bytes, held
+# packets and equal-duration occupancy within Z = 4 standard errors of the
+# exact expectation.  Over these 112 comparisons, a t statistic of 99
+# degrees of freedom beyond 4 gives about a 1.4% family-wise false alarm.
+LAW_FLOWS, LAW_SEEDS, LAW_Z = 2 ** 15, 100, 4.0
+LAW_EXPONENTS = {"length": range(15), "size": range(13)}
+
+
+def sampling_law_misses(layout, axis):
+    """The (p, quantity, z) of every comparison of an axis's cells farther
+    than LAW_Z standard errors from the exact law.  The slack of 1e-9 of the
+    expectation covers float summation alone: at p = 1 on the length axis
+    every seed gives the same entries, and the standard error is 0."""
+    lengths, misses = layout.lengths, []
+    for k in LAW_EXPONENTS[axis]:
+        spec = AlgorithmSpec("sampling", axis, probability=2.0 ** -k)
+        law = expected_sampling(layout, spec)
+        want = np.array([law.entries.sum(), law.covered.sum(), law.held.sum(),
+                         law.occupancy.sum()])
+        got = np.empty((LAW_SEEDS, 4))
+        for seed in range(LAW_SEEDS):
+            flows, trigger, covered = evaluate_batch(layout, spec, rng=np.random.default_rng(seed))
+            packets = lengths[flows]
+            held = packets + 1 - trigger
+            got[seed] = len(flows), covered, held.sum(), (held / packets).sum()
+        se = got.std(axis=0, ddof=1) / math.sqrt(LAW_SEEDS)
+        gap = got.mean(axis=0) - want
+        for name, g, e, w in zip(("entries", "covered", "held", "occupancy"), gap, se, want):
+            if abs(g) > LAW_Z * e + 1e-9 * w:
+                misses.append((spec.probability, name, g / e if e else math.inf))
+    return misses
+
+
+@pytest.fixture(scope="module")
+def law_layout(ht_population):
+    return PacketLayout(*ht_population(1, LAW_FLOWS), DEFAULT_MAX_PACKET)
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_simulated_sampling_mean_matches_exact_law(law_layout, axis):
+    assert sampling_law_misses(law_layout, axis) == []
+
+
+def test_exact_law_catches_lead_odds_of_one_byte_more(law_layout, monkeypatch):
+    # the kernel samples each lead packet at the odds of base + 1 bytes
+    source = inspect.getsource(flowtab.algorithms._size_sampling_block)
+    odds = "np.multiply(-scale, base, out=log_q_run)"
+    assert source.count(odds) == 1
+    namespace = dict(vars(flowtab.algorithms))
+    exec(source.replace(odds, "np.multiply(-scale, base + 1, out=log_q_run)"), namespace)
+    monkeypatch.setattr(flowtab.algorithms, "_size_sampling_block",
+                        namespace["_size_sampling_block"])
+    assert sampling_law_misses(law_layout, "size") != []
+
+
 # -- structural invariants -----------------------------------------------------------
 
 
@@ -426,7 +528,7 @@ def test_byte_total_is_checked_at_the_int64_edge():
     lengths = np.full(4, 2 ** 52, dtype=np.int64)
     sizes = np.full(4, 2 ** 61, dtype=np.int64)
     sizes[-1] -= 1
-    layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
+    layout = PacketLayout(lengths, sizes.copy(), DEFAULT_MAX_PACKET)  # it makes its sizes read-only
     assert layout.total_bytes == 2 ** 63 - 1
     # aggregate_batch reads the layout's total, not a sum of its own
     entries = evaluate_batch(layout, AlgorithmSpec("first", threshold=0.0))
@@ -437,3 +539,18 @@ def test_byte_total_is_checked_at_the_int64_edge():
     sizes[-1] += 1
     with pytest.raises(ValueError, match="byte total overflows int64"):
         PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
+
+
+def test_layout_arrays_are_read_only_after_the_build():
+    # a write into the arrays the layout keeps would change its population
+    # behind its lead/base/tail and its byte total: 1490% coverage below
+    lengths = np.array([10, 20, 30], dtype=np.int64)
+    sizes = np.array([1000, 2000, 3000], dtype=np.int64)
+    layout = PacketLayout(lengths, sizes, DEFAULT_MAX_PACKET)
+    with pytest.raises(ValueError, match="read-only"):
+        sizes[:] = [15000, 30000, 45000]
+    for name in ("lengths", "sizes", "lead", "base", "tail"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layout, name)[0] = 1
+    spec = AlgorithmSpec("threshold", "length", threshold=2)
+    assert outcomes(lengths, sizes, spec).coverage_pct == pytest.approx(90.0, rel=1e-12)

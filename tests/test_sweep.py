@@ -8,8 +8,8 @@ import pathlib
 import pytest
 
 import flowtab.sweep
-from flowtab.algorithms import AlgorithmSpec, DegenerateError
-from flowtab.analytic import AnalyticReport, analytic_for_spec
+from flowtab.algorithms import AlgorithmSpec, DegenerateError, MetricsReport
+from flowtab.analytic import analytic_for_spec
 from flowtab.generator import GeneratorConfig, generate_arrays, write_flow_csv
 from flowtab.sweep import (
     SweepSpec,
@@ -233,7 +233,7 @@ def test_analytic_column_is_the_analytic_report(tmp_path, toy_model, population,
     spec = toy_spec(toy_model, thresholds=(0.0, 1.0, 4.0, 50.0), flow_count=2000, jobs=jobs, **kw)
     cells = run_sweep(spec).cells
     assert len(cells) == len(spec.cells())
-    degenerate = AnalyticReport(0.0, math.inf, math.inf, 0.0)
+    degenerate = MetricsReport(0.0, math.inf, math.inf, 0.0)
     for cell, want in zip(cells, spec.cells()):
         parameter = want.probability if want.kind == "sampling" else want.threshold
         assert (cell.kind, cell.parameter) == (want.kind, parameter)
