@@ -4,13 +4,15 @@ Subcommands: validate, simulate, analyze, peff, generate; simulate, analyze
 and generate require --model, simulate also with --flows-csv.  A --config
 file is a JSON object of long flags, each overridden by an explicit one.
 All randomness flows from explicit --seed/--seeds flags; identical flag
-sets produce byte-identical outputs for any --jobs value.  Exit codes: 0
-success, 1 runtime failure, 2 validation error, 3 model-consistency error.
+sets produce byte-identical outputs for any --jobs value, and analyze's
+for any number of usable CPUs.  Exit codes: 0 success, 1 runtime
+failure, 2 validation error, 3 model-consistency error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algorithms import DURATION_MODELS, PathProfile, p_eff_avg, p_eff_paths
@@ -18,7 +20,7 @@ from .algorithms import check_algorithms as _check_algorithms  # private: traced
 from .analytic import UnreachableError, invert_for_coverage
 from .generator import GeneratorConfig, generate_arrays, write_flow_csv
 from .model import DominanceError, ModelError, load_model
-from .sweep import SweepSpec, emit_table, run_sweep
+from .sweep import SweepSpec, _fork_join, emit_table, run_sweep
 
 __all__ = ["main"]
 
@@ -166,13 +168,10 @@ def _invert(model, kind: str, axis: str, target: float):
         return None
 
 
-def _cmd_analyze(args) -> int:
-    _check_algorithms(args.algorithms)
-    if not args.coverages:
-        raise ValueError("analyze requires at least one coverage target")
-    model = load_model(args.model)
-    rows = {}  # a target named twice reuses its rows
-    for target in dict.fromkeys(args.coverages):
+def _rows(model, args, targets) -> dict[float, list[str]]:
+    """Each target's .analytic.csv rows."""
+    rows = {}
+    for target in targets:
         # first is the ratio baseline; it is unreachable only past 100 %,
         # where every kind is, so each reachable row has it
         first = _invert(model, "first", args.axis, target)
@@ -189,6 +188,25 @@ def _cmd_analyze(args) -> int:
                 f"{first[1].operations_reduction / rep.operations_reduction:.4f},"
                 f"{first[1].occupancy_reduction / rep.occupancy_reduction:.4f}\n"
             )
+    return rows
+
+
+def _usable_cpus() -> int:  # taskset limits them
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _cmd_analyze(args) -> int:
+    _check_algorithms(args.algorithms)
+    if not args.coverages:
+        raise ValueError("analyze requires at least one coverage target")
+    model = load_model(args.model)
+    head, *rest = dict.fromkeys(args.coverages)  # a target named twice reuses its rows
+    rows = _rows(model, args, [head])  # builds the model's tables and first probe sums
+    # the rest are dealt round-robin to a worker per usable CPU, forked to inherit them
+    workers = max(1, min(_usable_cpus(), len(rest)))
+    calls = [(_rows, (model, args, rest[w::workers])) for w in range(workers)]
+    for dealt in _fork_join(calls) if workers > 1 else [fn(*a) for fn, a in calls]:
+        rows.update(dealt)
     path = args.out + ".analytic.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("algorithm,target_coverage,parameter,coverage,ops_reduction,occ_reduction,"
@@ -275,16 +293,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DominanceError as exc:
-        print(json.dumps({"errors": [{"type": "DominanceError", "message": str(exc)}]}))
-        return EXIT_CONSISTENCY
-    except (ValueError, FileNotFoundError) as exc:
-        kind = type(exc).__name__
-        print(json.dumps({"errors": [{"type": kind, "message": str(exc)}]}))
-        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_RUNTIME
-    except OSError as exc:
-        print(json.dumps({"errors": [{"type": "OSError", "message": str(exc)}]}))
-        return EXIT_RUNTIME
+    except (ValueError, OSError) as exc:  # a DominanceError is a ValueError
+        named = isinstance(exc, (ValueError, FileNotFoundError))
+        print(json.dumps({"errors": [{"type": type(exc).__name__ if named else "OSError",
+                                      "message": str(exc)}]}))
+        return EXIT_CONSISTENCY if isinstance(exc, DominanceError) else \
+            EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -49,8 +49,9 @@ class GeneratorConfig:
             raise ValueError("min_packet must be >= 1 byte")
 
 
-def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,))
+def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The PCG64 stream of a seed and a spawn key: a shard's index, or a sampling cell's."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -59,7 +60,7 @@ def _generate_shard(model: TrafficModel, config: GeneratorConfig, shard_index: i
     """Fill one shard's int64 slices of the population: the uniforms are drawn
     into sizes, the quantiles written over lengths and them, then cast in place."""
     u, drawn = sizes.view(np.float64), lengths.view(np.float64)
-    _shard_rng(config.seed, shard_index).random(out=u)
+    _rng(config.seed, shard_index).random(out=u)
     np.maximum(u, MIN_UNIFORM, out=u)
     model.length_axis.flows.quantile(u, out=drawn)
     model.size_axis.flows.quantile(u, out=u)

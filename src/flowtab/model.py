@@ -673,25 +673,21 @@ class AxisModel:
     octets: Mixture
 
     def __post_init__(self) -> None:
+        """Checks flows.CDF >= packets.CDF >= octets.CDF pointwise on a
+        257-point geometric grid from domain_min to the support cap, floored
+        on a discrete axis, where a point may repeat."""
         if self.axis not in ("length", "size"):
             raise SchemaError(f"unknown axis {self.axis!r}")
-
-    def check_dominance(self) -> None:
-        """flows.CDF >= packets.CDF >= octets.CDF pointwise on a 257-point
-        geometric grid from domain_min to the support cap, floored on a
-        discrete axis, where a point may repeat."""
         grid = np.geomspace(float(self.flows.domain_min), SUPPORT_CAP, 257)
         if self.flows.discrete:
             grid = np.floor(grid)
-        f = self.flows.cdf(grid)
-        p = self.packets.cdf(grid)
-        o = self.octets.cdf(grid)
-        for upper, lower, pair in ((f, p, "flows >= packets"), (p, o, "packets >= octets")):
-            bad = upper + DOMINANCE_TOLERANCE < lower
+        cdf = {name: getattr(self, name).cdf(grid) for name in ("flows", "packets", "octets")}
+        for upper, lower in (("flows", "packets"), ("packets", "octets")):
+            bad = cdf[upper] + DOMINANCE_TOLERANCE < cdf[lower]
             if np.any(bad):
                 x = grid[np.argmax(bad)]
                 raise DominanceError(
-                    f"{self.axis} axis: CDF dominance {pair} violated at x={x:g}"
+                    f"{self.axis} axis: CDF dominance {upper} >= {lower} violated at x={x:g}"
                 )
 
 
@@ -710,11 +706,9 @@ class TrafficModel:
     coverage_sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def axis(self, name: str) -> AxisModel:
-        if name == "length":
-            return self.length_axis
-        if name == "size":
-            return self.size_axis
-        raise ValueError(f"unknown axis {name!r}")
+        if name not in ("length", "size"):
+            raise ValueError(f"unknown axis {name!r}")
+        return getattr(self, f"{name}_axis")
 
     @staticmethod
     def _average(declared: float | None, flows: Mixture, what: str) -> float:
@@ -748,14 +742,16 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, required: Sequence[str], optional: Sequence[str], where: str) -> None:
-    keys = set(obj)
-    missing = [k for k in required if k not in keys]
+def _check_keys(obj: Any, required: Sequence[str], optional: Sequence[str], where: str) -> dict:
+    """obj, an object holding every required field and no other but the optional ones."""
+    obj = _require_mapping(obj, where)
+    missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"{where}: missing field(s) {missing}")
-    extra = sorted(keys - set(required) - set(optional))
+    extra = sorted(set(obj) - set(required) - set(optional))
     if extra:
         raise SchemaError(f"{where}: unexpected field(s) {extra}")
+    return obj
 
 
 def _number(obj: dict, key: str, where: str) -> float:
@@ -780,8 +776,7 @@ def _built(where: str, cls, **fields):
 
 
 def _component_from_json(obj: Any, where: str) -> MixtureComponent:
-    obj = _require_mapping(obj, where)
-    _check_keys(obj, ("kind", "weight", "params"), (), where)
+    obj = _check_keys(obj, ("kind", "weight", "params"), (), where)
     # the component judges the kind and the param names
     params_obj = _require_mapping(obj["params"], f"{where}.params")
     params = {k: _number(params_obj, k, f"{where}.params") for k in params_obj}
@@ -789,35 +784,26 @@ def _component_from_json(obj: Any, where: str) -> MixtureComponent:
                   weight=_number(obj, "weight", where), params=params)
 
 
-def _mixture_from_json(obj: Any, *, discrete: bool, default_domain_min: float, where: str) -> Mixture:
-    obj = _require_mapping(obj, where)
-    _check_keys(obj, ("components",), ("domain_min",), where)
+def _mixture_from_json(obj: Any, discrete: bool, where: str) -> Mixture:
+    obj = _check_keys(obj, ("components",), ("domain_min",), where)
     comps_obj = obj["components"]
     if not isinstance(comps_obj, list):
         raise SchemaError(f"{where}.components: expected a list")
     comps = tuple(
         _component_from_json(c, f"{where}.components[{i}]") for i, c in enumerate(comps_obj)
     )
-    domain_min = _number(obj, "domain_min", where) if "domain_min" in obj else default_domain_min
+    default_min = 1.0 if discrete else float(DEFAULT_SIZE_DOMAIN_MIN)
+    domain_min = _number(obj, "domain_min", where) if "domain_min" in obj else default_min
     if discrete and domain_min != int(domain_min):
         raise SchemaError(f"{where}.domain_min: length axis requires an integer")
     return _built(where, Mixture, components=comps, domain_min=domain_min, discrete=discrete)
 
 
 def _axis_from_json(obj: Any, axis: str, where: str) -> AxisModel:
-    obj = _require_mapping(obj, where)
-    _check_keys(obj, ("flows", "packets", "octets"), (), where)
-    discrete = axis == "length"
-    default_min = 1.0 if discrete else float(DEFAULT_SIZE_DOMAIN_MIN)
-    mixes = {
-        name: _mixture_from_json(
-            obj[name], discrete=discrete, default_domain_min=default_min, where=f"{where}.{name}"
-        )
-        for name in ("flows", "packets", "octets")
-    }
-    model = AxisModel(axis=axis, **mixes)
-    model.check_dominance()
-    return model
+    obj = _check_keys(obj, ("flows", "packets", "octets"), (), where)
+    mixes = {name: _mixture_from_json(obj[name], axis == "length", f"{where}.{name}")
+             for name in ("flows", "packets", "octets")}
+    return AxisModel(axis=axis, **mixes)
 
 
 def parse_model(document: str) -> TrafficModel:
@@ -826,13 +812,12 @@ def parse_model(document: str) -> TrafficModel:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    obj = _require_mapping(obj, "model")
-    _check_keys(obj, ("name", "axes"),
-                ("max_packet_size", "avg_flow_length", "avg_flow_size", "avg_packet_size"), "model")
+    obj = _check_keys(obj, ("name", "axes"),
+                      ("max_packet_size", "avg_flow_length", "avg_flow_size", "avg_packet_size"),
+                      "model")
     if not isinstance(obj["name"], str):
         raise SchemaError("model.name: expected a string")
-    axes = _require_mapping(obj["axes"], "model.axes")
-    _check_keys(axes, ("length", "size"), (), "model.axes")
+    axes = _check_keys(obj["axes"], ("length", "size"), (), "model.axes")
     length_axis = _axis_from_json(axes["length"], "length", "model.axes.length")
     size_axis = _axis_from_json(axes["size"], "size", "model.axes.size")
 

@@ -46,7 +46,7 @@ from .algorithms import (
     evaluate_batch,
 )
 from .analytic import analytic_for_spec
-from .generator import GeneratorConfig, generate_arrays, read_flow_csv
+from .generator import GeneratorConfig, _rng, generate_arrays, read_flow_csv
 from .model import TrafficModel
 
 __all__ = [
@@ -140,9 +140,7 @@ class SweepResult:
 def _sampling_rng(seed: int, spec: AlgorithmSpec) -> np.random.Generator:
     # value-derived spawn key: identical (seed, axis, p) cells draw identically
     bits = int(np.float64(spec.probability).view(np.uint64))
-    key = (_SAMPLING_TAG[spec.axis], bits >> 32, bits & 0xFFFFFFFF)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return np.random.Generator(np.random.PCG64(ss))
+    return _rng(seed, _SAMPLING_TAG[spec.axis], bits >> 32, bits & 0xFFFFFFFF)
 
 
 def _report(leg, *args) -> MetricsReport:
@@ -224,10 +222,10 @@ def _fork_join(calls) -> list:
     values = []
     for data, status in sent:
         if not data:
-            raise ChildProcessError(f"a sweep child sent nothing (wait status {status})")
+            raise ChildProcessError(f"a forked child sent nothing (wait status {status})")
         value, tb = pickle.loads(data)
         if tb is not None:
-            raise value from RuntimeError(f"in a sweep child:\n{tb}")
+            raise value from RuntimeError(f"in a forked child:\n{tb}")
         values.append(value)
     return values
 
@@ -253,6 +251,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     hands = [tasks[w::workers] for w in range(workers)]
     calls = [(_run_tasks, (spec, population, cells, hand, w == workers - 1))
              for w, hand in enumerate(hands)]
+    if spec.jobs > 1:  # the workers share numpy.random, not each loading its own
+        import numpy.random  # noqa: F401
     dealt, columns = zip(*(_fork_join(calls) if spec.jobs > 1 else [fn(*a) for fn, a in calls]))
     per_cell = [[None] * len(spec.seeds) for _ in cells]
     for (_, indices, rows), metrics in zip(itertools.chain(*hands), itertools.chain(*dealt)):

@@ -452,9 +452,83 @@ def test_analyze_matches_golden(capsys, tmp_path, axis):
 
 
 @pytest.fixture
+def cpus(monkeypatch):
+    """Pins analyze to a given number of usable CPUs; records each fork's
+    hands, and checks that every forked worker was reaped."""
+    forks = []
+
+    def fork_join(calls):
+        forks.append([args[-1] for _, args in calls])
+        return fork_join_(calls)
+
+    def pin(n: int) -> list:
+        monkeypatch.setattr(flowtab.cli, "_usable_cpus", lambda: n)
+        return forks
+
+    fork_join_ = flowtab.cli._fork_join
+    monkeypatch.setattr(flowtab.cli, "_fork_join", fork_join)
+    yield pin
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("model, golden", [(TOY, "analyze_toy_{}"),
+                                           (HEAVY, "analyze_heavytail_{}_default")])
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_analyze_is_byte_identical_for_any_cpu_count(capsys, tmp_path, cpus, model, golden,
+                                                      axis):
+    # the first target runs here, the other 99 are dealt round-robin to a
+    # forked worker per CPU; one CPU runs them all here
+    expected = (GOLDEN / f"{golden.format(axis)}.analytic.csv").read_bytes()
+    for n in (1, 2, 3):
+        forks = cpus(n)
+        code, _ = run(capsys, "analyze", "--model", model, "--axis", axis,
+                      "--out", str(tmp_path / f"a{n}"))
+        assert code == 0
+        assert (tmp_path / f"a{n}.analytic.csv").read_bytes() == expected
+    targets = list(DEFAULT_COVERAGES[1:])
+    assert forks == [[targets[0::2], targets[1::2]],
+                     [targets[0::3], targets[1::3], targets[2::3]]]
+
+
+def test_forked_analyze_repeats_targets_and_marks_unreachable_ones(capsys, tmp_path, cpus):
+    # size-axis sampling tops out below 99 %: those rows are unreachable
+    # whichever worker inverts them, and a repeated target reuses its rows
+    outputs = []
+    for n in (1, 2, 3):
+        cpus(n)
+        code, _ = run(capsys, "analyze", "--model", HEAVY, "--axis", "size",
+                      "--coverages", "50,99,10,50,99.9,99,150,10", "--out", str(tmp_path / "a"))
+        assert code == 0
+        outputs.append((tmp_path / "a.analytic.csv").read_text())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count("sampling,99,unreachable,,,,,\n") == 2
+    assert outputs[0].count("\n") == 1 + 8 * 3
+
+
+@pytest.mark.parametrize("coverages", ["50,0", "50,nan", "50,10,0,20,30", "50,10,20,nan"])
+def test_forked_analyze_reports_a_bad_target_as_one_cpu_does(capsys, tmp_path, cpus, coverages):
+    # every bad target raises the same ValueError, so the report does not
+    # depend on the worker that sent it
+    outputs = []
+    for n in (1, 2, 3):
+        forks = cpus(n)
+        code, out = run(capsys, "analyze", "--model", TOY, "--coverages", coverages,
+                        "--out", str(tmp_path / "a"))
+        assert code == 2
+        outputs.append(json.loads(out))
+        assert list(tmp_path.iterdir()) == []
+    assert outputs[0] == outputs[1] == outputs[2] == {"errors": [
+        {"type": "ValueError", "message": "target coverage must lie in (0, 100]"}]}
+    assert len(forks) == (2 if coverages.count(",") > 1 else 0)
+
+
+@pytest.fixture
 def weighted_sums(monkeypatch):
     """The number of weighted Mixture.expect sums made since the fixture
-    was set up, in a list so that a test can reset it."""
+    was set up, in a list so that a test can reset it.  analyze runs on
+    one CPU, in this process, where the counting wrapper sees every sum."""
+    monkeypatch.setattr(flowtab.cli, "_usable_cpus", lambda: 1)
     count, expect = [0], Mixture.expect
 
     def counted(mix, weight, start):
@@ -639,12 +713,19 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 
 def test_cli_import_leaves_the_pool_and_the_tail_rules_unloaded(tmp_path):
     # the CLI imports no process pool, and the Gauss-Legendre rules (numpy.polynomial)
-    # are built only in a process that sums a tail: a forked sweep's analytic child
+    # are built only in a process that sums a tail: a forked sweep's analytic child.
+    # A forking sweep loads numpy.random before its fork, over ingested flows too,
+    # so that its workers share it instead of each loading its own
+    assert main(["generate", "--model", HEAVY, "--flows", "2000", "--seed", "1",
+                 "--out", str(tmp_path / "flows.csv")]) == 0
     probe = (
         "import sys, flowtab.cli\n"
         "unloaded = ['concurrent.futures', 'multiprocessing', 'numpy.polynomial', 'numpy.random']\n"
         "print(sorted(m for m in unloaded if m in sys.modules))\n"
         "model, out = sys.argv[1:]\n"
+        "assert flowtab.cli.main(['simulate', '--model', model, '--flows-csv', out + '/flows.csv',\n"
+        "                         '--seeds', '1,2', '--jobs', '2', '--out', out + '/r']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
         "assert flowtab.cli.main(['simulate', '--model', model, '--flows', '2000',\n"
         "                         '--seeds', '1', '--jobs', '2', '--out', out + '/s']) == 0\n"
         "print('numpy.polynomial' in sys.modules)\n"
@@ -652,8 +733,8 @@ def test_cli_import_leaves_the_pool_and_the_tail_rules_unloaded(tmp_path):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", probe, HEAVY, str(tmp_path)], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    lines = out.stdout.strip().splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "False")
+    lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
+    assert lines == ["[]", "True", "False"]
 
 
 def test_peff_flags_and_profile(capsys, tmp_path):
@@ -978,3 +1059,11 @@ def test_missing_model_is_runtime_error(capsys):
     code, out = run(capsys, "validate", "no_such_model.json")
     assert code == 1
     assert json.loads(out)["errors"][0]["type"] == "FileNotFoundError"
+
+
+def test_a_file_error_other_than_a_missing_file_exits_1_as_an_os_error(capsys, tmp_path):
+    # an output path that is a directory
+    (tmp_path / "a.analytic.csv").mkdir()
+    code, out = run(capsys, "analyze", "--model", TOY, "--coverages", "50",
+                    "--out", str(tmp_path / "a"))
+    assert (code, json.loads(out)["errors"][0]["type"]) == (1, "OSError")

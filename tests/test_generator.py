@@ -17,7 +17,7 @@ from flowtab.generator import (
     SHARD_SIZE,
     GeneratorConfig,
     _read_rows,
-    _shard_rng,
+    _rng,
     generate_arrays,
     read_flow_csv,
     write_flow_csv,
@@ -116,7 +116,7 @@ def test_generate_population_matches_arrays(heavytail_model):
     cfg = GeneratorConfig(seed=9, flow_count=SHARD_SIZE + 77)
     lengths, sizes = generate_arrays(heavytail_model, cfg)
     for shard, count in ((0, SHARD_SIZE), (1, 77)):
-        rng = _shard_rng(cfg.seed, shard)
+        rng = _rng(cfg.seed, shard)
         for i in range(shard * SHARD_SIZE, shard * SHARD_SIZE + count, 97):
             u = max(rng.random(), MIN_UNIFORM)
             length = int(heavytail_model.length_axis.flows.quantile(u))
@@ -145,7 +145,7 @@ def test_generate_digest_and_length_quantile_definition(name, toy_model, heavyta
     assert digest == POPULATION_SHA256[name]
     # every length is the smallest integer k with cdf(k) >= u
     u = np.concatenate([
-        np.maximum(_shard_rng(cfg.seed, shard).random(SHARD_SIZE), MIN_UNIFORM)
+        np.maximum(_rng(cfg.seed, shard).random(SHARD_SIZE), MIN_UNIFORM)
         for shard in range(cfg.flow_count // SHARD_SIZE)
     ])
     flows = model.length_axis.flows
@@ -197,7 +197,7 @@ def test_size_draws_past_int64_clamp_high(toy_document):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         lengths, sizes = generate_arrays(model, cfg)
-    u = np.maximum(_shard_rng(cfg.seed, 0).random(SHARD_SIZE), MIN_UNIFORM)
+    u = np.maximum(_rng(cfg.seed, 0).random(SHARD_SIZE), MIN_UNIFORM)
     draws = model.size_axis.flows.quantile(u)
     assert np.count_nonzero(draws >= 2.0 ** 63) >= 5
     assert np.array_equal(sizes, np.clip(draws, 64 * lengths, 1518 * lengths).astype(np.int64))

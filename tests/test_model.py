@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from flowtab import model as model_module
-from flowtab.generator import MIN_UNIFORM, SHARD_SIZE, _shard_rng
+from flowtab.generator import MIN_UNIFORM, SHARD_SIZE, _rng
 from flowtab.model import (
     DominanceError,
     Mixture,
@@ -352,7 +352,7 @@ def test_guided_index_is_searchsorted(heavytail_model, axis):
     mix = heavytail_model.axis(axis).flows
     cdf = 1.0 - mix._sf_table
     for seed, shard in itertools.product((1, 2, 3), range(16)):
-        u = np.maximum(_shard_rng(seed, shard).random(SHARD_SIZE), MIN_UNIFORM)
+        u = np.maximum(_rng(seed, shard).random(SHARD_SIZE), MIN_UNIFORM)
         k = np.searchsorted(cdf, u, "left")
         inside = k < len(cdf)
         assert np.count_nonzero(inside) > 60_000
@@ -376,7 +376,7 @@ def test_quantile_past_the_table_takes_few_rounds(monkeypatch, heavytail_model, 
     monkeypatch.setitem(vars(mix), "_raw_sf", counted)
     for shard in range(16):
         rounds.append(0)
-        mix.quantile(np.maximum(_shard_rng(1, shard).random(SHARD_SIZE), MIN_UNIFORM))
+        mix.quantile(np.maximum(_rng(1, shard).random(SHARD_SIZE), MIN_UNIFORM))
     assert 0 < max(rounds) <= 8, rounds
 
 
