@@ -11,18 +11,17 @@ and sizes and the even-split sizes of their packets, so no call can pair
 a layout with another population's arrays.
 
 ``evaluate_batch`` walks the population in blocks of ``BLOCK_FLOWS``
-flows.  In each block one predicate picks the flows that can gain an
-entry (exactly those, but for the size-sampling bound below, which keeps
-a superset) and the per-flow arithmetic runs on those alone, summing their
+flows.  In each block one predicate picks the flows that can gain an entry
+(exactly those, but for the size-sampling bound below, which keeps a
+superset) and the per-flow arithmetic runs on those alone, summing their
 covered bytes exactly from the sizes and lead/base/tail values it holds
 (first needs the sizes alone); ``aggregate_batch`` reads only the entries'
-lengths, in blocks of the same size.  The layout also owns both the
-scratch each intermediate is written into and the ``entries`` pair the
-entries are written into, so the results are views of that pair until
-the next call over the population.  A cell allocates one block of
-indices at a time, and the layout, built in blocks too, holds 16 B per
-flow beside its scratch and pair.  The predicates, for a
-flow of n packets and s bytes:
+lengths, in blocks of the same size.  The layout also owns both the scratch
+each intermediate is written into and the ``entries`` pair the entries are
+written into, so the results are views of that pair until the next call
+over the population.  A cell allocates one block of indices at a time, and
+the layout, built in blocks too, holds 16 B per flow beside its scratch
+and pair.  The predicates, for a flow of n packets and s bytes:
 
 - first and threshold, length axis: n > T;
 - first and threshold, size axis: s > T (for threshold the lead/tail
@@ -37,15 +36,14 @@ flow of n packets and s bytes:
   log-survival is at least -s / (M / p - tail), and log u <= u - 1: a
   flow at or below the bound gains no entry, and the 1e-6 margin keeps
   rounding from dropping one that does.  At p = 1 a full-size packet,
-  surely sampled, makes M / p = tail and keeps its flow.  The candidates
-  alone then take log u and run the exact lead/tail formulas.
+  surely sampled, makes M / p = tail and keeps its flow.
 
 Sampling draws one uniform per flow, the blocks in turn from one stream,
-so the draws do not depend on the block size.  The first sampled packet is
-drawn from its exact law by inversion: with u uniform, packet k is the
-first success when the log-survival of the packets before it is >= log u
-and that of packets 1..k is < log u.  This matches a per-packet Bernoulli
-loop in distribution.
+so the draws do not depend on the block size.  ``_sampling_block`` takes
+the first sampled packet from its exact law by inversion: with u uniform,
+packet k is the first success when the log-survival of the packets before
+it is >= log u and that of packets 1..k is < log u.  This matches a
+per-packet Bernoulli loop in distribution.
 """
 from __future__ import annotations
 
@@ -292,21 +290,12 @@ def _covered(size, trigger, lead, base, tail, tmp) -> int:
 
 
 def _threshold_block(layout, spec, rng, start, block, flows, trigger):
-    """A block's entries, written into the heads of flows and trigger, as
-    the size-sampling kernel does: their count and the bytes they cover.
-    Length-axis sampling is a threshold per flow, x = log u / log(1 - p)."""
-    s, m, lengths, sizes = layout.scratch, block.stop - start, layout.lengths, layout.sizes
-    if spec.kind == "sampling":
-        with np.errstate(divide="ignore"):
-            log_q = np.log1p(-spec.probability)  # -inf at p = 1
-        u = rng.random(out=s.f0[:m])
-        x = np.divide(np.log(np.maximum(u, 2.0 ** -53, out=u), out=u), log_q, out=u)
-        cand = np.flatnonzero(np.less(x, lengths[block], out=s.mask[:m]))
-        t = np.floor(_take(x, cand, s.f1), out=s.f1[:len(cand)])
-    else:
-        value = lengths if spec.axis == "length" else sizes
-        cand = np.flatnonzero(np.greater(value[block], spec.threshold, out=s.mask[:m]))
-        t = np.floor(spec.threshold)  # whole packets or bytes
+    """A block's first or threshold entries, written into the heads of flows
+    and trigger: their count and the bytes they cover."""
+    s, m, sizes = layout.scratch, block.stop - start, layout.sizes
+    value = layout.lengths if spec.axis == "length" else sizes
+    cand = np.flatnonzero(np.greater(value[block], spec.threshold, out=s.mask[:m]))
+    t = np.floor(spec.threshold)  # whole packets or bytes
     n, trig = len(cand), trigger[:len(cand)]
     cand = np.add(cand, start, out=flows[:n])
     size = int(_take(sizes, cand, s.i0).sum())
@@ -315,7 +304,7 @@ def _threshold_block(layout, spec, rng, start, block, flows, trigger):
         return n, size
     lead, base, tail = layout._of(cand)
     if spec.axis == "length":
-        np.copyto(trig, np.add(t, 1, out=s.f1[:n]), casting="unsafe")
+        np.copyto(trig, t + 1, casting="unsafe")
     else:  # the packet that takes the flow's byte count above the threshold
         lead_bytes, x, inside = np.multiply(lead, base, out=s.i0[:n]), s.f0[:n], s.f1[:n]
         np.floor(np.divide(np.subtract(t, lead_bytes, out=x), tail, out=x), out=x)
@@ -335,32 +324,42 @@ def _size_candidates(u: np.ndarray, p: float, layout: PacketLayout, block: slice
     return np.flatnonzero(np.greater(lhs, bound, out=s.mask[:n]))
 
 
-def _size_sampling_block(layout, spec, rng, start, block, flows, trigger):
-    s, p = layout.scratch, spec.probability
-    scale, u = p / layout.max_packet_size, rng.random(out=s.f0[:block.stop - start])
-    cand = _size_candidates(u, p, layout, block)
-    # a run of leading packets sampled alike, then a run of trailing ones
-    n, log_u = len(cand), _take(u, cand, s.f1)
-    np.log(np.maximum(log_u, 2.0 ** -53, out=log_u), out=log_u)
+@np.errstate(divide="ignore", invalid="ignore")  # at p = 1 a full-size packet: log1p(-1) = -inf
+def _sampling_block(layout, spec, rng, start, block, flows, trigger):
+    """_threshold_block for sampling.  A flow is a run of ``lead`` packets
+    at log-odds log_q_lead = log1p(-p * base / M), then one at log_q_tail =
+    log1p(-p * tail / M): its entry is created at k_lead = floor(log u /
+    log_q_lead) + 1 if k_lead <= lead, else at k_tail = lead + floor((log u
+    - lead * log_q_lead) / log_q_tail) + 1 if k_tail <= n.  On the length
+    axis a flow is one lead run of n packets at log1p(-p)."""
+    s, p, m, lengths = layout.scratch, spec.probability, block.stop - start, layout.lengths
+    u, one_run, log_q_lead = rng.random(out=s.f0[:m]), spec.axis == "length", np.log1p(-p)
+    if one_run:  # the exact test x < n, over log u
+        x = np.divide(np.log(np.maximum(u, 2.0 ** -53, out=u), out=u), log_q_lead, out=s.f1[:m])
+        cand = np.flatnonzero(np.less(x, lengths[block], out=s.mask[:m]))
+    else:
+        cand = _size_candidates(u, p, layout, block)
+    n, log_u, scale = len(cand), _take(u, cand, s.f1), p / layout.max_packet_size
     cand = np.add(cand, start, out=s.i1[:n])  # frees the indices before the hits' are found
     (lead, base, tail), size = layout._of(cand), int(_take(layout.sizes, cand, s.i0).sum())
-    k_lead, log_q_run = s.f0[:n], s.f2[:n]
-    # a full-size packet at p = 1 is surely sampled: log(1 - 1) = -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log1p(np.multiply(-scale, base, out=log_q_run), out=log_q_run)
-        np.add(np.floor(np.divide(log_u, log_q_run, out=k_lead), out=k_lead), 1, out=k_lead)
-        # k_tail = lead + floor((log_u - lead * log_q_lead) / log_q_tail) + 1, over log_u
-        k_tail = np.subtract(log_u, np.multiply(lead, log_q_run, out=log_q_run), out=log_u)
-        np.log1p(np.multiply(-scale, tail, out=log_q_run), out=log_q_run)
-        np.floor(np.divide(k_tail, log_q_run, out=k_tail), out=k_tail)
-        np.add(np.add(lead, k_tail, out=k_tail), 1, out=k_tail)
-    # where(k_lead <= lead, k_lead, where(k_tail <= n, k_tail, n + 1)): at packet n + 1 a flow
-    # has no entry and covers nothing
-    trig, in_tail, in_lead = _take(layout.lengths, cand, s.i0), s.mask[:n], s.hit[:n]
-    np.less_equal(k_tail, trig, out=in_tail)
-    np.copyto(np.add(trig, 1, out=trig), k_tail, where=in_tail, casting="unsafe")
-    np.copyto(trig, k_lead, where=np.less_equal(k_lead, lead, out=in_lead), casting="unsafe")
-    hits = np.flatnonzero(np.logical_or(in_tail, in_lead, out=in_tail))
+    k_lead, log_q_run, in_lead = s.f0[:n], s.f2[:n], s.hit[:n]
+    if not one_run:  # the candidates alone take log u
+        np.log(np.maximum(log_u, 2.0 ** -53, out=log_u), out=log_u)
+        log_q_lead = np.log1p(np.multiply(-scale, base, out=log_q_run), out=log_q_run)
+    np.add(np.floor(np.divide(log_u, log_q_lead, out=k_lead), out=k_lead), 1, out=k_lead)
+    # x < n gives floor(x) + 1 <= n: no length-axis candidate reaches a tail run
+    if one_run or np.less_equal(k_lead, lead, out=in_lead).all():
+        np.copyto(trigger[:n], k_lead, casting="unsafe"), np.copyto(flows[:n], cand)
+        return n, _covered(size, trigger[:n], lead, base, tail, s.i0)
+    k_tail = np.subtract(log_u, np.multiply(lead, log_q_lead, out=log_q_run), out=log_u)
+    np.log1p(np.multiply(-scale, tail, out=log_q_run), out=log_q_run)
+    np.floor(np.divide(k_tail, log_q_run, out=k_tail), out=k_tail)
+    np.add(np.add(lead, k_tail, out=k_tail), 1, out=k_tail)
+    # trig = k = where(in_lead, k_lead, k_tail) if k < n + 1, else n + 1, which covers nothing
+    np.copyto(k_tail, k_lead, where=in_lead)
+    trig = np.add(_take(lengths, cand, s.i0), 1, out=s.i0[:n])
+    np.copyto(trig, k_tail, where=np.less(k_tail, trig, out=in_lead), casting="unsafe")
+    hits = np.flatnonzero(in_lead)  # in_lead now marks the hits
     _take(cand, hits, flows), _take(trig, hits, trigger)
     return len(hits), _covered(size, trig, lead, base, tail, cand)
 
@@ -380,8 +379,7 @@ def evaluate_batch(layout: PacketLayout, spec: AlgorithmSpec,
     """
     if spec.kind == "sampling" and rng is None:
         raise ValueError("sampling evaluation requires an RNG")
-    kernel = _size_sampling_block if spec.kind == "sampling" and spec.axis == "size" \
-        else _threshold_block
+    kernel = _sampling_block if spec.kind == "sampling" else _threshold_block
     (flows, trigger), entries, covered = layout.entries, 0, 0
     for start, block in _blocks(len(layout.lengths)):
         count, bytes_ = kernel(layout, spec, rng, start, block, flows[entries:], trigger[entries:])

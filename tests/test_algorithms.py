@@ -488,16 +488,24 @@ def test_simulated_sampling_mean_matches_exact_law(law_layout, axis):
     assert sampling_law_misses(law_layout, axis) == []
 
 
-def test_exact_law_catches_lead_odds_of_one_byte_more(law_layout, monkeypatch):
-    # the kernel samples each lead packet at the odds of base + 1 bytes
-    source = inspect.getsource(flowtab.algorithms._size_sampling_block)
-    odds = "np.multiply(-scale, base, out=log_q_run)"
+# the kernel samples each lead-run packet at raised odds: those of base + 1
+# bytes on the size axis, p * (1 + 2^-4) on the length axis
+LEAD_ODDS_MUTATIONS = {
+    "size": ("np.multiply(-scale, base, out=log_q_run)",
+             "np.multiply(-scale, base + 1, out=log_q_run)"),
+    "length": ("np.log1p(-p)", "np.log1p(-p * (1 + 2 ** -4))"),
+}
+
+
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_exact_law_catches_raised_lead_run_odds(law_layout, monkeypatch, axis):
+    source = inspect.getsource(flowtab.algorithms._sampling_block)
+    odds, raised = LEAD_ODDS_MUTATIONS[axis]
     assert source.count(odds) == 1
     namespace = dict(vars(flowtab.algorithms))
-    exec(source.replace(odds, "np.multiply(-scale, base + 1, out=log_q_run)"), namespace)
-    monkeypatch.setattr(flowtab.algorithms, "_size_sampling_block",
-                        namespace["_size_sampling_block"])
-    assert sampling_law_misses(law_layout, "size") != []
+    exec(source.replace(odds, raised), namespace)
+    monkeypatch.setattr(flowtab.algorithms, "_sampling_block", namespace["_sampling_block"])
+    assert sampling_law_misses(law_layout, axis) != []
 
 
 # -- structural invariants -----------------------------------------------------------

@@ -101,6 +101,35 @@ def test_fold_equals_sums_over_per_flow_arrays(axis):
             lengths.sum() / (lengths[flows] + 1 - trigger).sum(), spec
 
 
+def edge_draws(layout: PacketLayout, spec: AlgorithmSpec):
+    """Uniforms of every flow: random ones, then those at, just above and
+    just below the survival of the flow's lead run and of all its packets,
+    where the entry turns on and off and where the kernel moves from the lead
+    run to the tail run.  On the length axis every packet's odds are p."""
+    p, lengths = spec.probability, layout.lengths
+    scale = p / layout.max_packet_size
+    lead_odds, tail_odds = (p, p) if spec.axis == "length" else \
+        (scale * layout.base, scale * layout.tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the exact log-survival, -inf with a surely sampled packet at p = 1
+        lead_run = layout.lead * np.log1p(-lead_odds)
+        trailing = lengths - layout.lead
+        survival = lead_run + np.where(trailing > 0, trailing * np.log1p(-tail_odds), 0.0)
+    yield np.random.default_rng(4).random(len(lengths))
+    for log_edge in (lead_run, survival):
+        edge = np.exp(np.maximum(log_edge, -745.0))
+        for u in (edge * (1 + 1e-12), np.nextafter(edge, 1.0), edge, np.nextafter(edge, 0.0),
+                  edge * (1 - 1e-12)):
+            yield np.minimum(u, np.nextafter(1.0, 0.0))
+
+
+def edge_probabilities(axis: str) -> list[float]:
+    # below 1e-15 the size bound is within rounding of the log-survival of
+    # full-size packets
+    return sorted(set(default_probabilities(axis)) | set(EXTRA_PROBABILITIES)
+                  | {1e-15, 1e-16, 1e-17})
+
+
 @pytest.mark.parametrize("max_packet_size", [1518, 9000])
 def test_size_prefilter_keeps_every_created_flow(max_packet_size):
     lengths, sizes = kernel_population(BLOCK_FLOWS, max_packet_size)
@@ -110,32 +139,48 @@ def test_size_prefilter_keeps_every_created_flow(max_packet_size):
     full = np.flatnonzero(layout.tail == max_packet_size)
     assert np.any(layout.base[full] == max_packet_size)
     assert np.any(layout.base[full] < max_packet_size)
-    # below 1e-15 the bound is within rounding of the log-survival of
-    # full-size packets
-    probabilities = sorted(set(default_probabilities("size")) | set(EXTRA_PROBABILITIES)
-                           | {1e-15, 1e-16, 1e-17})
-    trailing = lengths - layout.lead
-    for p in probabilities:
+    for p in edge_probabilities("size"):
         spec = AlgorithmSpec("sampling", "size", probability=p)
-        scale = p / max_packet_size
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the exact log-survival of every packet of each flow, -inf
-            # for one with a full-size packet at p = 1
-            survival = (layout.lead * np.log1p(-scale * layout.base)
-                        + np.where(trailing > 0, trailing * np.log1p(-scale * layout.tail), 0.0))
-        uniform = np.random.default_rng(4).random(len(lengths))
-        # draws just above and just below each flow's survival, where a
-        # flow's entry turns on and off
-        edge = np.exp(np.maximum(survival, -745.0))
-        for u in (uniform, edge * (1 + 1e-12), np.nextafter(edge, 1.0), edge,
-                  np.nextafter(edge, 0.0), edge * (1 - 1e-12)):
-            u = np.minimum(u, np.nextafter(1.0, 0.0))
+        for u in edge_draws(layout, spec):
             log_u = np.log(np.maximum(u, 2.0 ** -53))
             created = reference_sampling_trigger(layout, spec, log_u) > 0
             kept = np.zeros(len(lengths), dtype=bool)
             kept[_size_candidates(u, p, layout, slice(0, len(lengths)))] = True
             assert not np.any(created & ~kept), spec
             assert kept[full].all() or p < 1.0, spec
+
+
+class Draws:
+    """A stand-in generator whose random(out=) hands out fixed uniforms in
+    turn, as evaluate_batch asks for them a block at a time."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self.uniforms, self.used = uniforms, 0
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        out[:] = self.uniforms[self.used:self.used + len(out)]
+        self.used += len(out)
+        return out
+
+
+@pytest.mark.parametrize("max_packet_size", [1518, 9000])
+@pytest.mark.parametrize("axis", ["length", "size"])
+def test_edge_draws_give_the_reference_entries(axis, max_packet_size):
+    # a block and a partial one, with the edge draws of every flow run
+    # through the whole kernel: its candidate filter, its lead run and its
+    # tail run, against the whole-population formulas bit for bit
+    count = BLOCK_FLOWS + 77
+    layout = PacketLayout(*kernel_population(count, max_packet_size), max_packet_size)
+    for p in edge_probabilities(axis):
+        spec = AlgorithmSpec("sampling", axis, probability=p)
+        for u in edge_draws(layout, spec):
+            rng = Draws(u)
+            flows, trigger, total = evaluate_batch(layout, spec, rng=rng)
+            want = reference_sampling_trigger(layout, spec, np.log(np.maximum(u, 2.0 ** -53)))
+            assert rng.used == count, spec
+            assert np.array_equal(flows, np.flatnonzero(want)), spec
+            assert np.array_equal(trigger, want[flows]), spec
+            assert total == int(expand(layout, flows, trigger)[1].sum()), spec
 
 
 def traced_peak(call):
