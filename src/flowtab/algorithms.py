@@ -110,9 +110,7 @@ class AlgorithmSpec:
     @classmethod
     def of(cls, kind: str, axis: str, parameter: float) -> AlgorithmSpec:
         """The spec of a kind at its parameter: sampling's probability, else a threshold."""
-        if kind == "sampling":
-            return cls(kind, axis, probability=parameter)
-        return cls(kind, axis, threshold=parameter)
+        return cls(kind, axis, **{"probability" if kind == "sampling" else "threshold": parameter})
 
     @property
     def parameter(self) -> float:
@@ -329,9 +327,10 @@ def _sampling_block(layout, spec, rng, start, block, flows, trigger):
     """_threshold_block for sampling.  A flow is a run of ``lead`` packets
     at log-odds log_q_lead = log1p(-p * base / M), then one at log_q_tail =
     log1p(-p * tail / M): its entry is created at k_lead = floor(log u /
-    log_q_lead) + 1 if k_lead <= lead, else at k_tail = lead + floor((log u
-    - lead * log_q_lead) / log_q_tail) + 1 if k_tail <= n.  On the length
-    axis a flow is one lead run of n packets at log1p(-p)."""
+    log_q_lead) + 1 if k_lead <= lead, else at k_tail = lead + max(floor((log
+    u - lead * log_q_lead) / log_q_tail), 0) + 1 if k_tail <= n, the max
+    keeping a rounded edge draw out of the lead run.  On the length axis a
+    flow is one lead run of n packets at log1p(-p)."""
     s, p, m, lengths = layout.scratch, spec.probability, block.stop - start, layout.lengths
     u, one_run, log_q_lead = rng.random(out=s.f0[:m]), spec.axis == "length", np.log1p(-p)
     if one_run:  # the exact test x < n, over log u
@@ -353,7 +352,7 @@ def _sampling_block(layout, spec, rng, start, block, flows, trigger):
         return n, _covered(size, trigger[:n], lead, base, tail, s.i0)
     k_tail = np.subtract(log_u, np.multiply(lead, log_q_lead, out=log_q_run), out=log_u)
     np.log1p(np.multiply(-scale, tail, out=log_q_run), out=log_q_run)
-    np.floor(np.divide(k_tail, log_q_run, out=k_tail), out=k_tail)
+    np.maximum(np.floor(np.divide(k_tail, log_q_run, out=k_tail), out=k_tail), 0, out=k_tail)
     np.add(np.add(lead, k_tail, out=k_tail), 1, out=k_tail)
     # trig = k = where(in_lead, k_lead, k_tail) if k < n + 1, else n + 1, which covers nothing
     np.copyto(k_tail, k_lead, where=in_lead)

@@ -161,8 +161,6 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     if not target_pct > 0.0:  # NaN included
         raise ValueError("target coverage must lie in (0, 100]")
 
-    octets = model.axis(axis).octets
-
     def cov(param: float) -> float:
         return 100.0 * _coverage(model, AlgorithmSpec.of(kind, axis, param))[0]
 
@@ -175,7 +173,7 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
     if kind in ("first", "threshold"):
         if target_pct == 100.0:
             return report(0.0)
-        k = octets.quantile(min(1.0 - target_pct / 100.0, 1.0 - 2.0 ** -53))
+        k = model.axis(axis).octets.quantile(min(1.0 - target_pct / 100.0, 1.0 - 2.0 ** -53))
         if kind == "first":
             return report(nearest(k - 1.0, k))
         # threshold covers a 1 - T/x share of first's flows: at k at most the
@@ -210,11 +208,9 @@ def invert_for_coverage(model: TrafficModel, kind: str, axis: str,
         mid = math.exp(0.5 * (a + b) if cov(hi) == 0.0 else b - f_hi * (b - a) / (f_hi - f_lo))
         f_mid = f(mid)
         if f_mid >= 0.0:
-            if kept == "lo":
-                f_lo *= 0.5
+            f_lo *= 0.5 if kept == "lo" else 1.0
             hi, f_hi, kept = mid, f_mid, "lo"
         else:
-            if kept == "hi":
-                f_hi *= 0.5
+            f_hi *= 0.5 if kept == "hi" else 1.0
             lo, f_lo, kept = mid, f_mid, "hi"
     return report(nearest(lo, hi))

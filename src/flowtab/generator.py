@@ -75,8 +75,9 @@ def _generate_shard(model: TrafficModel, config: GeneratorConfig, shard_index: i
         lengths[b] = drawn[b]
 
 
-def generate_arrays(model: TrafficModel, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Full population as (lengths, sizes) int64 arrays.
+def generate_arrays(model: TrafficModel, config: GeneratorConfig,
+                    out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Full population as (lengths, sizes) int64 arrays, written into ``out`` if given.
 
     Bit-identical for identical (seed, flow_count) regardless of how the
     work is scheduled: shard i always covers flows [i*SHARD_SIZE, ...).
@@ -86,8 +87,7 @@ def generate_arrays(model: TrafficModel, config: GeneratorConfig) -> tuple[np.nd
     if config.min_packet > model.max_packet_size:
         raise ValueError(f"min_packet {config.min_packet} B exceeds the model's "
                          f"max_packet_size {model.max_packet_size} B")
-    lengths = np.empty(config.flow_count, dtype=np.int64)
-    sizes = np.empty(config.flow_count, dtype=np.int64)
+    lengths, sizes = np.empty((2, config.flow_count), dtype=np.int64) if out is None else out
     for shard, (_, block) in enumerate(_blocks(config.flow_count, SHARD_SIZE)):
         _generate_shard(model, config, shard, lengths[block], sizes[block])
     return lengths, sizes
@@ -138,7 +138,7 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _read_rows(fh, path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarray]:
-    lengths, sizes, reader = [], [], csv.reader(fh)
+    flows, reader = [], csv.reader(fh)
     if next(reader, None) != _HEADER:
         raise ValueError(f"{path}: expected header length_packets,size_bytes")
     for row in reader:
@@ -160,8 +160,7 @@ def _read_rows(fh, path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndar
                 f"{path}: row {reader.line_num}: flow of {l} packets and {s} bytes "
                 f"does not split into packets of 1..{max_packet_size} bytes"
             )
-        lengths.append(l)
-        sizes.append(s)
-    if not lengths:
+        flows.append((l, s))
+    if not flows:
         raise ValueError(f"{path}: no flows")
-    return np.asarray(lengths, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    return tuple(np.asarray(column, dtype=np.int64) for column in zip(*flows))

@@ -50,8 +50,6 @@ TABLE_SPAN = 2 ** 16
 GUIDE_BUCKETS = 2 ** 16  # equal slices of [0, 1] in the survival table's guide
 QUANTILE_BLOCK = 2 ** 13  # u per block of the in-table quantile search: 64 KiB of float64
 
-MODEL_DIR_ENV = "FLOWTAB_MODEL_DIR"
-
 _COMPONENT_PARAMS = {
     "uniform": ("low", "high"),
     "lognormal": ("mu", "sigma"),
@@ -260,11 +258,8 @@ class MixtureComponent:
         xi, loc, sc = p["shape"], p["location"], p["scale"]
         if a <= loc:
             return loc + sc / (1.0 - xi)
-        sf = float(_gpd_sf((a - loc) / sc, xi))
-        if sf <= 0.0:
-            return 0.0
         # conditional excess beyond a is generalized-Pareto(xi, sc + xi*(a - loc))
-        return sf * (a + (sc + xi * (a - loc)) / (1.0 - xi))
+        return float(_gpd_sf((a - loc) / sc, xi)) * (a + (sc + xi * (a - loc)) / (1.0 - xi))
 
     def sf(self, x: np.ndarray) -> np.ndarray:
         """P(X > x) under the untruncated component law, vectorized.
@@ -853,7 +848,7 @@ def resolve_model_path(name: str) -> str:
     """Resolve a model reference: a path as given, else relative to
     $FLOWTAB_MODEL_DIR, else relative to ./models."""
     candidates = [name]
-    env_dir = os.environ.get(MODEL_DIR_ENV)
+    env_dir = os.environ.get("FLOWTAB_MODEL_DIR")
     if env_dir:
         candidates.append(os.path.join(env_dir, name))
     candidates.append(os.path.join("models", name))

@@ -11,10 +11,11 @@ One population, ingested or a single seed's, is made first.  Over it
 only sampling draws on the seed, so each first and threshold cell runs
 once and its result is every seed's, and each sampling cell runs once
 per seed; each of those evaluations is one task.  Several generated
-seeds keep the seed as the task.  With ``jobs`` above 1, once the
-population exists the sweep forks ``min(jobs, tasks)`` workers that are
-dealt the tasks round-robin in series order; the last of them first
-computes the analytic column, which needs no population.  Each worker
+seeds keep the seed as the task.  With ``jobs`` above 1 the sweep forks
+``min(jobs, tasks)`` workers that are dealt the tasks round-robin in
+series order.  The analytic column, which needs no population, is
+computed first by the last of them, or by a child forked beside one that
+generates a single seed's population into shared memory.  Each child
 inherits the spec, the population and the cells, sends its value or its
 error back through a pipe, and is reaped before the sweep returns or
 raises.  Cells are merged into per-parameter means and standard
@@ -26,6 +27,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import mmap
 import numbers
 import os
 import pickle
@@ -163,6 +165,10 @@ def _generated(spec: SweepSpec, seed: int) -> PacketLayout:
     return PacketLayout(*population, spec.model.max_packet_size)
 
 
+def _generate_into(spec: SweepSpec, out: np.ndarray) -> None:  # a child sends back no flows
+    generate_arrays(spec.model, spec.generator_config(spec.seeds[0]), out=out)
+
+
 def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool):
     """Units of work as (seed, cell indices, rows): a task evaluates its
     cells for one seed and its metrics fill those seed rows.  Several
@@ -239,21 +245,26 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full sweep; deterministic for a given spec (seeds explicit)."""
-    cells, population, max_packet = spec.cells(), None, spec.model.max_packet_size
+    cells, population, column, max_packet = spec.cells(), None, None, spec.model.max_packet_size
     if spec.population_csv is not None:
         # an ingested population is the same for every seed: read it once
         population = PacketLayout(*read_flow_csv(spec.population_csv, max_packet), max_packet)
-    elif len(spec.seeds) == 1:
-        population = _generated(spec, spec.seeds[0])
+    run = _fork_join if spec.jobs > 1 else lambda calls: [fn(*args) for fn, args in calls]
+    if spec.jobs > 1:  # the children share numpy.random, not each loading its own
+        import numpy.random  # noqa: F401
+    if population is None and len(spec.seeds) == 1:
+        # a child generates the flows into shared memory, another sums the analytic column
+        flows = np.frombuffer(mmap.mmap(-1, 16 * spec.flow_count), np.int64).reshape(2, -1)
+        calls = [(_generate_into, (spec, flows)), (_run_tasks, (spec, None, cells, (), True))]
+        _, (_, column) = run(calls)
+        population = PacketLayout(*flows, max_packet)
     tasks = _tasks(spec, cells, population is not None)
-    # forked at jobs > 1; the last worker, whose hand is the shortest, adds the analytic column
+    # else the last worker, whose hand is the shortest, adds the analytic column
     workers = min(spec.jobs, len(tasks))
     hands = [tasks[w::workers] for w in range(workers)]
-    calls = [(_run_tasks, (spec, population, cells, hand, w == workers - 1))
+    calls = [(_run_tasks, (spec, population, cells, hand, column is None and w == workers - 1))
              for w, hand in enumerate(hands)]
-    if spec.jobs > 1:  # the workers share numpy.random, not each loading its own
-        import numpy.random  # noqa: F401
-    dealt, columns = zip(*(_fork_join(calls) if spec.jobs > 1 else [fn(*a) for fn, a in calls]))
+    dealt, columns = zip(*run(calls))
     per_cell = [[None] * len(spec.seeds) for _ in cells]
     for (_, indices, rows), metrics in zip(itertools.chain(*hands), itertools.chain(*dealt)):
         for i, m in zip(indices, metrics):
@@ -261,9 +272,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 per_cell[i][j] = m
 
     out = []
-    for cell, rows, report in zip(cells, per_cell, columns[-1]):
+    for cell, rows, report in zip(cells, per_cell, column or columns[-1]):
         # (coverage, ops, occ) means and standard deviations
-        mean, std = zip(*(_mean_std(column) for column in zip(*rows)))
+        mean, std = zip(*(_mean_std(metric) for metric in zip(*rows)))
         out.append(SweepCell(kind=cell.kind, parameter=float(cell.parameter), mean=mean, std=std,
                              analytic=report, per_seed=tuple(rows)))
     return SweepResult(len(population.lengths) if population else spec.flow_count, tuple(out))

@@ -244,7 +244,10 @@ def reference_sampling_trigger(layout: PacketLayout, spec: AlgorithmSpec,
             log_q_lead = np.log1p(-scale * layout.base)
             log_q_tail = np.log1p(-scale * layout.tail)
             k_lead = np.floor(log_u / log_q_lead) + 1
-            k_tail = layout.lead + np.floor((log_u - layout.lead * log_q_lead) / log_q_tail) + 1
+            # at least lead + 1: a draw the lead run rejects, by a rounding at its
+            # edge too, is never sampled in it
+            k_tail = layout.lead + np.maximum(
+                np.floor((log_u - layout.lead * log_q_lead) / log_q_tail), 0) + 1
             trigger = np.where(k_lead <= layout.lead, k_lead,
                                np.where(k_tail <= lengths, k_tail, 0))
     return trigger.astype(np.int64)

@@ -271,6 +271,7 @@ def test_generate_rejects_zero_flows(capsys, tmp_path):
     ("generate", "--seed", "1"),
     ("simulate", "--seeds", "1"),
     ("simulate", "--seeds", "1,2", "--jobs", "2"),
+    ("simulate", "--seeds", "1", "--jobs", "2"),
 ])
 def test_min_packet_above_max_packet_size_exits_2_before_writing(capsys, tmp_path, command):
     # no size fits between 2000 B and 1518 B per packet: clamping would pin
@@ -714,27 +715,36 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 def test_cli_import_leaves_the_pool_and_the_tail_rules_unloaded(tmp_path):
     # the CLI imports no process pool, and the Gauss-Legendre rules (numpy.polynomial)
     # are built only in a process that sums a tail: a forked sweep's analytic child.
-    # A forking sweep loads numpy.random before its fork, over ingested flows too,
-    # so that its workers share it instead of each loading its own
+    # A forking sweep loads numpy.random before its first fork, whether it ingests
+    # its flows or generates one seed's, so that its children share it instead of
+    # each loading its own
     assert main(["generate", "--model", HEAVY, "--flows", "2000", "--seed", "1",
                  "--out", str(tmp_path / "flows.csv")]) == 0
     probe = (
-        "import sys, flowtab.cli\n"
+        "import sys, flowtab.cli, flowtab.sweep\n"
         "unloaded = ['concurrent.futures', 'multiprocessing', 'numpy.polynomial', 'numpy.random']\n"
         "print(sorted(m for m in unloaded if m in sys.modules))\n"
-        "model, out = sys.argv[1:]\n"
-        "assert flowtab.cli.main(['simulate', '--model', model, '--flows-csv', out + '/flows.csv',\n"
-        "                         '--seeds', '1,2', '--jobs', '2', '--out', out + '/r']) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
-        "assert flowtab.cli.main(['simulate', '--model', model, '--flows', '2000',\n"
-        "                         '--seeds', '1', '--jobs', '2', '--out', out + '/s']) == 0\n"
+        "model, out, first = sys.argv[1:]\n"
+        "fork_join = flowtab.sweep._fork_join\n"
+        "def recorded(calls):\n"
+        "    print('numpy.random' in sys.modules)\n"
+        "    return fork_join(calls)\n"
+        "flowtab.sweep._fork_join = recorded\n"
+        "runs = {'ingested': ['--flows-csv', out + '/flows.csv', '--seeds', '1,2'],\n"
+        "        'one seed': ['--flows', '2000', '--seeds', '1']}\n"
+        "for name in sorted(runs, key=lambda name: name != first):\n"
+        "    assert flowtab.cli.main(['simulate', '--model', model, *runs[name], '--jobs', '2',\n"
+        "                             '--out', out + '/' + name]) == 0\n"
         "print('numpy.polynomial' in sys.modules)\n"
     )
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", probe, HEAVY, str(tmp_path)], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
-    assert lines == ["[]", "True", "False"]
+    for first in ("ingested", "one seed"):
+        out = subprocess.run([sys.executable, "-c", probe, HEAVY, str(tmp_path), first],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
+        # one fork-join for the ingested flows, two for the seed: generation, then its cells
+        assert lines == ["[]", "True", "True", "True", "False"], first
 
 
 def test_peff_flags_and_profile(capsys, tmp_path):

@@ -103,9 +103,10 @@ def test_fold_equals_sums_over_per_flow_arrays(axis):
 
 def edge_draws(layout: PacketLayout, spec: AlgorithmSpec):
     """Uniforms of every flow: random ones, then those at, just above and
-    just below the survival of the flow's lead run and of all its packets,
-    where the entry turns on and off and where the kernel moves from the lead
-    run to the tail run.  On the length axis every packet's odds are p."""
+    just below the survival of the flow's lead run (up to 3 ulps away) and
+    of all its packets (1 ulp), where the entry turns on and off and where
+    the kernel moves from the lead run to the tail run.  On the length axis
+    every packet's odds are p."""
     p, lengths = spec.probability, layout.lengths
     scale = p / layout.max_packet_size
     lead_odds, tail_odds = (p, p) if spec.axis == "length" else \
@@ -116,10 +117,11 @@ def edge_draws(layout: PacketLayout, spec: AlgorithmSpec):
         trailing = lengths - layout.lead
         survival = lead_run + np.where(trailing > 0, trailing * np.log1p(-tail_odds), 0.0)
     yield np.random.default_rng(4).random(len(lengths))
-    for log_edge in (lead_run, survival):
-        edge = np.exp(np.maximum(log_edge, -745.0))
-        for u in (edge * (1 + 1e-12), np.nextafter(edge, 1.0), edge, np.nextafter(edge, 0.0),
-                  edge * (1 - 1e-12)):
+    for log_edge, ulps in ((lead_run, 3), (survival, 1)):
+        edge = [np.exp(np.maximum(log_edge, -745.0))]
+        for _ in range(ulps):
+            edge = [np.nextafter(edge[0], 1.0), *edge, np.nextafter(edge[-1], 0.0)]
+        for u in (edge[0] * (1 + 1e-12), *edge, edge[-1] * (1 - 1e-12)):
             yield np.minimum(u, np.nextafter(1.0, 0.0))
 
 
@@ -171,16 +173,26 @@ def test_edge_draws_give_the_reference_entries(axis, max_packet_size):
     # tail run, against the whole-population formulas bit for bit
     count = BLOCK_FLOWS + 77
     layout = PacketLayout(*kernel_population(count, max_packet_size), max_packet_size)
+    # flows of one run, every flow on the length axis: what their lead run
+    # rejects gains no entry, however the draw rounds at the run's edge
+    one_run = layout.lead == layout.lengths
     for p in edge_probabilities(axis):
         spec = AlgorithmSpec("sampling", axis, probability=p)
+        lead_odds = p if axis == "length" else p / max_packet_size * layout.base
+        with np.errstate(divide="ignore"):
+            log_q_lead = np.log1p(-lead_odds)
         for u in edge_draws(layout, spec):
             rng = Draws(u)
             flows, trigger, total = evaluate_batch(layout, spec, rng=rng)
-            want = reference_sampling_trigger(layout, spec, np.log(np.maximum(u, 2.0 ** -53)))
+            log_u = np.log(np.maximum(u, 2.0 ** -53))
+            want = reference_sampling_trigger(layout, spec, log_u)
             assert rng.used == count, spec
             assert np.array_equal(flows, np.flatnonzero(want)), spec
             assert np.array_equal(trigger, want[flows]), spec
             assert total == int(expand(layout, flows, trigger)[1].sum()), spec
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rejected = one_run & (np.floor(log_u / log_q_lead) + 1 > layout.lead)
+            assert not np.any(rejected[flows]), spec
 
 
 def traced_peak(call):

@@ -12,7 +12,8 @@ import pytest
 import flowtab.sweep
 from flowtab.algorithms import AlgorithmSpec, DegenerateError, MetricsReport
 from flowtab.analytic import analytic_for_spec
-from flowtab.generator import GeneratorConfig, generate_arrays, write_flow_csv
+from flowtab.generator import SHARD_SIZE, GeneratorConfig, generate_arrays, write_flow_csv
+from flowtab.model import parse_model
 from flowtab.sweep import (
     SweepSpec,
     default_probabilities,
@@ -20,6 +21,7 @@ from flowtab.sweep import (
     emit_table,
     run_sweep,
 )
+from test_generator import shape5_document
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -246,19 +248,20 @@ def test_analytic_column_is_the_analytic_report(tmp_path, toy_model, population,
     assert sum(c.analytic == degenerate for c in cells) == 2  # first and threshold at 50
 
 
-def _record_forks(monkeypatch) -> list[int]:
-    """Counts the workers of each fork-join the sweep makes, checks that the
-    last alone makes the analytic column, then lets it fork them."""
-    forked = []
+def _record_forks(monkeypatch) -> tuple[list[int], list[list[int]]]:
+    """Counts the children of each fork-join the sweep makes and which of
+    them sums the analytic column, then lets it fork them."""
+    forked, summing = [], []
     fork_join = flowtab.sweep._fork_join
 
     def recorded(calls):
         forked.append(len(calls))
-        assert [args[-1] for _, args in calls] == [False] * (len(calls) - 1) + [True]
+        summing.append([i for i, (fn, args) in enumerate(calls)
+                        if fn is flowtab.sweep._run_tasks and args[-1]])
         return fork_join(calls)
 
     monkeypatch.setattr(flowtab.sweep, "_fork_join", recorded)
-    return forked
+    return forked, summing
 
 
 def _assert_no_child_left():
@@ -268,24 +271,79 @@ def _assert_no_child_left():
 
 
 def test_pool_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, toy_model):
-    forked = _record_forks(monkeypatch)
+    forked, summing = _record_forks(monkeypatch)
     serial = run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000))
     assert forked == []  # no child at jobs 1
     pooled = run_sweep(toy_spec(toy_model, seeds=(1, 2), flow_count=2000, jobs=8))
-    # one task per generated seed: two workers, no child for the analytic column
-    assert forked == [2]
+    # one task per generated seed: two workers, the last of which sums the column
+    assert forked == [2] and summing == [[1]]
     _assert_no_child_left()
     assert emit_table(pooled, "csv") == emit_table(serial, "csv")
     assert pooled.cells == serial.cells
     one_seed = run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=4))
-    # one seed's population: 12 single-cell tasks over four workers
-    assert forked == [2, 4]
+    # one seed's population: a child generates it while a second sums the
+    # column, then 12 single-cell tasks go to four workers that sum nothing
+    assert forked == [2, 2, 4] and summing == [[1], [1], []]
     assert one_seed.cells == tuple(
         dataclasses.replace(c, per_seed=c.per_seed[:1], mean=c.per_seed[0], std=(0.0,) * 3)
         for c in serial.cells)
     spec = toy_spec(toy_model, seeds=(1,), jobs=5, population_csv=_toy_csv(tmp_path, toy_model))
     run_sweep(spec)
-    assert forked == [2, 4, 5]
+    # an ingested population: five workers, the last of which sums the column
+    assert forked == [2, 2, 4, 5] and summing == [[1], [1], [], [4]]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_seed_is_generated_in_a_child_only_when_forking(monkeypatch, tmp_path, toy_model,
+                                                            jobs):
+    # each generation appends its process id; a forked child inherits the patch
+    record = tmp_path / "pids"
+    generate = flowtab.sweep.generate_arrays
+
+    def recorded(*args, **kwargs):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(flowtab.sweep, "generate_arrays", recorded)
+    spec = toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=jobs)
+    result = run_sweep(spec)
+    pids = [int(line) for line in record.read_text().split()]
+    assert len(pids) == 1 and (pids[0] == os.getpid()) == (jobs == 1)
+    _assert_no_child_left()
+    monkeypatch.undo()
+    assert result == run_sweep(dataclasses.replace(spec, jobs=1))
+
+
+def test_an_overflowing_length_draw_is_the_same_error_at_any_jobs(toy_document):
+    # the generating child's error reaches the caller with the in-process text
+    model = parse_model(json.dumps(shape5_document(toy_document, "length", 0.5, 1.0)))
+    texts = []
+    for jobs in (1, 2):
+        spec = SweepSpec(model=model, algorithms=("first",), thresholds=(1.0,), seeds=(3,),
+                         flow_count=SHARD_SIZE, jobs=jobs)
+        with pytest.raises(ValueError, match=r"^length draw [0-9.e+]+ packets: flows of up to "
+                                             r"1518 B per packet overflow int64 byte counts$") as caught:
+            run_sweep(spec)
+        texts.append(str(caught.value))
+        _assert_no_child_left()
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("victim", ["_generate_into", "analytic_for_spec"])
+def test_a_killed_round_one_child_is_a_child_process_error(monkeypatch, toy_model, victim):
+    # the child that generates the seed's flows, or the one that sums the column
+    parent, call = os.getpid(), getattr(flowtab.sweep, victim)
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return call(*args)
+
+    monkeypatch.setattr(flowtab.sweep, victim, killed)
+    with pytest.raises(ChildProcessError, match="sent nothing"):
+        run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=2))
     _assert_no_child_left()
 
 
