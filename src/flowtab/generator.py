@@ -75,9 +75,8 @@ def _generate_shard(model: TrafficModel, config: GeneratorConfig, shard_index: i
         lengths[b] = drawn[b]
 
 
-def generate_arrays(model: TrafficModel, config: GeneratorConfig,
-                    out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Full population as (lengths, sizes) int64 arrays, written into ``out`` if given.
+def generate_arrays(model: TrafficModel, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Full population as (lengths, sizes) int64 arrays.
 
     Bit-identical for identical (seed, flow_count) regardless of how the
     work is scheduled: shard i always covers flows [i*SHARD_SIZE, ...).
@@ -87,7 +86,7 @@ def generate_arrays(model: TrafficModel, config: GeneratorConfig,
     if config.min_packet > model.max_packet_size:
         raise ValueError(f"min_packet {config.min_packet} B exceeds the model's "
                          f"max_packet_size {model.max_packet_size} B")
-    lengths, sizes = np.empty((2, config.flow_count), dtype=np.int64) if out is None else out
+    lengths, sizes = np.empty((2, config.flow_count), dtype=np.int64)
     for shard, (_, block) in enumerate(_blocks(config.flow_count, SHARD_SIZE)):
         _generate_shard(model, config, shard, lengths[block], sizes[block])
     return lengths, sizes

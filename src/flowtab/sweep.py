@@ -7,27 +7,26 @@ over one generated population per seed (the population depends only on
 over one ingested population shared by every seed.  Each population is
 one PacketLayout, built once and shared by all of its cells.
 
-One population, ingested or a single seed's, is made first.  Over it
-only sampling draws on the seed, so each first and threshold cell runs
-once and its result is every seed's, and each sampling cell runs once
-per seed; each of those evaluations is one task.  Several generated
-seeds keep the seed as the task.  With ``jobs`` above 1 the sweep forks
+One population, ingested or a single seed's, is made first.  Over it only
+sampling draws on the seed, so each first and threshold cell runs once
+and its result is every seed's, and each sampling cell runs once per
+seed; each of those evaluations is one task.  Several generated seeds
+keep the seed as the task.  With ``jobs`` above 1 the sweep forks
 ``min(jobs, tasks)`` workers that are dealt the tasks round-robin in
-series order.  The analytic column, which needs no population, is
-computed first by the last of them, or by a child forked beside one that
-generates a single seed's population into shared memory.  Each child
-inherits the spec, the population and the cells, sends its value or its
-error back through a pipe, and is reaped before the sweep returns or
-raises.  Cells are merged into per-parameter means and standard
-deviations, with the analytic value alongside.  Output is byte-identical
-for identical specs regardless of the worker count.
+series order.  Before them, a child reads or generates the one population
+and sends it back, while a second sums the analytic column, which needs
+no population; over several generated seeds the last worker sums it
+first.  Each child inherits the spec, the population and the cells, sends
+its value or its error back through a pipe, and is reaped before the
+sweep returns or raises.  Cells are merged into per-parameter means and
+standard deviations, with the analytic value alongside.  Output is
+byte-identical for identical specs regardless of the worker count.
 """
 from __future__ import annotations
 
 import copy
 import itertools
 import math
-import mmap
 import numbers
 import os
 import pickle
@@ -160,13 +159,11 @@ def _metrics_tuple(layout, spec, seed, duration_model) -> tuple[float, float, fl
     return (rep.coverage_pct, rep.operations_reduction, rep.occupancy_reduction)
 
 
-def _generated(spec: SweepSpec, seed: int) -> PacketLayout:
-    population = generate_arrays(spec.model, spec.generator_config(seed))
-    return PacketLayout(*population, spec.model.max_packet_size)
-
-
-def _generate_into(spec: SweepSpec, out: np.ndarray) -> None:  # a child sends back no flows
-    generate_arrays(spec.model, spec.generator_config(spec.seeds[0]), out=out)
+def _flows(spec: SweepSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (lengths, sizes) of the ingested population, else of the seed's."""
+    if spec.population_csv is not None:
+        return read_flow_csv(spec.population_csv, spec.model.max_packet_size)
+    return generate_arrays(spec.model, spec.generator_config(seed))
 
 
 def _tasks(spec: SweepSpec, cells: Sequence[AlgorithmSpec], one_population: bool):
@@ -188,9 +185,10 @@ def _run_tasks(spec: SweepSpec, population, cells, tasks, analytic: bool):
     column if ``analytic``, else None."""
     column = [_report(analytic_for_spec, model, cell) for model in [copy.deepcopy(spec.model)]
               for cell in cells] if analytic else None
+    max_packet = spec.model.max_packet_size
     return [[_metrics_tuple(layout, cells[i], seed, spec.duration_model) for i in indices]
             for seed, indices, _ in tasks
-            for layout in [_generated(spec, seed) if population is None else population]], column
+            for layout in [population or PacketLayout(*_flows(spec, seed), max_packet)]], column
 
 
 def _fork_join(calls) -> list:
@@ -203,7 +201,12 @@ def _fork_join(calls) -> list:
     try:
         for fn, args in calls:
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:  # no child holds the pipe
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:  # the child: send the outcome, never return
                 try:
                     try:
@@ -245,19 +248,15 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full sweep; deterministic for a given spec (seeds explicit)."""
-    cells, population, column, max_packet = spec.cells(), None, None, spec.model.max_packet_size
-    if spec.population_csv is not None:
-        # an ingested population is the same for every seed: read it once
-        population = PacketLayout(*read_flow_csv(spec.population_csv, max_packet), max_packet)
+    cells, population, column = spec.cells(), None, None
     run = _fork_join if spec.jobs > 1 else lambda calls: [fn(*args) for fn, args in calls]
     if spec.jobs > 1:  # the children share numpy.random, not each loading its own
         import numpy.random  # noqa: F401
-    if population is None and len(spec.seeds) == 1:
-        # a child generates the flows into shared memory, another sums the analytic column
-        flows = np.frombuffer(mmap.mmap(-1, 16 * spec.flow_count), np.int64).reshape(2, -1)
-        calls = [(_generate_into, (spec, flows)), (_run_tasks, (spec, None, cells, (), True))]
-        _, (_, column) = run(calls)
-        population = PacketLayout(*flows, max_packet)
+    if spec.population_csv is not None or len(spec.seeds) == 1:
+        # one population: a child reads or generates it, another sums the analytic column
+        flows, (_, column) = run([(_flows, (spec, spec.seeds[0])),
+                                  (_run_tasks, (spec, None, cells, (), True))])
+        population = PacketLayout(*flows, spec.model.max_packet_size)
     tasks = _tasks(spec, cells, population is not None)
     # else the last worker, whose hand is the shortest, adds the analytic column
     workers = min(spec.jobs, len(tasks))

@@ -743,8 +743,8 @@ def test_cli_import_leaves_the_pool_and_the_tail_rules_unloaded(tmp_path):
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
         lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
-        # one fork-join for the ingested flows, two for the seed: generation, then its cells
-        assert lines == ["[]", "True", "True", "True", "False"], first
+        # two fork-joins for each population: reading or generating it, then its cells
+        assert lines == ["[]", "True", "True", "True", "True", "False"], first
 
 
 def test_peff_flags_and_profile(capsys, tmp_path):

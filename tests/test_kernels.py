@@ -292,9 +292,10 @@ SERIES_FAULTS = """
 import resource, sys
 import numpy as np
 from flowtab.model import load_model
-from flowtab.sweep import SweepSpec, _generated, _metrics_tuple
+from flowtab.algorithms import PacketLayout
+from flowtab.sweep import SweepSpec, _flows, _metrics_tuple
 spec = SweepSpec(model=load_model(sys.argv[1]), flow_count=262144)
-layout = _generated(spec, 1)
+layout = PacketLayout(*_flows(spec, 1), spec.model.max_packet_size)
 if sys.argv[2] == "freed":
     np.ones(2 ** 19)  # 4 MiB allocated, written and freed
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

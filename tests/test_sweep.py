@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -289,31 +290,45 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, toy_model
         for c in serial.cells)
     spec = toy_spec(toy_model, seeds=(1,), jobs=5, population_csv=_toy_csv(tmp_path, toy_model))
     run_sweep(spec)
-    # an ingested population: five workers, the last of which sums the column
-    assert forked == [2, 2, 4, 5] and summing == [[1], [1], [], [4]]
+    # an ingested population: a child reads it while a second sums the
+    # column, then its 12 single-cell tasks go to five workers that sum nothing
+    assert forked == [2, 2, 4, 2, 5] and summing == [[1], [1], [], [1], []]
     _assert_no_child_left()
+
+
+def _made_in_a_child_only_when_forking(monkeypatch, tmp_path, spec, maker):
+    # each call of the maker appends its process id; a forked child inherits the patch
+    record = tmp_path / "pids"
+    make = getattr(flowtab.sweep, maker)
+
+    def recorded(*args, **kwargs):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(flowtab.sweep, maker, recorded)
+    result = run_sweep(spec)
+    pids = [int(line) for line in record.read_text().split()]
+    assert len(pids) == 1 and (pids[0] == os.getpid()) == (spec.jobs == 1)
+    _assert_no_child_left()
+    monkeypatch.undo()
+    assert result == run_sweep(dataclasses.replace(spec, jobs=1))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_one_seed_is_generated_in_a_child_only_when_forking(monkeypatch, tmp_path, toy_model,
                                                             jobs):
-    # each generation appends its process id; a forked child inherits the patch
-    record = tmp_path / "pids"
-    generate = flowtab.sweep.generate_arrays
-
-    def recorded(*args, **kwargs):
-        with open(record, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return generate(*args, **kwargs)
-
-    monkeypatch.setattr(flowtab.sweep, "generate_arrays", recorded)
     spec = toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=jobs)
-    result = run_sweep(spec)
-    pids = [int(line) for line in record.read_text().split()]
-    assert len(pids) == 1 and (pids[0] == os.getpid()) == (jobs == 1)
-    _assert_no_child_left()
-    monkeypatch.undo()
-    assert result == run_sweep(dataclasses.replace(spec, jobs=1))
+    _made_in_a_child_only_when_forking(monkeypatch, tmp_path, spec, "generate_arrays")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_ingested_population_is_read_in_a_child_only_when_forking(monkeypatch, tmp_path,
+                                                                     toy_model, jobs):
+    # read once for every seed, whatever the worker count
+    spec = toy_spec(toy_model, seeds=(1, 2), jobs=jobs,
+                    population_csv=_toy_csv(tmp_path, toy_model))
+    _made_in_a_child_only_when_forking(monkeypatch, tmp_path, spec, "read_flow_csv")
 
 
 def test_an_overflowing_length_draw_is_the_same_error_at_any_jobs(toy_document):
@@ -331,9 +346,11 @@ def test_an_overflowing_length_draw_is_the_same_error_at_any_jobs(toy_document):
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("victim", ["_generate_into", "analytic_for_spec"])
-def test_a_killed_round_one_child_is_a_child_process_error(monkeypatch, toy_model, victim):
-    # the child that generates the seed's flows, or the one that sums the column
+@pytest.mark.parametrize("victim", ["read_flow_csv", "generate_arrays", "analytic_for_spec"])
+def test_a_killed_round_one_child_is_a_child_process_error(monkeypatch, tmp_path, toy_model,
+                                                           victim):
+    # the child that reads the ingested flows or generates the seed's, or the
+    # one that sums the column
     parent, call = os.getpid(), getattr(flowtab.sweep, victim)
 
     def killed(*args):
@@ -342,8 +359,44 @@ def test_a_killed_round_one_child_is_a_child_process_error(monkeypatch, toy_mode
         return call(*args)
 
     monkeypatch.setattr(flowtab.sweep, victim, killed)
+    ingested = _toy_csv(tmp_path, toy_model) if victim == "read_flow_csv" else None
     with pytest.raises(ChildProcessError, match="sent nothing"):
-        run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=2))
+        run_sweep(toy_spec(toy_model, seeds=(1,), flow_count=2000, jobs=2,
+                           population_csv=ingested))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["malformed row", "missing file"])
+def test_an_unreadable_population_is_the_same_error_at_any_jobs(tmp_path, toy_model, fault):
+    # the reading child's error reaches the caller with the in-process type and text
+    path = tmp_path / "pop.csv"
+    want = FileNotFoundError, f"[Errno 2] No such file or directory: '{path}'"
+    if fault == "malformed row":
+        path.write_text("length_packets,size_bytes\n3,300\n2,x\n", encoding="utf-8")
+        want = ValueError, f"{path}: row 3: expected two integer fields, got ['2', 'x']"
+    for jobs in (1, 2):
+        with pytest.raises(Exception) as caught:
+            run_sweep(toy_spec(toy_model, seeds=(1, 2), jobs=jobs, population_csv=str(path)))
+        assert (type(caught.value), str(caught.value)) == want, jobs
+        _assert_no_child_left()
+
+
+def test_fork_join_closes_the_pipe_when_a_fork_fails(monkeypatch):
+    # the second fork fails: the first child is reaped and no descriptor is left open
+    fork, forks = os.fork, []
+
+    def failing():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", failing)
+    with pytest.raises(BlockingIOError):
+        flowtab.sweep._fork_join([(pow, (2, 1)), (pow, (2, 2))])
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
     _assert_no_child_left()
 
 
