@@ -38,12 +38,13 @@ and pair.  The predicates, for a flow of n packets and s bytes:
   rounding from dropping one that does.  At p = 1 a full-size packet,
   surely sampled, makes M / p = tail and keeps its flow.
 
-Sampling draws one uniform per flow, the blocks in turn from one stream,
-so the draws do not depend on the block size.  ``_sampling_block`` takes
-the first sampled packet from its exact law by inversion: with u uniform,
-packet k is the first success when the log-survival of the packets before
-it is >= log u and that of packets 1..k is < log u.  This matches a
-per-packet Bernoulli loop in distribution.
+One kernel, ``_block``, places every entry by first passage, as its
+docstring states.  Sampling draws one uniform per flow, the blocks in turn
+from one stream, so the draws do not depend on the block size, and takes
+the first sampled packet from its exact law by inversion: packet k is the
+first success when the log-survival of the packets before it is >= log u
+and that of packets 1..k is < log u.  This matches a per-packet Bernoulli
+loop in distribution.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ ALGORITHM_KINDS = ("first", "threshold", "sampling")
 AXES = ("length", "size")
 DURATION_MODELS = ("equal", "proportional")
 
-# flows per block of the threshold and sampling kernels
+# flows per block of the kernel
 BLOCK_FLOWS = 2 ** 16
 
 
@@ -245,7 +246,7 @@ class PacketLayout:
 
     @functools.cached_property
     def scratch(self) -> SimpleNamespace:
-        """The kernels' intermediates for a block of BLOCK_FLOWS flows, by name."""
+        """The kernel's intermediates for a block of BLOCK_FLOWS flows, by name."""
         return SimpleNamespace(**{name: np.empty(BLOCK_FLOWS, dtype) for names, dtype in (
             ("lead i0 i1", np.int64), ("base tail", np.int32), ("f0 f1 f2", np.float64),
             ("mask hit", bool)) for name in names.split()})
@@ -287,31 +288,6 @@ def _covered(size, trigger, lead, base, tail, tmp) -> int:
     return size - int(np.multiply(lead, np.subtract(tail, base, out=k), out=lead).sum())
 
 
-def _threshold_block(layout, spec, rng, start, block, flows, trigger):
-    """A block's first or threshold entries, written into the heads of flows
-    and trigger: their count and the bytes they cover."""
-    s, m, sizes = layout.scratch, block.stop - start, layout.sizes
-    value = layout.lengths if spec.axis == "length" else sizes
-    cand = np.flatnonzero(np.greater(value[block], spec.threshold, out=s.mask[:m]))
-    t = np.floor(spec.threshold)  # whole packets or bytes
-    n, trig = len(cand), trigger[:len(cand)]
-    cand = np.add(cand, start, out=flows[:n])
-    size = int(_take(sizes, cand, s.i0).sum())
-    if spec.kind == "first":
-        trig.fill(1)
-        return n, size
-    lead, base, tail = layout._of(cand)
-    if spec.axis == "length":
-        np.copyto(trig, t + 1, casting="unsafe")
-    else:  # the packet that takes the flow's byte count above the threshold
-        lead_bytes, x, inside = np.multiply(lead, base, out=s.i0[:n]), s.f0[:n], s.f1[:n]
-        np.floor(np.divide(np.subtract(t, lead_bytes, out=x), tail, out=x), out=x)
-        np.floor(np.divide(t, base, out=inside), out=inside)
-        np.copyto(np.add(lead, x, out=x), inside, where=np.less(t, lead_bytes, out=s.mask[:n]))
-        np.copyto(trig, np.add(x, 1, out=x), casting="unsafe")
-    return n, _covered(size, trig, lead, base, tail, s.i0)
-
-
 def _size_candidates(u: np.ndarray, p: float, layout: PacketLayout, block: slice) -> np.ndarray:
     """Indices, from the block's start, of its flows that size-scaled sampling
     at probability p can give an entry, by the bound of the module docstring."""
@@ -323,41 +299,63 @@ def _size_candidates(u: np.ndarray, p: float, layout: PacketLayout, block: slice
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # at p = 1 a full-size packet: log1p(-1) = -inf
-def _sampling_block(layout, spec, rng, start, block, flows, trigger):
-    """_threshold_block for sampling.  A flow is a run of ``lead`` packets
-    at log-odds log_q_lead = log1p(-p * base / M), then one at log_q_tail =
-    log1p(-p * tail / M): its entry is created at k_lead = floor(log u /
-    log_q_lead) + 1 if k_lead <= lead, else at k_tail = lead + max(floor((log
-    u - lead * log_q_lead) / log_q_tail), 0) + 1 if k_tail <= n, the max
-    keeping a rounded edge draw out of the lead run.  On the length axis a
-    flow is one lead run of n packets at log1p(-p)."""
-    s, p, m, lengths = layout.scratch, spec.probability, block.stop - start, layout.lengths
-    u, one_run, log_q_lead = rng.random(out=s.f0[:m]), spec.axis == "length", np.log1p(-p)
-    if one_run:  # the exact test x < n, over log u
-        x = np.divide(np.log(np.maximum(u, 2.0 ** -53, out=u), out=u), log_q_lead, out=s.f1[:m])
-        cand = np.flatnonzero(np.less(x, lengths[block], out=s.mask[:m]))
-    else:
-        cand = _size_candidates(u, p, layout, block)
-    n, log_u, scale = len(cand), _take(u, cand, s.f1), p / layout.max_packet_size
-    cand = np.add(cand, start, out=s.i1[:n])  # frees the indices before the hits' are found
-    (lead, base, tail), size = layout._of(cand), int(_take(layout.sizes, cand, s.i0).sum())
-    k_lead, log_q_run, in_lead = s.f0[:n], s.f2[:n], s.hit[:n]
-    if not one_run:  # the candidates alone take log u
-        np.log(np.maximum(log_u, 2.0 ** -53, out=log_u), out=log_u)
-        log_q_lead = np.log1p(np.multiply(-scale, base, out=log_q_run), out=log_q_run)
-    np.add(np.floor(np.divide(log_u, log_q_lead, out=k_lead), out=k_lead), 1, out=k_lead)
-    # x < n gives floor(x) + 1 <= n: no length-axis candidate reaches a tail run
-    if one_run or np.less_equal(k_lead, lead, out=in_lead).all():
-        np.copyto(trigger[:n], k_lead, casting="unsafe"), np.copyto(flows[:n], cand)
+def _block(layout, spec, rng, start, block, flows, trigger):
+    """A block's entries, written into the heads of flows and trigger: their
+    count and the bytes they cover.  A candidate spends a budget b over a
+    lead run of ``lead`` packets at c_lead each, then a tail run at c_tail
+    each: its entry is created at k_lead = floor(b / c_lead) + 1 if k_lead
+    <= lead, else at k_tail = lead + max(floor((b - lead * c_lead) / c_tail),
+    0) + 1 if k_tail <= n, the max keeping a rounded edge draw out of the
+    lead run.  Threshold spends b = floor(T) at a packet's bytes, or 1 on the
+    length axis, exactly in int64; sampling spends b = log u at log1p(-p *
+    bytes / M), or log1p(-p) on the length axis, where a flow is one lead run
+    of n packets.  First creates every candidate's entry at packet 1."""
+    s, m, lengths, sizes = layout.scratch, block.stop - start, layout.lengths, layout.sizes
+    one_run, sampling = spec.axis == "length", spec.kind == "sampling"
+    if sampling:  # floor(b / c) rounded as the per-packet law's inversion rounds it
+        p, u, c_lead = spec.probability, rng.random(out=s.f0[:m]), np.log1p(-spec.probability)
+        quotient = lambda b, c, out: np.floor(np.divide(b, c, out=out), out=out)
+        if one_run:  # the exact test x < n, over log u
+            x = np.divide(np.log(np.maximum(u, 2.0 ** -53, out=u), out=u), c_lead, out=s.f1[:m])
+            cand = np.flatnonzero(np.less(x, lengths[block], out=s.mask[:m]))
+        else:
+            cand = _size_candidates(u, p, layout, block)
+        budget = _take(u, cand, s.f1)
+    else:  # whole packets or bytes: an integer exceeds T iff it exceeds floor(T)
+        budget, c_lead = np.int64(min(math.floor(spec.threshold), 2 ** 63 - 1)), 1
+        value, quotient = lengths if one_run else sizes, np.floor_divide
+        cand = np.flatnonzero(np.greater(value[block], budget, out=s.mask[:m]))
+    n = len(cand)
+    # every threshold candidate gains its entry, written in place: only sampling compacts
+    cand = np.add(cand, start, out=(s.i1 if sampling else flows)[:n])
+    k, size = (s.f0 if sampling else trigger)[:n], int(_take(sizes, cand, s.i0).sum())
+    if spec.kind == "first":
+        k.fill(1)
+        return n, size
+    (lead, base, tail), in_lead = layout._of(cand), s.hit[:n]
+    if sampling and not one_run:  # the candidates alone take log u
+        scale = p / layout.max_packet_size
+        np.log(np.maximum(budget, 2.0 ** -53, out=budget), out=budget)
+        c_lead = np.log1p(np.multiply(-scale, base, out=s.f2[:n]), out=s.f2[:n])
+    elif not one_run:  # a packet's cost is its bytes
+        c_lead = base
+    np.add(quotient(budget, c_lead, out=k), 1, out=k)
+    # x < n gives floor(x) + 1 <= n, as n > floor(T) does: no length-axis candidate passes its run
+    if one_run or np.less_equal(k, lead, out=in_lead).all():
+        if sampling:
+            np.copyto(trigger[:n], k, casting="unsafe"), np.copyto(flows[:n], cand)
         return n, _covered(size, trigger[:n], lead, base, tail, s.i0)
-    k_tail = np.subtract(log_u, np.multiply(lead, log_q_lead, out=log_q_run), out=log_u)
-    np.log1p(np.multiply(-scale, tail, out=log_q_run), out=log_q_run)
-    np.maximum(np.floor(np.divide(k_tail, log_q_run, out=k_tail), out=k_tail), 0, out=k_tail)
+    k_tail = (s.f2 if sampling else s.i0)[:n]
+    np.subtract(budget, np.multiply(lead, c_lead, out=k_tail), out=k_tail)
+    c_tail = np.log1p(np.multiply(-scale, tail, out=s.f1[:n]), out=s.f1[:n]) if sampling else tail
+    np.maximum(quotient(k_tail, c_tail, out=k_tail), 0, out=k_tail)
     np.add(np.add(lead, k_tail, out=k_tail), 1, out=k_tail)
-    # trig = k = where(in_lead, k_lead, k_tail) if k < n + 1, else n + 1, which covers nothing
-    np.copyto(k_tail, k_lead, where=in_lead)
+    np.copyto(k, k_tail, where=np.logical_not(in_lead, out=in_lead))
+    if not sampling:
+        return n, _covered(size, k, lead, base, tail, s.i0)
+    # trig = k if k < n + 1, else n + 1, which covers nothing
     trig = np.add(_take(lengths, cand, s.i0), 1, out=s.i0[:n])
-    np.copyto(trig, k_tail, where=np.less(k_tail, trig, out=in_lead), casting="unsafe")
+    np.copyto(trig, k, where=np.less(k, trig, out=in_lead), casting="unsafe")
     hits = np.flatnonzero(in_lead)  # in_lead now marks the hits
     _take(cand, hits, flows), _take(trig, hits, trigger)
     return len(hits), _covered(size, trig, lead, base, tail, cand)
@@ -372,16 +370,15 @@ def evaluate_batch(layout: PacketLayout, spec: AlgorithmSpec,
     triggering packet on.
 
     ``layout`` is the population, which carries the model's
-    max_packet_size and the kernels' scratch.  flows and trigger are views
+    max_packet_size and the kernel's scratch.  flows and trigger are views
     of the heads of its ``entries`` pair, valid until the next call over
     the population writes them.  Sampling draws from ``rng``.
     """
     if spec.kind == "sampling" and rng is None:
         raise ValueError("sampling evaluation requires an RNG")
-    kernel = _sampling_block if spec.kind == "sampling" else _threshold_block
     (flows, trigger), entries, covered = layout.entries, 0, 0
     for start, block in _blocks(len(layout.lengths)):
-        count, bytes_ = kernel(layout, spec, rng, start, block, flows[entries:], trigger[entries:])
+        count, bytes_ = _block(layout, spec, rng, start, block, flows[entries:], trigger[entries:])
         entries, covered = entries + count, covered + bytes_
     return flows[:entries], trigger[:entries], covered
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import inspect
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+import flowtab.algorithms
 from flowtab.generator import GeneratorConfig, generate_arrays
 from flowtab.model import load_model
 
@@ -53,3 +55,17 @@ def ht_population(heavytail_model):
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def mutate(monkeypatch):
+    """mutate(name, old, new) replaces the function ``name`` of
+    flowtab.algorithms, for the test, by its source with the text ``old``,
+    which must occur there exactly once, replaced by ``new``."""
+    def apply(name: str, old: str, new: str) -> None:
+        source = inspect.getsource(getattr(flowtab.algorithms, name))
+        assert source.count(old) == 1, (name, old)
+        namespace = dict(vars(flowtab.algorithms))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(flowtab.algorithms, name, namespace[name])
+    return apply

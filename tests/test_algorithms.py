@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import inspect
 import math
 
 import mpmath
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-import flowtab.algorithms
 from flowtab.algorithms import (
     AlgorithmSpec,
     DegenerateError,
@@ -491,20 +489,14 @@ def test_simulated_sampling_mean_matches_exact_law(law_layout, axis):
 # the kernel samples each lead-run packet at raised odds: those of base + 1
 # bytes on the size axis, p * (1 + 2^-4) on the length axis
 LEAD_ODDS_MUTATIONS = {
-    "size": ("np.multiply(-scale, base, out=log_q_run)",
-             "np.multiply(-scale, base + 1, out=log_q_run)"),
-    "length": ("np.log1p(-p)", "np.log1p(-p * (1 + 2 ** -4))"),
+    "size": ("np.multiply(-scale, base,", "np.multiply(-scale, base + 1,"),
+    "length": ("np.log1p(-spec.probability)", "np.log1p(-spec.probability * (1 + 2 ** -4))"),
 }
 
 
 @pytest.mark.parametrize("axis", ["length", "size"])
-def test_exact_law_catches_raised_lead_run_odds(law_layout, monkeypatch, axis):
-    source = inspect.getsource(flowtab.algorithms._sampling_block)
-    odds, raised = LEAD_ODDS_MUTATIONS[axis]
-    assert source.count(odds) == 1
-    namespace = dict(vars(flowtab.algorithms))
-    exec(source.replace(odds, raised), namespace)
-    monkeypatch.setattr(flowtab.algorithms, "_sampling_block", namespace["_sampling_block"])
+def test_exact_law_catches_raised_lead_run_odds(law_layout, mutate, axis):
+    mutate("_block", *LEAD_ODDS_MUTATIONS[axis])
     assert sampling_law_misses(law_layout, axis) != []
 
 

@@ -82,6 +82,50 @@ def test_blocked_kernels_match_whole_population_formulas(axis, max_packet_size):
             assert type(total) is int and total == int(covered.sum()), (count, spec)
 
 
+def even_split(n: int, s: int, max_packet_size: int) -> tuple[int, int, int]:
+    """(lead, base, tail) of a flow of n packets and s bytes, in Python ints."""
+    base, rem = divmod(s, n)
+    if rem == 0:
+        return n, base, base
+    if base + rem <= max_packet_size:
+        return n - 1, base, base + rem
+    return n - rem, base, base + 1
+
+
+def test_size_threshold_is_exact_past_two_to_the_53():
+    # flows of 2^53 to 2^56 bytes, where a float64 byte count or quotient
+    # rounds, at t = lead * base - 2 .. + 2 of each: the switch from the lead
+    # run to the tail run.  The first flows put t / base within half an ulp
+    # of the next integer: an odd lead of 2^43 or more packets of an odd base
+    # above 1024 bytes, then one packet of a byte more.  Every flow's trigger
+    # and the covered total against the integer rule
+    rng = np.random.default_rng(53)
+    flows = [(lead + 1, (lead + 1) * base + 1) for base in (1025, 1217, 1517)
+             for lead in (2 ** 43 + 1, 2 ** 43 + 12345, 2 ** 44 - 3)]
+    for _ in range(30):  # at least 2^54 bytes, half of them or more in the lead run
+        base = int(rng.integers(1, 1518))
+        n = int(rng.integers(2 ** 54, 2 ** 56)) // base
+        rem = rng.integers(0, 1519 - base) if rng.random() < 0.5 else rng.integers(0, n // 2)
+        flows.append((n, n * base + int(rem)))
+    layout = PacketLayout(*(np.array(column, dtype=np.int64) for column in zip(*flows)), 1518)
+    splits = [even_split(n, s, 1518) for n, s in flows]
+    assert [list(column) for column in zip(*splits)] == \
+        [layout.lead.tolist(), layout.base.tolist(), layout.tail.tolist()]
+    assert all(lead * base > 2 ** 53 for lead, base, _ in splits)
+    edges = {int(float(lead * base + d)) for lead, base, _ in splits for d in range(-2, 3)}
+    for t in sorted(edges):
+        want, covered = [], 0
+        for (n, s), (lead, base, tail) in zip(flows, splits):
+            k = 0 if s <= t else t // base + 1 if t < lead * base else \
+                lead + (t - lead * base) // tail + 1
+            want.append(k)
+            covered += k and s - (k - 1) * base - max(k - 1 - lead, 0) * (tail - base)
+        spec = AlgorithmSpec("threshold", "size", threshold=float(t))
+        got, trigger, total = evaluate_batch(layout, spec)
+        assert np.flatnonzero(want).tolist() == got.tolist(), t
+        assert [want[i] for i in got] == trigger.tolist() and total == covered, t
+
+
 @pytest.mark.parametrize("axis", ["length", "size"])
 def test_fold_equals_sums_over_per_flow_arrays(axis):
     # the fold walks several blocks of entries, the last partial
@@ -193,6 +237,37 @@ def test_edge_draws_give_the_reference_entries(axis, max_packet_size):
             with np.errstate(divide="ignore", invalid="ignore"):
                 rejected = one_run & (np.floor(log_u / log_q_lead) + 1 > layout.lead)
             assert not np.any(rejected[flows]), spec
+
+
+# One-text mutants of the kernel, each with the existing check that kills it:
+# (function, text, replacement, check).
+KERNEL_MUTANTS = {
+    # x <= n keeps a length-axis flow whose draw x = n first samples packet
+    # n + 1, past its end
+    "length-candidates-x-le-n": (
+        "_block", "np.less(x, lengths[block]", "np.less_equal(x, lengths[block]",
+        lambda: test_edge_draws_give_the_reference_entries("length", 1518)),
+    # a size bound that drops flows at the whole-flow survival edge
+    "size-bound-margin-below-one": (
+        "_size_candidates", "-(1.0 + 1e-6)", "-(1.0 - 1e-6)",
+        lambda: test_edge_draws_give_the_reference_entries("size", 1518)),
+    # the tail step skipped when any candidate, not every one, stops in its lead run
+    "tail-step-skipped-when-any-stops-in-lead": (
+        "_block", "out=in_lead).all()", "out=in_lead).any()",
+        lambda: test_edge_draws_give_the_reference_entries("size", 1518)),
+    # the size-axis threshold counts tail packets at base bytes
+    "size-threshold-tail-cost-base": (
+        "_block", "if sampling else tail", "if sampling else base",
+        lambda: test_blocked_kernels_match_whole_population_formulas("size", 1518)),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_MUTANTS)
+def test_kernel_mutants_fail_their_check(mutate, name):
+    function, text, replacement, check = KERNEL_MUTANTS[name]
+    mutate(function, text, replacement)
+    with pytest.raises(AssertionError):
+        check()
 
 
 def traced_peak(call):

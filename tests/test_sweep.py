@@ -8,6 +8,7 @@ import os
 import pathlib
 import signal
 
+import numpy as np
 import pytest
 
 import flowtab.sweep
@@ -88,6 +89,17 @@ def test_sweep_deterministic_and_jobs_invariant(toy_model):
     one = [run_sweep(toy_spec(toy_model, seeds=(2,), flow_count=5000, jobs=jobs)) for jobs in (1, 2)]
     assert one[0] == one[1]
     assert [c.per_seed for c in one[0].cells] == [c.per_seed[1:2] for c in res1.cells]
+
+
+def test_std_is_the_sample_deviation_over_seeds(toy_model):
+    # each cell's std over three seeds divides by n - 1, not by n
+    res = run_sweep(toy_spec(toy_model, flow_count=5000))
+    varied = 0
+    for cell in res.cells:
+        for k, per_seed in enumerate(zip(*cell.per_seed)):
+            assert cell.std[k] == np.std(per_seed, ddof=1), (cell.kind, cell.parameter, k)
+            varied += cell.std[k] > 0
+    assert varied > 0
 
 
 def test_degenerate_rows_render_as_infinity(toy_model):
