@@ -104,12 +104,12 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
     """Ingest a flow dump produced by write_flow_csv (or a compatible tool).
 
     Every flow must split into packets of 1..max_packet_size bytes, and its
-    largest byte count, length * max_packet_size, must fit int64.  The rows
-    parse in bulk into a table whose two columns are copied out and checked
-    a block at a time; a file the bulk parse does not take whole goes
-    through the row loop, which names its first bad row.  Both read the
-    handle that read the header: a pipe, such as a shell's <(zcat ...), can
-    be read only once, so its text is kept in memory.
+    largest byte count, length * max_packet_size, must fit int64.  The rows,
+    quoted or not, parse in bulk into a table whose two columns are copied
+    out and checked a block at a time; a file the bulk parse does not take
+    whole goes through the row loop, which names its first bad row.  Both
+    read the handle that read the header: a pipe, such as a shell's <(zcat
+    ...), can be read only once, so its text is kept in memory.
     """
     rows = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -122,8 +122,8 @@ def read_flow_csv(path: str, max_packet_size: int) -> tuple[np.ndarray, np.ndarr
                     warnings.simplefilter("error")
                     # loadtxt parses a regular file faster by its path
                     rows = np.loadtxt(path if regular else src, delimiter=",", dtype=np.int64,
-                                      comments=None, ndmin=2, skiprows=int(regular),
-                                      encoding="utf-8")
+                                      comments=None, quotechar='"', ndmin=2,
+                                      skiprows=int(regular), encoding="utf-8")
             except (ValueError, Warning):
                 pass
         if rows is not None and rows.shape[1] == 2:

@@ -331,9 +331,8 @@ class Mixture:
     Every mixture holds one table of sf at the integers from
     ceil(domain_min) - 1, the last where sf is 1, up to ceil(domain_min) +
     TABLE_SPAN, built on first use.  The quantile searches 1 - sf there,
-    through an int32 guide into it; a scalar sf at one of its integers reads
-    it; and so does the tail table, from which the mean and expect read the
-    integer law.
+    through an int32 guide into it, and the tail table, from which the mean
+    and expect read the integer law, reads it too.
     """
 
     components: tuple[MixtureComponent, ...]
@@ -427,13 +426,7 @@ class Mixture:
 
     def sf(self, x):
         """P(X > x), evaluated via component survival functions for tail
-        accuracy; 1 below domain_min.  A scalar at an integer of a built
-        survival table reads it: the table holds this same evaluation."""
-        table = self.__dict__.get("_sf_table")
-        if table is not None and np.isscalar(x):
-            k = float(x) - self._ends[0]
-            if k.is_integer() and 0.0 <= k < len(table):
-                return float(table[int(k)])
+        accuracy; 1 below domain_min."""
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         pts = np.floor(xx) if self.discrete else xx
         out = self._raw_sf(np.maximum(pts, self.floor))

@@ -13,11 +13,12 @@ report metrics.
 ``reference_trigger`` keeps the whole-population formulas of the
 triggering packet, one array operation over every flow per step, as the
 reference the blocked kernels of ``evaluate_batch`` must match bit for
-bit; ``packet_over`` places a size threshold's packet and ``bytes_before``
-counts a flow's bytes ahead of a packet.  ``expand`` turns the sparse
-entries that ``evaluate_batch`` returns into per-flow arrays.  Each reads
-the population, the flows' lengths and sizes and their packets, from its
-``PacketLayout``, as the library does.
+bit; ``packet_over`` places a size threshold's packet, counting in int64
+as the kernels do, and ``bytes_before`` counts a flow's bytes ahead of a
+packet.  ``expand`` turns the sparse entries that ``evaluate_batch``
+returns into per-flow arrays.  Each reads the population, the flows'
+lengths and sizes and their packets, from its ``PacketLayout``, as the
+library does.
 
 ``expected_covered_fraction`` is the checked, per-flow form of the
 covered-share closed form that ``flowtab.analytic`` weights sampling with.
@@ -219,15 +220,20 @@ def bytes_before(layout: PacketLayout, k: np.ndarray, flows: np.ndarray) -> np.n
     return k * base + np.maximum(k - lead, 0) * (tail - base)
 
 
+def whole_threshold(threshold: float) -> np.int64:
+    """floor(T), at most 2^63 - 1: a count of packets or bytes, an
+    integer, exceeds T iff it exceeds floor(T)."""
+    return np.int64(min(math.floor(threshold), 2 ** 63 - 1))
+
+
 def packet_over(layout: PacketLayout, threshold: float, flows: np.ndarray) -> np.ndarray:
     """Index, from 1, of the packet that takes the byte count of each of
-    the ``flows`` (indices into the population) above the threshold, as
-    floats; meaningful for flows of more bytes than the threshold."""
-    t = np.floor(threshold)  # byte counts are integers
+    the ``flows`` (indices into the population) above the threshold, in
+    int64; meaningful for flows of more bytes than the threshold."""
+    t = whole_threshold(threshold)
     lead, base, tail = layout.lead[flows], layout.base[flows], layout.tail[flows]
     lead_bytes = lead * base
-    return np.where(t < lead_bytes, np.floor(t / base),
-                    lead + np.floor((t - lead_bytes) / tail)) + 1
+    return np.where(t < lead_bytes, t // base, lead + (t - lead_bytes) // tail) + 1
 
 
 def reference_sampling_trigger(layout: PacketLayout, spec: AlgorithmSpec,
@@ -258,19 +264,19 @@ def reference_trigger(layout: PacketLayout, spec: AlgorithmSpec,
     """Packet, from 1, that creates each flow's entry under a spec (0 for
     none), over the whole population at once."""
     lengths, sizes = layout.lengths, layout.sizes
+    if spec.kind == "sampling":
+        log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
+        return reference_sampling_trigger(layout, spec, log_u)
+    t = whole_threshold(spec.threshold)
     if spec.kind == "first":
         value = lengths if spec.axis == "length" else sizes
-        return np.where(value > spec.threshold, 1, 0).astype(np.int64)
-    if spec.kind == "threshold" and spec.axis == "length":
-        T = spec.threshold
-        return np.where(lengths > T, np.floor(T) + 1, 0).astype(np.int64)
-    if spec.kind == "threshold":
-        over = np.flatnonzero(sizes > spec.threshold)
-        trigger = np.zeros(len(sizes), dtype=np.int64)
-        trigger[over] = packet_over(layout, spec.threshold, over)
-        return trigger
-    log_u = np.log(np.maximum(rng.random(len(lengths)), 2.0 ** -53))
-    return reference_sampling_trigger(layout, spec, log_u)
+        return np.where(value > t, 1, 0).astype(np.int64)
+    if spec.axis == "length":
+        return np.where(lengths > t, t, -1) + 1  # t + 1 <= n for the flows over it
+    over = np.flatnonzero(sizes > t)
+    trigger = np.zeros(len(sizes), dtype=np.int64)
+    trigger[over] = packet_over(layout, spec.threshold, over)
+    return trigger
 
 
 def expand(layout: PacketLayout, flows: np.ndarray, trigger: np.ndarray):

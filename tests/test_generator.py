@@ -361,11 +361,12 @@ def test_flow_csv_is_read_whole_through_a_pipe(tmp_path, toy_model):
     back_l, back_s = piped(dump.read_bytes(), lambda path: read_flow_csv(path, 1518))
     assert np.array_equal(lengths, back_l) and np.array_equal(sizes, back_s)
 
-    quoted = (HEADER + '"1","100"\n10,1000\n').encode()
-    dump.write_bytes(quoted)
-    by_path = read_flow_csv(str(dump), 1518)
-    back = piped(quoted, lambda path: read_flow_csv(path, 1518))
-    assert all(np.array_equal(a, b) for a, b in zip(back, by_path))
+    # the bulk parse takes quoted fields, the row loop digit separators
+    for body in ('"1","100"\n10,1000\n', "1_000,100_000\n10,1000\n"):
+        dump.write_bytes((HEADER + body).encode())
+        by_path = read_flow_csv(str(dump), 1518)
+        back = piped(dump.read_bytes(), lambda path: read_flow_csv(path, 1518))
+        assert all(np.array_equal(a, b) for a, b in zip(back, by_path))
 
     def error(path):
         with pytest.raises(ValueError) as excinfo:
@@ -385,7 +386,7 @@ HEADER = "length_packets,size_bytes\n"
 @pytest.mark.parametrize("body, bulk", [
     ("1,100\r\n10,1000\r\n", True),       # CRLF
     ("1,100\n\n10,1000\n\n", True),        # blank lines
-    ('"1","100"\n10,1000\n', False),       # quoted fields
+    ('"1","100"\n10,1000\n', True),        # quoted fields
     (" 1, 100\n10 ,1000 \n", True),         # surrounding spaces
     ("+1,+100\n10,1000\n", True),           # explicit sign
     ("1_000,100_000\n10,1000\n", False),   # digit separators

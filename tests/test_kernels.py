@@ -98,7 +98,8 @@ def test_size_threshold_is_exact_past_two_to_the_53():
     # run to the tail run.  The first flows put t / base within half an ulp
     # of the next integer: an odd lead of 2^43 or more packets of an odd base
     # above 1024 bytes, then one packet of a byte more.  Every flow's trigger
-    # and the covered total against the integer rule
+    # and the covered total against the integer rule, and the oracle's
+    # triggers too
     rng = np.random.default_rng(53)
     flows = [(lead + 1, (lead + 1) * base + 1) for base in (1025, 1217, 1517)
              for lead in (2 ** 43 + 1, 2 ** 43 + 12345, 2 ** 44 - 3)]
@@ -124,6 +125,7 @@ def test_size_threshold_is_exact_past_two_to_the_53():
         got, trigger, total = evaluate_batch(layout, spec)
         assert np.flatnonzero(want).tolist() == got.tolist(), t
         assert [want[i] for i in got] == trigger.tolist() and total == covered, t
+        assert reference_trigger(layout, spec).tolist() == want, t
 
 
 @pytest.mark.parametrize("axis", ["length", "size"])

@@ -548,7 +548,9 @@ def test_batched_sf_matches_component_sum(toy_model, heavytail_model):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_scalar_sf_reads_the_survival_table(heavytail_model):
+def test_scalar_sf_equals_its_table_entry_built_or_not(heavytail_model):
+    # sf evaluates every point: a scalar at one of the table's integers is
+    # its entry bit for bit, on a mixture whose table is built or not
     mix = heavytail_model.size_axis.octets
     fresh = Mixture(components=mix.components, domain_min=mix.domain_min, discrete=mix.discrete)
     lo, end = mix._ends
@@ -557,7 +559,7 @@ def test_scalar_sf_reads_the_survival_table(heavytail_model):
     for k in ks + [float(k) for k in ks] + [np.float64(k) for k in ks]:
         assert mix.sf(k) == float(table[int(k) - lo]) == fresh.sf(k), k
     assert "_sf_table" not in vars(fresh)
-    # off the table's integers sf is evaluated afresh
+    # and off the table's integers the two mixtures agree too
     for x in (end + 1, 100.5, lo - 1, -3.0, 2.0 ** 40, math.inf, math.nan):
         assert np.array_equal(mix.sf(x), fresh.sf(x), equal_nan=True), x
 
